@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 
 import numpy as np
@@ -75,12 +76,22 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+def _require_finite(flag: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{flag} must be finite")
+
+
+def _check_gamma(gamma: float) -> None:
+    _require_finite("--gamma", gamma)
+    if gamma <= 0:
+        raise ValueError("--gamma must be positive")
+
+
 def cmd_rate_gue(args) -> int:
     dims = _parse_int_list(args.dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError("--dims must list dimensions >= 1")
-    if args.gamma <= 0:
-        raise ValueError("--gamma must be positive")
+    _check_gamma(args.gamma)
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
     rows = []
@@ -107,8 +118,7 @@ def cmd_crossover(args) -> int:
         raise ValueError("--k-list must list localities >= 1")
     if args.n_max < max(k_list):
         raise ValueError("--n-max must reach the largest k")
-    if args.gamma <= 0:
-        raise ValueError("--gamma must be positive")
+    _check_gamma(args.gamma)
     # Reference-size calibration at k = 1, where both bound modes coincide.
     eps_sq = calibrate_epsilon(args.n0, 1, args.gamma)
     eps = float(np.sqrt(eps_sq))
@@ -140,18 +150,20 @@ def cmd_crossover(args) -> int:
 
 def cmd_tfd(args) -> int:
     betas = _parse_float_list(args.beta_list)
+    _require_finite("--beta-list", *betas)
     if not betas or any(b < 0 for b in betas):
         raise ValueError("--beta-list must list inverse temperatures >= 0")
-    if args.gamma <= 0:
-        raise ValueError("--gamma must be positive")
+    _check_gamma(args.gamma)
+    _require_finite("--t-max", args.t_max)
     if args.t_max <= 0 or args.t_points < 2:
         raise ValueError("--t-max must be positive and --t-points at least 2")
+    log2d = args.log2_dim if args.log2_dim is not None else args.n_qubits
+    _require_finite("--log2-dim", log2d)
     grid = np.linspace(0.0, args.t_max, args.t_points)
     header = ["beta", "gamma_t", "purity_mean", "purity_stderr", "purity_inf",
               "rate_exact", "rate_semicircle", "rate_high_t", "rate_low_t"]
     rows: list[list] = []
     if args.formula_only:
-        log2d = args.log2_dim if args.log2_dim is not None else args.n_qubits
         d = 2.0 ** log2d
         for beta in betas:
             rows.append([beta, "", "", "", _purity_inf_formula(beta, log2d),
@@ -183,7 +195,7 @@ def cmd_tfd(args) -> int:
                 f"t_points={args.t_points} samples={args.samples} "
                 f"seed={args.seed} formula_only={args.formula_only} "
                 f"log2_dim={args.log2_dim}",
-                f"# beta_c={_fmt(beta_crossover(2.0 ** (args.log2_dim or args.n_qubits)))}"]
+                f"# beta_c={_fmt(beta_crossover(2.0 ** log2d))}"]
     _emit(args.output, comments, header, rows)
     return 0
 

@@ -201,17 +201,16 @@ class TfdPurityCurve:
     rate: EnsembleEstimate
 
 
-def _tfd_purity_chunk(payload) -> np.ndarray:
-    seed, stream_index, start, stop, d, beta, gamma, gamma_t = payload
-    rng = RngStream(seed, stream_index)
-    out = np.empty((stop - start, len(gamma_t) + 2))
-    for i in range(start, stop):
-        energies = np.linalg.eigvalsh(_gue_matrix(d, rng.sample_generator(i)))
-        sys = build_tfd(energies, beta, gamma)
-        out[i - start, :-2] = purity_tfd(sys, gamma_t / gamma)
-        out[i - start, -2] = purity_inf_tfd(sys)
-        out[i - start, -1] = rate_tfd(sys)
-    return out
+def _tfd_purity_sample(gen: np.random.Generator, d: int, beta: float,
+                       gamma: float, gamma_t: np.ndarray) -> np.ndarray:
+    """Purity curve, plateau and rate of one GUE draw, as one row."""
+    sys = build_tfd(np.linalg.eigvalsh(_gue_matrix(d, gen)), beta, gamma)
+    return np.concatenate([purity_tfd(sys, gamma_t / gamma),
+                           [purity_inf_tfd(sys), rate_tfd(sys)]])
+
+
+# Old name of the per-sample function, still wrapped by perfbench/tracer.py.
+_tfd_purity_chunk = _tfd_purity_sample
 
 
 def ensemble_purity_tfd(n_qubits: int, beta: float, gamma: float,
@@ -225,24 +224,14 @@ def ensemble_purity_tfd(n_qubits: int, beta: float, gamma: float,
     """
     if n_qubits < 1 or 2 ** n_qubits > 2 ** 10:
         raise ValueError("qubit count must give a dimension between 2 and 2^10")
-    d = 2 ** n_qubits
     grid = np.asarray(gamma_t, dtype=float)
-    payload = lambda a, b: (rng.master_seed, rng.stream_index, a, b, d, beta,
-                            gamma, grid)
-    table = _pool.gather_samples(_tfd_purity_chunk, n_samples, workers, payload)
-
-    def estimate(col) -> EnsembleEstimate:
-        mean = col.mean(axis=0)
-        stderr = col.std(axis=0, ddof=1) / math.sqrt(n_samples)
-        if mean.ndim == 0:
-            return EnsembleEstimate(float(mean), float(stderr), n_samples,
-                                    rng.master_seed)
-        return EnsembleEstimate(mean, stderr, n_samples, rng.master_seed)
-
+    table = _pool.gather_samples(_tfd_purity_sample, n_samples, rng, workers,
+                                 2 ** n_qubits, beta, gamma, grid)
+    seed = rng.master_seed
     return TfdPurityCurve(times=grid,
-                          purity=estimate(table[:, :-2]),
-                          purity_inf=estimate(table[:, -2]),
-                          rate=estimate(table[:, -1]))
+                          purity=EnsembleEstimate.from_samples(table[:, :-2], seed),
+                          purity_inf=EnsembleEstimate.from_samples(table[:, -2], seed),
+                          rate=EnsembleEstimate.from_samples(table[:, -1], seed))
 
 
 @dataclass(frozen=True)
@@ -261,6 +250,12 @@ class AnnealingCheck:
         return self.ln_mean_z - self.mean_ln_z
 
 
+def _annealing_sample(gen: np.random.Generator, d: int, beta: float,
+                      gamma: float) -> np.ndarray:
+    sys = build_tfd(np.linalg.eigvalsh(_gue_matrix(d, gen)), beta, gamma)
+    return np.array([sys.log_z, rate_tfd(sys)])
+
+
 def annealing_check(beta: float, d: int, n_samples: int, rng: RngStream,
                     gamma: float = 1.0) -> AnnealingCheck:
     """Compare ``<ln Z>`` against ``ln <Z>`` over GUE draws.
@@ -270,25 +265,18 @@ def annealing_check(beta: float, d: int, n_samples: int, rng: RngStream,
     sample mean of ``4 gamma var_beta(H)`` (quenched) and the closed-form
     annealed rate from the averaged partition function.
     """
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-    ln_z = np.empty(n_samples)
-    rate = np.empty(n_samples)
-    for i in range(n_samples):
-        energies = np.linalg.eigvalsh(_gue_matrix(d, rng.sample_generator(i)))
-        sys = build_tfd(energies, beta, gamma)
-        ln_z[i] = sys.log_z
-        rate[i] = rate_tfd(sys)
+    table = _pool.gather_samples(_annealing_sample, n_samples, rng, 1,
+                                 d, beta, gamma)
+    ln_z, rate = table[:, 0], table[:, 1]
+    ln_z_est = EnsembleEstimate.from_samples(ln_z, rng.master_seed)
     # ln <Z> from the same draws, max-shifted.
     shift = ln_z.max()
     ln_mean_z = shift + math.log(np.exp(ln_z - shift).mean())
     return AnnealingCheck(
-        mean_ln_z=float(ln_z.mean()),
+        mean_ln_z=ln_z_est.mean,
         ln_mean_z=float(ln_mean_z),
-        ln_z_stderr=float(ln_z.std(ddof=1) / math.sqrt(n_samples)),
-        rate_quenched=EnsembleEstimate(float(rate.mean()),
-                                       float(rate.std(ddof=1) / math.sqrt(n_samples)),
-                                       n_samples, rng.master_seed),
+        ln_z_stderr=ln_z_est.stderr,
+        rate_quenched=EnsembleEstimate.from_samples(rate, rng.master_seed),
         rate_annealed=rate_tfd_gue_exact(beta, d, gamma),
     )
 

@@ -9,9 +9,9 @@ and ``<tr X^2> = d^2/2``.
 Randomness is counter-based (Philox).  A :class:`RngStream` is the pair
 ``(master_seed, stream_index)``; distinct pairs give independent streams and
 the same pair reproduces the same values on any platform or worker layout.
-Ensemble loops derive one substream per sample index by jumping the Philox
-counter, so results are independent of how samples are distributed over
-workers.
+Every ensemble estimator runs through the sample engine in ``_pool``, which
+derives one substream per sample index by jumping the Philox counter, so
+results are independent of how samples are distributed over workers.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pool
 from .hermitian import HermitianOperator, as_matrix
-from .specfun import hermite_phi
 
 __all__ = [
     "RngStream", "GueSpec", "EnsembleEstimate", "sample_gue",
@@ -70,6 +70,21 @@ class EnsembleEstimate:
     n_samples: int
     master_seed: int
 
+    @classmethod
+    def from_samples(cls, samples: np.ndarray, master_seed: int
+                     ) -> EnsembleEstimate:
+        """Mean and standard error ``std(ddof=1)/sqrt(n)`` over axis 0.
+
+        Scalar columns give floats.  For complex entries the standard error
+        is ``sqrt((var Re + var Im) / n)``.
+        """
+        n = samples.shape[0]
+        mean = samples.mean(axis=0)
+        stderr = samples.std(axis=0, ddof=1) / np.sqrt(n)
+        if mean.ndim == 0:
+            return cls(float(mean), float(stderr), n, master_seed)
+        return cls(mean, stderr, n, master_seed)
+
 
 def _gue_matrix(d: int, gen: np.random.Generator) -> np.ndarray:
     """Raw GUE draw as an ndarray; Hermitian exactly by construction."""
@@ -98,31 +113,9 @@ def sample_haar_unitary(d: int, rng: RngStream) -> np.ndarray:
     return _haar_unitary(d, rng.generator())
 
 
-class _MatrixAccumulator:
-    """Streaming mean and per-entry standard error for complex matrices."""
-
-    def __init__(self, d: int):
-        self.n = 0
-        self.s = np.zeros((d, d), dtype=complex)
-        self.s2_re = np.zeros((d, d))
-        self.s2_im = np.zeros((d, d))
-
-    def add(self, m: np.ndarray) -> None:
-        self.n += 1
-        self.s += m
-        self.s2_re += m.real ** 2
-        self.s2_im += m.imag ** 2
-
-    def mean(self) -> np.ndarray:
-        return self.s / self.n
-
-    def stderr(self) -> np.ndarray:
-        """Entrywise standard error sqrt((var Re + var Im) / n)."""
-        n = self.n
-        mean = self.s / n
-        var = (self.s2_re / n - mean.real ** 2) + (self.s2_im / n - mean.imag ** 2)
-        var = np.maximum(var, 0.0) * n / max(n - 1, 1)
-        return np.sqrt(var / n)
+def _haar_second_sample(gen: np.random.Generator, xm: np.ndarray) -> np.ndarray:
+    u = _haar_unitary(xm.shape[0], gen)
+    return u @ xm @ u.conj().T
 
 
 def haar_second_moment(x, n_samples: int, rng: RngStream
@@ -132,15 +125,10 @@ def haar_second_moment(x, n_samples: int, rng: RngStream
     Returns ``(mean, stderr)`` with an entrywise standard error; the exact
     average is ``tr(X) 1/d`` (see :func:`haar_second_moment_exact`).
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    xm = as_matrix(x)
-    d = xm.shape[0]
-    acc = _MatrixAccumulator(d)
-    for i in range(n_samples):
-        u = _haar_unitary(d, rng.sample_generator(i))
-        acc.add(u @ xm @ u.conj().T)
-    return acc.mean(), acc.stderr()
+    samples = _pool.gather_samples(_haar_second_sample, n_samples, rng, 1,
+                                   as_matrix(x))
+    est = EnsembleEstimate.from_samples(samples, rng.master_seed)
+    return est.mean, est.stderr
 
 
 def haar_second_moment_exact(x) -> np.ndarray:
@@ -149,21 +137,24 @@ def haar_second_moment_exact(x) -> np.ndarray:
     return np.trace(xm) / d * np.eye(d, dtype=complex)
 
 
+def _haar_fourth_sample(gen: np.random.Generator, m1: np.ndarray,
+                        m2: np.ndarray, m3: np.ndarray) -> np.ndarray:
+    u = _haar_unitary(m1.shape[0], gen)
+    udag = u.conj().T
+    return u @ m1 @ udag @ m2 @ u @ m3 @ udag
+
+
 def haar_fourth_moment(x1, x2, x3, n_samples: int, rng: RngStream
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean of ``U X1 U^dagger X2 U X3 U^dagger`` over Haar unitaries."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
     m1, m2, m3 = as_matrix(x1), as_matrix(x2), as_matrix(x3)
     d = m1.shape[0]
     if not (m2.shape[0] == m3.shape[0] == d):
         raise ValueError("operators must share one dimension")
-    acc = _MatrixAccumulator(d)
-    for i in range(n_samples):
-        u = _haar_unitary(d, rng.sample_generator(i))
-        udag = u.conj().T
-        acc.add(u @ m1 @ udag @ m2 @ u @ m3 @ udag)
-    return acc.mean(), acc.stderr()
+    samples = _pool.gather_samples(_haar_fourth_sample, n_samples, rng, 1,
+                                   m1, m2, m3)
+    est = EnsembleEstimate.from_samples(samples, rng.master_seed)
+    return est.mean, est.stderr
 
 
 def haar_fourth_moment_exact(x1, x2, x3) -> np.ndarray:
@@ -204,6 +195,10 @@ def gue_level_density(v, d: int):
     return rho if rho.ndim else float(rho)
 
 
+def _trace_square_sample(gen: np.random.Generator, d: int) -> float:
+    return float(np.trace(_gue_matrix(d, gen)).real) ** 2
+
+
 def gue_trace_square_mc(d: int, n_samples: int, rng: RngStream) -> EnsembleEstimate:
     """Monte-Carlo estimate of ``<(tr V)^2>`` over GUE.
 
@@ -212,10 +207,5 @@ def gue_trace_square_mc(d: int, n_samples: int, rng: RngStream) -> EnsembleEstim
     integral is summed, and the decoherence-rate suite adjudicates between
     them empirically instead of hard-coding either.
     """
-    vals = np.empty(n_samples)
-    for i in range(n_samples):
-        m = _gue_matrix(d, rng.sample_generator(i))
-        vals[i] = float(np.trace(m).real) ** 2
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
-    return EnsembleEstimate(mean, stderr, n_samples, rng.master_seed)
+    vals = _pool.gather_samples(_trace_square_sample, n_samples, rng, 1, d)
+    return EnsembleEstimate.from_samples(vals, rng.master_seed)

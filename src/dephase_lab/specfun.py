@@ -19,7 +19,8 @@ Contents:
 * Energy-dephasing rates of a thermofield double over GUE Hamiltonians:
   the finite-d Laguerre-ratio formula and the semicircle Bessel-ratio
   formula ``8 gamma d [1 - 3 g(x)/x - g(x)^2]`` with ``x = sqrt(2 d) beta``,
-  valid for dimensions as large as ``2**50``.
+  valid for dimensions as large as ``2**60``: beyond ``x = 50`` the bracket
+  is one cancellation-free asymptotic series in ``1/x``.
 
 Conventions: hbar = 1; the GUE weight is ``exp(-tr X^2)``, so the
 semicircle support is ``[-sqrt(2 d), sqrt(2 d)]``.
@@ -234,6 +235,59 @@ def _i_asymptotic_series(nu: int, x: float) -> float:
     return total
 
 
+def _rate_bracket_coefficients(n_terms: int) -> tuple[float, ...]:
+    """Coefficients ``c_k`` of ``1 - 3 g/x - g^2 ~ sum_k c_k x^-k`` for large x.
+
+    Built from the asymptotic coefficients ``a_k`` of ``I_1`` and ``b_k`` of
+    ``I_2`` (those of :func:`_i_asymptotic_series`): with ``A = sum a_k x^-k``
+    and ``B = sum b_k x^-k`` the bracket is ``(A^2 - 3 A B/x - B^2) / A^2``.
+    The ``x^0`` and ``x^-1`` coefficients of the numerator cancel exactly, so
+    the series starts ``3/(2x^2) - 3/(4x^3) - 9/(8x^4)`` and evaluating it
+    loses no digits, unlike the direct form.
+    """
+    def i_coefficients(nu):
+        mu = 4.0 * nu * nu
+        c = [1.0]
+        for k in range(1, n_terms):
+            c.append(c[-1] * -(mu - (2 * k - 1) ** 2) / (8.0 * k))
+        return c
+
+    def product(p, q):
+        return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(n_terms)]
+
+    a, b = i_coefficients(1), i_coefficients(2)
+    aa, ab, bb = product(a, a), product(a, b), product(b, b)
+    numerator = [aa[k] - bb[k] - (3.0 * ab[k - 1] if k else 0.0)
+                 for k in range(n_terms)]
+    out: list[float] = []
+    for k in range(n_terms):          # series division by aa, with aa[0] = 1
+        out.append(numerator[k] - sum(out[i] * aa[k - i] for i in range(k)))
+    return tuple(out)
+
+
+# Thirty terms cover x > 50 to full precision (at most 17 are used there).
+_RATE_BRACKET = _rate_bracket_coefficients(30)
+
+
+def _rate_bracket_series(x: float) -> float:
+    # Optimally truncated sum of _RATE_BRACKET for x > _G_CF_CUTOFF.
+    t = 1.0 / x
+    power = t * t
+    total = 0.0
+    prev = math.inf
+    for c in _RATE_BRACKET[2:]:
+        term = c * power
+        mag = abs(term)
+        if mag >= prev:
+            break
+        total += term
+        prev = mag
+        if mag < 1e-17 * abs(total):
+            break
+        power *= t
+    return total
+
+
 def log_bessel_i1(x: float) -> float:
     """``log I_1(x)`` via the power series (x < 30) or asymptotics (x >= 30)."""
     if x <= 0:
@@ -337,8 +391,9 @@ def rate_tfd_gue_semicircle(beta: float, d: float, gamma: float) -> float:
     """Semicircle energy-dephasing rate ``8 gamma d [1 - 3 g(x)/x - g(x)^2]``.
 
     Here ``x = sqrt(2 d) beta`` and ``g = I_2/I_1``.  ``d`` may be passed as a
-    float as large as ``2.0**50``; ``beta = 0`` is handled by its limit
-    ``2 gamma d``.  The high- and low-temperature limits are ``2 gamma d``
+    float as large as ``2.0**60``; ``beta = 0`` is handled by its limit
+    ``2 gamma d``.  For ``x > 50`` the bracket comes from its own asymptotic
+    series, since the direct form cancels to ``3/(2 x^2)``.  The high- and low-temperature limits are ``2 gamma d``
     (``beta << beta_c``) and ``6 gamma / beta^2`` (``beta >> beta_c``), with
     ``beta_c = sqrt(3/d)``.
     """
@@ -349,6 +404,8 @@ def rate_tfd_gue_semicircle(beta: float, d: float, gamma: float) -> float:
     if beta == 0.0:
         return 2.0 * gamma * d
     x = math.sqrt(2.0 * d) * beta
+    if x > _G_CF_CUTOFF:
+        return 8.0 * gamma * d * _rate_bracket_series(x)
     g = bessel_i_ratio_g(x)
     return 8.0 * gamma * d * (1.0 - 3.0 * g / x - g * g)
 

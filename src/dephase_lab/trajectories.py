@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pool
+from .dynamics import build_tfd
 from .exceptions import NumericalError, StepSizeError
 from .hermitian import (DensityState, Operator, SpectralData, as_density,
                         apply_operator, spectral_norm)
@@ -232,10 +233,7 @@ def tfd_two_noise_config(spectral: SpectralData | np.ndarray, beta: float,
     d = energies.shape[0]
     if d * d > 2 ** 12:
         raise ValueError("doubled dimension capped at 2^12")
-    if beta < 0:
-        raise ValueError("inverse temperature must be nonnegative")
-    if gamma <= 0:
-        raise ValueError("noise rate must be positive")
+    weights = build_tfd(energies, beta, gamma).weights
     e_left = np.repeat(energies, d)
     e_right = np.tile(energies, d)
     h0 = np.diag((e_left + e_right).astype(complex))
@@ -243,9 +241,6 @@ def tfd_two_noise_config(spectral: SpectralData | np.ndarray, beta: float,
         LindbladChannel(gamma, np.diag(e_left.astype(complex))),
         LindbladChannel(gamma, np.diag(e_right.astype(complex))),
     ]
-    shift = (-beta * energies).max()
-    log_z = shift + math.log(np.exp(-beta * energies - shift).sum())
-    weights = np.exp(0.5 * (-beta * energies - log_z))
     psi0 = np.zeros(d * d, dtype=complex)
     psi0[np.arange(d) * d + np.arange(d)] = weights
     return h0, channels, psi0

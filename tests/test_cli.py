@@ -151,6 +151,40 @@ class TestTfd:
                         "-o", str(tmp_path / "x.csv")]) == 2
         capsys.readouterr()
 
+    def test_formula_only_log2_dim_zero_sets_beta_c(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert run_cli(["tfd", "--formula-only", "--log2-dim", "0",
+                        "-o", str(out)]) == 0
+        comments, _, _ = read_csv(str(out))
+        assert "# beta_c=1.7320508075688772" in comments
+
+
+_FLOAT_FLAGS = [
+    ("rate-gue", "--gamma", ["--dims", "2", "--samples", "10"]),
+    ("crossover", "--gamma", ["--n-max", "6"]),
+    ("tfd", "--gamma", ["--formula-only"]),
+    ("tfd", "--beta-list", ["--formula-only"]),
+    ("tfd", "--t-max", ["--formula-only"]),
+    ("tfd", "--log2-dim", ["--formula-only"]),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,flag,extra", _FLOAT_FLAGS)
+def test_non_finite_flag_values_exit_2(tmp_path, capsys, command, flag, extra,
+                                       value):
+    out = tmp_path / "x.csv"
+    argv = [command, *extra, f"{flag}={value}", "-o", str(out)]
+    assert run_cli(argv) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_beta_among_finite_ones_exit_2(tmp_path, capsys):
+    assert run_cli(["tfd", "--formula-only", "--beta-list", "0.1,nan,1",
+                    "-o", str(tmp_path / "x.csv")]) == 2
+    capsys.readouterr()
+
 
 class TestDeterminism:
     def test_threads_do_not_change_bytes(self, tmp_path):

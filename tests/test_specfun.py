@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -298,6 +299,19 @@ class TestTfdGueRates:
             rs = rate_tfd_gue_semicircle(1.0, float(d), 1.0)
             gaps.append(abs(re_ - rs) / re_)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+    @pytest.mark.parametrize("log2d", range(1, 61))
+    def test_semicircle_matches_mpmath(self, log2d):
+        # Both branches (continued fraction and the cancellation-free
+        # asymptotic series) against 60-digit Bessel functions.
+        d = 2.0 ** log2d
+        for beta in (1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 1.0, 3.0, 10.0):
+            with mpmath.workdps(60):
+                x = mpmath.sqrt(2 * mpmath.mpf(d)) * mpmath.mpf(beta)
+                g = mpmath.besseli(2, x) / mpmath.besseli(1, x)
+                ref = float(8 * mpmath.mpf(d) * (1 - 3 * g / x - g * g))
+            got = rate_tfd_gue_semicircle(beta, d, 1.0)
+            assert got == pytest.approx(ref, rel=1e-10), (log2d, beta)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
