@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="master seed (default: %(default)s)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for ensemble loops")
+                       help="worker processes for ensemble loops, at most "
+                            "one per core")
         p.add_argument("-o", "--output", default=None,
                        help="output CSV path (default: stdout)")
 
@@ -292,6 +293,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError("--threads must be at least 1")
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ Randomness is counter-based (Philox).  A :class:`RngStream` is the pair
 ``(master_seed, stream_index)``; distinct pairs give independent streams and
 the same pair reproduces the same values on any platform or worker layout.
 Every ensemble estimator runs through the sample engine in ``_pool``, which
-derives one substream per sample index by jumping the Philox counter, so
+derives one substream per sample index by setting the Philox counter, so
 results are independent of how samples are distributed over workers.
 """
 
@@ -38,16 +38,23 @@ class RngStream:
     master_seed: int
     stream_index: int = 0
 
-    def bit_generator(self) -> np.random.Philox:
+    def bit_generator(self, index: int = 0) -> np.random.Philox:
+        """Philox of this stream's key with its counter at ``[0, 0, index, 0]``.
+
+        That is substream ``index``: the state that ``index`` Philox jumps
+        (of 2^128 draws each) reach from counter zero, built directly at a
+        quarter of the cost of jumping.
+        """
         key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-        return np.random.Philox(key=key)
+        counter = np.array([0, 0, index, 0], dtype=np.uint64)
+        return np.random.Philox(counter=counter, key=key)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(self.bit_generator())
 
     def sample_generator(self, index: int) -> np.random.Generator:
-        """Generator for one sample of an ensemble loop (counter jump)."""
-        return np.random.Generator(self.bit_generator().jumped(index))
+        """Fresh generator for sample ``index`` of an ensemble loop."""
+        return np.random.Generator(self.bit_generator(index))
 
 
 @dataclass(frozen=True)
@@ -86,9 +93,14 @@ class EnsembleEstimate:
         return cls(mean, stderr, n, master_seed)
 
 
+def _ginibre(gen: np.random.Generator, d: int) -> np.ndarray:
+    """Complex Ginibre matrix with independent standard complex normal entries."""
+    return (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2.0)
+
+
 def _gue_matrix(d: int, gen: np.random.Generator) -> np.ndarray:
     """Raw GUE draw as an ndarray; Hermitian exactly by construction."""
-    z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2.0)
+    z = _ginibre(gen, d)
     return (z + z.conj().T) / 2.0
 
 
@@ -97,13 +109,20 @@ def sample_gue(spec: GueSpec, rng: RngStream) -> HermitianOperator:
     return HermitianOperator(_gue_matrix(spec.dim, rng.generator()), validate=False)
 
 
-def _haar_unitary(d: int, gen: np.random.Generator) -> np.ndarray:
-    # QR of a complex Ginibre matrix; fixing the phases of R's diagonal to be
-    # positive makes the distribution exactly Haar.
-    z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2.0)
+def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a Ginibre matrix or a stack of them.
+
+    QR of a complex Ginibre matrix; fixing the phases of R's diagonal to be
+    positive makes the distribution exactly Haar.  A stack is factored
+    matrix by matrix, so each unitary is bit-identical to its own 2-D call.
+    """
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _haar_unitary(d: int, gen: np.random.Generator) -> np.ndarray:
+    return _haar_from_ginibre(_ginibre(gen, d))
 
 
 def sample_haar_unitary(d: int, rng: RngStream) -> np.ndarray:
@@ -113,9 +132,14 @@ def sample_haar_unitary(d: int, rng: RngStream) -> np.ndarray:
     return _haar_unitary(d, rng.generator())
 
 
-def _haar_second_sample(gen: np.random.Generator, xm: np.ndarray) -> np.ndarray:
-    u = _haar_unitary(xm.shape[0], gen)
-    return u @ xm @ u.conj().T
+def _haar_ginibre(gen: np.random.Generator, m1: np.ndarray, *_) -> np.ndarray:
+    """Per-sample draw of the Haar moments: a Ginibre matrix of m1's dimension."""
+    return _ginibre(gen, m1.shape[0])
+
+
+def _haar_second_batch(z: np.ndarray, xm: np.ndarray) -> np.ndarray:
+    u = _haar_from_ginibre(z)
+    return u @ xm @ np.swapaxes(u.conj(), -1, -2)
 
 
 def haar_second_moment(x, n_samples: int, rng: RngStream
@@ -125,8 +149,8 @@ def haar_second_moment(x, n_samples: int, rng: RngStream
     Returns ``(mean, stderr)`` with an entrywise standard error; the exact
     average is ``tr(X) 1/d`` (see :func:`haar_second_moment_exact`).
     """
-    samples = _pool.gather_samples(_haar_second_sample, n_samples, rng, 1,
-                                   as_matrix(x))
+    samples = _pool.gather_samples(_haar_ginibre, n_samples, rng, 1, as_matrix(x),
+                                   batch_fn=_haar_second_batch)
     est = EnsembleEstimate.from_samples(samples, rng.master_seed)
     return est.mean, est.stderr
 
@@ -137,10 +161,10 @@ def haar_second_moment_exact(x) -> np.ndarray:
     return np.trace(xm) / d * np.eye(d, dtype=complex)
 
 
-def _haar_fourth_sample(gen: np.random.Generator, m1: np.ndarray,
-                        m2: np.ndarray, m3: np.ndarray) -> np.ndarray:
-    u = _haar_unitary(m1.shape[0], gen)
-    udag = u.conj().T
+def _haar_fourth_batch(z: np.ndarray, m1: np.ndarray, m2: np.ndarray,
+                       m3: np.ndarray) -> np.ndarray:
+    u = _haar_from_ginibre(z)
+    udag = np.swapaxes(u.conj(), -1, -2)
     return u @ m1 @ udag @ m2 @ u @ m3 @ udag
 
 
@@ -151,8 +175,8 @@ def haar_fourth_moment(x1, x2, x3, n_samples: int, rng: RngStream
     d = m1.shape[0]
     if not (m2.shape[0] == m3.shape[0] == d):
         raise ValueError("operators must share one dimension")
-    samples = _pool.gather_samples(_haar_fourth_sample, n_samples, rng, 1,
-                                   m1, m2, m3)
+    samples = _pool.gather_samples(_haar_ginibre, n_samples, rng, 1, m1, m2, m3,
+                                   batch_fn=_haar_fourth_batch)
     est = EnsembleEstimate.from_samples(samples, rng.master_seed)
     return est.mean, est.stderr
 

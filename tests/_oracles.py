@@ -52,3 +52,25 @@ def gue_pair_tail(d: int, gamma_t: float, n_u: int = 80, n_w: int = 1200) -> flo
     gauss = np.exp(-4.0 * gamma_t * u * u)[None, :]
     total = float((ww[:, None] * wu[None, :] * gauss * rho2).sum())
     return total / d ** 2
+
+
+def haar_unitary_2d(gen, d: int) -> np.ndarray:
+    """One Haar unitary from one 2-D QR of a Ginibre matrix, phases fixed."""
+    z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def haar_second_sample(gen, xm: np.ndarray) -> np.ndarray:
+    """One sample of ``U X U^dagger``, drawn and multiplied on its own."""
+    u = haar_unitary_2d(gen, xm.shape[0])
+    return u @ xm @ u.conj().T
+
+
+def haar_fourth_sample(gen, m1: np.ndarray, m2: np.ndarray,
+                       m3: np.ndarray) -> np.ndarray:
+    """One sample of ``U X1 U^dagger X2 U X3 U^dagger``, drawn on its own."""
+    u = haar_unitary_2d(gen, m1.shape[0])
+    udag = u.conj().T
+    return u @ m1 @ udag @ m2 @ u @ m3 @ udag

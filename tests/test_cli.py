@@ -186,6 +186,20 @@ def test_non_finite_beta_among_finite_ones_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command,extra", [
+    ("rate-gue", ["--dims", "2", "--samples", "10"]),
+    ("crossover", ["--n-max", "6"]),
+    ("tfd", ["--formula-only"]),
+    ("validate", ["--quick"]),
+])
+def test_threads_below_one_exit_2(tmp_path, capsys, command, extra, threads):
+    out = tmp_path / "x.csv"
+    assert run_cli([command, *extra, "--threads", threads, "-o", str(out)]) == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestDeterminism:
     def test_threads_do_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
