@@ -10,19 +10,17 @@ deterministic CSV.
 
 from .exceptions import (DimensionMismatchError, HermiticityError,
                          NumericalError, StepSizeError)
-from .hermitian import (DensityState, DiagonalOperator, HermitianOperator,
-                        SpectralData, eig_hermitian, modified_covariance,
-                        purity, spectral_norm, variance)
+from .hermitian import (DensityState, SpectralData, eig_hermitian,
+                        modified_covariance, purity, spectral_norm)
 from .ensembles import (EnsembleEstimate, GueSpec, RngStream,
                         gue_level_density, gue_trace_square_mc,
                         haar_fourth_moment, haar_fourth_moment_exact,
                         haar_second_moment, haar_second_moment_exact,
                         sample_gue, sample_haar_unitary)
 from .specfun import (PartitionValue, bessel_i_ratio_g, beta_crossover,
-                      gauss_hermite, hermite_h, hermite_phi, laguerre_l,
-                      log_bessel_i1, log_laguerre_l, rate_tfd_gue_exact,
-                      rate_tfd_gue_semicircle, z_from_spectrum, z_gue_exact,
-                      z_gue_semicircle)
+                      gauss_hermite, hermite_phi, log_bessel_i1,
+                      log_laguerre_l, rate_tfd_gue_exact,
+                      rate_tfd_gue_semicircle, z_gue_exact, z_gue_semicircle)
 from .rates import (KBodySpec, LindbladChannel, TbreSpec, build_kbody_operator,
                     build_tbre_hamiltonian, build_tbre_operator,
                     calibrate_epsilon, crossover_min_n, decoherence_rate,

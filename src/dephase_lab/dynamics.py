@@ -37,8 +37,7 @@ import numpy as np
 
 from . import _pool
 from .exceptions import StepSizeError
-from .hermitian import (DensityState, Operator, SpectralData, as_density,
-                        as_matrix, spectral_norm)
+from .hermitian import DensityState, as_density, as_matrix, spectral_norm
 from .ensembles import EnsembleEstimate, RngStream, _gue_matrix
 from .rates import LindbladChannel
 from .specfun import gauss_hermite, rate_tfd_gue_exact
@@ -95,7 +94,7 @@ class TfdDensity:
         return rho
 
 
-def build_tfd(spectral: SpectralData | np.ndarray, beta: float,
+def build_tfd(energies: np.ndarray, beta: float,
               gamma: float = 1.0) -> TfdSystem:
     """Thermofield double of a spectrum at inverse temperature ``beta``.
 
@@ -107,8 +106,7 @@ def build_tfd(spectral: SpectralData | np.ndarray, beta: float,
         raise ValueError("inverse temperature must be nonnegative")
     if gamma <= 0:
         raise ValueError("noise rate must be positive")
-    energies = (spectral.eigenvalues if isinstance(spectral, SpectralData)
-                else np.asarray(spectral, dtype=float))
+    energies = np.asarray(energies, dtype=float)
     shift = (-beta * energies).max()
     log_z = shift + math.log(np.exp(-beta * energies - shift).sum())
     weights = np.exp(0.5 * (-beta * energies - log_z))
@@ -281,7 +279,7 @@ def annealing_check(beta: float, d: int, n_samples: int, rng: RngStream,
     )
 
 
-def master_equation_rk4(h0: Operator, channels: list[LindbladChannel],
+def master_equation_rk4(h0: np.ndarray, channels: list[LindbladChannel],
                         rho0: DensityState | np.ndarray, dt: float, steps: int,
                         store_every: int = 1) -> list[DensityState]:
     """Integrate the dephasing master equation with classical fixed-step RK4.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pool
-from .hermitian import HermitianOperator, as_matrix
+from .hermitian import as_matrix
 
 __all__ = [
     "RngStream", "GueSpec", "EnsembleEstimate", "sample_gue",
@@ -104,9 +104,9 @@ def _gue_matrix(d: int, gen: np.random.Generator) -> np.ndarray:
     return (z + z.conj().T) / 2.0
 
 
-def sample_gue(spec: GueSpec, rng: RngStream) -> HermitianOperator:
+def sample_gue(spec: GueSpec, rng: RngStream) -> np.ndarray:
     """Draw one GUE matrix under the exp(-tr X^2) convention."""
-    return HermitianOperator(_gue_matrix(spec.dim, rng.generator()), validate=False)
+    return _gue_matrix(spec.dim, rng.generator())
 
 
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:

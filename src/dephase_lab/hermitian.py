@@ -1,12 +1,11 @@
 """Dense complex Hermitian linear algebra.
 
-Generic operators are plain complex ``numpy`` arrays (row-major ``d x d``).
-:class:`HermitianOperator` adds a Hermiticity check and a race-free, lazily
-computed spectral decomposition; :class:`DiagonalOperator` stores operators
-that are diagonal in the computational basis as a real vector, which keeps
-k-body rate evaluations at ``O(2**n)`` cost instead of ``O(4**n)``.
-:class:`DensityState` holds a state either as a pure vector or as a mixed
-density matrix.
+An operator is a plain ``numpy`` array: either a ``d x d`` matrix, or a real
+vector of length ``d`` holding the diagonal of an operator that is diagonal
+in the computational basis.  Every function here picks its path by ``ndim``;
+the vector form keeps k-body rate evaluations at ``O(2**n)`` cost instead of
+``O(4**n)``.  :class:`DensityState` holds a state either as a pure vector
+or as a mixed density matrix.
 
 All tolerances below are defaults and can be overridden per call; matrix
 comparisons are made relative to the spectral norm so they are scale-free.
@@ -14,7 +13,6 @@ comparisons are made relative to the spectral norm so they are scale-free.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,95 +43,24 @@ class SpectralData:
         return (u * self.eigenvalues) @ u.conj().T
 
 
-class HermitianOperator:
-    """A dense Hermitian matrix with an optional cached eigendecomposition.
-
-    The matrix must satisfy ``max|X - X^dagger| <= tol * max(1, max|X|)``.
-    Instances are treated as immutable; the spectral cache is filled at most
-    once under a lock, so sharing across threads is safe.
-    """
-
-    __slots__ = ("matrix", "_spectral", "_lock")
-
-    def __init__(self, matrix: np.ndarray, *, tol: float = HERMITICITY_RTOL,
-                 validate: bool = True):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
-        if validate:
-            scale = max(1.0, float(np.abs(m).max()))
-            dev = float(np.abs(m - m.conj().T).max())
-            if dev > tol * scale:
-                raise HermiticityError(
-                    f"max|X - X^dagger| = {dev:.3e} exceeds {tol:.1e} * {scale:.3e}")
-        self.matrix = m
-        self._spectral: SpectralData | None = None
-        self._lock = threading.Lock()
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def spectral(self) -> SpectralData:
-        """Eigendecomposition, computed once on first access."""
-        if self._spectral is None:
-            with self._lock:
-                if self._spectral is None:
-                    self._spectral = eig_hermitian(self.matrix, validate=False)
-        return self._spectral
-
-
-class DiagonalOperator:
-    """A Hermitian operator diagonal in the computational basis."""
-
-    __slots__ = ("diagonal",)
-
-    def __init__(self, diagonal: np.ndarray):
-        d = np.asarray(diagonal, dtype=float)
-        if d.ndim != 1:
-            raise ValueError("diagonal must be a one-dimensional real vector")
-        self.diagonal = d
-
-    @property
-    def dim(self) -> int:
-        return self.diagonal.shape[0]
-
-    def to_dense(self) -> np.ndarray:
-        return np.diag(self.diagonal.astype(complex))
-
-
-Operator = HermitianOperator | DiagonalOperator | np.ndarray
-
-
-def as_matrix(op: Operator) -> np.ndarray:
-    """Dense complex matrix view of an operator argument."""
-    if isinstance(op, HermitianOperator):
-        return op.matrix
-    if isinstance(op, DiagonalOperator):
-        return op.to_dense()
+def as_matrix(op: np.ndarray) -> np.ndarray:
+    """Dense complex matrix of an operator (a diagonal vector is expanded)."""
+    op = np.asarray(op)
+    if op.ndim == 1:
+        return np.diag(op.astype(complex))
     return np.asarray(op, dtype=complex)
 
 
-def operator_dim(op: Operator) -> int:
-    if isinstance(op, (HermitianOperator, DiagonalOperator)):
-        return op.dim
-    return np.asarray(op).shape[0]
-
-
-def apply_operator(op: Operator, vecs: np.ndarray) -> np.ndarray:
-    """Apply an operator to a vector or to a batch of row vectors.
+def apply_operator(op: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Apply an operator array to a vector or to a batch of row vectors.
 
     For a batch argument of shape ``(m, d)`` the operator acts on each row.
     """
-    if isinstance(op, DiagonalOperator):
-        return vecs * op.diagonal
-    m = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
+    if op.ndim == 1:
+        return vecs * op
     if vecs.ndim == 1:
-        return m @ vecs
-    return vecs @ m.T
+        return op @ vecs
+    return vecs @ op.T
 
 
 class DensityState:
@@ -226,22 +153,24 @@ def as_density(state: DensityState | np.ndarray) -> DensityState:
     return DensityState(rho=a)
 
 
-def eig_hermitian(h: Operator, *, validate: bool = True,
+def eig_hermitian(h: np.ndarray, *, validate: bool = True,
                   tol: float = HERMITICITY_RTOL,
                   residual_rtol: float = EIG_RESIDUAL_RTOL) -> SpectralData:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or of a diagonal vector.
 
     Eigenvalues are returned in ascending order.  The residual contract
     ``||H v_k - E_k v_k||_2 <= residual_rtol * d * ||H||`` and the unitarity
     of the eigenvector matrix are verified; a violation raises
     :class:`NumericalError`.
     """
-    if isinstance(h, DiagonalOperator):
-        order = np.argsort(h.diagonal, kind="stable")
-        vecs = np.zeros((h.dim, h.dim), dtype=complex)
-        vecs[order, np.arange(h.dim)] = 1.0
-        return SpectralData(h.diagonal[order].copy(), vecs)
-    m = h.matrix if isinstance(h, HermitianOperator) else np.asarray(h, dtype=complex)
+    h = np.asarray(h)
+    if h.ndim == 1:
+        d = len(h)
+        order = np.argsort(h, kind="stable")
+        vecs = np.zeros((d, d), dtype=complex)
+        vecs[order, np.arange(d)] = 1.0
+        return SpectralData(h[order].copy(), vecs)
+    m = np.asarray(h, dtype=complex)
     if validate:
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.conj().T).max() > tol * scale:
@@ -265,61 +194,41 @@ def purity(rho: DensityState | np.ndarray) -> float:
     return float(np.sum(np.abs(state.rho) ** 2))
 
 
-def variance(rho: DensityState | np.ndarray, x: Operator) -> float:
-    """Ordinary variance  tr(rho X^2) - tr(rho X)^2  of a Hermitian observable."""
-    state = as_density(rho)
-    if state.dim != operator_dim(x):
-        raise DimensionMismatchError("state and operator dimensions differ")
-    if state.is_pure:
-        if isinstance(x, DiagonalOperator):
-            p = np.abs(state.vector) ** 2
-            m = float(x.diagonal @ p)
-            return float((x.diagonal ** 2) @ p) - m * m
-        w = apply_operator(x, state.vector)
-        return float(np.vdot(w, w).real) - float(np.vdot(state.vector, w).real) ** 2
-    if isinstance(x, DiagonalOperator):
-        p = np.real(np.diag(state.rho))
-        m = float(x.diagonal @ p)
-        return float((x.diagonal ** 2) @ p) - m * m
-    xm = as_matrix(x)
-    rx = state.rho @ xm
-    return float(np.trace(rx @ xm).real) - float(np.trace(rx).real) ** 2
-
-
-def modified_covariance(rho: DensityState | np.ndarray, x: Operator,
-                        y: Operator) -> complex:
+def modified_covariance(rho: DensityState | np.ndarray, x: np.ndarray,
+                        y: np.ndarray) -> complex:
     """Covariance-like functional  tr(rho^2 X Y) - tr(rho X rho Y).
 
     Real and nonnegative for X = Y Hermitian; on a pure state it reduces to
-    the ordinary covariance <XY> - <X><Y>.
+    the ordinary covariance <XY> - <X><Y>, so ``modified_covariance(psi, x, x)``
+    is the variance of ``x``.  Two diagonal vectors take an ``O(d)`` (pure)
+    or ``O(d^2)`` (mixed) path.
     """
     state = as_density(rho)
-    if not (state.dim == operator_dim(x) == operator_dim(y)):
+    x, y = np.asarray(x), np.asarray(y)
+    if not (state.dim == len(x) == len(y)):
         raise DimensionMismatchError("state and operator dimensions differ")
     if state.is_pure:
         v = state.vector
-        if isinstance(x, DiagonalOperator) and isinstance(y, DiagonalOperator):
+        if x.ndim == y.ndim == 1:
             p = np.abs(v) ** 2
-            return complex((x.diagonal * y.diagonal) @ p
-                           - (x.diagonal @ p) * (y.diagonal @ p))
+            return complex((x * y) @ p - (x @ p) * (y @ p))
         xv = apply_operator(x, v)
         yv = apply_operator(y, v)
         return complex(np.vdot(xv, yv) - np.vdot(v, xv) * np.vdot(v, yv))
     r = state.rho
-    if isinstance(x, DiagonalOperator) and isinstance(y, DiagonalOperator):
+    if x.ndim == y.ndim == 1:
         r2diag = np.real(np.einsum("ij,ji->i", r, r))
-        t1 = complex((r2diag * x.diagonal) @ y.diagonal)
-        t2 = complex(np.einsum("ij,j,ji,i->", r, x.diagonal + 0j, r, y.diagonal + 0j))
+        t1 = complex((r2diag * x) @ y)
+        t2 = complex(np.einsum("ij,j,ji,i->", r, x + 0j, r, y + 0j))
         return t1 - t2
     xm, ym = as_matrix(x), as_matrix(y)
     rx = r @ xm
     return complex(np.trace(r @ rx @ ym) - np.trace(rx @ r @ ym))
 
 
-def spectral_norm(x: Operator) -> float:
-    """Largest absolute eigenvalue of a Hermitian operator."""
-    if isinstance(x, DiagonalOperator):
-        return float(np.abs(x.diagonal).max())
-    if isinstance(x, HermitianOperator):
-        return float(np.abs(x.spectral.eigenvalues).max())
+def spectral_norm(x: np.ndarray) -> float:
+    """Largest absolute eigenvalue of a Hermitian matrix or diagonal vector."""
+    x = np.asarray(x)
+    if x.ndim == 1:
+        return float(np.abs(x).max())
     return float(np.abs(np.linalg.eigvalsh(np.asarray(x, dtype=complex))).max())

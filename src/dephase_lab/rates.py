@@ -35,9 +35,7 @@ import numpy as np
 
 from . import _pool
 from .exceptions import DimensionMismatchError
-from .hermitian import (DensityState, DiagonalOperator, HermitianOperator,
-                        Operator, as_density, modified_covariance, operator_dim,
-                        spectral_norm)
+from .hermitian import DensityState, as_density, modified_covariance
 from .ensembles import EnsembleEstimate, RngStream, _gue_matrix
 
 __all__ = [
@@ -57,14 +55,23 @@ PAULI = {
 
 @dataclass(frozen=True)
 class LindbladChannel:
-    """One dephasing channel: nonnegative rate and Hermitian operator."""
+    """One dephasing channel: nonnegative rate and Hermitian operator.
+
+    ``v`` is stored as an array: a ``d x d`` matrix, or a length-``d`` vector
+    for an operator diagonal in the computational basis.
+    """
 
     gamma: float
-    v: Operator
+    v: np.ndarray
 
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError("channel rate must be nonnegative")
+        v = np.asarray(self.v)
+        if not (v.ndim == 1 or (v.ndim == 2 and v.shape[0] == v.shape[1])):
+            raise ValueError(f"channel operator must be a vector or a square "
+                             f"matrix, got shape {v.shape}")
+        object.__setattr__(self, "v", v)
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,7 @@ def decoherence_rate(rho0: DensityState | np.ndarray,
     if not channels:
         return 0.0
     for c in channels:
-        if operator_dim(c.v) != state.dim:
+        if len(c.v) != state.dim:
             raise DimensionMismatchError("channel dimension differs from the state")
     p0 = 1.0 if state.is_pure else float(np.sum(np.abs(state.rho) ** 2))
     if p0 <= 0:
@@ -178,7 +185,7 @@ def rate_gue_mc(rho0: DensityState | np.ndarray, gamma: float, d: int,
     return EnsembleEstimate.from_samples(vals, rng.master_seed)
 
 
-def build_kbody_operator(spec: KBodySpec) -> DiagonalOperator:
+def build_kbody_operator(spec: KBodySpec) -> np.ndarray:
     """Diagonal of the all-to-all k-body sigma^z-string operator.
 
     The entry for a spin configuration ``s`` in ``{+1, -1}^n`` is
@@ -197,7 +204,7 @@ def build_kbody_operator(spec: KBodySpec) -> DiagonalOperator:
         s = 1.0 - 2.0 * ((idx >> site) & 1).astype(float)
         for j in range(min(site + 1, k), 0, -1):
             e[j] = e[j] + s * e[j - 1]
-    return DiagonalOperator(spec.epsilon * e[k])
+    return spec.epsilon * e[k]
 
 
 def rate_kbody_bound(spec: KBodySpec, gamma: float, mode: str = "approx") -> float:
@@ -268,7 +275,7 @@ def _site_operator(n: int, site: int, alpha: str) -> np.ndarray:
     return op
 
 
-def build_tbre_operator(n: int) -> HermitianOperator:
+def build_tbre_operator(n: int) -> np.ndarray:
     """Fixed TBRE Lindblad operator: sum of all nearest-neighbour Pauli pairs."""
     if n > 12:
         raise ValueError("dense 2^n operator capped at n = 12")
@@ -279,10 +286,10 @@ def build_tbre_operator(n: int) -> HermitianOperator:
             sa = _site_operator(n, l, a)
             for b in "xyz":
                 v += sa @ _site_operator(n, l + 1, b)
-    return HermitianOperator(v, validate=False)
+    return v
 
 
-def build_tbre_hamiltonian(spec: TbreSpec, rng: RngStream) -> HermitianOperator:
+def build_tbre_hamiltonian(spec: TbreSpec, rng: RngStream) -> np.ndarray:
     """Illustrative TBRE Hamiltonian draw (random couplings A and fields B)."""
     gen = rng.generator()
     n = spec.n
@@ -297,7 +304,7 @@ def build_tbre_hamiltonian(spec: TbreSpec, rng: RngStream) -> HermitianOperator:
     for l in range(n):
         for a in "xyz":
             h += spec.field_scale * gen.standard_normal() * _site_operator(n, l, a)
-    return HermitianOperator(h, validate=False)
+    return h
 
 
 def tbre_rate_and_bound(spec: TbreSpec, rho0: DensityState | np.ndarray,

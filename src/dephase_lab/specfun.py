@@ -2,13 +2,12 @@
 
 Contents:
 
-* Hermite polynomials ``H_l`` and normalized Hermite functions
-  ``phi_l(x) = exp(-x^2/2) H_l(x) / sqrt(sqrt(pi) 2^l l!)``, both by
-  three-term recurrences.  The recurrence is carried on ``phi`` directly so
-  the values stay O(1) and no overflow occurs up to degrees of a few
-  thousand.
-* Generalized Laguerre polynomials ``L_n^(alpha)``, including a log-scaled
-  form for ``x <= 0`` where every recurrence term is positive.
+* Normalized Hermite functions
+  ``phi_l(x) = exp(-x^2/2) H_l(x) / sqrt(sqrt(pi) 2^l l!)`` by a three-term
+  recurrence carried on ``phi`` directly, so the values stay O(1) and no
+  overflow occurs up to degrees of a few thousand.
+* Generalized Laguerre polynomials ``L_n^(alpha)`` in log-scaled form for
+  ``x <= 0``, where every recurrence term is positive.
 * The modified-Bessel ratio ``g(x) = I_2(x)/I_1(x)`` by a Gauss continued
   fraction (modified Lentz) for moderate arguments and by the large-argument
   asymptotic series beyond, so the ratio is available for arguments up to
@@ -41,24 +40,6 @@ _G_CF_TOL = 1e-14
 _LOG_SCALE_CAP = 1e250
 
 
-def hermite_h(l: int, x):
-    """Physicists' Hermite polynomial ``H_l(x)`` by the raw recurrence.
-
-    Overflows for large ``l`` or ``|x|``; use :func:`hermite_phi` whenever a
-    Gaussian weight is involved.
-    """
-    if l < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if l == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * x
-    for m in range(1, l):
-        h_prev, h = h, 2.0 * x * h - 2.0 * m * h_prev
-    return h if h.ndim else float(h)
-
-
 def hermite_phi(l: int, x):
     """Normalized Hermite function ``exp(-x^2/2) H_l(x) / sqrt(sqrt(pi) 2^l l!)``."""
     if l < 0:
@@ -86,22 +67,6 @@ def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, vecs = np.linalg.eigh(jac + jac.T)
     weights = math.sqrt(math.pi) * vecs[0] ** 2
     return nodes, weights
-
-
-def laguerre_l(n: int, alpha: float, x: float) -> float:
-    """Generalized Laguerre polynomial ``L_n^(alpha)(x)`` by upward recurrence.
-
-    May overflow for large ``n`` with ``x < 0``; use :func:`log_laguerre_l`
-    there.
-    """
-    if n < 0:
-        return 0.0
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + alpha - x
-    for m in range(2, n + 1):
-        prev, cur = cur, ((2 * m - 1 + alpha - x) * cur - (m - 1 + alpha) * prev) / m
-    return cur
 
 
 def log_laguerre_l(n: int, alpha: float, x: float) -> float:
@@ -307,35 +272,13 @@ def log_bessel_i1(x: float) -> float:
 
 @dataclass(frozen=True)
 class PartitionValue:
-    """Log-scaled partition function value.
-
-    ``log_value`` is ``ln Z`` for a positive real ``Z``; ``complex_value``
-    optionally carries the complex logarithm of an analytically continued
-    ``Z(beta - i y)``.
-    """
+    """Log-scaled partition function value: ``log_value`` is ``ln Z``."""
 
     log_value: float
-    complex_value: complex | None = None
 
     @property
     def value(self) -> float:
         return math.exp(self.log_value)
-
-
-def z_from_spectrum(energies: np.ndarray, beta: float, y: float = 0.0) -> PartitionValue:
-    """Partition function of a sampled spectrum, max-shifted for stability.
-
-    With ``y`` nonzero, returns the analytic continuation ``Z(beta - i y)``
-    through ``complex_value`` (its complex logarithm).
-    """
-    e = np.asarray(energies, dtype=float)
-    shift = float((-beta * e).max())
-    if y == 0.0:
-        log_z = shift + math.log(np.exp(-beta * e - shift).sum())
-        return PartitionValue(log_z)
-    zc = np.exp(-beta * e - shift + 1j * y * e).sum()
-    return PartitionValue(shift + math.log(abs(zc)),
-                          complex_value=shift + np.log(complex(zc)))
 
 
 def z_gue_exact(beta: float, d: int) -> PartitionValue:

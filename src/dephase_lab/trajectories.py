@@ -29,8 +29,7 @@ import numpy as np
 from . import _pool
 from .dynamics import build_tfd
 from .exceptions import NumericalError, StepSizeError
-from .hermitian import (DensityState, Operator, SpectralData, as_density,
-                        apply_operator, spectral_norm)
+from .hermitian import DensityState, as_density, apply_operator, spectral_norm
 from .ensembles import RngStream
 from .rates import LindbladChannel
 
@@ -61,7 +60,7 @@ class TrajectoryConfig:
             raise ValueError("dt, steps and n_trajectories must be positive")
 
 
-def default_dt(h0: Operator, channels: list[LindbladChannel]) -> float:
+def default_dt(h0: np.ndarray, channels: list[LindbladChannel]) -> float:
     """Step-size default ``1e-3 / (||H0|| + sum gamma ||V||^2)``."""
     scale = spectral_norm(h0) + sum(c.gamma * spectral_norm(c.v) ** 2
                                     for c in channels)
@@ -82,7 +81,7 @@ def _wiener_increments(seed: int, traj_index: int, steps: int, n_channels: int,
     return gen.normal(0.0, math.sqrt(dt), size=(steps, n_channels))
 
 
-def _em_step(psi: np.ndarray, dw: np.ndarray, h0: Operator | None,
+def _em_step(psi: np.ndarray, dw: np.ndarray, h0: np.ndarray | None,
              channels: list[LindbladChannel], dt: float) -> np.ndarray:
     """One Euler-Maruyama step on a batch of row states (all terms at t)."""
     new = psi.copy()
@@ -95,7 +94,7 @@ def _em_step(psi: np.ndarray, dw: np.ndarray, h0: Operator | None,
     return new
 
 
-def _evolve_batch(h0: Operator | None, channels: list[LindbladChannel],
+def _evolve_batch(h0: np.ndarray | None, channels: list[LindbladChannel],
                   psi0: np.ndarray, cfg: TrajectoryConfig,
                   traj_indices: range) -> tuple[np.ndarray, np.ndarray]:
     """Evolve a batch of trajectories; returns per-step sums of outer products.
@@ -130,7 +129,7 @@ def _evolve_batch(h0: Operator | None, channels: list[LindbladChannel],
     return sum_outer, sum_sq
 
 
-def sse_trajectory(h0: Operator | None, channels: list[LindbladChannel],
+def sse_trajectory(h0: np.ndarray | None, channels: list[LindbladChannel],
                    psi0: DensityState | np.ndarray, cfg: TrajectoryConfig,
                    stream: RngStream) -> np.ndarray:
     """One Euler-Maruyama trajectory; returns states of shape (steps+1, d).
@@ -142,6 +141,7 @@ def sse_trajectory(h0: Operator | None, channels: list[LindbladChannel],
     if not state.is_pure:
         raise ValueError("trajectories start from a pure state")
     _check_step(cfg, channels)
+    h0 = None if h0 is None else np.asarray(h0)
     psi = state.vector[None, :].copy()
     n_ch = len(channels)
     gen = np.random.Generator(stream.bit_generator())
@@ -185,7 +185,7 @@ def _batch_worker(payload) -> tuple[np.ndarray, np.ndarray]:
     return _evolve_batch(h0, channels, psi0, cfg, range(start, stop))
 
 
-def average_trajectories(h0: Operator | None, channels: list[LindbladChannel],
+def average_trajectories(h0: np.ndarray | None, channels: list[LindbladChannel],
                          psi0: DensityState | np.ndarray, cfg: TrajectoryConfig,
                          workers: int = 1) -> TrajectoryAverage:
     """Noise average of the trajectory outer products.
@@ -198,6 +198,7 @@ def average_trajectories(h0: Operator | None, channels: list[LindbladChannel],
     if not state.is_pure:
         raise ValueError("trajectories start from a pure state")
     _check_step(cfg, channels)
+    h0 = None if h0 is None else np.asarray(h0)
     n = cfg.n_trajectories
     starts = list(range(0, n, BATCH_SIZE))
     payloads = [(h0, channels, state.vector, cfg, a, min(a + BATCH_SIZE, n))
@@ -216,7 +217,7 @@ def average_trajectories(h0: Operator | None, channels: list[LindbladChannel],
                              n_trajectories=n)
 
 
-def tfd_two_noise_config(spectral: SpectralData | np.ndarray, beta: float,
+def tfd_two_noise_config(energies: np.ndarray, beta: float,
                          gamma: float
                          ) -> tuple[np.ndarray, list[LindbladChannel], np.ndarray]:
     """Two-copy configuration whose noise average dephases a thermofield double.
@@ -224,23 +225,18 @@ def tfd_two_noise_config(spectral: SpectralData | np.ndarray, beta: float,
     Both copies carry the same Hamiltonian and are perturbed by independent
     white noises of identical amplitude, so the channels are ``H (x) 1`` and
     ``1 (x) H`` with equal rates.  Everything is expressed in the
-    H-eigenbasis, where all three operators are diagonal; the initial state
-    carries the thermofield-double weights on the doubled basis.  Returns
-    ``(H0_total, channels, psi0)``.
+    H-eigenbasis, where all three operators are diagonal and are returned as
+    length-``d^2`` vectors; the initial state carries the thermofield-double
+    weights on the doubled basis.  Returns ``(H0_total, channels, psi0)``.
     """
-    energies = (spectral.eigenvalues if isinstance(spectral, SpectralData)
-                else np.asarray(spectral, dtype=float))
+    energies = np.asarray(energies, dtype=float)
     d = energies.shape[0]
     if d * d > 2 ** 12:
         raise ValueError("doubled dimension capped at 2^12")
     weights = build_tfd(energies, beta, gamma).weights
     e_left = np.repeat(energies, d)
     e_right = np.tile(energies, d)
-    h0 = np.diag((e_left + e_right).astype(complex))
-    channels = [
-        LindbladChannel(gamma, np.diag(e_left.astype(complex))),
-        LindbladChannel(gamma, np.diag(e_right.astype(complex))),
-    ]
+    channels = [LindbladChannel(gamma, e_left), LindbladChannel(gamma, e_right)]
     psi0 = np.zeros(d * d, dtype=complex)
     psi0[np.arange(d) * d + np.arange(d)] = weights
-    return h0, channels, psi0
+    return e_left + e_right, channels, psi0

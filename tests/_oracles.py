@@ -2,7 +2,8 @@
 
 These deliberately take independent routes from the library code:
 quadrature over the exact finite-d eigenvalue correlations instead of
-sampling, and direct summations instead of recurrences.
+sampling, direct summations instead of recurrences, and the raw polynomial
+recurrences that the library replaces by scaled forms.
 """
 
 import numpy as np
@@ -74,3 +75,47 @@ def haar_fourth_sample(gen, m1: np.ndarray, m2: np.ndarray,
     u = haar_unitary_2d(gen, m1.shape[0])
     udag = u.conj().T
     return u @ m1 @ udag @ m2 @ u @ m3 @ udag
+
+
+def hermite_h(l: int, x):
+    """Physicists' Hermite polynomial ``H_l(x)`` by the raw recurrence.
+
+    Overflows for large ``l`` or ``|x|``; the library's ``hermite_phi``
+    carries the Gaussian weight instead.
+    """
+    if l < 0:
+        raise ValueError("degree must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    h_prev = np.ones_like(x)
+    if l == 0:
+        return h_prev if h_prev.ndim else float(h_prev)
+    h = 2.0 * x
+    for m in range(1, l):
+        h_prev, h = h, 2.0 * x * h - 2.0 * m * h_prev
+    return h if h.ndim else float(h)
+
+
+def laguerre_l(n: int, alpha: float, x: float) -> float:
+    """Generalized Laguerre polynomial ``L_n^(alpha)(x)`` by upward recurrence.
+
+    May overflow for large ``n`` with ``x < 0``, where the library's
+    ``log_laguerre_l`` stays finite.
+    """
+    if n < 0:
+        return 0.0
+    if n == 0:
+        return 1.0
+    prev, cur = 1.0, 1.0 + alpha - x
+    for m in range(2, n + 1):
+        prev, cur = cur, ((2 * m - 1 + alpha - x) * cur - (m - 1 + alpha) * prev) / m
+    return cur
+
+
+def z_from_spectrum(energies: np.ndarray, beta: float, y: float = 0.0) -> complex:
+    """Complex logarithm of ``Z(beta - i y) = sum_k exp(-(beta - i y) E_k)``.
+
+    Max-shifted for stability; at ``y = 0`` the real part is ``ln Z``.
+    """
+    e = np.asarray(energies, dtype=float)
+    shift = float((-beta * e).max())
+    return shift + np.log(complex(np.exp(-beta * e - shift + 1j * y * e).sum()))

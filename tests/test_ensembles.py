@@ -15,14 +15,14 @@ from dephase_lab.rates import PAULI
 
 class TestRngStream:
     def test_bitwise_reproducible(self):
-        a = sample_gue(GueSpec(6), RngStream(42, 3)).matrix
-        b = sample_gue(GueSpec(6), RngStream(42, 3)).matrix
+        a = sample_gue(GueSpec(6), RngStream(42, 3))
+        b = sample_gue(GueSpec(6), RngStream(42, 3))
         assert (a == b).all()
 
     def test_distinct_streams_differ(self):
-        a = sample_gue(GueSpec(6), RngStream(42, 3)).matrix
-        b = sample_gue(GueSpec(6), RngStream(42, 4)).matrix
-        c = sample_gue(GueSpec(6), RngStream(43, 3)).matrix
+        a = sample_gue(GueSpec(6), RngStream(42, 3))
+        b = sample_gue(GueSpec(6), RngStream(42, 4))
+        c = sample_gue(GueSpec(6), RngStream(43, 3))
         assert not (a == b).all() and not (a == c).all()
 
     def test_sample_substreams_independent_of_order(self):
@@ -36,7 +36,7 @@ class TestRngStream:
 
 class TestGueSampling:
     def test_hermitian_exactly(self):
-        m = sample_gue(GueSpec(16), RngStream(1, 0)).matrix
+        m = sample_gue(GueSpec(16), RngStream(1, 0))
         assert (m == m.conj().T).all()
 
     def test_scalar_variance(self):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from dephase_lab.ensembles import RngStream, _gue_matrix
-from dephase_lab.hermitian import (DensityState, DiagonalOperator,
-                                   spectral_norm)
+from dephase_lab.hermitian import DensityState, spectral_norm
 from dephase_lab.rates import (KBodySpec, LindbladChannel, PAULI, TbreSpec,
                                build_kbody_operator, build_tbre_hamiltonian,
                                build_tbre_operator, calibrate_epsilon,
@@ -74,6 +73,24 @@ class TestDecoherenceRate:
         with pytest.raises(DimensionMismatchError):
             rate_gue_mc(DensityState.maximally_mixed(2), 1.0, 4, 10,
                         RngStream(0, 0))
+
+    def test_channel_shape_checked(self):
+        # An operator is a diagonal vector or a square matrix, nothing else.
+        for bad in (np.ones((2, 3)), np.ones((2, 2, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError):
+                LindbladChannel(1.0, bad)
+        assert LindbladChannel(1.0, [1.0, -1.0]).v.ndim == 1
+        assert LindbladChannel(1.0, PAULI["z"]).v.shape == (2, 2)
+
+    def test_diagonal_vector_channel_matches_dense(self):
+        # A 1-D channel is the diagonal of an operator, on pure and mixed states.
+        gen = RngStream(30, 4).generator()
+        for d in (2, 5, 16):
+            diag = gen.standard_normal(d)
+            for state in (rand_pure(d, gen), _random_mixed(d, gen)):
+                fast = decoherence_rate(state, [LindbladChannel(0.7, diag)])
+                dense = decoherence_rate(state, [LindbladChannel(0.7, np.diag(diag))])
+                assert fast == pytest.approx(dense, rel=1e-12, abs=1e-14)
 
     def test_nonnegative_random_instances(self):
         gen = RngStream(30, 3).generator()
@@ -146,11 +163,11 @@ class TestRateGueMc:
 class TestKBodyOperator:
     def test_two_body_two_qubits(self):
         op = build_kbody_operator(KBodySpec(2, 2, 1.0))
-        np.testing.assert_allclose(op.diagonal, [1.0, -1.0, -1.0, 1.0])
+        np.testing.assert_allclose(op, [1.0, -1.0, -1.0, 1.0])
 
     def test_all_up_entry_counts_subsets(self):
         op = build_kbody_operator(KBodySpec(4, 2, 1.0))
-        assert op.diagonal[0] == pytest.approx(6.0)  # C(4, 2)
+        assert op[0] == pytest.approx(6.0)  # C(4, 2)
 
     def test_brute_force_oracle(self):
         # Direct subset enumeration for every configuration, n <= 5.
@@ -160,7 +177,7 @@ class TestKBodyOperator:
                 s = [1.0 - 2.0 * ((b >> l) & 1) for l in range(n)]
                 want = eps * sum(np.prod([s[l] for l in subset])
                                  for subset in combinations(range(n), k))
-                assert op.diagonal[b] == pytest.approx(want, rel=1e-12)
+                assert op[b] == pytest.approx(want, rel=1e-12)
 
     def test_spectral_norm_is_eps_times_binomial(self):
         for n in range(2, 7):
@@ -168,6 +185,30 @@ class TestKBodyOperator:
                 spec = KBodySpec(n, k, 0.7)
                 op = build_kbody_operator(spec)
                 assert spectral_norm(op) == pytest.approx(spec.norm, rel=1e-12)
+
+    def test_rates_keep_the_diagonal_arithmetic(self):
+        # The vector route evaluates the O(d) / O(d^2) diagonal formulas, bit
+        # for bit, and agrees with the dense np.diag route to rounding.
+        gen = RngStream(30, 5).generator()
+        gamma = 0.6
+        for n in range(1, 6):
+            for k in range(1, n + 1):
+                x = build_kbody_operator(KBodySpec(n, k, 0.9))
+                ch = [LindbladChannel(gamma, x)]
+                psi = rand_pure(1 << n, gen)
+                p = np.abs(psi.vector) ** 2
+                want = 2.0 * gamma * complex((x * x) @ p - (x @ p) * (x @ p)).real
+                assert decoherence_rate(psi, ch) == want
+                mixed = _random_mixed(1 << n, gen)
+                r = mixed.rho
+                r2diag = np.real(np.einsum("ij,ji->i", r, r))
+                cov = (complex((r2diag * x) @ x)
+                       - complex(np.einsum("ij,j,ji,i->", r, x + 0j, r, x + 0j)))
+                want = 2.0 * (gamma * cov.real) / float(np.sum(np.abs(r) ** 2))
+                assert decoherence_rate(mixed, ch) == want
+                for state in (psi, mixed):
+                    dense = decoherence_rate(state, [LindbladChannel(gamma, np.diag(x))])
+                    assert decoherence_rate(state, ch) == pytest.approx(dense, rel=1e-13)
 
     def test_k_exceeding_n_rejected(self):
         with pytest.raises(ValueError):
@@ -269,7 +310,7 @@ class TestTbre:
 
     def test_hamiltonian_draw_is_hermitian(self):
         h = build_tbre_hamiltonian(TbreSpec(3), RngStream(32, 2))
-        assert np.abs(h.matrix - h.matrix.conj().T).max() <= 1e-12
+        assert np.abs(h - h.conj().T).max() <= 1e-12
 
 
 class TestLmg:

@@ -6,12 +6,13 @@ import pytest
 import scipy.special
 
 from dephase_lab.ensembles import RngStream, _gue_matrix
-from dephase_lab.specfun import (PartitionValue, bessel_i_ratio_g,
-                                 beta_crossover, gauss_hermite, hermite_h,
-                                 hermite_phi, laguerre_l, log_bessel_i1,
+from dephase_lab.specfun import (bessel_i_ratio_g, beta_crossover,
+                                 gauss_hermite, hermite_phi, log_bessel_i1,
                                  log_laguerre_l, rate_tfd_gue_exact,
-                                 rate_tfd_gue_semicircle, z_from_spectrum,
-                                 z_gue_exact, z_gue_semicircle)
+                                 rate_tfd_gue_semicircle, z_gue_exact,
+                                 z_gue_semicircle)
+
+from _oracles import hermite_h, laguerre_l, z_from_spectrum
 
 
 class TestHermite:
@@ -216,19 +217,19 @@ class TestPartitionFunctions:
 
     def test_spectrum_partition_value(self):
         e = np.array([-1.0, 0.3, 2.1])
-        pv = z_from_spectrum(e, 0.7)
-        assert isinstance(pv, PartitionValue)
-        assert pv.value == pytest.approx(np.exp(-0.7 * e).sum(), rel=1e-13)
-        pc = z_from_spectrum(e, 0.7, y=1.3)
+        lz = z_from_spectrum(e, 0.7)
+        assert lz.imag == 0.0
+        assert math.exp(lz.real) == pytest.approx(np.exp(-0.7 * e).sum(), rel=1e-13)
+        lc = z_from_spectrum(e, 0.7, y=1.3)
         ref = np.exp((-0.7 + 1.3j) * e).sum()
-        assert np.exp(pc.complex_value) == pytest.approx(ref, rel=1e-12)
+        assert np.exp(lc) == pytest.approx(ref, rel=1e-12)
 
     def test_spectrum_partition_extreme_beta(self):
         # Max-shifted evaluation stays finite where the naive sum underflows.
         e = np.linspace(-20.0, 25.0, 16)
-        pv = z_from_spectrum(e, 1000.0)
-        assert math.isfinite(pv.log_value)
-        assert pv.log_value == pytest.approx(1000.0 * 20.0, rel=1e-6)
+        lz = z_from_spectrum(e, 1000.0)
+        assert math.isfinite(lz.real)
+        assert lz.real == pytest.approx(1000.0 * 20.0, rel=1e-6)
 
 
 def _rate_by_quadrature(beta, d, gamma, nodes=120):
@@ -312,6 +313,23 @@ class TestTfdGueRates:
                 ref = float(8 * mpmath.mpf(d) * (1 - 3 * g / x - g * g))
             got = rate_tfd_gue_semicircle(beta, d, 1.0)
             assert got == pytest.approx(ref, rel=1e-10), (log2d, beta)
+
+    @pytest.mark.parametrize("log2d", (1, 2, 4, 8, 10, 12, 14))
+    def test_laguerre_rate_matches_mpmath(self, log2d):
+        # Against 4 d^2/dbeta^2 ln <Z> with 60-digit Laguerre values and
+        # numerical differentiation.  The recurrence loses precision as d
+        # grows: the measured worst relative errors are 7.3e-11 for
+        # d <= 2^10 and 2.8e-7 at d = 2^14, so the tolerance is 1e-9 up to
+        # d = 2^10 and 1e-6 above.
+        d = 2 ** log2d
+        tol = 1e-9 if log2d <= 10 else 1e-6
+        for beta in (1e-3, 0.1, 0.3, 1.0, 3.0):
+            with mpmath.workdps(60):
+                def ln_z(b):
+                    return b * b / 4 + mpmath.log(mpmath.laguerre(d - 1, 1, -b * b / 2))
+                ref = float(4 * mpmath.diff(ln_z, mpmath.mpf(beta), 2))
+            got = rate_tfd_gue_exact(beta, d, 1.0)
+            assert got == pytest.approx(ref, rel=tol), (log2d, beta)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

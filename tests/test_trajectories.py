@@ -169,7 +169,7 @@ class TestTfdTwoNoise:
         h0, channels, psi0 = tfd_two_noise_config(np.array([-1.0, 1.0]), 0.0, 1.0)
         np.testing.assert_allclose(psi0, np.array([1, 0, 0, 1]) / math.sqrt(2))
         assert channels[0].gamma == channels[1].gamma == 1.0
-        np.testing.assert_allclose(np.diag(h0).real, [-2.0, 0.0, 0.0, 2.0])
+        np.testing.assert_allclose(h0, [-2.0, 0.0, 0.0, 2.0])
 
     def test_reduced_state_is_thermal(self):
         energies = np.array([-1.1, 0.0, 0.4, 2.2])
