@@ -242,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed (default: %(default)s)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker processes for ensemble loops, at most "
-                            "one per core")
+                            "one per core (validate accepts it but runs "
+                            "serially)")
         p.add_argument("-o", "--output", default=None,
                        help="output CSV path (default: stdout)")
 

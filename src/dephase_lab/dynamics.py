@@ -37,7 +37,8 @@ import numpy as np
 
 from . import _pool
 from .exceptions import StepSizeError
-from .hermitian import DensityState, as_density, as_matrix, spectral_norm
+from .hermitian import (DensityState, _gibbs_log_weights, as_density,
+                        as_matrix, spectral_norm)
 from .ensembles import EnsembleEstimate, RngStream, _gue_matrix
 from .rates import LindbladChannel
 from .specfun import gauss_hermite, rate_tfd_gue_exact
@@ -107,9 +108,8 @@ def build_tfd(energies: np.ndarray, beta: float,
     if gamma <= 0:
         raise ValueError("noise rate must be positive")
     energies = np.asarray(energies, dtype=float)
-    shift = (-beta * energies).max()
-    log_z = shift + math.log(np.exp(-beta * energies - shift).sum())
-    weights = np.exp(0.5 * (-beta * energies - log_z))
+    log_p, log_z = _gibbs_log_weights(energies, beta)
+    weights = np.exp(0.5 * log_p)
     return TfdSystem(energies=np.array(energies, dtype=float), beta=beta,
                      gamma=gamma, weights=weights, log_z=log_z)
 
@@ -241,6 +241,7 @@ class AnnealingCheck:
     ln_z_stderr: float
     rate_quenched: EnsembleEstimate
     rate_annealed: float
+    rate_annealed_mc: EnsembleEstimate
 
     @property
     def jensen_gap(self) -> float:
@@ -250,8 +251,10 @@ class AnnealingCheck:
 
 def _annealing_sample(gen: np.random.Generator, d: int, beta: float,
                       gamma: float) -> np.ndarray:
+    """``ln Z`` and the Gibbs moments ``<E>``, ``<E^2>`` of one GUE draw."""
     sys = build_tfd(np.linalg.eigvalsh(_gue_matrix(d, gen)), beta, gamma)
-    return np.array([sys.log_z, rate_tfd(sys)])
+    p = sys.weights ** 2
+    return np.array([sys.log_z, p @ sys.energies, p @ sys.energies ** 2])
 
 
 def annealing_check(beta: float, d: int, n_samples: int, rng: RngStream,
@@ -260,22 +263,36 @@ def annealing_check(beta: float, d: int, n_samples: int, rng: RngStream,
 
     Jensen's inequality puts ``<ln Z> <= ln <Z>``; the gap closes with
     growing dimension at fixed ``beta``.  The implied dephasing rates are the
-    sample mean of ``4 gamma var_beta(H)`` (quenched) and the closed-form
-    annealed rate from the averaged partition function.
+    sample mean of ``4 gamma var_beta(H)`` (quenched), the closed-form
+    annealed rate from the averaged partition function, and the same
+    annealed rate estimated from the draws.
     """
     table = _pool.gather_samples(_annealing_sample, n_samples, rng, 1,
                                  d, beta, gamma)
-    ln_z, rate = table[:, 0], table[:, 1]
+    ln_z, m1, m2 = table.T
     ln_z_est = EnsembleEstimate.from_samples(ln_z, rng.master_seed)
-    # ln <Z> from the same draws, max-shifted.
+    # <Z> from the same draws, max-shifted.
     shift = ln_z.max()
-    ln_mean_z = shift + math.log(np.exp(ln_z - shift).mean())
+    z = np.exp(ln_z - shift)
+
+    # 4 gamma [<Z2>/<Z> - (<Z1>/<Z>)^2] with Z_k = sum_j E_j^k exp(-beta E_j),
+    # which is z <E^k> per draw; dropping one draw per sum gives the jackknife.
+    def rate(s0, s1, s2):
+        return 4.0 * gamma * (s2 / s0 - (s1 / s0) ** 2)
+
+    loo = rate(z.sum() - z, z @ m1 - z * m1, z @ m2 - z * m2)
+    jackknife = math.sqrt((n_samples - 1) / n_samples
+                          * ((loo - loo.mean()) ** 2).sum())
     return AnnealingCheck(
         mean_ln_z=ln_z_est.mean,
-        ln_mean_z=float(ln_mean_z),
+        ln_mean_z=float(shift + math.log(z.mean())),
         ln_z_stderr=ln_z_est.stderr,
-        rate_quenched=EnsembleEstimate.from_samples(rate, rng.master_seed),
+        rate_quenched=EnsembleEstimate.from_samples(
+            4.0 * gamma * (m2 - m1 * m1), rng.master_seed),
         rate_annealed=rate_tfd_gue_exact(beta, d, gamma),
+        rate_annealed_mc=EnsembleEstimate(
+            float(rate(z.sum(), z @ m1, z @ m2)), jackknife, n_samples,
+            rng.master_seed),
     )
 
 

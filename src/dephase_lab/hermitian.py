@@ -13,6 +13,7 @@ comparisons are made relative to the spectral norm so they are scale-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,23 @@ class SpectralData:
         """Return ``U diag(E) U^dagger``."""
         u = self.eigenvectors
         return (u * self.eigenvalues) @ u.conj().T
+
+
+def _gibbs_log_weights(energies: np.ndarray, beta: float,
+                       log_mult: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, float]:
+    """Gibbs log-probabilities ``log p_k`` and ``ln Z`` of a spectrum.
+
+    ``log_mult`` adds the log-multiplicity of each level.  The partition sum
+    is max-shifted before exponentiation, so large ``beta`` drives the
+    weights to the ground-state limit instead of underflowing.
+    """
+    log_w = -beta * energies
+    if log_mult is not None:
+        log_w = log_w + log_mult
+    shift = log_w.max()
+    log_z = shift + math.log(np.exp(log_w - shift).sum())
+    return log_w - log_z, log_z
 
 
 def as_matrix(op: np.ndarray) -> np.ndarray:
@@ -118,9 +136,7 @@ class DensityState:
     def thermal(cls, energies: np.ndarray, beta: float,
                 eigenvectors: np.ndarray | None = None) -> "DensityState":
         """Gibbs state of the given spectrum, diagonal in the supplied basis."""
-        e = np.asarray(energies, dtype=float)
-        w = np.exp(-beta * (e - e.min()))
-        w /= w.sum()
+        w = np.exp(_gibbs_log_weights(np.asarray(energies, dtype=float), beta)[0])
         if eigenvectors is None:
             rho = np.diag(w.astype(complex))
         else:

@@ -35,7 +35,8 @@ import numpy as np
 
 from . import _pool
 from .exceptions import DimensionMismatchError
-from .hermitian import DensityState, as_density, modified_covariance
+from .hermitian import (DensityState, _gibbs_log_weights, as_density,
+                        modified_covariance)
 from .ensembles import EnsembleEstimate, RngStream, _gue_matrix
 
 __all__ = [
@@ -342,9 +343,6 @@ def rate_lmg(n: int, epsilon: float, beta: float, gamma: float) -> float:
     if n < 2:
         raise ValueError("need at least two spins")
     energies, mult = lmg_sector_spectrum(n, epsilon)
-    logw = -beta * energies + np.log(mult)
-    logw -= logw.max()
-    w = np.exp(logw)
-    w /= w.sum()
+    w = np.exp(_gibbs_log_weights(energies, beta, np.log(mult))[0])
     mean = float(w @ energies)
     return 4.0 * gamma * (float(w @ (energies ** 2)) - mean * mean)

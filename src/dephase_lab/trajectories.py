@@ -14,9 +14,10 @@ Integration is Euler-Maruyama (weak order 1); the Monte-Carlo error
 dominates the discretization error at the ensemble sizes used here.  Exact
 Ito dynamics preserves the norm as a martingale, so the O(dt) discretization
 drift is removed by renormalizing after each step (a switch exists to watch
-the drift instead).  Each trajectory owns one counter-based stream, and the
-ensemble mean is accumulated over fixed-size batches in index order, making
-it independent of the worker layout.
+the drift instead).  Trajectory ``i`` draws its increments from substream
+``i`` of one :class:`RngStream` through the sample engine in ``_pool``; one
+stepping loop evolves a single trajectory or the whole ensemble as a batch
+of row states, so results depend only on the stream and the configuration.
 """
 
 from __future__ import annotations
@@ -38,26 +39,21 @@ __all__ = [
     "average_trajectories", "tfd_two_noise_config", "default_dt",
 ]
 
-# Trajectories per vectorized batch; fixed so ensemble means do not depend on
-# the worker count (parallel chunks align with batch boundaries).
-BATCH_SIZE = 256
-
 _NORM_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """Step size, horizon, ensemble size and seeding for trajectory runs."""
+    """Step size, horizon and ensemble size for trajectory runs."""
 
     dt: float
     steps: int
     n_trajectories: int
-    master_seed: int
     renormalize: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0 or self.steps < 1 or self.n_trajectories < 1:
-            raise ValueError("dt, steps and n_trajectories must be positive")
+        if self.dt <= 0 or self.steps < 1:
+            raise ValueError("dt and steps must be positive")
 
 
 def default_dt(h0: np.ndarray, channels: list[LindbladChannel]) -> float:
@@ -67,66 +63,56 @@ def default_dt(h0: np.ndarray, channels: list[LindbladChannel]) -> float:
     return 1e-3 / max(scale, 1e-12)
 
 
-def _check_step(cfg: TrajectoryConfig, channels: list[LindbladChannel]) -> None:
+def _start(h0: np.ndarray | None, channels: list[LindbladChannel],
+           psi0: DensityState | np.ndarray, cfg: TrajectoryConfig
+           ) -> tuple[np.ndarray | None, np.ndarray]:
+    """Checked ``(H0, initial vector)``: a pure start and a stable step."""
+    state = as_density(psi0)
+    if not state.is_pure:
+        raise ValueError("trajectories start from a pure state")
     stiff = sum(c.gamma * spectral_norm(c.v) ** 2 for c in channels)
     if cfg.dt * stiff > 0.01 + 1e-12:
         raise StepSizeError(
             f"dt * sum gamma ||V||^2 = {cfg.dt * stiff:.3g} exceeds 0.01")
+    return (None if h0 is None else np.asarray(h0)), state.vector
 
 
-def _wiener_increments(seed: int, traj_index: int, steps: int, n_channels: int,
-                       dt: float) -> np.ndarray:
-    """Increments of shape (steps, n_channels) for one trajectory's stream."""
-    gen = RngStream(seed, traj_index).generator()
+def _wiener_sample(gen: np.random.Generator, steps: int, n_channels: int,
+                   dt: float) -> np.ndarray:
+    """One trajectory's Wiener increments, shape (steps, n_channels)."""
     return gen.normal(0.0, math.sqrt(dt), size=(steps, n_channels))
 
 
-def _em_step(psi: np.ndarray, dw: np.ndarray, h0: np.ndarray | None,
-             channels: list[LindbladChannel], dt: float) -> np.ndarray:
-    """One Euler-Maruyama step on a batch of row states (all terms at t)."""
-    new = psi.copy()
-    if h0 is not None:
-        new += (-1j * dt) * apply_operator(h0, psi)
-    for m, c in enumerate(channels):
-        vpsi = apply_operator(c.v, psi)
-        new += (-0.5 * c.gamma * dt) * apply_operator(c.v, vpsi)
-        new += (-1j * math.sqrt(c.gamma)) * dw[:, m, None] * vpsi
-    return new
+# Old name of the per-sample function, still wrapped by perfbench/tracer.py.
+_batch_worker = _wiener_sample
 
 
-def _evolve_batch(h0: np.ndarray | None, channels: list[LindbladChannel],
-                  psi0: np.ndarray, cfg: TrajectoryConfig,
-                  traj_indices: range) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve a batch of trajectories; returns per-step sums of outer products.
+def _em_states(h0: np.ndarray | None, channels: list[LindbladChannel],
+               psi: np.ndarray, dw: np.ndarray, cfg: TrajectoryConfig):
+    """Yield the ``(m, d)`` row states at ``t = 0`` and after every step.
 
-    Output shapes: mean-accumulator (steps+1, d, d) and entry-variance
-    accumulator (steps+1, d, d), both summed over the batch.
+    ``psi`` holds the ``m`` initial rows and ``dw`` their increments, of
+    shape ``(m, steps, n_channels)``.  Each Euler-Maruyama step takes all
+    terms at ``t``.  A row's norm is summed as ``np.linalg.norm`` sums one
+    vector, from the dot products of its real and imaginary parts, so it
+    does not depend on the batch the row sits in.
     """
-    d = psi0.shape[0]
-    nb = len(traj_indices)
-    n_ch = len(channels)
-    dw = np.empty((nb, cfg.steps, n_ch))
-    for j, idx in enumerate(traj_indices):
-        dw[j] = _wiener_increments(cfg.master_seed, idx, cfg.steps, n_ch, cfg.dt)
-    psi = np.tile(psi0, (nb, 1))
-    sum_outer = np.zeros((cfg.steps + 1, d, d), dtype=complex)
-    sum_sq = np.zeros((cfg.steps + 1, d, d))
-
-    def accumulate(step: int, batch: np.ndarray) -> None:
-        outer = batch[:, :, None] * batch.conj()[:, None, :]
-        sum_outer[step] += outer.sum(axis=0)
-        sum_sq[step] += (np.abs(outer) ** 2).sum(axis=0)
-
-    accumulate(0, psi)
+    yield psi
     for s in range(cfg.steps):
-        psi = _em_step(psi, dw[:, s], h0, channels, cfg.dt)
-        norms = np.linalg.norm(psi, axis=1)
+        new = psi.copy()
+        if h0 is not None:
+            new += (-1j * cfg.dt) * apply_operator(h0, psi)
+        for m, c in enumerate(channels):
+            vpsi = apply_operator(c.v, psi)
+            new += (-0.5 * c.gamma * cfg.dt) * apply_operator(c.v, vpsi)
+            new += (-1j * math.sqrt(c.gamma)) * dw[:, s, m, None] * vpsi
+        re, im = new.real[:, None, :], new.imag[:, None, :]
+        norms = np.sqrt(re @ re.transpose(0, 2, 1)
+                        + im @ im.transpose(0, 2, 1))[:, 0]
         if (norms < _NORM_FLOOR).any():
             raise NumericalError("trajectory norm collapsed; reduce dt")
-        if cfg.renormalize:
-            psi = psi / norms[:, None]
-        accumulate(s + 1, psi)
-    return sum_outer, sum_sq
+        psi = new / norms if cfg.renormalize else new
+        yield psi
 
 
 def sse_trajectory(h0: np.ndarray | None, channels: list[LindbladChannel],
@@ -134,29 +120,15 @@ def sse_trajectory(h0: np.ndarray | None, channels: list[LindbladChannel],
                    stream: RngStream) -> np.ndarray:
     """One Euler-Maruyama trajectory; returns states of shape (steps+1, d).
 
-    Deterministic for a given ``stream``.  With ``cfg.renormalize`` the
-    returned states have unit norm at every step.
+    Draws from substream 0 of ``stream``, so it is trajectory 0 of
+    :func:`average_trajectories` on the same stream.  With
+    ``cfg.renormalize`` the returned states have unit norm at every step.
     """
-    state = as_density(psi0)
-    if not state.is_pure:
-        raise ValueError("trajectories start from a pure state")
-    _check_step(cfg, channels)
-    h0 = None if h0 is None else np.asarray(h0)
-    psi = state.vector[None, :].copy()
-    n_ch = len(channels)
-    gen = np.random.Generator(stream.bit_generator())
-    dw = gen.normal(0.0, math.sqrt(cfg.dt), size=(cfg.steps, n_ch))
-    out = np.empty((cfg.steps + 1, state.dim), dtype=complex)
-    out[0] = psi[0]
-    for s in range(cfg.steps):
-        psi = _em_step(psi, dw[s][None, :], h0, channels, cfg.dt)
-        nrm = float(np.linalg.norm(psi))
-        if nrm < _NORM_FLOOR:
-            raise NumericalError("trajectory norm collapsed; reduce dt")
-        if cfg.renormalize:
-            psi = psi / nrm
-        out[s + 1] = psi[0]
-    return out
+    h0, vec = _start(h0, channels, psi0, cfg)
+    dw = _wiener_sample(stream.sample_generator(0), cfg.steps, len(channels),
+                        cfg.dt)
+    return np.concatenate(list(_em_states(h0, channels, vec[None, :],
+                                          dw[None], cfg)))
 
 
 @dataclass(frozen=True)
@@ -175,45 +147,35 @@ class TrajectoryAverage:
     def purity_unbiased(self) -> np.ndarray:
         """U-statistic estimate of tr(rho^2): (N tr(rho_bar^2) - 1)/(N - 1)."""
         n = self.n_trajectories
-        if n < 2:
-            return self.purity()
         return (n * self.purity() - 1.0) / (n - 1.0)
-
-
-def _batch_worker(payload) -> tuple[np.ndarray, np.ndarray]:
-    h0, channels, psi0, cfg, start, stop = payload
-    return _evolve_batch(h0, channels, psi0, cfg, range(start, stop))
 
 
 def average_trajectories(h0: np.ndarray | None, channels: list[LindbladChannel],
                          psi0: DensityState | np.ndarray, cfg: TrajectoryConfig,
-                         workers: int = 1) -> TrajectoryAverage:
+                         rng: RngStream) -> TrajectoryAverage:
     """Noise average of the trajectory outer products.
 
-    The result is an estimator of the dephasing master-equation solution;
-    its deviation is bounded by Monte-Carlo noise O(1/sqrt(N)) plus the
-    O(dt) weak discretization error.
+    Trajectory ``i`` draws from substream ``i`` of ``rng``.  The result is an
+    estimator of the dephasing master-equation solution; its deviation is
+    bounded by Monte-Carlo noise O(1/sqrt(N)) plus the O(dt) weak
+    discretization error.
     """
-    state = as_density(psi0)
-    if not state.is_pure:
-        raise ValueError("trajectories start from a pure state")
-    _check_step(cfg, channels)
-    h0 = None if h0 is None else np.asarray(h0)
+    h0, vec = _start(h0, channels, psi0, cfg)
     n = cfg.n_trajectories
-    starts = list(range(0, n, BATCH_SIZE))
-    payloads = [(h0, channels, state.vector, cfg, a, min(a + BATCH_SIZE, n))
-                for a in starts]
-    parts = _pool.run_chunked(_batch_worker, payloads, workers)
-    sum_outer = parts[0][0]
-    sum_sq = parts[0][1]
-    for po, ps in parts[1:]:
-        sum_outer = sum_outer + po
-        sum_sq = sum_sq + ps
+    dw = _pool.gather_samples(_wiener_sample, n, rng, 1, cfg.steps,
+                              len(channels), cfg.dt)
+    d = vec.shape[0]
+    sum_outer = np.empty((cfg.steps + 1, d, d), dtype=complex)
+    sum_sq = np.empty((cfg.steps + 1, d, d))
+    for s, psi in enumerate(_em_states(h0, channels, np.tile(vec, (n, 1)),
+                                       dw, cfg)):
+        sum_outer[s] = psi.T @ psi.conj()
+        prob = np.abs(psi) ** 2
+        sum_sq[s] = prob.T @ prob
     mean = sum_outer / n
     var = np.maximum(sum_sq / n - np.abs(mean) ** 2, 0.0)
-    stderr = np.sqrt(var / max(n - 1, 1))
-    times = cfg.dt * np.arange(cfg.steps + 1)
-    return TrajectoryAverage(times=times, mean=mean, entry_stderr=stderr,
+    return TrajectoryAverage(times=cfg.dt * np.arange(cfg.steps + 1),
+                             mean=mean, entry_stderr=np.sqrt(var / (n - 1)),
                              n_trajectories=n)
 
 

@@ -282,11 +282,10 @@ def test_12_haar_moment_identities():
 def test_13_trajectory_master_equivalence():
     t0 = time.time()
     gamma, n_traj = 1.0, 4000
-    cfg = TrajectoryConfig(dt=0.01, steps=200, n_trajectories=n_traj,
-                           master_seed=SEED)
+    cfg = TrajectoryConfig(dt=0.01, steps=200, n_trajectories=n_traj)
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     avg = average_trajectories(None, [LindbladChannel(gamma, PAULI["z"])],
-                               plus, cfg)
+                               plus, cfg, RngStream(SEED))
     target = 0.5 * np.exp(-2.0 * gamma * avg.times)
     dev_dephasing = float(np.abs(np.abs(avg.mean[:, 0, 1]) - target).max())
     ok_a = dev_dephasing <= 3.0 / math.sqrt(n_traj)
@@ -295,9 +294,8 @@ def test_13_trajectory_master_equivalence():
     h0, channels, psi0 = tfd_two_noise_config(energies, 0.0, gamma)
     stiff = sum(c.gamma * np.abs(np.diag(c.v)).max() ** 2 for c in channels)
     n2 = 1500
-    cfg2 = TrajectoryConfig(dt=0.01 / stiff, steps=600, n_trajectories=n2,
-                            master_seed=SEED + 1)
-    avg2 = average_trajectories(h0, channels, psi0, cfg2)
+    cfg2 = TrajectoryConfig(dt=0.01 / stiff, steps=600, n_trajectories=n2)
+    avg2 = average_trajectories(h0, channels, psi0, cfg2, RngStream(SEED + 1))
     sys = build_tfd(energies, 0.0, gamma)
     dev_tfd = 0.0
     for i in (0, 200, 400, 600):

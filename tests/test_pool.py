@@ -8,7 +8,8 @@ from dephase_lab.ensembles import (EnsembleEstimate, RngStream,
                                    gue_trace_square_mc, haar_fourth_moment,
                                    haar_second_moment)
 from dephase_lab.hermitian import DensityState
-from dephase_lab.rates import rate_gue_mc
+from dephase_lab.rates import PAULI, LindbladChannel, rate_gue_mc
+from dephase_lab.trajectories import TrajectoryConfig, average_trajectories
 
 
 def _first_normals(gen, k):
@@ -225,6 +226,9 @@ _ESTIMATORS = {
     "ensemble_purity_tfd": lambda n: ensemble_purity_tfd(
         1, 0.5, 1.0, np.array([0.0, 1.0]), n, RngStream(1)),
     "annealing_check": lambda n: annealing_check(0.5, 4, n, RngStream(1)),
+    "average_trajectories": lambda n: average_trajectories(
+        None, [LindbladChannel(1.0, PAULI["z"])], np.array([1.0, 0.0]),
+        TrajectoryConfig(dt=1e-3, steps=2, n_trajectories=n), RngStream(1)),
 }
 
 

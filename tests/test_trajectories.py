@@ -8,9 +8,9 @@ from dephase_lab.ensembles import RngStream, _gue_matrix
 from dephase_lab.exceptions import StepSizeError
 from dephase_lab.hermitian import DensityState, eig_hermitian
 from dephase_lab.rates import PAULI, LindbladChannel
-from dephase_lab.trajectories import (BATCH_SIZE, TrajectoryConfig,
-                                      average_trajectories, default_dt,
-                                      sse_trajectory, tfd_two_noise_config)
+from dephase_lab.trajectories import (TrajectoryConfig, average_trajectories,
+                                      default_dt, sse_trajectory,
+                                      tfd_two_noise_config)
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
@@ -24,8 +24,7 @@ class TestSingleTrajectory:
         h = (a + a.conj().T) / 2
         psi0 = gen.standard_normal(4) + 1j * gen.standard_normal(4)
         psi0 /= np.linalg.norm(psi0)
-        cfg = TrajectoryConfig(dt=1e-4, steps=10_000, n_trajectories=1,
-                               master_seed=1)
+        cfg = TrajectoryConfig(dt=1e-4, steps=10_000, n_trajectories=1)
         states = sse_trajectory(h, [], psi0, cfg, RngStream(1, 0))
         spec = eig_hermitian(h)
         phases = np.exp(-1j * spec.eigenvalues * 1.0)
@@ -36,7 +35,7 @@ class TestSingleTrajectory:
     def test_commuting_observable_conserved(self):
         # V = sigma^z commutes with the full generator when H0 = 0, so each
         # trajectory keeps <sigma^z> exactly.
-        cfg = TrajectoryConfig(dt=5e-3, steps=400, n_trajectories=1, master_seed=2)
+        cfg = TrajectoryConfig(dt=5e-3, steps=400, n_trajectories=1)
         psi0 = np.array([0.8, 0.6], dtype=complex)
         states = sse_trajectory(None, [LindbladChannel(1.0, PAULI["z"])],
                                 psi0, cfg, RngStream(2, 0))
@@ -44,7 +43,7 @@ class TestSingleTrajectory:
         np.testing.assert_allclose(z, z[0], atol=1e-12)
 
     def test_unit_norm_after_renormalization(self):
-        cfg = TrajectoryConfig(dt=1e-3, steps=200, n_trajectories=1, master_seed=3)
+        cfg = TrajectoryConfig(dt=1e-3, steps=200, n_trajectories=1)
         states = sse_trajectory(None, [LindbladChannel(2.0, PAULI["z"])],
                                 PLUS, cfg, RngStream(3, 0))
         np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
@@ -52,8 +51,7 @@ class TestSingleTrajectory:
     def test_norm_martingale_per_step(self):
         # Pre-renormalization norm changes stay within 1 +- 5 sqrt(dt).
         dt = 1e-3
-        cfg = TrajectoryConfig(dt=dt, steps=150, n_trajectories=1,
-                               master_seed=4, renormalize=False)
+        cfg = TrajectoryConfig(dt=dt, steps=150, n_trajectories=1, renormalize=False)
         for idx in range(20):
             states = sse_trajectory(None, [LindbladChannel(1.0, PAULI["z"])],
                                     PLUS, cfg, RngStream(4, idx))
@@ -61,8 +59,44 @@ class TestSingleTrajectory:
             steps_ratio = norms[1:] / norms[:-1]
             assert np.abs(steps_ratio - 1.0).max() <= 5.0 * math.sqrt(dt)
 
+    @pytest.mark.parametrize("renormalize", [True, False])
+    def test_bit_identical_to_reference_loop(self, renormalize):
+        # Reference: one trajectory's Euler-Maruyama loop written out, with
+        # one Generator on substream 0, the terms added in this order and
+        # each state divided by np.linalg.norm of it.  The batched stepper
+        # must reproduce it bit for bit.
+        gen = RngStream(52, 0).generator()
+        a = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
+        h = (a + a.conj().T) / 2
+        psi0 = gen.standard_normal(4) + 1j * gen.standard_normal(4)
+        psi0 /= np.linalg.norm(psi0)
+        channels = [LindbladChannel(1.0, np.array([1.0, -1.0, 0.5, 2.0])),
+                    LindbladChannel(0.3, h)]
+        cfg = TrajectoryConfig(dt=2e-4, steps=300, n_trajectories=1,
+                               renormalize=renormalize)
+        stream = RngStream(53, 4)
+        states = sse_trajectory(h, channels, psi0, cfg, stream)
+
+        dw = np.random.Generator(stream.bit_generator()).normal(
+            0.0, math.sqrt(cfg.dt), size=(cfg.steps, len(channels)))
+        apply = lambda op, x: x * op if op.ndim == 1 else x @ op.T
+        psi = psi0[None, :].copy()
+        ref = [psi[0]]
+        for s in range(cfg.steps):
+            new = psi.copy()
+            new += (-1j * cfg.dt) * apply(h, psi)
+            for m, c in enumerate(channels):
+                vpsi = apply(c.v, psi)
+                new += (-0.5 * c.gamma * cfg.dt) * apply(c.v, vpsi)
+                new += (-1j * math.sqrt(c.gamma)) * dw[s, m] * vpsi
+            psi = new
+            if renormalize:
+                psi = psi / float(np.linalg.norm(psi))
+            ref.append(psi[0])
+        assert np.array_equal(states, np.array(ref))
+
     def test_step_size_guard(self):
-        cfg = TrajectoryConfig(dt=0.1, steps=10, n_trajectories=1, master_seed=5)
+        cfg = TrajectoryConfig(dt=0.1, steps=10, n_trajectories=1)
         with pytest.raises(StepSizeError):
             sse_trajectory(None, [LindbladChannel(1.0, PAULI["z"])], PLUS,
                            cfg, RngStream(5, 0))
@@ -73,29 +107,41 @@ class TestSingleTrajectory:
 
 
 class TestAverageTrajectories:
-    def test_single_trajectory_mean_is_pure(self):
-        cfg = TrajectoryConfig(dt=1e-3, steps=100, n_trajectories=1, master_seed=6)
-        avg = average_trajectories(None, [LindbladChannel(1.0, PAULI["z"])],
-                                   PLUS, cfg)
-        np.testing.assert_allclose(avg.purity(), 1.0, atol=1e-12)
+    def _two_trajectories(self):
+        # Returns the average of two trajectories, trajectory 0 recomputed by
+        # sse_trajectory on the same stream, and what the mean leaves of the
+        # other: 2 rho_bar - rho_0.
+        cfg = TrajectoryConfig(dt=1e-3, steps=50, n_trajectories=2)
+        channels = [LindbladChannel(1.0, PAULI["z"]), LindbladChannel(0.5, PAULI["x"])]
+        rng = RngStream(7)
+        avg = average_trajectories(PAULI["x"], channels, PLUS, cfg, rng)
+        first = sse_trajectory(PAULI["x"], channels, PLUS, cfg, rng)
+        rho_0 = np.einsum("ti,tj->tij", first, first.conj())
+        return avg, rho_0, 2.0 * avg.mean - rho_0
 
     def test_matches_single_trajectory_stream(self):
-        # Trajectory i of the ensemble reproduces sse_trajectory on the
-        # stream (master_seed, i).
-        cfg = TrajectoryConfig(dt=1e-3, steps=50, n_trajectories=1, master_seed=7)
-        avg = average_trajectories(None, [LindbladChannel(1.0, PAULI["z"])],
-                                   PLUS, cfg)
-        states = sse_trajectory(None, [LindbladChannel(1.0, PAULI["z"])],
-                                PLUS, cfg, RngStream(7, 0))
-        rho_last = np.outer(states[-1], states[-1].conj())
-        np.testing.assert_allclose(avg.mean[-1], rho_last, atol=1e-12)
+        # The mean is the mean of two pure-state outer products, one of them
+        # sse_trajectory's: the remainder is a unit-trace projector, and a
+        # different one, so the two trajectories differ.
+        _, rho_0, rho_1 = self._two_trajectories()
+        np.testing.assert_allclose(rho_1 @ rho_1, rho_1, atol=1e-12)
+        np.testing.assert_allclose(np.einsum("tii->t", rho_1), 1.0, atol=1e-12)
+        assert np.abs(rho_1[-1] - rho_0[-1]).max() > 1e-3
+
+    def test_two_trajectory_purity_is_the_overlap(self):
+        # For two trajectories tr(rho_bar^2) = (1 + |<a|b>|^2)/2, and the
+        # U-statistic is the overlap |<a|b>|^2 itself.
+        avg, rho_0, rho_1 = self._two_trajectories()
+        overlap = np.einsum("tij,tji->t", rho_0, rho_1).real
+        np.testing.assert_allclose(avg.purity(), 0.5 * (1.0 + overlap), atol=1e-12)
+        np.testing.assert_allclose(avg.purity_unbiased(), overlap, atol=1e-12)
 
     def test_dephasing_against_analytic(self):
         gamma = 1.0
         n = 4000
-        cfg = TrajectoryConfig(dt=0.01, steps=200, n_trajectories=n, master_seed=8)
+        cfg = TrajectoryConfig(dt=0.01, steps=200, n_trajectories=n)
         avg = average_trajectories(None, [LindbladChannel(gamma, PAULI["z"])],
-                                   PLUS, cfg)
+                                   PLUS, cfg, RngStream(8))
         target = 0.5 * np.exp(-2.0 * gamma * avg.times)
         dev = np.abs(np.abs(avg.mean[:, 0, 1]) - target).max()
         assert dev <= 3.0 / math.sqrt(n)
@@ -103,9 +149,9 @@ class TestAverageTrajectories:
     def test_trace_distance_to_master_equation(self):
         gamma = 0.8
         n = 2000
-        cfg = TrajectoryConfig(dt=0.01, steps=100, n_trajectories=n, master_seed=9)
+        cfg = TrajectoryConfig(dt=0.01, steps=100, n_trajectories=n)
         channels = [LindbladChannel(gamma, PAULI["z"])]
-        avg = average_trajectories(None, channels, PLUS, cfg)
+        avg = average_trajectories(None, channels, PLUS, cfg, RngStream(9))
         rho0 = DensityState.pure(PLUS)
         traj = master_equation_rk4(np.zeros((2, 2), complex), channels, rho0,
                                    cfg.dt, cfg.steps)
@@ -117,33 +163,24 @@ class TestAverageTrajectories:
 
     def test_hermitian_unit_trace_and_positivity(self):
         n = 500
-        cfg = TrajectoryConfig(dt=5e-3, steps=80, n_trajectories=n, master_seed=10)
+        cfg = TrajectoryConfig(dt=5e-3, steps=80, n_trajectories=n)
         avg = average_trajectories(None, [LindbladChannel(1.0, PAULI["z"])],
-                                   PLUS, cfg)
+                                   PLUS, cfg, RngStream(10))
         for i in (0, 40, 80):
             m = avg.mean[i]
             assert np.abs(m - m.conj().T).max() <= 1e-12
             assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(m).min() >= -3.0 / math.sqrt(n)
 
-    def test_worker_and_batch_boundary_determinism(self):
-        n = BATCH_SIZE + 7
-        cfg = TrajectoryConfig(dt=5e-3, steps=20, n_trajectories=n, master_seed=11)
-        a = average_trajectories(None, [LindbladChannel(1.0, PAULI["z"])],
-                                 PLUS, cfg)
-        b = average_trajectories(None, [LindbladChannel(1.0, PAULI["z"])],
-                                 PLUS, cfg, workers=3)
-        assert (a.mean == b.mean).all()
-
     def test_weak_convergence_under_dt_halving(self):
         gamma = 1.0
         n = 1500
-        base = TrajectoryConfig(dt=0.01, steps=50, n_trajectories=n, master_seed=12)
-        half = TrajectoryConfig(dt=0.005, steps=100, n_trajectories=n, master_seed=13)
+        base = TrajectoryConfig(dt=0.01, steps=50, n_trajectories=n)
+        half = TrajectoryConfig(dt=0.005, steps=100, n_trajectories=n)
         a = average_trajectories(None, [LindbladChannel(gamma, PAULI["z"])],
-                                 PLUS, base)
+                                 PLUS, base, RngStream(12))
         b = average_trajectories(None, [LindbladChannel(gamma, PAULI["z"])],
-                                 PLUS, half)
+                                 PLUS, half, RngStream(13))
         # Same physical horizon; compare final means within combined MC noise.
         diff = np.abs(a.mean[-1] - b.mean[-1]).max()
         noise = np.hypot(a.entry_stderr[-1], b.entry_stderr[-1]).max()
@@ -153,9 +190,9 @@ class TestAverageTrajectories:
         # The plain purity of the mean is biased up by ~(1 - P)/N; the
         # U-statistic corrects it.
         gamma, n = 1.0, 800
-        cfg = TrajectoryConfig(dt=0.01, steps=120, n_trajectories=n, master_seed=14)
+        cfg = TrajectoryConfig(dt=0.01, steps=120, n_trajectories=n)
         avg = average_trajectories(None, [LindbladChannel(gamma, PAULI["z"])],
-                                   PLUS, cfg)
+                                   PLUS, cfg, RngStream(14))
         t = avg.times[-1]
         exact = 0.5 * (1.0 + np.exp(-4.0 * gamma * t))
         biased = avg.purity()[-1]
@@ -195,8 +232,8 @@ class TestTfdTwoNoise:
         dt = 0.01 / sum(c.gamma * np.abs(np.diag(c.v)).max() ** 2 for c in channels)
         n = 800
         steps = 250
-        cfg = TrajectoryConfig(dt=dt, steps=steps, n_trajectories=n, master_seed=15)
-        avg = average_trajectories(h0, channels, psi0, cfg)
+        cfg = TrajectoryConfig(dt=dt, steps=steps, n_trajectories=n)
+        avg = average_trajectories(h0, channels, psi0, cfg, RngStream(15))
         sys = build_tfd(energies, beta, gamma)
         for i in (0, steps // 2, steps):
             exact = purity_tfd(sys, avg.times[i])
