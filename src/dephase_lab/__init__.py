@@ -10,8 +10,8 @@ deterministic CSV.
 
 from .exceptions import (DimensionMismatchError, HermiticityError,
                          NumericalError, StepSizeError)
-from .hermitian import (DensityState, SpectralData, eig_hermitian,
-                        modified_covariance, purity, spectral_norm)
+from .hermitian import (SpectralData, eig_hermitian, modified_covariance,
+                        purity, spectral_norm)
 from .ensembles import (EnsembleEstimate, GueSpec, RngStream,
                         gue_level_density, gue_trace_square_mc,
                         haar_fourth_moment, haar_fourth_moment_exact,

@@ -32,7 +32,6 @@ import numpy as np
 from .dynamics import ensemble_purity_tfd
 from .ensembles import RngStream
 from .exceptions import NumericalError
-from .hermitian import DensityState
 from .rates import (calibrate_epsilon, crossover_min_n, rate_gue_haar,
                     rate_gue_mc, rate_gue_wick, rate_kbody_bound, KBodySpec)
 from .specfun import (beta_crossover, rate_tfd_gue_exact,
@@ -98,7 +97,7 @@ def cmd_rate_gue(args) -> int:
     for j, d in enumerate(dims):
         psi = np.zeros(d, dtype=complex)
         psi[0] = 1.0
-        est = rate_gue_mc(DensityState.pure(psi), args.gamma, d, args.samples,
+        est = rate_gue_mc(psi, args.gamma, d, args.samples,
                           RngStream(args.seed, j), workers=args.threads)
         rows.append([d, args.gamma, rate_gue_haar(d, args.gamma),
                      rate_gue_wick(d, args.gamma), est.mean, est.stderr,

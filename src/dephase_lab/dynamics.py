@@ -31,14 +31,14 @@ consistency check ``<ln Z> <= ln <Z>``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _pool
 from .exceptions import StepSizeError
-from .hermitian import (DensityState, _gibbs_log_weights, as_density,
-                        as_matrix, spectral_norm)
+from .hermitian import _gibbs_log_weights, as_matrix, as_state, spectral_norm
 from .ensembles import EnsembleEstimate, RngStream, _gue_matrix
 from .rates import LindbladChannel
 from .specfun import gauss_hermite, rate_tfd_gue_exact
@@ -199,10 +199,15 @@ class TfdPurityCurve:
     rate: EnsembleEstimate
 
 
+def _gue_spectrum(gen: np.random.Generator, d: int) -> np.ndarray:
+    """Ascending eigenvalues of one GUE draw."""
+    return np.linalg.eigvalsh(_gue_matrix(d, gen))
+
+
 def _tfd_purity_sample(gen: np.random.Generator, d: int, beta: float,
                        gamma: float, gamma_t: np.ndarray) -> np.ndarray:
     """Purity curve, plateau and rate of one GUE draw, as one row."""
-    sys = build_tfd(np.linalg.eigvalsh(_gue_matrix(d, gen)), beta, gamma)
+    sys = build_tfd(_gue_spectrum(gen, d), beta, gamma)
     return np.concatenate([purity_tfd(sys, gamma_t / gamma),
                            [purity_inf_tfd(sys), rate_tfd(sys)]])
 
@@ -249,28 +254,34 @@ class AnnealingCheck:
         return self.ln_mean_z - self.mean_ln_z
 
 
-def _annealing_sample(gen: np.random.Generator, d: int, beta: float,
-                      gamma: float) -> np.ndarray:
-    """``ln Z`` and the Gibbs moments ``<E>``, ``<E^2>`` of one GUE draw."""
-    sys = build_tfd(np.linalg.eigvalsh(_gue_matrix(d, gen)), beta, gamma)
-    p = sys.weights ** 2
-    return np.array([sys.log_z, p @ sys.energies, p @ sys.energies ** 2])
-
-
-def annealing_check(beta: float, d: int, n_samples: int, rng: RngStream,
-                    gamma: float = 1.0) -> AnnealingCheck:
-    """Compare ``<ln Z>`` against ``ln <Z>`` over GUE draws.
+def annealing_check(betas: Sequence[float], d: int, n_samples: int,
+                    rng: RngStream, gamma: float = 1.0) -> list[AnnealingCheck]:
+    """Compare ``<ln Z>`` against ``ln <Z>`` over GUE draws, per ``beta``.
 
     Jensen's inequality puts ``<ln Z> <= ln <Z>``; the gap closes with
     growing dimension at fixed ``beta``.  The implied dephasing rates are the
     sample mean of ``4 gamma var_beta(H)`` (quenched), the closed-form
     annealed rate from the averaged partition function, and the same
-    annealed rate estimated from the draws.
+    annealed rate estimated from the draws.  Every ``beta`` reads the same
+    ``n_samples`` spectra, drawn once.
     """
-    table = _pool.gather_samples(_annealing_sample, n_samples, rng, 1,
-                                 d, beta, gamma)
+    spectra = _pool.gather_samples(_gue_spectrum, n_samples, rng, 1, d)
+    return [_annealing_at(spectra, beta, gamma, rng.master_seed)
+            for beta in betas]
+
+
+def _annealing_at(spectra: np.ndarray, beta: float, gamma: float,
+                  seed: int) -> AnnealingCheck:
+    """:class:`AnnealingCheck` at one ``beta`` from ``(n, d)`` spectra."""
+    n_samples = len(spectra)
+    # ln Z and the Gibbs moments <E>, <E^2> of each draw.
+    table = np.empty((n_samples, 3))
+    for i, energies in enumerate(spectra):
+        sys = build_tfd(energies, beta, gamma)
+        p = sys.weights ** 2
+        table[i] = sys.log_z, p @ sys.energies, p @ sys.energies ** 2
     ln_z, m1, m2 = table.T
-    ln_z_est = EnsembleEstimate.from_samples(ln_z, rng.master_seed)
+    ln_z_est = EnsembleEstimate.from_samples(ln_z, seed)
     # <Z> from the same draws, max-shifted.
     shift = ln_z.max()
     z = np.exp(ln_z - shift)
@@ -288,27 +299,27 @@ def annealing_check(beta: float, d: int, n_samples: int, rng: RngStream,
         ln_mean_z=float(shift + math.log(z.mean())),
         ln_z_stderr=ln_z_est.stderr,
         rate_quenched=EnsembleEstimate.from_samples(
-            4.0 * gamma * (m2 - m1 * m1), rng.master_seed),
-        rate_annealed=rate_tfd_gue_exact(beta, d, gamma),
+            4.0 * gamma * (m2 - m1 * m1), seed),
+        rate_annealed=rate_tfd_gue_exact(beta, spectra.shape[1], gamma),
         rate_annealed_mc=EnsembleEstimate(
-            float(rate(z.sum(), z @ m1, z @ m2)), jackknife, n_samples,
-            rng.master_seed),
+            float(rate(z.sum(), z @ m1, z @ m2)), jackknife, n_samples, seed),
     )
 
 
 def master_equation_rk4(h0: np.ndarray, channels: list[LindbladChannel],
-                        rho0: DensityState | np.ndarray, dt: float, steps: int,
-                        store_every: int = 1) -> list[DensityState]:
+                        rho0: np.ndarray, dt: float, steps: int,
+                        store_every: int = 1) -> np.ndarray:
     """Integrate the dephasing master equation with classical fixed-step RK4.
 
     The generator is the double-commutator form
     ``-i [H0, rho] - (1/2) sum gamma [V, [V, rho]]`` (Hermitian Lindblad
     operators).  Refuses to run when
     ``dt (||H0|| + sum gamma ||V||^2) > 0.05``, the stability heuristic for
-    this integrator.  Returns states at ``t = 0`` and then every
-    ``store_every`` steps.
+    this integrator.  Returns the density matrices at ``t = 0`` and then
+    every ``store_every`` steps, stacked into one
+    ``(steps // store_every + 1, d, d)`` array.
     """
-    state = as_density(rho0)
+    rho0 = as_state(rho0)
     h = as_matrix(h0)
     stiffness = spectral_norm(h) + sum(c.gamma * spectral_norm(c.v) ** 2
                                        for c in channels)
@@ -326,8 +337,9 @@ def master_equation_rk4(h0: np.ndarray, channels: list[LindbladChannel],
             out -= 0.5 * g * (v2 @ r - 2.0 * (v @ r @ v) + r @ v2)
         return out
 
-    r = state.matrix().astype(complex)
-    traj = [DensityState(rho=r.copy(), validate=False)]
+    r = np.outer(rho0, rho0.conj()) if rho0.ndim == 1 else rho0
+    traj = np.empty((steps // store_every + 1,) + r.shape, dtype=complex)
+    traj[0] = r
     for s in range(steps):
         k1 = rhs(r)
         k2 = rhs(r + 0.5 * dt * k1)
@@ -335,5 +347,5 @@ def master_equation_rk4(h0: np.ndarray, channels: list[LindbladChannel],
         k4 = rhs(r + dt * k3)
         r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if (s + 1) % store_every == 0:
-            traj.append(DensityState(rho=r.copy(), validate=False))
+            traj[(s + 1) // store_every] = r
     return traj

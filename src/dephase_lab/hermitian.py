@@ -4,8 +4,9 @@ An operator is a plain ``numpy`` array: either a ``d x d`` matrix, or a real
 vector of length ``d`` holding the diagonal of an operator that is diagonal
 in the computational basis.  Every function here picks its path by ``ndim``;
 the vector form keeps k-body rate evaluations at ``O(2**n)`` cost instead of
-``O(4**n)``.  :class:`DensityState` holds a state either as a pure vector
-or as a mixed density matrix.
+``O(4**n)``.  A state is a plain array too: a unit vector is a pure state
+and a square matrix is a mixed one.  :func:`as_state` checks a state once
+at each public entry point.
 
 All tolerances below are defaults and can be overridden per call; matrix
 comparisons are made relative to the spectral norm so they are scale-free.
@@ -81,92 +82,30 @@ def apply_operator(op: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return vecs @ op.T
 
 
-class DensityState:
-    """Quantum state stored either as a pure vector or a mixed density matrix.
+def as_state(state: np.ndarray) -> np.ndarray:
+    """Checked complex array of a state: a vector is pure, a matrix is mixed.
 
-    Invariants checked on construction: unit trace (or unit norm), Hermiticity
-    and positive semidefiniteness of the mixed form.
+    A pure state must have unit norm.  A density matrix must be square,
+    Hermitian, of unit trace and positive semidefinite.  Any other shape
+    raises ``ValueError``.
     """
-
-    __slots__ = ("vector", "rho")
-
-    def __init__(self, *, vector: np.ndarray | None = None,
-                 rho: np.ndarray | None = None, validate: bool = True):
-        if (vector is None) == (rho is None):
-            raise ValueError("provide exactly one of vector= or rho=")
-        if vector is not None:
-            v = np.asarray(vector, dtype=complex)
-            if v.ndim != 1:
-                raise ValueError("pure state must be a one-dimensional vector")
-            if validate:
-                nrm = float(np.linalg.norm(v))
-                if abs(nrm - 1.0) > TRACE_ATOL:
-                    raise ValueError(f"pure state norm {nrm} is not 1")
-            self.vector = v
-            self.rho = None
-        else:
-            r = np.asarray(rho, dtype=complex)
-            if validate:
-                if np.abs(r - r.conj().T).max() > HERMITICITY_RTOL * max(1.0, np.abs(r).max()):
-                    raise HermiticityError("density matrix is not Hermitian")
-                tr = complex(np.trace(r)).real
-                if abs(tr - 1.0) > TRACE_ATOL:
-                    raise ValueError(f"density matrix trace {tr} is not 1")
-                if np.linalg.eigvalsh(r).min() < -PSD_ATOL:
-                    raise ValueError("density matrix is not positive semidefinite")
-            self.vector = None
-            self.rho = r
-
-    @classmethod
-    def pure(cls, vector: np.ndarray, *, normalize: bool = False) -> "DensityState":
-        v = np.asarray(vector, dtype=complex)
-        if normalize:
-            v = v / np.linalg.norm(v)
-        return cls(vector=v)
-
-    @classmethod
-    def mixed(cls, rho: np.ndarray, *, validate: bool = True) -> "DensityState":
-        return cls(rho=rho, validate=validate)
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityState":
-        return cls(rho=np.eye(dim, dtype=complex) / dim, validate=False)
-
-    @classmethod
-    def thermal(cls, energies: np.ndarray, beta: float,
-                eigenvectors: np.ndarray | None = None) -> "DensityState":
-        """Gibbs state of the given spectrum, diagonal in the supplied basis."""
-        w = np.exp(_gibbs_log_weights(np.asarray(energies, dtype=float), beta)[0])
-        if eigenvectors is None:
-            rho = np.diag(w.astype(complex))
-        else:
-            u = np.asarray(eigenvectors, dtype=complex)
-            rho = (u * w) @ u.conj().T
-        return cls(rho=rho, validate=False)
-
-    @property
-    def is_pure(self) -> bool:
-        return self.vector is not None
-
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0] if self.is_pure else self.rho.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        """Density matrix form regardless of the internal representation."""
-        if self.is_pure:
-            return np.outer(self.vector, self.vector.conj())
-        return self.rho
-
-
-def as_density(state: DensityState | np.ndarray) -> DensityState:
-    """Coerce an array argument (vector -> pure, matrix -> mixed) to a state."""
-    if isinstance(state, DensityState):
-        return state
     a = np.asarray(state, dtype=complex)
     if a.ndim == 1:
-        return DensityState(vector=a)
-    return DensityState(rho=a)
+        nrm = float(np.linalg.norm(a))
+        if abs(nrm - 1.0) > TRACE_ATOL:
+            raise ValueError(f"pure state norm {nrm} is not 1")
+        return a
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"a state must be a vector or a square matrix, "
+                         f"got shape {a.shape}")
+    if np.abs(a - a.conj().T).max() > HERMITICITY_RTOL * max(1.0, np.abs(a).max()):
+        raise HermiticityError("density matrix is not Hermitian")
+    tr = complex(np.trace(a)).real
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValueError(f"density matrix trace {tr} is not 1")
+    if np.linalg.eigvalsh(a).min() < -PSD_ATOL:
+        raise ValueError("density matrix is not positive semidefinite")
+    return a
 
 
 def eig_hermitian(h: np.ndarray, *, validate: bool = True,
@@ -202,16 +141,15 @@ def eig_hermitian(h: np.ndarray, *, validate: bool = True,
     return SpectralData(vals, vecs)
 
 
-def purity(rho: DensityState | np.ndarray) -> float:
+def purity(rho: np.ndarray) -> float:
     """tr(rho^2); equals 1 for a pure state and 1/d for the maximally mixed one."""
-    state = as_density(rho)
-    if state.is_pure:
+    rho = as_state(rho)
+    if rho.ndim == 1:
         return 1.0
-    return float(np.sum(np.abs(state.rho) ** 2))
+    return float(np.sum(np.abs(rho) ** 2))
 
 
-def modified_covariance(rho: DensityState | np.ndarray, x: np.ndarray,
-                        y: np.ndarray) -> complex:
+def modified_covariance(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> complex:
     """Covariance-like functional  tr(rho^2 X Y) - tr(rho X rho Y).
 
     Real and nonnegative for X = Y Hermitian; on a pure state it reduces to
@@ -219,19 +157,20 @@ def modified_covariance(rho: DensityState | np.ndarray, x: np.ndarray,
     is the variance of ``x``.  Two diagonal vectors take an ``O(d)`` (pure)
     or ``O(d^2)`` (mixed) path.
     """
-    state = as_density(rho)
-    x, y = np.asarray(x), np.asarray(y)
-    if not (state.dim == len(x) == len(y)):
+    return _modified_covariance(as_state(rho), np.asarray(x), np.asarray(y))
+
+
+def _modified_covariance(r: np.ndarray, x: np.ndarray, y: np.ndarray) -> complex:
+    """:func:`modified_covariance` of a state already checked by :func:`as_state`."""
+    if not (r.shape[0] == len(x) == len(y)):
         raise DimensionMismatchError("state and operator dimensions differ")
-    if state.is_pure:
-        v = state.vector
+    if r.ndim == 1:
         if x.ndim == y.ndim == 1:
-            p = np.abs(v) ** 2
+            p = np.abs(r) ** 2
             return complex((x * y) @ p - (x @ p) * (y @ p))
-        xv = apply_operator(x, v)
-        yv = apply_operator(y, v)
-        return complex(np.vdot(xv, yv) - np.vdot(v, xv) * np.vdot(v, yv))
-    r = state.rho
+        xv = apply_operator(x, r)
+        yv = apply_operator(y, r)
+        return complex(np.vdot(xv, yv) - np.vdot(r, xv) * np.vdot(r, yv))
     if x.ndim == y.ndim == 1:
         r2diag = np.real(np.einsum("ij,ji->i", r, r))
         t1 = complex((r2diag * x) @ y)

@@ -35,8 +35,7 @@ import numpy as np
 
 from . import _pool
 from .exceptions import DimensionMismatchError
-from .hermitian import (DensityState, _gibbs_log_weights, as_density,
-                        modified_covariance)
+from .hermitian import _gibbs_log_weights, _modified_covariance, as_state
 from .ensembles import EnsembleEstimate, RngStream, _gue_matrix
 
 __all__ = [
@@ -113,24 +112,21 @@ class TbreSpec:
             raise ValueError("need at least two spins")
 
 
-def decoherence_rate(rho0: DensityState | np.ndarray,
-                     channels: list[LindbladChannel]) -> float:
+def decoherence_rate(rho0: np.ndarray, channels: list[LindbladChannel]) -> float:
     """Initial purity-decay rate of ``rho0`` under Hermitian dephasing channels.
 
     Zero channels give 0; a maximally mixed state gives 0 for any channels.
     """
-    state = as_density(rho0)
+    rho0 = as_state(rho0)
     if not channels:
         return 0.0
     for c in channels:
-        if len(c.v) != state.dim:
+        if len(c.v) != rho0.shape[0]:
             raise DimensionMismatchError("channel dimension differs from the state")
-    p0 = 1.0 if state.is_pure else float(np.sum(np.abs(state.rho) ** 2))
-    if p0 <= 0:
-        raise ValueError("state has vanishing purity")
+    p0 = 1.0 if rho0.ndim == 1 else float(np.sum(np.abs(rho0) ** 2))
     acc = 0.0
     for c in channels:
-        acc += c.gamma * modified_covariance(state, c.v, c.v).real
+        acc += c.gamma * _modified_covariance(rho0, c.v, c.v).real
     return 2.0 * acc / p0
 
 
@@ -168,7 +164,7 @@ def _rate_gue_sample(gen: np.random.Generator, d: int, gamma: float,
 _rate_gue_chunk = _rate_gue_sample
 
 
-def rate_gue_mc(rho0: DensityState | np.ndarray, gamma: float, d: int,
+def rate_gue_mc(rho0: np.ndarray, gamma: float, d: int,
                 n_samples: int, rng: RngStream, workers: int = 1
                 ) -> EnsembleEstimate:
     """Monte-Carlo decoherence rate over GUE channels for a fixed state.
@@ -176,11 +172,10 @@ def rate_gue_mc(rho0: DensityState | np.ndarray, gamma: float, d: int,
     One substream per sample index, reduced in index order, so the estimate
     is reproducible for a given ``rng`` regardless of ``workers``.
     """
-    state = as_density(rho0)
-    if state.dim != d:
+    rho0 = as_state(rho0)
+    if rho0.shape[0] != d:
         raise DimensionMismatchError("state dimension differs from d")
-    vec = state.vector if state.is_pure else None
-    rho = None if state.is_pure else state.rho
+    vec, rho = (rho0, None) if rho0.ndim == 1 else (None, rho0)
     vals = _pool.gather_samples(_rate_gue_sample, n_samples, rng, workers,
                                 d, gamma, vec, rho)
     return EnsembleEstimate.from_samples(vals, rng.master_seed)
@@ -308,7 +303,7 @@ def build_tbre_hamiltonian(spec: TbreSpec, rng: RngStream) -> np.ndarray:
     return h
 
 
-def tbre_rate_and_bound(spec: TbreSpec, rho0: DensityState | np.ndarray,
+def tbre_rate_and_bound(spec: TbreSpec, rho0: np.ndarray,
                         gamma: float) -> tuple[float, float]:
     """Decoherence rate under the fixed TBRE operator and its polynomial bound.
 

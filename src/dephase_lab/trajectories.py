@@ -30,7 +30,7 @@ import numpy as np
 from . import _pool
 from .dynamics import build_tfd
 from .exceptions import NumericalError, StepSizeError
-from .hermitian import DensityState, as_density, apply_operator, spectral_norm
+from .hermitian import apply_operator, as_state, spectral_norm
 from .ensembles import RngStream
 from .rates import LindbladChannel
 
@@ -64,17 +64,17 @@ def default_dt(h0: np.ndarray, channels: list[LindbladChannel]) -> float:
 
 
 def _start(h0: np.ndarray | None, channels: list[LindbladChannel],
-           psi0: DensityState | np.ndarray, cfg: TrajectoryConfig
+           psi0: np.ndarray, cfg: TrajectoryConfig
            ) -> tuple[np.ndarray | None, np.ndarray]:
     """Checked ``(H0, initial vector)``: a pure start and a stable step."""
-    state = as_density(psi0)
-    if not state.is_pure:
+    psi0 = as_state(psi0)
+    if psi0.ndim != 1:
         raise ValueError("trajectories start from a pure state")
     stiff = sum(c.gamma * spectral_norm(c.v) ** 2 for c in channels)
     if cfg.dt * stiff > 0.01 + 1e-12:
         raise StepSizeError(
             f"dt * sum gamma ||V||^2 = {cfg.dt * stiff:.3g} exceeds 0.01")
-    return (None if h0 is None else np.asarray(h0)), state.vector
+    return (None if h0 is None else np.asarray(h0)), psi0
 
 
 def _wiener_sample(gen: np.random.Generator, steps: int, n_channels: int,
@@ -116,7 +116,7 @@ def _em_states(h0: np.ndarray | None, channels: list[LindbladChannel],
 
 
 def sse_trajectory(h0: np.ndarray | None, channels: list[LindbladChannel],
-                   psi0: DensityState | np.ndarray, cfg: TrajectoryConfig,
+                   psi0: np.ndarray, cfg: TrajectoryConfig,
                    stream: RngStream) -> np.ndarray:
     """One Euler-Maruyama trajectory; returns states of shape (steps+1, d).
 
@@ -151,7 +151,7 @@ class TrajectoryAverage:
 
 
 def average_trajectories(h0: np.ndarray | None, channels: list[LindbladChannel],
-                         psi0: DensityState | np.ndarray, cfg: TrajectoryConfig,
+                         psi0: np.ndarray, cfg: TrajectoryConfig,
                          rng: RngStream) -> TrajectoryAverage:
     """Noise average of the trajectory outer products.
 

@@ -19,10 +19,8 @@ from dephase_lab.dynamics import (annealing_check, build_tfd,
                                   ensemble_purity_tfd, evolve_tfd,
                                   master_equation_rk4, purity_inf_tfd,
                                   purity_tfd, purity_tfd_hs)
-from dephase_lab.ensembles import (RngStream, _gue_matrix, haar_fourth_moment,
-                                   haar_fourth_moment_exact, haar_second_moment,
-                                   haar_second_moment_exact)
-from dephase_lab.hermitian import DensityState, purity
+from dephase_lab.ensembles import RngStream, _gue_matrix
+from dephase_lab.hermitian import purity, spectral_norm
 from dephase_lab.rates import (KBodySpec, LindbladChannel, PAULI, TbreSpec,
                                build_kbody_operator, calibrate_epsilon,
                                crossover_min_n, decoherence_rate, rate_gue_haar,
@@ -32,6 +30,7 @@ from dephase_lab.specfun import (beta_crossover, rate_tfd_gue_exact,
                                  rate_tfd_gue_semicircle)
 from dephase_lab.trajectories import (TrajectoryConfig, average_trajectories,
                                       tfd_two_noise_config)
+from dephase_lab.validate import _check_annealing, _check_haar_moments
 
 SEED = 20250117
 
@@ -54,8 +53,7 @@ def test_01_gue_rate_adjudication():
     for j, d in enumerate(dims):
         psi = np.zeros(d, dtype=complex)
         psi[0] = 1.0
-        est = rate_gue_mc(DensityState.pure(psi), gamma, d, n_samples,
-                          RngStream(SEED, j))
+        est = rate_gue_mc(psi, gamma, d, n_samples, RngStream(SEED, j))
         within_haar = abs(est.mean - rate_gue_haar(d, gamma)) <= 3 * est.stderr
         within_wick = abs(est.mean - rate_gue_wick(d, gamma)) <= 3 * est.stderr
         psi_rates.append((d, est, within_haar, within_wick))
@@ -77,8 +75,8 @@ def test_02_state_independence():
     e1[0] = 1.0
     cat = np.zeros(d, dtype=complex)
     cat[0] = cat[-1] = 1.0 / math.sqrt(2.0)
-    a = rate_gue_mc(DensityState.pure(e1), gamma, d, n, RngStream(SEED, 10))
-    b = rate_gue_mc(DensityState.pure(cat), gamma, d, n, RngStream(SEED, 11))
+    a = rate_gue_mc(e1, gamma, d, n, RngStream(SEED, 10))
+    b = rate_gue_mc(cat, gamma, d, n, RngStream(SEED, 11))
     combined = math.hypot(a.stderr, b.stderr)
     ok = abs(a.mean - b.mean) <= 3 * combined
     report(2, ok, f"|{a.mean:.4f} - {b.mean:.4f}| = "
@@ -92,7 +90,7 @@ def test_03_maximally_mixed_fixed_point():
         d = int(gen.integers(2, 17))
         channels = [LindbladChannel(float(gen.random() + 0.05), rand_herm(d, gen))
                     for _ in range(int(gen.integers(1, 4)))]
-        worst = max(worst, abs(decoherence_rate(DensityState.maximally_mixed(d),
+        worst = max(worst, abs(decoherence_rate(np.eye(d) / d,
                                                 channels)))
     report(3, worst <= 1e-12, f"max |rate| over 100 channel sets = {worst:.2e}")
 
@@ -119,7 +117,7 @@ def test_05_kbody_exact_rate():
     worst = 0.0
     ok = True
     for n in range(1, 6):
-        plus = DensityState.pure(np.full(1 << n, (1 << n) ** -0.5, dtype=complex))
+        plus = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
         for k in range(1, n + 1):
             spec = KBodySpec(n, k, 0.9)
             rate = decoherence_rate(plus, [
@@ -138,12 +136,11 @@ def test_06_tfd_exact_solution_equivalence():
     h0, channels, psi0 = tfd_two_noise_config(energies, beta, gamma)
     sys = build_tfd(energies, beta, gamma)
     dt, steps, every = 2.5e-4, 8000, 1000
-    traj = master_equation_rk4(h0, channels, DensityState.pure(psi0), dt, steps,
-                               store_every=every)
+    traj = master_equation_rk4(h0, channels, psi0, dt, steps, store_every=every)
     worst = 0.0
     for snap, s in zip(traj, range(0, steps + 1, every)):
         exact = evolve_tfd(sys, s * dt).to_product_basis()
-        worst = max(worst, float(np.abs(snap.rho - exact).max()))
+        worst = max(worst, float(np.abs(snap - exact).max()))
     report(6, worst <= 1e-6,
            f"max |rk4 - closed form| = {worst:.2e} over gamma t in [0, 2]")
 
@@ -238,24 +235,21 @@ def test_10_exact_vs_semicircle_rates():
 
 def test_11_annealing_jensen():
     d, n_samples = 40, 2000
-    ok = True
-    details = []
-    for j, beta in enumerate((0.25, 0.5)):
-        chk = annealing_check(beta, d, n_samples, RngStream(SEED, 50 + j))
-        jensen = chk.mean_ln_z <= chk.ln_mean_z + 3 * chk.ln_z_stderr
-        gap = abs(chk.rate_quenched.mean - chk.rate_annealed) / chk.rate_annealed
-        ok = ok and jensen and gap < 0.02
-        details.append(f"beta={beta}: rate gap {gap:.2%}")
+    # The validate check at beta = 0.25 and 0.5: Jensen bound, and the
+    # annealed closed form against the annealed rate of the same draws.
+    results = _check_annealing(SEED, d, n_samples)
+    ok = all(r.passed for r in results)
+    details = [f"{r.name}: {r.detail}" for r in results]
     # Jensen direction across random dimensions and temperatures.
     gen = RngStream(SEED, 59).generator()
     for trial in range(100):
         d_r = int(gen.integers(2, 12))
         beta_r = float(gen.random() * 2.0)
-        chk = annealing_check(beta_r, d_r, 80, RngStream(SEED, 60 + trial))
+        chk = annealing_check([beta_r], d_r, 80, RngStream(SEED, 60 + trial))[0]
         ok = ok and chk.mean_ln_z <= chk.ln_mean_z + 3 * chk.ln_z_stderr
     # The annealed average degrades at low temperature for small d; report
     # the measured beta = 1 gap without gating on it.
-    chk1 = annealing_check(1.0, d, n_samples, RngStream(SEED, 58))
+    chk1 = annealing_check([1.0], d, n_samples, RngStream(SEED, 58))[0]
     gap1 = abs(chk1.rate_quenched.mean - chk1.rate_annealed) / chk1.rate_annealed
     report(11, ok, "; ".join(details)
            + f"; Jensen held in every run; beta=1 gap (reported): {gap1:.1%}")
@@ -264,19 +258,11 @@ def test_11_annealing_jensen():
 def test_12_haar_moment_identities():
     t0 = time.time()
     n_samples = 100_000
-    gen = RngStream(SEED, 70).generator()
-    xs = [rand_herm(3, gen) for _ in range(3)]
-    floor = 1e-12
-    mean2, se2 = haar_second_moment(xs[0], n_samples, RngStream(SEED, 71))
-    dev2 = np.abs(mean2 - haar_second_moment_exact(xs[0]))
-    ok2 = bool((dev2 <= 4 * np.maximum(se2, floor)).all())
-    mean4, se4 = haar_fourth_moment(*xs, n_samples, RngStream(SEED, 72))
-    dev4 = np.abs(mean4 - haar_fourth_moment_exact(*xs))
-    ok4 = bool((dev4 <= 4 * np.maximum(se4, floor)).all())
+    results = _check_haar_moments(SEED, n_samples)
     elapsed = time.time() - t0
-    report(12, ok2 and ok4,
-           f"second: max dev {dev2.max():.2e}; fourth: max dev {dev4.max():.2e} "
-           f"(both vs 4 stderr, {n_samples} samples, {elapsed:.0f}s)")
+    report(12, all(r.passed for r in results),
+           "; ".join(f"{r.name}: {r.detail}" for r in results)
+           + f" ({n_samples} samples, {elapsed:.0f}s)")
 
 
 def test_13_trajectory_master_equivalence():
@@ -292,7 +278,7 @@ def test_13_trajectory_master_equivalence():
 
     energies = np.linalg.eigvalsh(_gue_matrix(4, RngStream(SEED, 80).generator()))
     h0, channels, psi0 = tfd_two_noise_config(energies, 0.0, gamma)
-    stiff = sum(c.gamma * np.abs(np.diag(c.v)).max() ** 2 for c in channels)
+    stiff = sum(c.gamma * spectral_norm(c.v) ** 2 for c in channels)
     n2 = 1500
     cfg2 = TrajectoryConfig(dt=0.01 / stiff, steps=600, n_trajectories=n2)
     avg2 = average_trajectories(h0, channels, psi0, cfg2, RngStream(SEED + 1))
@@ -319,11 +305,11 @@ def test_14_short_time_slope():
                     for _ in range(int(gen.integers(1, 3)))]
         if gen.random() < 0.5:
             v = gen.standard_normal(d) + 1j * gen.standard_normal(d)
-            state = DensityState.pure(v / np.linalg.norm(v))
+            state = v / np.linalg.norm(v)
         else:
             a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
             rho = a @ a.conj().T
-            state = DensityState.mixed(rho / np.trace(rho).real)
+            state = rho / np.trace(rho).real
         rate = decoherence_rate(state, channels)
         delta = 1e-3 / rate
         traj = master_equation_rk4(h0, channels, state, dt=delta / 4.0, steps=4)
@@ -356,7 +342,7 @@ def test_15_lmg_and_tbre():
     for _ in range(100):
         n = int(gen.integers(2, 7))
         v = gen.standard_normal(1 << n) + 1j * gen.standard_normal(1 << n)
-        state = DensityState.pure(v / np.linalg.norm(v))
+        state = v / np.linalg.norm(v)
         rate, bound = tbre_rate_and_bound(TbreSpec(n), state, gamma)
         worst_margin = max(worst_margin, rate - bound)
         ok = ok and rate <= bound + 1e-9

@@ -9,7 +9,7 @@ from dephase_lab.dynamics import (annealing_check, build_tfd,
                                   purity_tfd, purity_tfd_hs, rate_tfd)
 from dephase_lab.ensembles import RngStream, _gue_matrix
 from dephase_lab.exceptions import StepSizeError
-from dephase_lab.hermitian import DensityState, purity
+from dephase_lab.hermitian import purity
 from dephase_lab.rates import PAULI, LindbladChannel, decoherence_rate
 from dephase_lab.specfun import rate_tfd_gue_exact
 from dephase_lab.trajectories import tfd_two_noise_config
@@ -204,7 +204,7 @@ class TestAnnealing:
     def test_scalar_dimension(self):
         # d = 1: ln <Z> estimates beta^2/4; <ln Z> estimates 0.
         beta, n = 0.8, 4000
-        chk = annealing_check(beta, 1, n, RngStream(46, 0))
+        chk = annealing_check([beta], 1, n, RngStream(46, 0))[0]
         assert chk.ln_mean_z == pytest.approx(beta ** 2 / 4, abs=0.02)
         assert abs(chk.mean_ln_z) <= 3 * chk.ln_z_stderr
 
@@ -213,7 +213,7 @@ class TestAnnealing:
         for trial in range(100):
             d = int(gen.integers(2, 11))
             beta = float(gen.random() * 2.0)
-            chk = annealing_check(beta, d, 60, RngStream(46, 100 + trial))
+            chk = annealing_check([beta], d, 60, RngStream(46, 100 + trial))[0]
             assert chk.mean_ln_z <= chk.ln_mean_z + 3 * chk.ln_z_stderr
 
     def test_small_dimension_high_temperature_agreement(self):
@@ -221,7 +221,7 @@ class TestAnnealing:
         # mean rate to better than 2% in the high-temperature regime (the
         # approximation's own systematic error, ~1%, exceeds the Monte-Carlo
         # stderr at this sample count, so the comparison is relative).
-        chk = annealing_check(0.1, 10, 2000, RngStream(46, 3))
+        chk = annealing_check([0.1], 10, 2000, RngStream(46, 3))[0]
         gap = abs(chk.rate_quenched.mean - chk.rate_annealed) / chk.rate_annealed
         assert gap < 0.02
 
@@ -229,16 +229,35 @@ class TestAnnealing:
         beta = 0.5
         gaps = []
         for d in (10, 20, 40):
-            chk = annealing_check(beta, d, 400, RngStream(46, 2))
+            chk = annealing_check([beta], d, 400, RngStream(46, 2))[0]
             assert chk.rate_annealed == pytest.approx(
                 rate_tfd_gue_exact(beta, d, 1.0), rel=1e-13)
             gaps.append(abs(chk.rate_quenched.mean - chk.rate_annealed)
                         / chk.rate_annealed)
         assert gaps[2] < gaps[0]
 
+    def test_betas_share_one_draw_per_sample(self):
+        # Every beta reads the same n spectra, and each value equals the one
+        # computed from that sample's own substream, draw by draw.
+        betas, d, n = (0.25, 0.5, 1.0), 6, 5
+        rng = RngStream(46, 4)
+        checks = annealing_check(betas, d, n, rng)
+        spectra = [np.linalg.eigvalsh(_gue_matrix(d, rng.sample_generator(i)))
+                   for i in range(n)]
+        for beta, chk in zip(betas, checks):
+            rows = []
+            for energies in spectra:
+                sys = build_tfd(energies, beta)
+                p = sys.weights ** 2
+                rows.append([sys.log_z, p @ sys.energies, p @ sys.energies ** 2])
+            ln_z, m1, m2 = np.array(rows).T
+            assert chk.mean_ln_z == ln_z.mean()
+            assert chk.rate_quenched.mean == (4.0 * (m2 - m1 * m1)).mean()
+            assert chk.rate_annealed == rate_tfd_gue_exact(beta, d, 1.0)
+
 
 def _dephasing_setup(gamma=1.0):
-    plus = DensityState.pure(np.array([1.0, 1.0]) / math.sqrt(2.0))
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     return plus, [LindbladChannel(gamma, PAULI["z"])]
 
 
@@ -248,11 +267,11 @@ class TestMasterEquationRk4:
         a = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
         h = (a + a.conj().T) / 2
         psi = gen.standard_normal(4) + 1j * gen.standard_normal(4)
-        rho0 = DensityState.pure(psi / np.linalg.norm(psi))
+        rho0 = psi / np.linalg.norm(psi)
         traj = master_equation_rk4(h, [], rho0, dt=1e-3, steps=1000)
         for state in traj[::100]:
             assert purity(state) == pytest.approx(1.0, abs=1e-8)
-            assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-8)
+            assert np.trace(state).real == pytest.approx(1.0, abs=1e-8)
 
     def test_pure_dephasing_off_diagonal(self):
         gamma = 1.0
@@ -261,7 +280,7 @@ class TestMasterEquationRk4:
         traj = master_equation_rk4(zero_h(2), channels, rho0, dt, steps)
         for s in (0, 500, 2000):
             t = s * dt
-            assert abs(traj[s].rho[0, 1]) == pytest.approx(
+            assert abs(traj[s][0, 1]) == pytest.approx(
                 0.5 * math.exp(-2 * gamma * t), rel=1e-6)
 
     def test_state_invariants_along_trajectory(self):
@@ -272,18 +291,26 @@ class TestMasterEquationRk4:
         b = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
         v = (b + b.conj().T) / 2
         psi = gen.standard_normal(d) + 1j * gen.standard_normal(d)
-        rho0 = DensityState.pure(psi / np.linalg.norm(psi))
+        rho0 = psi / np.linalg.norm(psi)
         dt = 0.04 / (np.abs(np.linalg.eigvalsh(h)).max()
                      + 0.3 * np.abs(np.linalg.eigvalsh(v)).max() ** 2)
         traj = master_equation_rk4(h, [LindbladChannel(0.3, v)], rho0, dt, 400)
         purities = []
         for state in traj:
-            r = state.rho
-            assert abs(np.trace(r).real - 1.0) <= 1e-8
-            assert np.abs(r - r.conj().T).max() <= 1e-10
-            assert np.linalg.eigvalsh(r).min() >= -1e-6
+            assert abs(np.trace(state).real - 1.0) <= 1e-8
+            assert np.abs(state - state.conj().T).max() <= 1e-10
+            assert np.linalg.eigvalsh(state).min() >= -1e-6
             purities.append(purity(state))
         assert all(b <= a + 1e-10 for a, b in zip(purities, purities[1:]))
+
+    def test_returns_one_stacked_array(self):
+        rho0, channels = _dephasing_setup()
+        traj = master_equation_rk4(zero_h(2), channels, rho0, 1e-3, 10,
+                                   store_every=4)
+        assert traj.shape == (3, 2, 2) and traj.dtype == complex
+        np.testing.assert_allclose(traj[0], np.full((2, 2), 0.5), atol=1e-15)
+        full = master_equation_rk4(zero_h(2), channels, rho0, 1e-3, 10)
+        np.testing.assert_array_equal(traj[1:], full[[4, 8]])
 
     def test_step_size_refusal(self):
         rho0, channels = _dephasing_setup(5.0)
@@ -297,11 +324,10 @@ class TestMasterEquationRk4:
         sys = build_tfd(energies, 0.5, gamma)
         dt = 2.5e-4
         steps = 2000
-        traj = master_equation_rk4(h0, channels, DensityState.pure(psi0), dt, steps,
-                                   store_every=500)
+        traj = master_equation_rk4(h0, channels, psi0, dt, steps, store_every=500)
         for snap, s in zip(traj, range(0, steps + 1, 500)):
             exact = evolve_tfd(sys, s * dt).to_product_basis()
-            assert np.abs(snap.rho - exact).max() <= 1e-7
+            assert np.abs(snap - exact).max() <= 1e-7
 
     def test_short_time_slope_matches_rate(self):
         gen = RngStream(47, 3).generator()
@@ -310,7 +336,7 @@ class TestMasterEquationRk4:
             a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
             v = (a + a.conj().T) / 2
             psi = gen.standard_normal(d) + 1j * gen.standard_normal(d)
-            rho0 = DensityState.pure(psi / np.linalg.norm(psi))
+            rho0 = psi / np.linalg.norm(psi)
             channels = [LindbladChannel(0.5, v)]
             rate = decoherence_rate(rho0, channels)
             delta = 1e-3 / rate

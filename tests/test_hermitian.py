@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dephase_lab import (DensityState, HermiticityError, DimensionMismatchError,
+from dephase_lab import (HermiticityError, DimensionMismatchError,
                          eig_hermitian, modified_covariance, purity,
                          spectral_norm)
+from dephase_lab.hermitian import as_state
 from dephase_lab.ensembles import RngStream, _gue_matrix
 from dephase_lab.rates import PAULI
 
@@ -71,26 +72,56 @@ class TestEig:
 class TestPurity:
     def test_pure_is_one(self):
         psi = rand_pure(5, RngStream(15, 0).generator())
-        assert purity(DensityState.pure(psi)) == 1.0
+        assert purity(psi) == 1.0
 
     def test_maximally_mixed(self):
         for d in (2, 3, 8):
-            assert purity(DensityState.maximally_mixed(d)) == pytest.approx(1.0 / d)
+            assert purity(np.eye(d) / d) == pytest.approx(1.0 / d)
 
     def test_thermal_closed_form(self):
         # Purity of a Gibbs state equals Z(2 beta)/Z(beta)^2.
         energies = np.array([-1.3, -0.2, 0.4, 2.0])
         beta = 0.7
-        state = DensityState.thermal(energies, beta)
         z = np.exp(-beta * energies).sum()
         z2 = np.exp(-2 * beta * energies).sum()
-        assert purity(state) == pytest.approx(z2 / z ** 2, rel=1e-12)
+        gibbs = np.diag(np.exp(-beta * energies) / z)
+        assert purity(gibbs) == pytest.approx(z2 / z ** 2, rel=1e-12)
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
-            DensityState.pure(np.array([1.0, 1.0]))
+            as_state(np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
-            DensityState.mixed(np.diag([0.7, 0.7]).astype(complex))
+            as_state(np.diag([0.7, 0.7]).astype(complex))
+
+
+class TestAsState:
+    def test_vector_is_pure_and_matrix_is_mixed(self):
+        psi = rand_pure(3, RngStream(14, 0).generator())
+        rho = rand_mixed(3, RngStream(14, 1).generator())
+        for state in (psi, rho, np.eye(3) / 3):
+            got = as_state(state)
+            assert got.dtype == complex and got.ndim == np.ndim(state)
+            np.testing.assert_array_equal(got, state)
+
+    @pytest.mark.parametrize("state", [
+        np.diag([1.5, -0.5]),                     # unit trace, not PSD
+        np.zeros((2, 3)),                         # not square
+        np.eye(2)[None] / 2,                      # three axes
+        np.array(1.0),                            # a scalar
+    ])
+    def test_rejected_shapes_and_spectra(self, state):
+        with pytest.raises(ValueError):
+            as_state(state)
+
+    def test_non_hermitian_matrix_rejected(self):
+        with pytest.raises(HermiticityError):
+            as_state(np.array([[0.5, 0.1], [0.0, 0.5]]))
+
+    def test_entry_points_check_the_state(self):
+        with pytest.raises(ValueError):
+            purity(np.diag([0.7, 0.7]))
+        with pytest.raises(ValueError):
+            modified_covariance(np.array([1.0, 1.0]), PAULI["z"], PAULI["z"])
 
 
 class TestModifiedCovariance:
@@ -98,16 +129,14 @@ class TestModifiedCovariance:
         gen = RngStream(16, 0).generator()
         psi = rand_pure(6, gen)
         x = rand_herm(6, gen)
-        state = DensityState.pure(psi)
-        got = modified_covariance(state, x, x)
+        got = modified_covariance(psi, x, x)
         xp = x @ psi
         var = np.vdot(xp, xp).real - np.vdot(psi, xp).real ** 2
         assert got.imag == pytest.approx(0.0, abs=1e-12)
         assert got.real == pytest.approx(var, rel=1e-12)
 
     def test_maximally_mixed_fixed_point(self):
-        state = DensityState.maximally_mixed(2)
-        assert abs(modified_covariance(state, PAULI["z"], PAULI["z"])) <= 1e-14
+        assert abs(modified_covariance(np.eye(2) / 2, PAULI["z"], PAULI["z"])) <= 1e-14
 
     def test_brute_force_oracle(self):
         # Elementwise index sums, independent of the matmul evaluation path.
@@ -121,7 +150,7 @@ class TestModifiedCovariance:
         t2 = sum(rho[i, j] * x[j, k] * rho[k, l] * y[l, i]
                  for i in range(d) for j in range(d)
                  for k in range(d) for l in range(d))
-        got = modified_covariance(DensityState.mixed(rho), x, y)
+        got = modified_covariance(rho, x, y)
         assert got == pytest.approx(t1 - t2, rel=1e-10, abs=1e-12)
 
     def test_diagonal_paths_match_dense(self):
@@ -130,14 +159,12 @@ class TestModifiedCovariance:
         diag_x = gen.standard_normal(d)
         diag_y = gen.standard_normal(d)
         rho = rand_mixed(d, gen)
-        state = DensityState.mixed(rho)
-        dense = modified_covariance(state, np.diag(diag_x), np.diag(diag_y))
-        fast = modified_covariance(state, diag_x, diag_y)
+        dense = modified_covariance(rho, np.diag(diag_x), np.diag(diag_y))
+        fast = modified_covariance(rho, diag_x, diag_y)
         assert fast == pytest.approx(dense, rel=1e-10, abs=1e-12)
         psi = rand_pure(d, gen)
-        ps = DensityState.pure(psi)
-        assert modified_covariance(ps, diag_x, diag_y) == pytest.approx(
-            modified_covariance(ps, np.diag(diag_x), np.diag(diag_y)),
+        assert modified_covariance(psi, diag_x, diag_y) == pytest.approx(
+            modified_covariance(psi, np.diag(diag_x), np.diag(diag_y)),
             rel=1e-10, abs=1e-12)
 
     def test_nonnegative_on_hermitian_pairs(self):
@@ -145,13 +172,13 @@ class TestModifiedCovariance:
         for _ in range(50):
             d = int(gen.integers(2, 9))
             x = rand_herm(d, gen)
-            state = (DensityState.pure(rand_pure(d, gen)) if gen.random() < 0.5
-                     else DensityState.mixed(rand_mixed(d, gen)))
+            state = (rand_pure(d, gen) if gen.random() < 0.5
+                     else rand_mixed(d, gen))
             assert modified_covariance(state, x, x).real >= -1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            modified_covariance(DensityState.maximally_mixed(2),
+            modified_covariance(np.eye(2) / 2,
                                 np.eye(3, dtype=complex), np.eye(3, dtype=complex))
 
 
@@ -177,8 +204,8 @@ class TestSpectralNorm:
         for _ in range(60):
             d = int(gen.integers(2, 10))
             x = rand_herm(d, gen)
-            state = (DensityState.pure(rand_pure(d, gen)) if gen.random() < 0.5
-                     else DensityState.mixed(rand_mixed(d, gen)))
-            rho = state.matrix()
+            state = (rand_pure(d, gen) if gen.random() < 0.5
+                     else rand_mixed(d, gen))
+            rho = np.outer(state, state.conj()) if state.ndim == 1 else state
             var = np.trace(rho @ x @ x).real - np.trace(rho @ x).real ** 2
             assert var <= spectral_norm(x) ** 2 + 1e-10

@@ -7,7 +7,6 @@ from dephase_lab.dynamics import annealing_check, ensemble_purity_tfd
 from dephase_lab.ensembles import (EnsembleEstimate, RngStream,
                                    gue_trace_square_mc, haar_fourth_moment,
                                    haar_second_moment)
-from dephase_lab.hermitian import DensityState
 from dephase_lab.rates import PAULI, LindbladChannel, rate_gue_mc
 from dephase_lab.trajectories import TrajectoryConfig, average_trajectories
 
@@ -216,16 +215,15 @@ class TestFromSamples:
 
 _X = np.diag([1.0, 2.0, 3.0]).astype(complex)
 _ESTIMATORS = {
-    "rate_gue_mc": lambda n: rate_gue_mc(
-        DensityState.pure(np.array([1.0, 0.0], dtype=complex)), 1.0, 2, n,
-        RngStream(1)),
+    "rate_gue_mc": lambda n: rate_gue_mc(np.array([1.0, 0.0]), 1.0, 2, n,
+                                         RngStream(1)),
     "gue_trace_square_mc": lambda n: gue_trace_square_mc(3, n, RngStream(1)),
     "haar_second_moment": lambda n: haar_second_moment(_X, n, RngStream(1)),
     "haar_fourth_moment": lambda n: haar_fourth_moment(_X, _X, _X, n,
                                                        RngStream(1)),
     "ensemble_purity_tfd": lambda n: ensemble_purity_tfd(
         1, 0.5, 1.0, np.array([0.0, 1.0]), n, RngStream(1)),
-    "annealing_check": lambda n: annealing_check(0.5, 4, n, RngStream(1)),
+    "annealing_check": lambda n: annealing_check([0.5], 4, n, RngStream(1)),
     "average_trajectories": lambda n: average_trajectories(
         None, [LindbladChannel(1.0, PAULI["z"])], np.array([1.0, 0.0]),
         TrajectoryConfig(dt=1e-3, steps=2, n_trajectories=n), RngStream(1)),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dephase_lab.ensembles import RngStream, _gue_matrix
-from dephase_lab.hermitian import DensityState, spectral_norm
+from dephase_lab.hermitian import spectral_norm
 from dephase_lab.rates import (KBodySpec, LindbladChannel, PAULI, TbreSpec,
                                build_kbody_operator, build_tbre_hamiltonian,
                                build_tbre_operator, calibrate_epsilon,
@@ -22,7 +22,7 @@ def rand_herm(d, gen):
 
 def rand_pure(d, gen):
     v = gen.standard_normal(d) + 1j * gen.standard_normal(d)
-    return DensityState.pure(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 class TestDecoherenceRate:
@@ -31,7 +31,7 @@ class TestDecoherenceRate:
         gen = RngStream(30, 0).generator()
         h = rand_herm(5, gen)
         vals, vecs = np.linalg.eigh(h)
-        psi = DensityState.pure(vecs[:, 2])
+        psi = vecs[:, 2]
         channels = [LindbladChannel(0.7, h), LindbladChannel(0.3, h @ h)]
         assert abs(decoherence_rate(psi, channels)) <= 1e-10
 
@@ -40,17 +40,17 @@ class TestDecoherenceRate:
         for d in (2, 5, 16):
             channels = [LindbladChannel(float(gen.random() + 0.1), rand_herm(d, gen))
                         for _ in range(3)]
-            val = decoherence_rate(DensityState.maximally_mixed(d), channels)
+            val = decoherence_rate(np.eye(d) / d, channels)
             assert abs(val) <= 1e-12
 
     def test_plus_state_under_sigma_z(self):
-        plus = DensityState.pure(np.array([1.0, 1.0]) / math.sqrt(2.0))
+        plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
         gamma = 0.8
         assert decoherence_rate(plus, [LindbladChannel(gamma, PAULI["z"])]) \
             == pytest.approx(2 * gamma, rel=1e-12)
 
     def test_empty_channels(self):
-        assert decoherence_rate(DensityState.maximally_mixed(2), []) == 0.0
+        assert decoherence_rate(np.eye(2) / 2, []) == 0.0
 
     def test_linearity_and_quadratic_scaling(self):
         gen = RngStream(30, 2).generator()
@@ -68,10 +68,10 @@ class TestDecoherenceRate:
     def test_dimension_mismatch_rejected(self):
         from dephase_lab.exceptions import DimensionMismatchError
         with pytest.raises(DimensionMismatchError):
-            decoherence_rate(DensityState.maximally_mixed(2),
+            decoherence_rate(np.eye(2) / 2,
                              [LindbladChannel(1.0, np.eye(3, dtype=complex))])
         with pytest.raises(DimensionMismatchError):
-            rate_gue_mc(DensityState.maximally_mixed(2), 1.0, 4, 10,
+            rate_gue_mc(np.eye(2) / 2, 1.0, 4, 10,
                         RngStream(0, 0))
 
     def test_channel_shape_checked(self):
@@ -105,7 +105,7 @@ class TestDecoherenceRate:
 def _random_mixed(d, gen):
     a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
     rho = a @ a.conj().T
-    return DensityState.mixed(rho / np.trace(rho).real)
+    return rho / np.trace(rho).real
 
 
 class TestGueClosedForms:
@@ -131,31 +131,31 @@ class TestGueClosedForms:
 
 class TestRateGueMc:
     def test_deterministic_and_worker_independent(self):
-        psi = DensityState.pure(np.eye(4, dtype=complex)[:, 0])
+        psi = np.eye(4, dtype=complex)[:, 0]
         a = rate_gue_mc(psi, 1.0, 4, 300, RngStream(31, 0))
         b = rate_gue_mc(psi, 1.0, 4, 300, RngStream(31, 0), workers=2)
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_small_d_adjudication(self):
         # d = 2: the Wick value lies inside 3 stderr, the other form far out.
-        psi = DensityState.pure(np.array([1.0, 0.0], dtype=complex))
+        psi = np.array([1.0, 0.0], dtype=complex)
         est = rate_gue_mc(psi, 1.0, 2, 4000, RngStream(31, 1))
         assert abs(est.mean - rate_gue_wick(2, 1.0)) <= 3 * est.stderr
         assert abs(est.mean - rate_gue_haar(2, 1.0)) > 3 * est.stderr
 
     def test_maximally_mixed_gives_zero(self):
-        est = rate_gue_mc(DensityState.maximally_mixed(4), 1.0, 4, 500,
+        est = rate_gue_mc(np.eye(4) / 4, 1.0, 4, 500,
                           RngStream(31, 2))
         assert abs(est.mean) <= max(3 * est.stderr, 1e-12)
         assert abs(rate_gue_wick(4, 1.0, purity0=0.25)) == 0.0
 
     def test_state_independence_two_pure_states(self):
         d = 2
-        e1 = DensityState.pure(np.eye(d, dtype=complex)[:, 0])
+        e1 = np.eye(d, dtype=complex)[:, 0]
         cat = np.zeros(d, dtype=complex)
         cat[0] = cat[-1] = 1 / math.sqrt(2)
         a = rate_gue_mc(e1, 1.0, d, 4000, RngStream(31, 3))
-        b = rate_gue_mc(DensityState.pure(cat), 1.0, d, 4000, RngStream(31, 4))
+        b = rate_gue_mc(cat, 1.0, d, 4000, RngStream(31, 4))
         combined = math.hypot(a.stderr, b.stderr)
         assert abs(a.mean - b.mean) <= 3 * combined
 
@@ -196,15 +196,14 @@ class TestKBodyOperator:
                 x = build_kbody_operator(KBodySpec(n, k, 0.9))
                 ch = [LindbladChannel(gamma, x)]
                 psi = rand_pure(1 << n, gen)
-                p = np.abs(psi.vector) ** 2
+                p = np.abs(psi) ** 2
                 want = 2.0 * gamma * complex((x * x) @ p - (x @ p) * (x @ p)).real
                 assert decoherence_rate(psi, ch) == want
                 mixed = _random_mixed(1 << n, gen)
-                r = mixed.rho
-                r2diag = np.real(np.einsum("ij,ji->i", r, r))
+                r2diag = np.real(np.einsum("ij,ji->i", mixed, mixed))
                 cov = (complex((r2diag * x) @ x)
-                       - complex(np.einsum("ij,j,ji,i->", r, x + 0j, r, x + 0j)))
-                want = 2.0 * (gamma * cov.real) / float(np.sum(np.abs(r) ** 2))
+                       - complex(np.einsum("ij,j,ji,i->", mixed, x + 0j, mixed, x + 0j)))
+                want = 2.0 * (gamma * cov.real) / float(np.sum(np.abs(mixed) ** 2))
                 assert decoherence_rate(mixed, ch) == want
                 for state in (psi, mixed):
                     dense = decoherence_rate(state, [LindbladChannel(gamma, np.diag(x))])
@@ -226,8 +225,7 @@ class TestKBodyBoundsAndCalibration:
         for n in range(2, 6):
             for k in range(1, n + 1):
                 spec = KBodySpec(n, k, 0.8)
-                plus = DensityState.pure(np.full(1 << n, (1 << n) ** -0.5,
-                                                 dtype=complex))
+                plus = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
                 rate = decoherence_rate(plus, [
                     LindbladChannel(gamma, build_kbody_operator(spec))])
                 expect = 2 * gamma * spec.epsilon ** 2 * math.comb(n, k)
@@ -294,7 +292,7 @@ class TestTbre:
                 assert rate <= bound + 1e-9
 
     def test_maximally_mixed_zero(self):
-        rate, _ = tbre_rate_and_bound(TbreSpec(2), DensityState.maximally_mixed(4), 1.0)
+        rate, _ = tbre_rate_and_bound(TbreSpec(2), np.eye(4) / 4, 1.0)
         assert abs(rate) <= 1e-12
 
     def test_norm_squared_intermediate_bound(self):

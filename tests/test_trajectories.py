@@ -6,7 +6,7 @@ import pytest
 from dephase_lab.dynamics import build_tfd, master_equation_rk4, purity_tfd
 from dephase_lab.ensembles import RngStream, _gue_matrix
 from dephase_lab.exceptions import StepSizeError
-from dephase_lab.hermitian import DensityState, eig_hermitian
+from dephase_lab.hermitian import eig_hermitian
 from dephase_lab.rates import PAULI, LindbladChannel
 from dephase_lab.trajectories import (TrajectoryConfig, average_trajectories,
                                       default_dt, sse_trajectory,
@@ -152,12 +152,11 @@ class TestAverageTrajectories:
         cfg = TrajectoryConfig(dt=0.01, steps=100, n_trajectories=n)
         channels = [LindbladChannel(gamma, PAULI["z"])]
         avg = average_trajectories(None, channels, PLUS, cfg, RngStream(9))
-        rho0 = DensityState.pure(PLUS)
-        traj = master_equation_rk4(np.zeros((2, 2), complex), channels, rho0,
+        traj = master_equation_rk4(np.zeros((2, 2), complex), channels, PLUS,
                                    cfg.dt, cfg.steps)
         worst = 0.0
         for i in (0, 25, 50, 100):
-            diff = avg.mean[i] - traj[i].rho
+            diff = avg.mean[i] - traj[i]
             worst = max(worst, 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
         assert worst <= max(3.0 / math.sqrt(n), 10.0 * cfg.dt)
 
@@ -188,17 +187,16 @@ class TestAverageTrajectories:
 
     def test_purity_unbiased_estimator(self):
         # The plain purity of the mean is biased up by ~(1 - P)/N; the
-        # U-statistic corrects it.
+        # U-statistic (N P - 1)/(N - 1) removes that bias.
         gamma, n = 1.0, 800
         cfg = TrajectoryConfig(dt=0.01, steps=120, n_trajectories=n)
         avg = average_trajectories(None, [LindbladChannel(gamma, PAULI["z"])],
                                    PLUS, cfg, RngStream(14))
         t = avg.times[-1]
         exact = 0.5 * (1.0 + np.exp(-4.0 * gamma * t))
-        biased = avg.purity()[-1]
-        unbiased = avg.purity_unbiased()[-1]
-        assert abs(unbiased - exact) < abs(biased - exact)
-        assert unbiased == pytest.approx(exact, abs=6.0 / n + 3.0 / math.sqrt(n) * 0.1)
+        unbiased = avg.purity_unbiased()
+        assert np.array_equal(unbiased, (n * avg.purity() - 1.0) / (n - 1.0))
+        assert unbiased[-1] == pytest.approx(exact, abs=6.0 / n + 3.0 / math.sqrt(n) * 0.1)
 
 
 class TestTfdTwoNoise:

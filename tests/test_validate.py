@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import pytest
 
-from dephase_lab import _pool, validate
+from dephase_lab import _pool, trajectories, validate
 from dephase_lab.ensembles import RngStream
 
 ANNEALING_SEEDS = range(1, 21)      # includes 8, where the former check failed
+TRAJECTORY_SEEDS = range(1, 21)
 
 
 def _checks_of(seeds, check):
@@ -56,12 +57,11 @@ def test_streams_drawn_by_one_run_are_disjoint(monkeypatch):
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             assert not used[a] & used[b], f"{a} and {b} share a stream"
-    # Within a check, only the two annealing betas read the same draws, on
-    # purpose: common random numbers make their results comparable.
+    # The two annealing betas read one set of draws, on purpose: common
+    # random numbers make their results comparable.
     annealing = [s for name, kind, s in draws
                  if name == "_check_annealing" and kind == "engine"]
-    assert len(annealing) == 2 and annealing[0] == annealing[1]
-    assert all(len(s) == 400 for s in annealing)
+    assert len(annealing) == 1 and len(annealing[0]) == 400
 
 
 def test_annealing_check_passes_on_correct_code_and_fails_a_planted_bias(
@@ -81,9 +81,43 @@ def test_annealing_check_passes_on_correct_code_and_fails_a_planted_bias(
     assert all(r.passed for r in results), [r.detail for r in results
                                             if not r.passed]
 
-    planted = iter([replace(c, rate_annealed=1.05 * c.rate_annealed)
-                    for c in seen])
+    planted = iter([[replace(c, rate_annealed=1.05 * c.rate_annealed) for c in cs]
+                    for cs in seen])
     monkeypatch.setattr(validate, "annealing_check",
                         lambda *args, **kwargs: next(planted))
     results = _checks_of(ANNEALING_SEEDS, validate._check_annealing)
     assert not any(r.passed for r in results)
+
+
+def test_trajectory_check_passes_on_correct_code_and_fails_a_halved_ito_term(
+        monkeypatch):
+    # The check runs unrenormalized, so halving the Ito term -gamma V^2 dt / 2
+    # makes the norm grow like exp(gamma t / 2) and the diagonal leave 1/2.
+    results = [r for seed in TRAJECTORY_SEEDS
+               for r in validate._check_trajectory_vs_master(seed, 2000)]
+    assert all(r.passed for r in results), [r.detail for r in results
+                                            if not r.passed]
+
+    real_apply = trajectories.apply_operator
+    last = [None]
+
+    def halved_ito(op, vecs):
+        out = real_apply(op, vecs)
+        if vecs is last[0]:             # V applied to V psi: the Ito term
+            out = 0.5 * out
+        last[0] = out
+        return out
+
+    monkeypatch.setattr(trajectories, "apply_operator", halved_ito)
+    results = [r for seed in TRAJECTORY_SEEDS
+               for r in validate._check_trajectory_vs_master(seed, 2000)]
+    assert not any(r.passed for r in results)
+
+
+# Seed 8 runs in test_streams_drawn_by_one_run_are_disjoint.
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_quick_validation_passes(seed):
+    results = validate.run_validation(seed, quick=True)
+    assert len(results) == 6
+    assert all(r.passed for r in results), [r.detail for r in results
+                                            if not r.passed]
