@@ -38,7 +38,7 @@ from .specfun import (beta_crossover, rate_tfd_gue_exact,
                       rate_tfd_gue_semicircle, z_gue_exact, z_gue_semicircle)
 from .validate import run_validation
 
-SCHEMA_COMMENT = "# dephase-lab schema v1"
+SCHEMA_COMMENT = "# dephase-lab schema v2"
 DEFAULT_SEED = 20250117
 # Largest log2(dimension) for which the finite-d Laguerre rate is evaluated.
 EXACT_RATE_LOG2_CAP = 14
@@ -158,17 +158,23 @@ def cmd_tfd(args) -> int:
         raise ValueError("--t-max must be positive and --t-points at least 2")
     log2d = args.log2_dim if args.log2_dim is not None else args.n_qubits
     _require_finite("--log2-dim", log2d)
+    if args.log2_dim is not None and not args.formula_only:
+        raise ValueError("--log2-dim applies only with --formula-only")
+    try:
+        dim = 2.0 ** log2d
+    except OverflowError:
+        raise ValueError("--log2-dim is too large: 2**log2d overflows a "
+                         "double") from None
     grid = np.linspace(0.0, args.t_max, args.t_points)
     header = ["beta", "gamma_t", "purity_mean", "purity_stderr", "purity_inf",
               "rate_exact", "rate_semicircle", "rate_high_t", "rate_low_t"]
     rows: list[list] = []
     if args.formula_only:
-        d = 2.0 ** log2d
         for beta in betas:
             rows.append([beta, "", "", "", _purity_inf_formula(beta, log2d),
                          _rate_exact_or_blank(beta, log2d, args.gamma),
-                         rate_tfd_gue_semicircle(beta, d, args.gamma),
-                         2.0 * args.gamma * d,
+                         rate_tfd_gue_semicircle(beta, dim, args.gamma),
+                         2.0 * args.gamma * dim,
                          6.0 * args.gamma / beta ** 2 if beta > 0 else ""])
     else:
         if not 1 <= args.n_qubits <= 10:
@@ -176,10 +182,11 @@ def cmd_tfd(args) -> int:
         if args.samples < 2:
             raise ValueError("--samples must be at least 2")
         d = 2 ** args.n_qubits
-        for j, beta in enumerate(betas):
-            curve = ensemble_purity_tfd(args.n_qubits, beta, args.gamma, grid,
-                                        args.samples, RngStream(args.seed, j),
-                                        workers=args.threads)
+        # One spectrum per sample, read by every beta.
+        curves = ensemble_purity_tfd(args.n_qubits, betas, args.gamma, grid,
+                                     args.samples, RngStream(args.seed, 0),
+                                     workers=args.threads)
+        for beta, curve in zip(betas, curves):
             r_exact = rate_tfd_gue_exact(beta, d, args.gamma)
             r_semi = rate_tfd_gue_semicircle(beta, float(d), args.gamma)
             low_t = 6.0 * args.gamma / beta ** 2 if beta > 0 else ""
@@ -194,7 +201,7 @@ def cmd_tfd(args) -> int:
                 f"t_points={args.t_points} samples={args.samples} "
                 f"seed={args.seed} formula_only={args.formula_only} "
                 f"log2_dim={args.log2_dim}",
-                f"# beta_c={_fmt(beta_crossover(2.0 ** log2d))}"]
+                f"# beta_c={_fmt(beta_crossover(dim))}"]
     _emit(args.output, comments, header, rows)
     return 0
 
@@ -276,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula-only", action="store_true",
                    help="skip sampling; closed-form rate columns only")
     p.add_argument("--log2-dim", type=float, default=None,
-                   help="log2 of the dimension in formula-only mode "
+                   help="log2 of the dimension; only with --formula-only "
                         "(default: --n-qubits)")
     common(p)
     p.set_defaults(func=cmd_tfd)

@@ -25,7 +25,9 @@ The module also provides a fixed-step RK4 integrator for the dephasing
 master equation in double-commutator form
 ``drho/dt = -i [H0, rho] - (1/2) sum_mu gamma_mu [V_mu, [V_mu, rho]]``,
 GUE ensemble averaging of the purity decay, and the annealed-average
-consistency check ``<ln Z> <= ln <Z>``.
+consistency check ``<ln Z> <= ln <Z>``.  Both ensemble estimators use only
+eigenvalues: each sample draws one GUE spectrum from the tridiagonal model,
+every inverse temperature reads it, and every purity shares one pair kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from . import _pool
 from .exceptions import StepSizeError
 from .hermitian import _gibbs_log_weights, as_matrix, as_state, spectral_norm
-from .ensembles import EnsembleEstimate, RngStream, _gue_matrix
+from .ensembles import EnsembleEstimate, RngStream, _gue_spectrum
 from .rates import LindbladChannel
 from .specfun import gauss_hermite, rate_tfd_gue_exact
 
@@ -125,6 +127,37 @@ def evolve_tfd(sys: TfdSystem, t: float) -> TfdDensity:
     return TfdDensity(c0 * phase)
 
 
+# Just above ln of the smallest normal double (-708.40): exp below it is
+# under 3.4e-308, and numpy's exp is an order of magnitude slower on the
+# subnormal results further down.
+_EXP_FLOOR = -708.0
+
+
+def _purity_kernel(energies: np.ndarray, probs: np.ndarray,
+                   gamma_t: np.ndarray) -> np.ndarray:
+    """Purity curves ``(n_beta, T)`` of one spectrum under several Gibbs laws.
+
+    ``probs`` holds one row ``p_k = exp(-beta E_k)/Z`` per inverse
+    temperature.  The purity is
+    ``sum_k p_k^2 + 2 sum_{k<l} p_k p_l exp(-2 gamma t (E_k - E_l)^2)``; the
+    gap factor does not depend on beta, so each time point evaluates it once
+    over the upper-triangle pairs and contracts every row in one product.
+    Factors below ``exp(_EXP_FLOOR)`` are left at zero instead of computed:
+    each such term is below 1e-307, against purities of at least 1/d.
+    """
+    iu, ju = np.triu_indices(energies.shape[0], 1)
+    gaps2 = (energies[iu] - energies[ju]) ** 2
+    pp = probs[:, iu] * probs[:, ju]
+    diag = (probs ** 2).sum(axis=1)
+    # t = 0 stays exactly 1: the thermofield double is pure.
+    out = np.ones((probs.shape[0], len(gamma_t)))
+    for j in np.flatnonzero(gamma_t):
+        arg = -2.0 * gamma_t[j] * gaps2
+        k = np.exp(arg, out=np.zeros_like(arg), where=arg > _EXP_FLOOR)
+        out[:, j] = diag + 2.0 * (pp @ k)
+    return out
+
+
 def purity_tfd(sys: TfdSystem, t):
     """Purity of the dephasing thermofield double at time(s) ``t``.
 
@@ -134,15 +167,8 @@ def purity_tfd(sys: TfdSystem, t):
     t_arr = np.asarray(t, dtype=float)
     if (t_arr < 0).any():
         raise ValueError("time must be nonnegative")
-    e = sys.energies
-    p = sys.weights ** 2
-    gaps2 = (e[:, None] - e[None, :]) ** 2
-    pp = p[:, None] * p[None, :]
-    flat_t = np.atleast_1d(t_arr)
-    # t = 0 is exact: the thermofield double is pure.
-    out = np.array([1.0 if tt == 0.0 else
-                    (pp * np.exp(-2.0 * sys.gamma * tt * gaps2)).sum()
-                    for tt in flat_t])
+    out = _purity_kernel(sys.energies, (sys.weights ** 2)[None, :],
+                         sys.gamma * np.atleast_1d(t_arr))[0]
     return float(out[0]) if t_arr.ndim == 0 else out
 
 
@@ -199,42 +225,44 @@ class TfdPurityCurve:
     rate: EnsembleEstimate
 
 
-def _gue_spectrum(gen: np.random.Generator, d: int) -> np.ndarray:
-    """Ascending eigenvalues of one GUE draw."""
-    return np.linalg.eigvalsh(_gue_matrix(d, gen))
-
-
-def _tfd_purity_sample(gen: np.random.Generator, d: int, beta: float,
-                       gamma: float, gamma_t: np.ndarray) -> np.ndarray:
-    """Purity curve, plateau and rate of one GUE draw, as one row."""
-    sys = build_tfd(_gue_spectrum(gen, d), beta, gamma)
-    return np.concatenate([purity_tfd(sys, gamma_t / gamma),
-                           [purity_inf_tfd(sys), rate_tfd(sys)]])
+def _tfd_purity_sample(gen: np.random.Generator, d: int,
+                       betas: Sequence[float], gamma: float,
+                       gamma_t: np.ndarray) -> np.ndarray:
+    """Purity curve, plateau and rate of one GUE spectrum, one row per beta."""
+    energies = _gue_spectrum(gen, d)
+    systems = [build_tfd(energies, beta, gamma) for beta in betas]
+    probs = np.array([sys.weights ** 2 for sys in systems])
+    scalars = [[purity_inf_tfd(sys), rate_tfd(sys)] for sys in systems]
+    return np.hstack([_purity_kernel(energies, probs, gamma_t), scalars])
 
 
 # Old name of the per-sample function, still wrapped by perfbench/tracer.py.
 _tfd_purity_chunk = _tfd_purity_sample
 
 
-def ensemble_purity_tfd(n_qubits: int, beta: float, gamma: float,
+def ensemble_purity_tfd(n_qubits: int, betas: Sequence[float], gamma: float,
                         gamma_t: np.ndarray, n_samples: int, rng: RngStream,
-                        workers: int = 1) -> TfdPurityCurve:
+                        workers: int = 1) -> list[TfdPurityCurve]:
     """Average the thermofield-double purity decay over GUE Hamiltonians.
 
-    ``gamma_t`` is the dimensionless time grid.  One GUE draw per sample
-    index; the reduction is in fixed index order, so results depend only on
-    ``rng`` and ``n_samples``.
+    Returns one curve per entry of ``betas``.  ``gamma_t`` is the
+    dimensionless time grid.  Sample ``i`` draws one GUE spectrum from
+    substream ``i`` of ``rng`` and every beta reads it, so each curve's
+    standard error is over ``n_samples`` independent draws.  The reduction
+    is in fixed index order, so results depend only on ``rng`` and
+    ``n_samples``, not on ``workers``.
     """
     if n_qubits < 1 or 2 ** n_qubits > 2 ** 10:
         raise ValueError("qubit count must give a dimension between 2 and 2^10")
     grid = np.asarray(gamma_t, dtype=float)
     table = _pool.gather_samples(_tfd_purity_sample, n_samples, rng, workers,
-                                 2 ** n_qubits, beta, gamma, grid)
+                                 2 ** n_qubits, list(betas), gamma, grid)
     seed = rng.master_seed
-    return TfdPurityCurve(times=grid,
-                          purity=EnsembleEstimate.from_samples(table[:, :-2], seed),
-                          purity_inf=EnsembleEstimate.from_samples(table[:, -2], seed),
-                          rate=EnsembleEstimate.from_samples(table[:, -1], seed))
+    return [TfdPurityCurve(times=grid,
+                           purity=EnsembleEstimate.from_samples(rows[:, :-2], seed),
+                           purity_inf=EnsembleEstimate.from_samples(rows[:, -2], seed),
+                           rate=EnsembleEstimate.from_samples(rows[:, -1], seed))
+            for rows in np.moveaxis(table, 1, 0)]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ The GUE convention is pinned to the matrix weight ``exp(-tr X^2)``: diagonal
 entries are real N(0, 1/2) and the real and imaginary parts of each
 off-diagonal entry are N(0, 1/4).  With this normalization the eigenvalue
 density at large dimension is the semicircle on ``[-sqrt(2 d), sqrt(2 d)]``
-and ``<tr X^2> = d^2/2``.
+and ``<tr X^2> = d^2/2``.  Estimators that need only eigenvalues (the
+thermofield-double ensemble, the annealing check) draw them from the
+tridiagonal beta = 2 model of the same law, which needs numpy alone; the
+rate estimator, which applies the matrix to a state, draws it dense.
 
 Randomness is counter-based (Philox).  A :class:`RngStream` is the pair
 ``(master_seed, stream_index)``; distinct pairs give independent streams and
@@ -102,6 +105,21 @@ def _gue_matrix(d: int, gen: np.random.Generator) -> np.ndarray:
     """Raw GUE draw as an ndarray; Hermitian exactly by construction."""
     z = _ginibre(gen, d)
     return (z + z.conj().T) / 2.0
+
+
+def _gue_spectrum(gen: np.random.Generator, d: int) -> np.ndarray:
+    """Ascending eigenvalues of one GUE draw, from its tridiagonal form.
+
+    Householder reduction of a GUE matrix leaves a real symmetric
+    tridiagonal matrix with the same spectrum: an ``N(0, 1/2)`` diagonal and
+    off-diagonal entries ``sqrt(chi^2_{2k}/4)`` for ``k = d-1, ..., 1``
+    (Dumitriu & Edelman, J. Math. Phys. 43, 5830 (2002), at beta = 2).  So
+    one draw costs ``2d - 1`` variates and one real eigensolve instead of
+    ``2 d^2`` variates and a complex one.
+    """
+    diag = np.sqrt(0.5) * gen.standard_normal(d)
+    off = np.sqrt(gen.chisquare(2.0 * np.arange(d - 1, 0, -1)) / 4.0)
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
 
 
 def sample_gue(spec: GueSpec, rng: RngStream) -> np.ndarray:

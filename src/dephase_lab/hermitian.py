@@ -52,14 +52,17 @@ def _gibbs_log_weights(energies: np.ndarray, beta: float,
 
     ``log_mult`` adds the log-multiplicity of each level.  The partition sum
     is max-shifted before exponentiation, so large ``beta`` drives the
-    weights to the ground-state limit instead of underflowing.
+    weights to the ground-state limit instead of underflowing.  ``log p_k``
+    is taken from the shifted values, never through ``ln Z``: at large
+    ``beta`` the shift is large and ``ln Z - shift`` would lose its digits.
     """
     log_w = -beta * energies
     if log_mult is not None:
         log_w = log_w + log_mult
     shift = log_w.max()
-    log_z = shift + math.log(np.exp(log_w - shift).sum())
-    return log_w - log_z, log_z
+    log_w = log_w - shift
+    log_sum = math.log(np.exp(log_w).sum())
+    return log_w - log_sum, shift + log_sum
 
 
 def as_matrix(op: np.ndarray) -> np.ndarray:

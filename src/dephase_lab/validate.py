@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (_gue_spectrum, annealing_check, build_tfd, purity_tfd,
-                       purity_tfd_hs)
-from .ensembles import (RngStream, haar_fourth_moment, haar_fourth_moment_exact,
-                        haar_second_moment, haar_second_moment_exact)
+from .dynamics import annealing_check, build_tfd, purity_tfd, purity_tfd_hs
+from .ensembles import (RngStream, _gue_spectrum, haar_fourth_moment,
+                        haar_fourth_moment_exact, haar_second_moment,
+                        haar_second_moment_exact)
 from .rates import PAULI, LindbladChannel
 from .trajectories import TrajectoryConfig, average_trajectories
 

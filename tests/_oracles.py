@@ -8,6 +8,26 @@ recurrences that the library replaces by scaled forms.
 
 import numpy as np
 
+from dephase_lab.ensembles import _gue_matrix
+
+
+def dense_gue_spectrum(gen, d: int) -> np.ndarray:
+    """Ascending eigenvalues of one dense GUE matrix, by a complex eigensolve."""
+    return np.linalg.eigvalsh(_gue_matrix(d, gen))
+
+
+def purity_double_sum(sys, t: float) -> float:
+    """Thermofield-double purity as the full ``d x d`` double sum.
+
+    ``sum_kl p_k p_l exp(-2 gamma t (E_k - E_l)^2)`` over every ordered pair,
+    with every exponential evaluated, subnormal or not.
+    """
+    e = sys.energies
+    p = sys.weights ** 2
+    gaps2 = (e[:, None] - e[None, :]) ** 2
+    return float((p[:, None] * p[None, :]
+                  * np.exp(-2.0 * sys.gamma * t * gaps2)).sum())
+
 
 def gue_pair_tail(d: int, gamma_t: float, n_u: int = 80, n_w: int = 1200) -> float:
     """Ensemble mean of the residual purity tail at infinite temperature.

@@ -177,10 +177,9 @@ def test_08_tfd_ensemble_reproduction():
     n_qubits, gamma, n_samples = 5, 1.0, 1000
     d = 2 ** n_qubits
     grid = np.concatenate([np.linspace(0.0, 10.0, 21), [1000.0]])
-    curves = {}
-    for j, beta in enumerate((0.0, 0.1, 1.0)):
-        curves[beta] = ensemble_purity_tfd(n_qubits, beta, gamma, grid,
-                                           n_samples, RngStream(SEED, 40 + j))
+    betas = (0.0, 0.1, 1.0)
+    curves = dict(zip(betas, ensemble_purity_tfd(n_qubits, betas, gamma, grid,
+                                                 n_samples, RngStream(SEED, 40))))
     ordered = True
     for i in (4, 10, 20):       # gamma t = 2, 5, 10
         ordered = ordered and (curves[0.0].purity.mean[i]

@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ class TestRateGue:
         assert run_cli(["rate-gue", "--dims", "2,4", "--samples", "200",
                         "--seed", "5", "-o", str(out)]) == 0
         comments, header, rows = read_csv(str(out))
-        assert comments[0] == "# dephase-lab schema v1"
+        assert comments[0] == "# dephase-lab schema v2"
         assert header == ["d", "gamma", "rate_haar", "rate_wick", "rate_mc_mean",
                           "rate_mc_stderr", "n_samples", "seed"]
         assert len(rows) == 2
@@ -151,6 +154,39 @@ class TestTfd:
                         "-o", str(tmp_path / "x.csv")]) == 2
         capsys.readouterr()
 
+    def test_formula_only_overflowing_dimension_exit_2(self, tmp_path, capsys):
+        # 2**1e6 is not a finite double.
+        out = tmp_path / "f.csv"
+        assert run_cli(["tfd", "--formula-only", "--log2-dim", "1e6",
+                        "-o", str(out)]) == 2
+        assert "--log2-dim is too large" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_log2_dim_without_formula_only_exit_2(self, tmp_path, capsys):
+        # Sampled rows are at d = 2^n_qubits; a --log2-dim there would only
+        # put another dimension's beta_c in the header.
+        out = tmp_path / "t.csv"
+        assert run_cli(["tfd", "--n-qubits", "4", "--log2-dim", "20",
+                        "--samples", "3", "-o", str(out)]) == 2
+        assert "--log2-dim applies only with --formula-only" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sampling_reads_one_spectrum_stream(self, tmp_path):
+        # Every beta's rows come from the one draw set on stream (seed, 0).
+        from dephase_lab.dynamics import ensemble_purity_tfd
+        from dephase_lab.ensembles import RngStream
+        out = tmp_path / "t.csv"
+        assert run_cli(["tfd", "--n-qubits", "3", "--beta-list", "0,2",
+                        "--t-max", "1", "--t-points", "2", "--samples", "5",
+                        "--seed", "13", "-o", str(out)]) == 0
+        _, _, rows = read_csv(str(out))
+        curves = ensemble_purity_tfd(3, [0.0, 2.0], 1.0, np.array([0.0, 1.0]),
+                                     5, RngStream(13, 0))
+        for j, curve in enumerate(curves):
+            assert float(rows[2 * j + 1][2]) == curve.purity.mean[1]
+            assert float(rows[2 * j][4]) == curve.purity_inf.mean
+
     def test_formula_only_log2_dim_zero_sets_beta_c(self, tmp_path):
         out = tmp_path / "f.csv"
         assert run_cli(["tfd", "--formula-only", "--log2-dim", "0",
@@ -237,3 +273,22 @@ class TestValidate:
         from dephase_lab.validate import _check_hs_quadrature
         results = _check_hs_quadrature(100, tol=1e-30)
         assert not results[0].passed
+
+
+def test_sampling_never_imports_scipy(tmp_path):
+    # scipy is a test-only extra: importing it would double the CLI's
+    # start-up time.  Run in a fresh interpreter, since the test suite
+    # itself imports scipy.
+    code = ("import sys\n"
+            "import dephase_lab.cli as cli\n"
+            "rc = cli.main(['tfd', '--n-qubits', '3', '--beta-list', '0,1',\n"
+            "               '--t-points', '3', '--samples', '4',\n"
+            "               '-o', sys.argv[1]])\n"
+            "assert rc == 0, rc\n"
+            "assert 'scipy' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

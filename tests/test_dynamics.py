@@ -7,7 +7,7 @@ from dephase_lab.dynamics import (annealing_check, build_tfd,
                                   ensemble_purity_tfd, evolve_tfd,
                                   master_equation_rk4, purity_inf_tfd,
                                   purity_tfd, purity_tfd_hs, rate_tfd)
-from dephase_lab.ensembles import RngStream, _gue_matrix
+from dephase_lab.ensembles import RngStream, _gue_matrix, _gue_spectrum
 from dephase_lab.exceptions import StepSizeError
 from dephase_lab.hermitian import purity
 from dephase_lab.rates import PAULI, LindbladChannel, decoherence_rate
@@ -97,6 +97,22 @@ class TestPurityTfd:
         p = purity_tfd(sys, grid)
         assert (np.diff(p) <= 1e-12).all()
 
+    @pytest.mark.parametrize("d", [2, 8, 64, 1024])
+    def test_matches_double_sum_reference(self, d):
+        # Pair sum with underflowing factors left at zero against the full
+        # double sum, over six decades of gamma t and from infinite to very
+        # low temperature.
+        from _oracles import purity_double_sum
+        energies = _gue_spectrum(RngStream(48, d).generator(), d)
+        grid = np.array([0.0, 1e-6, 0.1, 1.0, 10.0, 1000.0])
+        for beta in (0.0, 1e-3, 0.5, 3.0, 50.0):
+            sys = build_tfd(energies, beta, gamma=0.8)
+            p = purity_tfd(sys, grid)
+            ref = np.array([purity_double_sum(sys, t) for t in grid])
+            assert p[0] == 1.0
+            np.testing.assert_allclose(p, ref, rtol=1e-12, atol=0.0)
+            assert (np.diff(p) <= 1e-15).all()
+
     def test_infinite_time_plateau(self):
         energies = np.linalg.eigvalsh(_gue_matrix(8, RngStream(15, 50).generator()))
         for beta in (0.0, 0.7):
@@ -164,15 +180,15 @@ class TestRateTfd:
 
 class TestEnsemblePurity:
     def test_time_zero_exact(self):
-        curve = ensemble_purity_tfd(3, 0.0, 1.0, np.array([0.0, 0.5]), 40,
-                                    RngStream(45, 0))
+        [curve] = ensemble_purity_tfd(3, [0.0], 1.0, np.array([0.0, 0.5]), 40,
+                                      RngStream(45, 0))
         assert curve.purity.mean[0] == 1.0
         assert curve.purity.stderr[0] == 0.0
 
     def test_temperature_ordering(self):
         grid = np.array([0.0, 1.0, 4.0])
-        curves = [ensemble_purity_tfd(3, beta, 1.0, grid, 120, RngStream(45, 1))
-                  for beta in (0.0, 0.1, 1.0)]
+        curves = ensemble_purity_tfd(3, [0.0, 0.1, 1.0], 1.0, grid, 120,
+                                     RngStream(45, 1))
         # Larger beta decays less deeply at fixed time.
         for i in (1, 2):
             assert curves[0].purity.mean[i] < curves[1].purity.mean[i] \
@@ -180,10 +196,50 @@ class TestEnsemblePurity:
 
     def test_deterministic_across_workers(self):
         grid = np.array([0.0, 0.7])
-        a = ensemble_purity_tfd(2, 0.2, 1.0, grid, 30, RngStream(45, 2))
-        b = ensemble_purity_tfd(2, 0.2, 1.0, grid, 30, RngStream(45, 2), workers=3)
-        assert (a.purity.mean == b.purity.mean).all()
-        assert a.rate.mean == b.rate.mean
+        betas = [0.2, 1.5]
+        a = ensemble_purity_tfd(2, betas, 1.0, grid, 30, RngStream(45, 2))
+        b = ensemble_purity_tfd(2, betas, 1.0, grid, 30, RngStream(45, 2),
+                                workers=3)
+        for ca, cb in zip(a, b):
+            assert ca.purity.mean.tobytes() == cb.purity.mean.tobytes()
+            assert ca.purity.stderr.tobytes() == cb.purity.stderr.tobytes()
+            assert ca.rate.mean == cb.rate.mean
+            assert ca.purity_inf.mean == cb.purity_inf.mean
+
+    def test_beta_list_equals_single_beta_calls(self):
+        # Every beta reads the same spectra, so a list of k betas gives the
+        # k curves of k one-beta calls on the same stream.  The plateau and
+        # rate columns are bit-identical; the purity columns agree to
+        # rounding, since BLAS orders the pair sum by the number of rows.
+        grid = np.array([0.0, 0.3, 2.0, 50.0])
+        betas = [0.0, 0.4, 3.0]
+        together = ensemble_purity_tfd(4, betas, 0.7, grid, 12, RngStream(45, 4))
+        for beta, curve in zip(betas, together):
+            [alone] = ensemble_purity_tfd(4, [beta], 0.7, grid, 12,
+                                          RngStream(45, 4))
+            for field in ("purity_inf", "rate"):
+                a, b = getattr(curve, field), getattr(alone, field)
+                assert (a.mean, a.stderr) == (b.mean, b.stderr)
+            np.testing.assert_allclose(curve.purity.mean, alone.purity.mean,
+                                       rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(curve.purity.stderr, alone.purity.stderr,
+                                       rtol=1e-9, atol=1e-18)
+            assert curve.purity.mean[0] == alone.purity.mean[0] == 1.0
+
+    def test_rows_match_per_spectrum_reference(self):
+        # Sample i is the spectrum of substream i, evaluated per beta by
+        # the reference double sum.
+        from _oracles import purity_double_sum
+        grid = np.array([0.0, 0.5, 4.0])
+        betas = [0.0, 1.0]
+        rng = RngStream(45, 5)
+        curves = ensemble_purity_tfd(3, betas, 1.0, grid, 6, rng)
+        spectra = [_gue_spectrum(rng.sample_generator(i), 8) for i in range(6)]
+        for beta, curve in zip(betas, curves):
+            ref = np.array([[purity_double_sum(build_tfd(e, beta), t) for t in grid]
+                            for e in spectra])
+            np.testing.assert_allclose(curve.purity.mean, ref.mean(axis=0),
+                                       rtol=1e-12)
 
     def test_plateau_value(self):
         # At beta = 0 the per-sample long-time purity is exactly 1/d; the
@@ -192,7 +248,7 @@ class TestEnsemblePurity:
         from _oracles import gue_pair_tail
         d = 8
         grid = np.array([0.0, 12.0])
-        curve = ensemble_purity_tfd(3, 0.0, 1.0, grid, 200, RngStream(45, 3))
+        [curve] = ensemble_purity_tfd(3, [0.0], 1.0, grid, 200, RngStream(45, 3))
         assert curve.purity_inf.mean == pytest.approx(1.0 / d, rel=1e-12)
         assert curve.purity_inf.stderr == 0.0
         tail = gue_pair_tail(d, 12.0)
@@ -242,8 +298,7 @@ class TestAnnealing:
         betas, d, n = (0.25, 0.5, 1.0), 6, 5
         rng = RngStream(46, 4)
         checks = annealing_check(betas, d, n, rng)
-        spectra = [np.linalg.eigvalsh(_gue_matrix(d, rng.sample_generator(i)))
-                   for i in range(n)]
+        spectra = [_gue_spectrum(rng.sample_generator(i), d) for i in range(n)]
         for beta, chk in zip(betas, checks):
             rows = []
             for energies in spectra:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import dense_gue_spectrum
 from dephase_lab.ensembles import (EnsembleEstimate, GueSpec, RngStream,
-                                   _gue_matrix, gue_level_density,
+                                   _gue_matrix, _gue_spectrum, gue_level_density,
                                    gue_trace_square_mc, haar_fourth_moment,
                                    haar_fourth_moment_exact, haar_second_moment,
                                    haar_second_moment_exact, sample_gue,
@@ -88,6 +89,45 @@ class TestGueSampling:
         model = gue_level_density(mid * scale, d) * scale / d
         l1 = float(np.sum(np.abs(hist - model)) * 0.1)
         assert l1 <= 0.02
+
+
+def _spectra(draw, d, n, rng):
+    return np.array([draw(rng.sample_generator(i), d) for i in range(n)])
+
+
+class TestTridiagonalSpectrum:
+    """The tridiagonal beta = 2 model against the GUE law it replaces."""
+
+    def test_trace_square_normalization_d64(self):
+        # sum lambda^2 = tr X^2, whose mean is d^2/2.
+        d, n = 64, 2000
+        vals = (_spectra(_gue_spectrum, d, n, RngStream(8, 0)) ** 2).sum(axis=1)
+        se = vals.std(ddof=1) / math.sqrt(n)
+        assert abs(vals.mean() - d * d / 2) <= 4 * se
+
+    def test_pooled_level_density_d64(self):
+        # Mean eigenvalue count per bin against the exact finite-d density
+        # integrated over the bin; each bin's error is the spread of the
+        # per-draw counts over the draws.  22 bins of width 0.1 sqrt(2d)
+        # span the semicircle's support and the edge bins past it.
+        d, n = 64, 2000
+        spectra = _spectra(_gue_spectrum, d, n, RngStream(8, 1))
+        edges = np.linspace(-1.1, 1.1, 23) * math.sqrt(2 * d)
+        counts = np.array([np.histogram(s, bins=edges)[0] for s in spectra])
+        x, w = np.polynomial.legendre.leggauss(32)
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        nodes = mid[:, None] + half[:, None] * x[None, :]
+        expected = (gue_level_density(nodes, d) * w).sum(axis=1) * half
+        z = (counts.mean(axis=0) - expected) / (counts.std(axis=0, ddof=1)
+                                                / math.sqrt(n))
+        assert np.abs(z).max() <= 5.0
+
+    def test_mean_largest_eigenvalue_matches_dense_route(self):
+        d, n = 64, 1000
+        tri = _spectra(_gue_spectrum, d, n, RngStream(8, 2))[:, -1]
+        dense = _spectra(dense_gue_spectrum, d, n, RngStream(8, 3))[:, -1]
+        se = math.sqrt((tri.var(ddof=1) + dense.var(ddof=1)) / n)
+        assert abs(tri.mean() - dense.mean()) <= 4 * se
 
 
 class TestHaarSampling:

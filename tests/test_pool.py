@@ -222,7 +222,7 @@ _ESTIMATORS = {
     "haar_fourth_moment": lambda n: haar_fourth_moment(_X, _X, _X, n,
                                                        RngStream(1)),
     "ensemble_purity_tfd": lambda n: ensemble_purity_tfd(
-        1, 0.5, 1.0, np.array([0.0, 1.0]), n, RngStream(1)),
+        1, [0.5], 1.0, np.array([0.0, 1.0]), n, RngStream(1)),
     "annealing_check": lambda n: annealing_check([0.5], 4, n, RngStream(1)),
     "average_trajectories": lambda n: average_trajectories(
         None, [LindbladChannel(1.0, PAULI["z"])], np.array([1.0, 0.0]),
