@@ -5,7 +5,10 @@ substream and per-sample values become an array.  Its contract:
 
 * ``sample_fn(gen, *args)`` is a module-level function, so it pickles into
   worker processes; it returns one sample (a scalar or an array of fixed
-  shape) computed from the generator ``gen`` alone.
+  shape) computed from the generator ``gen`` alone.  With a ``batch_fn``,
+  ``sample_fn`` only draws and all assembly of the draws belongs in
+  ``batch_fn``: a numpy call there pays its Python overhead once per block,
+  not once per sample.
 * Sample ``i`` draws only from substream ``i`` of ``rng``: the Philox stream
   of ``rng``'s key started at counter ``[0, 0, i, 0]``, which ``i`` Philox
   jumps reach from counter zero.  A chunk builds one generator and, per index,
@@ -26,7 +29,6 @@ substream and per-sample values become an array.  Its contract:
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,11 +54,13 @@ def run_chunked(worker: Callable, payloads: Sequence, workers: int) -> list:
     """Run ``worker`` over payloads, serially or on a process pool.
 
     The pool never has more processes than cores or payloads.  Results are
-    returned in payload order regardless of scheduling.
+    returned in payload order regardless of scheduling.  The pool module is
+    imported only here, so a serial run never pays for its import.
     """
     workers = _worker_count(workers, len(payloads))
     if workers == 1:
         return [worker(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, payloads))
 

@@ -16,7 +16,9 @@ Identical command line and seed give byte-identical CSV, independent of
 ``--threads``; floats are printed with 17 significant digits so they
 round-trip exactly.  Environment variables are never consulted.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.  A
+non-finite value, a float overflow or a division by zero is a numerical
+failure: no CSV is written.
 """
 
 from __future__ import annotations
@@ -52,12 +54,18 @@ def _fmt(x) -> str:
 
 def _emit(path: str | None, comments: list[str], header: list[str],
           rows: list[list]) -> None:
+    """Write the CSV, or raise ``NumericalError`` before writing anything
+    when a float in a row is not finite."""
     buf = io.StringIO()
     for line in comments:
         buf.write(line + "\r\n")
     writer = csv.writer(buf)
     writer.writerow(header)
     for row in rows:
+        for name, v in zip(header, row):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise NumericalError(f"{name} is {_fmt(v)} in the row for "
+                                     f"{header[0]}={_fmt(row[0])}")
         writer.writerow([_fmt(v) for v in row])
     data = buf.getvalue()
     if path is None:
@@ -303,7 +311,7 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ValueError("--threads must be at least 1")
         return args.func(args)
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

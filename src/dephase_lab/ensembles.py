@@ -96,9 +96,19 @@ class EnsembleEstimate:
         return cls(mean, stderr, n, master_seed)
 
 
+def _ginibre_from_normals(r: np.ndarray) -> np.ndarray:
+    """Complex Ginibre matrices from the ``(..., 2, d, d)`` normals that
+    ``gen.standard_normal((2, d, d))`` draws per matrix: real parts first.
+
+    Each entry is ``(a + 1j b) / sqrt(2)`` whatever the stack shape, so a
+    matrix assembled in a stack is bit-identical to one assembled alone.
+    """
+    return (r[..., 0, :, :] + 1j * r[..., 1, :, :]) / np.sqrt(2.0)
+
+
 def _ginibre(gen: np.random.Generator, d: int) -> np.ndarray:
     """Complex Ginibre matrix with independent standard complex normal entries."""
-    return (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2.0)
+    return _ginibre_from_normals(gen.standard_normal((2, d, d)))
 
 
 def _gue_matrix(d: int, gen: np.random.Generator) -> np.ndarray:
@@ -151,12 +161,14 @@ def sample_haar_unitary(d: int, rng: RngStream) -> np.ndarray:
 
 
 def _haar_ginibre(gen: np.random.Generator, m1: np.ndarray, *_) -> np.ndarray:
-    """Per-sample draw of the Haar moments: a Ginibre matrix of m1's dimension."""
-    return _ginibre(gen, m1.shape[0])
+    """Per-sample draw of the Haar moments: the raw normals of one Ginibre
+    matrix of m1's dimension.  Assembly, QR and products run per block."""
+    d = m1.shape[0]
+    return gen.standard_normal((2, d, d))
 
 
-def _haar_second_batch(z: np.ndarray, xm: np.ndarray) -> np.ndarray:
-    u = _haar_from_ginibre(z)
+def _haar_second_batch(r: np.ndarray, xm: np.ndarray) -> np.ndarray:
+    u = _haar_from_ginibre(_ginibre_from_normals(r))
     return u @ xm @ np.swapaxes(u.conj(), -1, -2)
 
 
@@ -179,9 +191,9 @@ def haar_second_moment_exact(x) -> np.ndarray:
     return np.trace(xm) / d * np.eye(d, dtype=complex)
 
 
-def _haar_fourth_batch(z: np.ndarray, m1: np.ndarray, m2: np.ndarray,
+def _haar_fourth_batch(r: np.ndarray, m1: np.ndarray, m2: np.ndarray,
                        m3: np.ndarray) -> np.ndarray:
-    u = _haar_from_ginibre(z)
+    u = _haar_from_ginibre(_ginibre_from_normals(r))
     udag = np.swapaxes(u.conj(), -1, -2)
     return u @ m1 @ udag @ m2 @ u @ m3 @ udag
 

@@ -27,6 +27,7 @@ semicircle support is ``[-sqrt(2 d), sqrt(2 d)]``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,11 +55,15 @@ def hermite_phi(l: int, x):
     return phi if phi.ndim else float(phi)
 
 
+# Bounded, so at most 64 rules (32 KB each at the 2048-node cap) stay alive.
+@functools.lru_cache(maxsize=64)
 def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and weights (weight ``exp(-x^2)``) by Golub-Welsch.
 
     Stable for any practical node count, unlike the power-basis route which
-    overflows near 400 nodes.
+    overflows near 400 nodes.  The rule is cached per node count (one dense
+    eigensolve each) and shared by every caller, so both arrays are
+    read-only: writing to them raises ``ValueError``.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -66,6 +71,7 @@ def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     jac = np.diag(np.sqrt(k / 2.0), 1)
     nodes, vecs = np.linalg.eigh(jac + jac.T)
     weights = math.sqrt(math.pi) * vecs[0] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 

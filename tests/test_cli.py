@@ -222,6 +222,24 @@ def test_non_finite_beta_among_finite_ones_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    # 2**1023 is finite, but 2 gamma d and the semicircle partition
+    # functions are not.
+    ["tfd", "--formula-only", "--log2-dim", "1023", "--beta-list", "0,1"],
+    ["tfd", "--formula-only", "--log2-dim", "8", "--gamma", "1e308"],
+    ["rate-gue", "--dims", "2", "--samples", "10", "--gamma", "1e308"],
+    ["crossover", "--n-max", "1000"],       # rate_gue at d = 2**512 is inf
+    ["crossover", "--n-max", "1100"],       # float(2**1024) overflows
+    ["tfd", "--formula-only", "--beta-list", "1e-300"],  # beta**2 is 0.0
+])
+def test_non_finite_results_exit_3_without_a_row(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert run_cli([*argv, "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 @pytest.mark.parametrize("command,extra", [
     ("rate-gue", ["--dims", "2", "--samples", "10"]),
@@ -275,20 +293,36 @@ class TestValidate:
         assert not results[0].passed
 
 
-def test_sampling_never_imports_scipy(tmp_path):
-    # scipy is a test-only extra: importing it would double the CLI's
-    # start-up time.  Run in a fresh interpreter, since the test suite
-    # itself imports scipy.
-    code = ("import sys\n"
-            "import dephase_lab.cli as cli\n"
-            "rc = cli.main(['tfd', '--n-qubits', '3', '--beta-list', '0,1',\n"
-            "               '--t-points', '3', '--samples', '4',\n"
-            "               '-o', sys.argv[1]])\n"
-            "assert rc == 0, rc\n"
-            "assert 'scipy' not in sys.modules\n")
+def _run_fresh(code, *argv):
+    # A fresh interpreter, since the test suite itself imports the modules
+    # these tests look for.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")],
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sampling_never_imports_scipy(tmp_path):
+    # scipy is a test-only extra: importing it would double the CLI's
+    # start-up time.
+    _run_fresh("import sys\n"
+               "import dephase_lab.cli as cli\n"
+               "rc = cli.main(['tfd', '--n-qubits', '3', '--beta-list', '0,1',\n"
+               "               '--t-points', '3', '--samples', '4',\n"
+               "               '-o', sys.argv[1]])\n"
+               "assert rc == 0, rc\n"
+               "assert 'scipy' not in sys.modules\n", str(tmp_path / "t.csv"))
+
+
+def test_serial_run_never_imports_the_pool_module(tmp_path):
+    # Importing concurrent.futures costs about 20 ms per launch; only a run
+    # that starts workers needs it.
+    _run_fresh("import sys\n"
+               "import dephase_lab.cli as cli\n"
+               "rc = cli.main(['rate-gue', '--dims', '2,3', '--samples', '10',\n"
+               "               '-o', sys.argv[1]])\n"
+               "assert rc == 0, rc\n"
+               "assert 'concurrent.futures' not in sys.modules\n",
+               str(tmp_path / "r.csv"))

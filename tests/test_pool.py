@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -140,7 +142,9 @@ class TestWorkerCap:
     @pytest.fixture
     def executor(self, monkeypatch):
         _RecordingExecutor.sizes, _RecordingExecutor.n_tasks = [], []
-        monkeypatch.setattr(_pool, "ProcessPoolExecutor", _RecordingExecutor)
+        # run_chunked imports the executor class only when it starts a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _RecordingExecutor)
         monkeypatch.setattr(_pool.os, "cpu_count", lambda: 4)
         return _RecordingExecutor
 

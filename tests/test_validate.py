@@ -1,8 +1,9 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from dephase_lab import _pool, trajectories, validate
+from dephase_lab import _pool, specfun, trajectories, validate
 from dephase_lab.ensembles import RngStream
 
 ANNEALING_SEEDS = range(1, 21)      # includes 8, where the former check failed
@@ -121,3 +122,30 @@ def test_quick_validation_passes(seed):
     assert len(results) == 6
     assert all(r.passed for r in results), [r.detail for r in results
                                             if not r.passed]
+
+
+def test_hs_check_solves_one_quadrature_rule_per_node_count(monkeypatch):
+    # The node count depends on t alone, so the 5 x 5 (beta, t) grid needs
+    # five Gauss-Hermite rules: five Golub-Welsch eigensolves, not 25.
+    sizes = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return real_eigh(a, *args, **kwargs)
+
+    specfun.gauss_hermite.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert validate._check_hs_quadrature(1)[0].passed
+    monkeypatch.undo()
+    assert len(sizes) == 5 and len(set(sizes)) == 5
+
+    for n in sizes:
+        nodes, weights = specfun.gauss_hermite(n)
+        fresh_nodes, fresh_weights = specfun.gauss_hermite.__wrapped__(n)
+        assert nodes.tobytes() == fresh_nodes.tobytes()
+        assert weights.tobytes() == fresh_weights.tobytes()
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
