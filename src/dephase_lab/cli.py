@@ -178,9 +178,14 @@ def cmd_tfd(args) -> int:
               "rate_exact", "rate_semicircle", "rate_high_t", "rate_low_t"]
     rows: list[list] = []
     if args.formula_only:
+        # The finite-d forms need an integer dimension: a whole-number
+        # log2d at or below the cap.  Other rows use 2**log2d throughout.
+        exact_d = (int(round(dim)) if log2d <= EXACT_RATE_LOG2_CAP
+                   and log2d == int(log2d) else None)
         for beta in betas:
-            rows.append([beta, "", "", "", _purity_inf_formula(beta, log2d),
-                         _rate_exact_or_blank(beta, log2d, args.gamma),
+            rows.append([beta, "", "", "", _purity_inf_formula(beta, exact_d, dim),
+                         "" if exact_d is None
+                         else rate_tfd_gue_exact(beta, exact_d, args.gamma),
                          rate_tfd_gue_semicircle(beta, dim, args.gamma),
                          2.0 * args.gamma * dim,
                          6.0 * args.gamma / beta ** 2 if beta > 0 else ""])
@@ -214,21 +219,10 @@ def cmd_tfd(args) -> int:
     return 0
 
 
-def _purity_inf_formula(beta: float, log2d: float) -> float:
-    """Annealed long-time purity <Z(2 beta)>/<Z(beta)>^2."""
-    if log2d <= EXACT_RATE_LOG2_CAP:
-        d = int(round(2.0 ** log2d))
-        return float(np.exp(z_gue_exact(2.0 * beta, d).log_value
-                            - 2.0 * z_gue_exact(beta, d).log_value))
-    d = 2.0 ** log2d
-    return float(np.exp(z_gue_semicircle(2.0 * beta, d).log_value
-                        - 2.0 * z_gue_semicircle(beta, d).log_value))
-
-
-def _rate_exact_or_blank(beta: float, log2d: float, gamma: float):
-    if log2d > EXACT_RATE_LOG2_CAP:
-        return ""
-    return rate_tfd_gue_exact(beta, int(round(2.0 ** log2d)), gamma)
+def _purity_inf_formula(beta: float, d: int | None, dim: float) -> float:
+    """Annealed long-time purity <Z(2 beta)>/<Z(beta)>^2, finite-d when d is set."""
+    z, d = (z_gue_exact, d) if d is not None else (z_gue_semicircle, dim)
+    return float(np.exp(z(2.0 * beta, d).log_value - 2.0 * z(beta, d).log_value))
 
 
 def cmd_validate(args) -> int:

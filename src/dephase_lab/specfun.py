@@ -101,48 +101,55 @@ def log_laguerre_l(n: int, alpha: float, x: float) -> float:
 def _laguerre_ratio_chain(d: int, x: float) -> tuple[float, float, float]:
     """Jointly recurse ``L^(1)``, ``L^(2)``, ``L^(3)`` up to degrees d-1, d-2, d-3.
 
-    All three chains share every renormalization step, so the returned ratios
+    One loop of O(d) scalar steps per ``x``: the three chains advance
+    together up to degree d-3, then a two-step tail takes ``L^(2)`` and
+    ``L^(1)`` to their degrees while the finished values stay frozen.
+    Whenever the largest of the three current values exceeds the scale
+    cap, every value is divided by it, so the returned ratios
     ``f12 = L_{d-2}^(2)/L_{d-1}^(1)`` and ``f13 = L_{d-3}^(3)/L_{d-1}^(1)``
     never pass through an overflowing intermediate.  Also returns
-    ``log L_{d-1}^(1)(x)``.  Requires ``x <= 0``.
+    ``log L_{d-1}^(1)(x)``.  Requires ``x <= 0``, where every term is
+    positive.
     """
     if x > 0:
         raise ValueError("ratio chain requires x <= 0")
-    targets = {1: d - 1, 2: d - 2, 3: d - 3}
-    prev = {a: 1.0 for a in (1, 2, 3)}
-    cur = {a: 1.0 + a - x for a in (1, 2, 3)}
-    done: dict[int, float] = {}
-    for a in (1, 2, 3):
-        t = targets[a]
-        if t < 0:
-            done[a] = 0.0
-        elif t == 0:
-            done[a] = 1.0
-        elif t == 1:
-            done[a] = cur[a]
+    cap = _LOG_SCALE_CAP
+    p1 = p2 = p3 = 1.0                              # degree 0
+    c1, c2, c3 = 2.0 - x, 3.0 - x, 4.0 - x          # degree 1
     shift = 0.0
-    n = 1
-    while n < targets[1]:
-        n += 1
-        for a in (1, 2, 3):
-            if a in done:
-                continue
-            prev[a], cur[a] = cur[a], ((2 * n - 1 + a - x) * cur[a]
-                                       - (n - 1 + a) * prev[a]) / n
-            if n == targets[a]:
-                done[a] = cur[a]
-        peak = max(abs(v) for v in (*cur.values(), *done.values()))
-        if peak > _LOG_SCALE_CAP:
-            for a in (1, 2, 3):
-                prev[a] /= peak
-                cur[a] /= peak
-                if a in done:
-                    done[a] /= peak
+    # The degree m counts in floats (exact), since float-only arithmetic is
+    # what makes this loop fast.  Every value is positive, so comparing each
+    # with the cap screens for the peak test.
+    m = 1.0
+    for _ in range(2, d - 2):
+        m += 1.0
+        k = m + m
+        p1, c1 = c1, ((k - x) * c1 - m * p1) / m
+        p2, c2 = c2, ((k + 1.0 - x) * c2 - (m + 1.0) * p2) / m
+        p3, c3 = c3, ((k + 2.0 - x) * c3 - (m + 2.0) * p3) / m
+        if c1 > cap or c2 > cap or c3 > cap:
+            peak = max(abs(c1), abs(c2), abs(c3))
+            if peak > cap:
+                p1, c1, p2, c2, p3, c3 = (p1 / peak, c1 / peak, p2 / peak,
+                                          c2 / peak, p3 / peak, c3 / peak)
+                shift += math.log(peak)
+    for n in range(max(2, d - 2), d):
+        p1, c1 = c1, ((2 * n - x) * c1 - n * p1) / n
+        if n == d - 2:
+            p2, c2 = c2, ((2 * n + 1 - x) * c2 - (n + 1) * p2) / n
+        peak = max(abs(c1), abs(c2), abs(c3))
+        if peak > cap:
+            p1, c1, p2, c2, p3, c3 = (p1 / peak, c1 / peak, p2 / peak,
+                                      c2 / peak, p3 / peak, c3 / peak)
             shift += math.log(peak)
-    l1 = done.get(1, cur[1])
+    # Below d = 4 a chain of target degree 0 ends on its L_0, one of
+    # target degree -1 on zero.
+    l1 = c1 if d > 1 else p1
+    f2 = c2 if d > 2 else p2 if d == 2 else 0.0
+    f3 = c3 if d > 3 else p3 if d == 3 else 0.0
     if l1 <= 0.0:
         raise NumericalError("Laguerre ratio chain lost positivity")
-    return math.log(l1) + shift, done[2] / l1, done[3] / l1
+    return math.log(l1) + shift, f2 / l1, f3 / l1
 
 
 def bessel_i_ratio_g(x: float) -> float:
@@ -342,9 +349,9 @@ def rate_tfd_gue_semicircle(beta: float, d: float, gamma: float) -> float:
     Here ``x = sqrt(2 d) beta`` and ``g = I_2/I_1``.  ``d`` may be passed as a
     float as large as ``2.0**60``; ``beta = 0`` is handled by its limit
     ``2 gamma d``.  For ``x > 50`` the bracket comes from its own asymptotic
-    series, since the direct form cancels to ``3/(2 x^2)``.  The high- and low-temperature limits are ``2 gamma d``
-    (``beta << beta_c``) and ``6 gamma / beta^2`` (``beta >> beta_c``), with
-    ``beta_c = sqrt(3/d)``.
+    series, since the direct form cancels to ``3/(2 x^2)``.  The high- and
+    low-temperature limits are ``2 gamma d`` (``beta << beta_c``) and
+    ``6 gamma / beta^2`` (``beta >> beta_c``), with ``beta_c = sqrt(3/d)``.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")

@@ -6,6 +6,7 @@ run time.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from _oracles import gue_pair_tail
+import dephase_lab
 from dephase_lab.dynamics import (annealing_check, build_tfd,
                                   ensemble_purity_tfd, evolve_tfd,
                                   master_equation_rk4, purity_inf_tfd,
@@ -352,11 +354,16 @@ def test_15_lmg_and_tbre():
 def test_16_cli_determinism(tmp_path):
     base = [sys.executable, "-m", "dephase_lab", "rate-gue", "--dims", "2,4,8",
             "--samples", "500", "--seed", "123"]
+    # The children import the package from where this process found it,
+    # with or without PYTHONPATH set.
+    src = os.path.dirname(os.path.dirname(dephase_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     files = []
     for run, threads in enumerate(("1", "8", "1", "8")):
         out = tmp_path / f"run{run}.csv"
         proc = subprocess.run(base + ["--threads", threads, "-o", str(out)],
-                              capture_output=True)
+                              env=env, capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
         files.append(out.read_bytes())
     ok = all(f == files[0] for f in files)

@@ -149,6 +149,33 @@ class TestTfd:
         assert float(row[5]) == pytest.approx(rate_tfd_gue_exact(0.5, 64, 1.0))
         assert float(row[4]) > 0.0   # annealed long-time purity
 
+    def test_formula_only_fractional_log2_dim_uses_one_dimension(self, tmp_path):
+        # 2**13.6 is no integer, so the row takes the above-cap route: blank
+        # rate_exact and the semicircle purity_inf, both at d = 2**13.6 like
+        # the other columns.  Whole-number rows keep the finite-d forms.
+        from dephase_lab.specfun import (rate_tfd_gue_exact,
+                                         rate_tfd_gue_semicircle, z_gue_exact,
+                                         z_gue_semicircle)
+        for log2d, finite in (("13.6", False), ("13", True), ("14", True)):
+            out = tmp_path / f"f{log2d}.csv"
+            assert run_cli(["tfd", "--formula-only", "--log2-dim", log2d,
+                            "--beta-list", "0.001,0.1,3", "-o", str(out)]) == 0
+            _, _, rows = read_csv(str(out))
+            dim = 2.0 ** float(log2d)
+            for row in rows:
+                beta = float(row[0])
+                if finite:
+                    z, d = z_gue_exact, int(dim)
+                    assert float(row[5]) == rate_tfd_gue_exact(beta, d, 1.0)
+                else:
+                    z, d = z_gue_semicircle, dim
+                    assert row[5] == ""
+                want = float(np.exp(z(2.0 * beta, d).log_value
+                                    - 2.0 * z(beta, d).log_value))
+                assert float(row[4]) == want
+                assert float(row[6]) == rate_tfd_gue_semicircle(beta, dim, 1.0)
+                assert float(row[7]) == 2.0 * dim
+
     def test_bad_beta_rejected(self, tmp_path, capsys):
         assert run_cli(["tfd", "--beta-list", "-1",
                         "-o", str(tmp_path / "x.csv")]) == 2

@@ -6,13 +6,14 @@ import pytest
 import scipy.special
 
 from dephase_lab.ensembles import RngStream, _gue_matrix
-from dephase_lab.specfun import (bessel_i_ratio_g, beta_crossover,
-                                 gauss_hermite, hermite_phi, log_bessel_i1,
-                                 log_laguerre_l, rate_tfd_gue_exact,
-                                 rate_tfd_gue_semicircle, z_gue_exact,
-                                 z_gue_semicircle)
+from dephase_lab.specfun import (_laguerre_ratio_chain, bessel_i_ratio_g,
+                                 beta_crossover, gauss_hermite, hermite_phi,
+                                 log_bessel_i1, log_laguerre_l,
+                                 rate_tfd_gue_exact, rate_tfd_gue_semicircle,
+                                 z_gue_exact, z_gue_semicircle)
 
-from _oracles import hermite_h, laguerre_l, z_from_spectrum
+from _oracles import (hermite_h, laguerre_l, laguerre_ratio_chain,
+                      z_from_spectrum)
 
 
 class TestHermite:
@@ -112,6 +113,26 @@ class TestLaguerre:
     def test_log_form_rejects_positive_x(self):
         with pytest.raises(ValueError):
             log_laguerre_l(3, 1, 0.5)
+
+    @pytest.mark.parametrize("d", [*range(1, 41), 255, 256, 1024, 4096, 16384])
+    def test_ratio_chain_is_bit_identical_to_the_reference(self, d):
+        # Exact equality with the dict-based loop it replaced.  beta = 30 and
+        # 100 renormalize from d = 1024 and 255 on, beta = 1e70 at every
+        # step, down to the one-step chains at d = 3 and 4.
+        for beta in (0.0, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0, 3.0, 10.0, 30.0,
+                     100.0, 1e20, 1e70):
+            x = -beta * beta / 2.0
+            want = laguerre_ratio_chain(d, x)
+            assert all(map(math.isfinite, want)), (d, beta)
+            assert _laguerre_ratio_chain(d, x) == want, (d, beta)
+
+    def test_ratio_chain_rejects_positive_x_like_the_reference(self):
+        for d in (1, 3, 4, 256):
+            with pytest.raises(ValueError) as got:
+                _laguerre_ratio_chain(d, 0.5)
+            with pytest.raises(ValueError) as want:
+                laguerre_ratio_chain(d, 0.5)
+            assert str(got.value) == str(want.value)
 
     def test_log_form_huge_degree(self):
         # Would overflow unscaled: values grow like exp(2 sqrt(n y)).

@@ -69,7 +69,8 @@ def test_annealing_check_passes_on_correct_code_and_fails_a_planted_bias(
         monkeypatch):
     # The annealed closed form is held to the annealed rate estimated from
     # the same draws.  Correct code passes on every seed; the closed form
-    # scaled by 1.05 fails on every seed, judged on the same draws.
+    # scaled by 1.05 fails on every seed, judged on the same draws, and so
+    # do <ln Z> and ln <Z> swapped, which the Jensen bound must catch.
     real = validate.annealing_check
     seen = []
 
@@ -82,12 +83,14 @@ def test_annealing_check_passes_on_correct_code_and_fails_a_planted_bias(
     assert all(r.passed for r in results), [r.detail for r in results
                                             if not r.passed]
 
-    planted = iter([[replace(c, rate_annealed=1.05 * c.rate_annealed) for c in cs]
-                    for cs in seen])
-    monkeypatch.setattr(validate, "annealing_check",
-                        lambda *args, **kwargs: next(planted))
-    results = _checks_of(ANNEALING_SEEDS, validate._check_annealing)
-    assert not any(r.passed for r in results)
+    for plant in (lambda c: replace(c, rate_annealed=1.05 * c.rate_annealed),
+                  lambda c: replace(c, mean_ln_z=c.ln_mean_z,
+                                    ln_mean_z=c.mean_ln_z)):
+        planted = iter([[plant(c) for c in cs] for cs in seen])
+        monkeypatch.setattr(validate, "annealing_check",
+                            lambda *args, **kwargs: next(planted))
+        results = _checks_of(ANNEALING_SEEDS, validate._check_annealing)
+        assert not any(r.passed for r in results)
 
 
 def test_trajectory_check_passes_on_correct_code_and_fails_a_halved_ito_term(
