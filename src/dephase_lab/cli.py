@@ -36,11 +36,10 @@ from .ensembles import RngStream
 from .exceptions import NumericalError
 from .rates import (calibrate_epsilon, crossover_min_n, rate_gue_haar,
                     rate_gue_mc, rate_gue_wick, rate_kbody_bound, KBodySpec)
-from .specfun import (beta_crossover, rate_tfd_gue_exact,
-                      rate_tfd_gue_semicircle, z_gue_exact, z_gue_semicircle)
+from .specfun import beta_crossover, rate_tfd_gue_exact, rate_tfd_gue_semicircle
 from .validate import run_validation
 
-SCHEMA_COMMENT = "# dephase-lab schema v2"
+SCHEMA_COMMENT = "# dephase-lab schema v3"
 DEFAULT_SEED = 20250117
 # Largest log2(dimension) for which the finite-d Laguerre rate is evaluated.
 EXACT_RATE_LOG2_CAP = 14
@@ -75,12 +74,8 @@ def _emit(path: str | None, comments: list[str], header: list[str],
             fh.write(data)
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+def _parse_list(text: str, kind=float) -> list:
+    return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _require_finite(flag: str, *values: float) -> None:
@@ -95,7 +90,7 @@ def _check_gamma(gamma: float) -> None:
 
 
 def cmd_rate_gue(args) -> int:
-    dims = _parse_int_list(args.dims)
+    dims = _parse_list(args.dims, int)
     if not dims or any(d < 1 for d in dims):
         raise ValueError("--dims must list dimensions >= 1")
     _check_gamma(args.gamma)
@@ -120,7 +115,7 @@ def cmd_rate_gue(args) -> int:
 
 
 def cmd_crossover(args) -> int:
-    k_list = _parse_int_list(args.k_list)
+    k_list = _parse_list(args.k_list, int)
     if not k_list or any(k < 1 for k in k_list):
         raise ValueError("--k-list must list localities >= 1")
     if args.n_max < max(k_list):
@@ -144,19 +139,16 @@ def cmd_crossover(args) -> int:
     for n in range(1, args.n_max + 1):
         row = [n, rate_gue_haar(2 ** n, args.gamma),
                rate_gue_wick(2 ** n, args.gamma)]
-        for k in k_list:
-            if n < k:
-                row.append("")
-            else:
-                row.append(rate_kbody_bound(KBodySpec(n, k, eps), args.gamma,
-                                            args.mode))
+        row += ["" if n < k else rate_kbody_bound(KBodySpec(n, k, eps),
+                                                  args.gamma, args.mode)
+                for k in k_list]
         rows.append(row)
     _emit(args.output, comments, header, rows)
     return 0
 
 
 def cmd_tfd(args) -> int:
-    betas = _parse_float_list(args.beta_list)
+    betas = _parse_list(args.beta_list)
     _require_finite("--beta-list", *betas)
     if not betas or any(b < 0 for b in betas):
         raise ValueError("--beta-list must list inverse temperatures >= 0")
@@ -173,41 +165,33 @@ def cmd_tfd(args) -> int:
     except OverflowError:
         raise ValueError("--log2-dim is too large: 2**log2d overflows a "
                          "double") from None
-    grid = np.linspace(0.0, args.t_max, args.t_points)
     header = ["beta", "gamma_t", "purity_mean", "purity_stderr", "purity_inf",
               "rate_exact", "rate_semicircle", "rate_high_t", "rate_low_t"]
     rows: list[list] = []
     if args.formula_only:
-        # The finite-d forms need an integer dimension: a whole-number
+        # The finite-d rate needs an integer dimension: a whole-number
         # log2d at or below the cap.  Other rows use 2**log2d throughout.
         exact_d = (int(round(dim)) if log2d <= EXACT_RATE_LOG2_CAP
                    and log2d == int(log2d) else None)
         for beta in betas:
-            rows.append([beta, "", "", "", _purity_inf_formula(beta, exact_d, dim),
-                         "" if exact_d is None
-                         else rate_tfd_gue_exact(beta, exact_d, args.gamma),
-                         rate_tfd_gue_semicircle(beta, dim, args.gamma),
-                         2.0 * args.gamma * dim,
-                         6.0 * args.gamma / beta ** 2 if beta > 0 else ""])
+            rows.append([beta, "", "", "", "",
+                         *_rate_columns(beta, exact_d, dim, args.gamma)])
     else:
         if not 1 <= args.n_qubits <= 10:
             raise ValueError("--n-qubits must be between 1 and 10 when sampling")
         if args.samples < 2:
             raise ValueError("--samples must be at least 2")
-        d = 2 ** args.n_qubits
+        grid = np.linspace(0.0, args.t_max, args.t_points)
         # One spectrum per sample, read by every beta.
         curves = ensemble_purity_tfd(args.n_qubits, betas, args.gamma, grid,
                                      args.samples, RngStream(args.seed, 0),
                                      workers=args.threads)
         for beta, curve in zip(betas, curves):
-            r_exact = rate_tfd_gue_exact(beta, d, args.gamma)
-            r_semi = rate_tfd_gue_semicircle(beta, float(d), args.gamma)
-            low_t = 6.0 * args.gamma / beta ** 2 if beta > 0 else ""
+            rates = _rate_columns(beta, 2 ** args.n_qubits, dim, args.gamma)
             for i, gt in enumerate(grid):
                 rows.append([beta, float(gt), float(curve.purity.mean[i]),
                              float(curve.purity.stderr[i]),
-                             float(curve.purity_inf.mean), r_exact, r_semi,
-                             2.0 * args.gamma * d, low_t])
+                             float(curve.purity_inf.mean), *rates])
     comments = [SCHEMA_COMMENT,
                 f"# tfd: n_qubits={args.n_qubits} beta_list={args.beta_list} "
                 f"gamma={_fmt(args.gamma)} t_max={_fmt(args.t_max)} "
@@ -219,10 +203,15 @@ def cmd_tfd(args) -> int:
     return 0
 
 
-def _purity_inf_formula(beta: float, d: int | None, dim: float) -> float:
-    """Annealed long-time purity <Z(2 beta)>/<Z(beta)>^2, finite-d when d is set."""
-    z, d = (z_gue_exact, d) if d is not None else (z_gue_semicircle, dim)
-    return float(np.exp(z(2.0 * beta, d).log_value - 2.0 * z(beta, d).log_value))
+def _rate_columns(beta: float, exact_d: int | None, dim: float,
+                  gamma: float) -> list:
+    """The four rate columns of a ``tfd`` row, blank where the README says."""
+    try:
+        low_t = 6.0 * gamma / beta ** 2 if beta > 0 else ""
+    except OverflowError:           # beta**2 overflows, 6 gamma/beta^2 need not
+        low_t = 6.0 * gamma / beta / beta
+    return ["" if exact_d is None else rate_tfd_gue_exact(beta, exact_d, gamma),
+            rate_tfd_gue_semicircle(beta, dim, gamma), 2.0 * gamma * dim, low_t]
 
 
 def cmd_validate(args) -> int:

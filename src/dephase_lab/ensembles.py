@@ -25,6 +25,7 @@ import numpy as np
 
 from . import _pool
 from .hermitian import as_matrix
+from .specfun import _hermite_functions
 
 __all__ = [
     "RngStream", "GueSpec", "EnsembleEstimate", "sample_gue",
@@ -240,12 +241,7 @@ def gue_level_density(v, d: int):
     if d < 1:
         raise ValueError("dimension must be >= 1")
     v = np.asarray(v, dtype=float)
-    phi = np.pi ** -0.25 * np.exp(-0.5 * v * v)
-    phi_prev = np.zeros_like(v)
-    rho = phi * phi
-    for l in range(1, d):
-        phi_prev, phi = phi, v * np.sqrt(2.0 / l) * phi - np.sqrt((l - 1) / l) * phi_prev
-        rho = rho + phi * phi
+    rho = sum(phi * phi for phi in _hermite_functions(d, v))
     return rho if rho.ndim else float(rho)
 
 

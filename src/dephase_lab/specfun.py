@@ -41,17 +41,24 @@ _G_CF_TOL = 1e-14
 _LOG_SCALE_CAP = 1e250
 
 
+def _hermite_functions(n: int, x):
+    """Yield ``phi_0(x), ..., phi_{n-1}(x)`` for a float array ``x``; n >= 1."""
+    phi_prev, phi = np.zeros_like(x), np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    yield phi
+    for m in range(n - 1):
+        # phi_{m+1} = x sqrt(2/(m+1)) phi_m - sqrt(m/(m+1)) phi_{m-1}
+        phi_prev, phi = phi, x * math.sqrt(2.0 / (m + 1)) * phi - math.sqrt(
+            m / (m + 1)) * phi_prev
+        yield phi
+
+
 def hermite_phi(l: int, x):
     """Normalized Hermite function ``exp(-x^2/2) H_l(x) / sqrt(sqrt(pi) 2^l l!)``."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
     x = np.asarray(x, dtype=float)
-    phi = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    phi_prev = np.zeros_like(x)
-    for m in range(l):
-        # phi_{m+1} = x sqrt(2/(m+1)) phi_m - sqrt(m/(m+1)) phi_{m-1}
-        phi_prev, phi = phi, x * math.sqrt(2.0 / (m + 1)) * phi - math.sqrt(
-            m / (m + 1)) * phi_prev
+    for phi in _hermite_functions(l + 1, x):
+        pass
     return phi if phi.ndim else float(phi)
 
 
@@ -332,12 +339,15 @@ def rate_tfd_gue_exact(beta: float, d: int, gamma: float) -> float:
 
     The ratios come from jointly renormalized upward recurrences, never from
     independently overflowing values.  At ``beta = 0`` this equals
-    ``2 gamma d``.
+    ``2 gamma d``; above ``beta = 1e25`` it is its limit ``2 gamma``, to
+    which ``2 gamma [1 - 4 (d-1)/beta^2]`` rounds there.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    if beta > 1e25:             # 4 (d-1)/beta^2 < 2^-53 for every d <= 2^60
+        return 2.0 * gamma
     _, f12, f13 = _laguerre_ratio_chain(d, -beta * beta / 2.0)
     b2 = beta * beta
     return 2.0 * gamma * (1.0 + 2.0 * f12 - 2.0 * b2 * f12 * f12 + 2.0 * b2 * f13)
@@ -360,6 +370,8 @@ def rate_tfd_gue_semicircle(beta: float, d: float, gamma: float) -> float:
     if beta == 0.0:
         return 2.0 * gamma * d
     x = math.sqrt(2.0 * d) * beta
+    if x > 1e150:               # the bracket is 3/(2 x^2) to the last bit
+        return 6.0 * gamma / beta / beta
     if x > _G_CF_CUTOFF:
         return 8.0 * gamma * d * _rate_bracket_series(x)
     g = bessel_i_ratio_g(x)

@@ -247,7 +247,8 @@ def test_11_annealing_jensen():
         d_r = int(gen.integers(2, 12))
         beta_r = float(gen.random() * 2.0)
         chk = annealing_check([beta_r], d_r, 80, RngStream(SEED, 60 + trial))[0]
-        ok = ok and chk.mean_ln_z <= chk.ln_mean_z + 3 * chk.ln_z_stderr
+        # Exact on the same draws (AM-GM), so the slack is rounding-sized.
+        ok = ok and chk.mean_ln_z <= chk.ln_mean_z + 1e-12 * max(1.0, abs(chk.ln_mean_z))
     # The annealed average degrades at low temperature for small d; report
     # the measured beta = 1 gap without gating on it.
     chk1 = annealing_check([1.0], d, n_samples, RngStream(SEED, 58))[0]

@@ -1,8 +1,11 @@
 import csv
+import io
 import math
 import os
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ class TestRateGue:
         assert run_cli(["rate-gue", "--dims", "2,4", "--samples", "200",
                         "--seed", "5", "-o", str(out)]) == 0
         comments, header, rows = read_csv(str(out))
-        assert comments[0] == "# dephase-lab schema v2"
+        assert comments[0] == "# dephase-lab schema v3"
         assert header == ["d", "gamma", "rate_haar", "rate_wick", "rate_mc_mean",
                           "rate_mc_stderr", "n_samples", "seed"]
         assert len(rows) == 2
@@ -139,7 +142,8 @@ class TestTfd:
 
     def test_formula_only_moderate_dimension(self, tmp_path):
         # Below the finite-d cap the exact rate column is populated and
-        # agrees with the library closed form.
+        # agrees with the library closed form; no closed form gives the
+        # quenched plateau, so purity_inf is blank.
         from dephase_lab.specfun import rate_tfd_gue_exact
         out = tmp_path / "f.csv"
         assert run_cli(["tfd", "--formula-only", "--log2-dim", "6",
@@ -147,15 +151,14 @@ class TestTfd:
         _, _, rows = read_csv(str(out))
         row = rows[0]
         assert float(row[5]) == pytest.approx(rate_tfd_gue_exact(0.5, 64, 1.0))
-        assert float(row[4]) > 0.0   # annealed long-time purity
+        assert row[4] == ""
 
     def test_formula_only_fractional_log2_dim_uses_one_dimension(self, tmp_path):
         # 2**13.6 is no integer, so the row takes the above-cap route: blank
-        # rate_exact and the semicircle purity_inf, both at d = 2**13.6 like
-        # the other columns.  Whole-number rows keep the finite-d forms.
+        # rate_exact, and the other rate columns at d = 2**13.6.  Whole-number
+        # rows keep the finite-d rate.  purity_inf is blank in every row.
         from dephase_lab.specfun import (rate_tfd_gue_exact,
-                                         rate_tfd_gue_semicircle, z_gue_exact,
-                                         z_gue_semicircle)
+                                         rate_tfd_gue_semicircle)
         for log2d, finite in (("13.6", False), ("13", True), ("14", True)):
             out = tmp_path / f"f{log2d}.csv"
             assert run_cli(["tfd", "--formula-only", "--log2-dim", log2d,
@@ -165,14 +168,10 @@ class TestTfd:
             for row in rows:
                 beta = float(row[0])
                 if finite:
-                    z, d = z_gue_exact, int(dim)
-                    assert float(row[5]) == rate_tfd_gue_exact(beta, d, 1.0)
+                    assert float(row[5]) == rate_tfd_gue_exact(beta, int(dim), 1.0)
                 else:
-                    z, d = z_gue_semicircle, dim
                     assert row[5] == ""
-                want = float(np.exp(z(2.0 * beta, d).log_value
-                                    - 2.0 * z(beta, d).log_value))
-                assert float(row[4]) == want
+                assert row[4] == ""
                 assert float(row[6]) == rate_tfd_gue_semicircle(beta, dim, 1.0)
                 assert float(row[7]) == 2.0 * dim
 
@@ -220,6 +219,54 @@ class TestTfd:
                         "-o", str(out)]) == 0
         comments, _, _ = read_csv(str(out))
         assert "# beta_c=1.7320508075688772" in comments
+
+
+_SWEEP_BETAS = ["0", "1e-150", "1e-9", "1", "3", "30", "1e3", "1e20", "1e40",
+                "1e62", "1e100", "1e154", "1e160", "1e300"]
+
+
+@pytest.mark.parametrize("log2d", [*map(str, range(15)), "0.5", "13.6", "20",
+                                   "50", "1020"])
+def test_formula_only_domain_sweep(capsys, log2d):
+    # Every cell is finite and in range, or blank by the README rule;
+    # exit 3 only where a true value overflows a double.
+    dim = 2.0 ** float(log2d)
+    exact = float(log2d) <= cli.EXACT_RATE_LOG2_CAP and float(log2d).is_integer()
+    big = Fraction(sys.float_info.max)
+    for text in _SWEEP_BETAS:
+        beta = float(text)
+        low_t = 6 / Fraction(beta) ** 2 if beta > 0 else None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(["tfd", "--formula-only", "--log2-dim", log2d,
+                          "--beta-list", text])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        out = capsys.readouterr().out
+        if 2 * dim > big or (low_t is not None and low_t > big):
+            assert rc == 3 and out == ""
+            continue
+        assert rc == 0, (log2d, text)
+        row = list(csv.reader(io.StringIO(out)))[-1]
+        assert float(row[0]) == beta and row[1:5] == ["", "", "", ""]
+        high_t = 2.0 * dim
+        if exact:
+            r_exact = float(row[5])
+            assert 0.0 < r_exact <= high_t * (1 + 1e-12), (log2d, text)
+            if beta >= 1e20:
+                assert r_exact == 2.0
+        else:
+            assert row[5] == ""
+        r_semi = float(row[6])
+        assert 0.0 <= r_semi <= high_t * (1 + 1e-12), (log2d, text)
+        assert float(row[7]) == high_t
+        if low_t is None:
+            assert row[8] == ""
+        else:
+            assert math.isclose(float(row[8]), float(low_t), rel_tol=1e-15,
+                                abs_tol=1e-322)
+            if math.sqrt(2.0 * dim) * beta > 1e4:       # deep below beta_c
+                assert math.isclose(r_semi, float(low_t), rel_tol=1e-4,
+                                    abs_tol=1e-322), (log2d, text)
 
 
 _FLOAT_FLAGS = [
