@@ -1,29 +1,21 @@
 """The sample engine: every Monte-Carlo ensemble loop of the package.
 
-:func:`gather_samples` is the one place where a sample index becomes a random
-substream and per-sample values become an array.  Its contract:
+:func:`gather_samples` is the one place where sample indices become random
+substreams and per-block values become an array.  Its contract:
 
-* ``sample_fn(gen, *args)`` is a module-level function, so it pickles into
-  worker processes; it returns one sample (a scalar or an array of fixed
-  shape) computed from the generator ``gen`` alone.  With a ``batch_fn``,
-  ``sample_fn`` only draws and all assembly of the draws belongs in
-  ``batch_fn``: a numpy call there pays its Python overhead once per block,
-  not once per sample.
-* Sample ``i`` draws only from substream ``i`` of ``rng``: the Philox stream
-  of ``rng``'s key started at counter ``[0, 0, i, 0]``, which ``i`` Philox
-  jumps reach from counter zero.  A chunk builds one generator and, per index,
-  resets its bit generator's state to that counter with an empty output
-  buffer, which costs a few microseconds instead of a fresh jump.  So a
-  sample's value does not depend on which chunk or worker computes it.
-* Samples are drawn in blocks of ``_BLOCK`` consecutive indices.  An optional
-  ``batch_fn(block, *args)`` (module-level, like ``sample_fn``) maps the
-  ``(m, ...)`` stack of one block to ``m`` output rows, so stacked LAPACK and
-  matrix products run once per block.  It must be row-wise: output row ``k``
-  depends on input row ``k`` alone and is bit-identical for any ``m``, so
-  neither the block size nor the worker count can change a bit.
-* The rows are stacked in index order into one ``(n, ...)`` array and every
-  reduction (:meth:`EnsembleEstimate.from_samples`) runs over that array, so
-  results are bit-for-bit identical for any worker count.
+* Block ``b`` holds samples ``b _BLOCK`` to ``(b + 1) _BLOCK - 1`` (the last
+  block may be shorter) and draws only from substream ``b`` of ``rng``: the
+  Philox stream of ``rng``'s key at counter ``[0, 0, b, 0]``.
+* ``block_fn(gen, m, *args)``, a module-level function so that it pickles
+  into workers, returns the block's ``m`` rows as one ``(m, ...)`` array
+  from the block's fresh generator ``gen`` alone: stacked draws, LAPACK
+  calls and products run once per block.  Large stacks are drawn in
+  :func:`row_slices`; one-at-a-time samples are drawn one after another.
+* Chunks of work are runs of whole blocks, and the rows are stacked in index
+  order before any reduction, so results are bit-for-bit identical for any
+  worker count.  A non-finite row raises :class:`NumericalError` before a
+  reduction sees it; block functions run with numpy's floating-point
+  warnings off, since that check reports what they would.
 """
 
 from __future__ import annotations
@@ -33,16 +25,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Samples drawn before one batch_fn call: bounds the per-block buffers while
-# amortising the per-call overhead of stacked LAPACK.
-_BLOCK = 1024
+from .exceptions import NumericalError
+
+# Samples per substream.  Small enough that 1000 samples still split over
+# two workers, large enough to amortise the per-block numpy calls.
+_BLOCK = 256
+# Variates per draw inside a block: bounds the buffers of large-d draws.
+_SLICE = 1 << 12
 
 
-def index_chunks(n: int, n_chunks: int) -> list[tuple[int, int]]:
-    """Split ``range(n)`` into at most ``n_chunks`` contiguous pieces."""
-    n_chunks = max(1, min(n_chunks, n))
-    bounds = np.linspace(0, n, n_chunks + 1, dtype=int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+def row_slices(m: int, row_size: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` pieces of ``range(m)``, each of at least one row of ``row_size``
+    variates and at most ``_SLICE`` variates: sliced draws equal one draw."""
+    step = max(1, _SLICE // row_size)
+    return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
 def _worker_count(workers: int, n_tasks: int) -> int:
@@ -65,49 +61,37 @@ def run_chunked(worker: Callable, payloads: Sequence, workers: int) -> list:
         return list(pool.map(worker, payloads))
 
 
-def _sample_chunk(payload) -> np.ndarray:
-    """Rows ``start..stop-1`` written into one preallocated array."""
-    sample_fn, batch_fn, rng, start, stop, args = payload
-    gen = rng.sample_generator(start)
-    bitgen = gen.bit_generator
-    # A fresh generator's state: empty buffer, no cached 32-bit half.
-    state = bitgen.state
-    counter = state["state"]["counter"]
-    out = block = None
-    for lo in range(start, stop, _BLOCK):
-        hi = min(lo + _BLOCK, stop)
-        for i in range(lo, hi):
-            counter[2] = i
-            bitgen.state = state
-            value = np.asarray(sample_fn(gen, *args))
-            if block is None:
-                block = np.empty((min(_BLOCK, stop - start),) + value.shape,
-                                 dtype=value.dtype)
-            block[i - lo] = value
-        rows = block[:hi - lo]
-        if batch_fn is not None:
-            rows = batch_fn(rows, *args)
-        if out is None:
-            out = np.empty((stop - start,) + rows.shape[1:], dtype=rows.dtype)
-        out[lo - start:hi - start] = rows
+def _block_chunk(payload) -> np.ndarray:
+    """Rows of blocks ``b0..b1-1`` of an ``n``-sample run, in index order."""
+    block_fn, rng, n, b0, b1, args = payload
+    out = None
+    with np.errstate(all="ignore"):
+        for b in range(b0, b1):
+            rows = block_fn(rng.sample_generator(b), min(_BLOCK, n - b * _BLOCK), *args)
+            if out is None:     # one buffer, not a list of blocks to join
+                out = np.empty((min(n, b1 * _BLOCK) - b0 * _BLOCK, *rows.shape[1:]),
+                               rows.dtype)
+            out[(b - b0) * _BLOCK:][:len(rows)] = rows
     return out
 
 
-def gather_samples(sample_fn: Callable, n: int, rng, workers: int, *args,
-                   batch_fn: Callable | None = None) -> np.ndarray:
-    """Stacked ``(n, ...)`` rows of ``sample_fn(<substream i of rng>, *args)``.
+def gather_samples(block_fn: Callable, n: int, rng, workers: int,
+                   *args) -> np.ndarray:
+    """Stacked ``(n, ...)`` rows of ``block_fn(<substream b of rng>, m, *args)``.
 
-    With ``batch_fn`` each block of samples is mapped through
-    ``batch_fn(block, *args)`` before it is stored.  Serially the whole range
-    is one chunk; with ``workers > 1`` the range is split into chunks that
-    are joined in index order.  Raises ``ValueError`` for ``n < 2``, since no
-    standard error exists below two samples.
+    Serially all blocks are one chunk; with ``workers > 1`` they are split into
+    chunks joined in index order.  ``n < 2`` raises ``ValueError`` (no stderr exists).
     """
     if n < 2:
         raise ValueError("need at least two samples")
-    workers = _worker_count(workers, n)
-    chunks = index_chunks(n, 1 if workers == 1 else workers * 4)
-    parts = run_chunked(_sample_chunk,
-                        [(sample_fn, batch_fn, rng, a, b, args) for a, b in chunks],
-                        workers)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+    n_blocks = -(-n // _BLOCK)
+    workers = _worker_count(workers, n_blocks)
+    n_chunks = min(n_blocks, 4 * workers) if workers > 1 else 1
+    # No more chunks than blocks, so no two edges coincide.
+    edges = np.linspace(0, n_blocks, n_chunks + 1, dtype=int).tolist()
+    parts = run_chunked(_block_chunk, [(block_fn, rng, n, a, b, args)
+                                       for a, b in zip(edges, edges[1:])], workers)
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+    if not np.isfinite(out).all():
+        raise NumericalError("a Monte-Carlo sample is not finite")
+    return out

@@ -39,7 +39,7 @@ from .rates import (calibrate_epsilon, crossover_min_n, rate_gue_haar,
 from .specfun import beta_crossover, rate_tfd_gue_exact, rate_tfd_gue_semicircle
 from .validate import run_validation
 
-SCHEMA_COMMENT = "# dephase-lab schema v3"
+SCHEMA_COMMENT = "# dephase-lab schema v4"
 DEFAULT_SEED = 20250117
 # Largest log2(dimension) for which the finite-d Laguerre rate is evaluated.
 EXACT_RATE_LOG2_CAP = 14

@@ -41,7 +41,7 @@ import numpy as np
 from . import _pool
 from .exceptions import StepSizeError
 from .hermitian import _gibbs_log_weights, as_matrix, as_state, spectral_norm
-from .ensembles import EnsembleEstimate, RngStream, _gue_spectrum
+from .ensembles import EnsembleEstimate, RngStream, _gue_spectra, _gue_spectrum
 from .rates import LindbladChannel
 from .specfun import gauss_hermite, rate_tfd_gue_exact
 
@@ -225,19 +225,21 @@ class TfdPurityCurve:
     rate: EnsembleEstimate
 
 
-def _tfd_purity_sample(gen: np.random.Generator, d: int,
-                       betas: Sequence[float], gamma: float,
-                       gamma_t: np.ndarray) -> np.ndarray:
-    """Purity curve, plateau and rate of one GUE spectrum, one row per beta."""
-    energies = _gue_spectrum(gen, d)
-    systems = [build_tfd(energies, beta, gamma) for beta in betas]
-    probs = np.array([sys.weights ** 2 for sys in systems])
-    scalars = [[purity_inf_tfd(sys), rate_tfd(sys)] for sys in systems]
-    return np.hstack([_purity_kernel(energies, probs, gamma_t), scalars])
+def _tfd_purity_block(gen: np.random.Generator, m: int, d: int, betas: Sequence[float],
+                      gamma: float, gamma_t: np.ndarray) -> np.ndarray:
+    """Purity curve, plateau and rate per beta of each of ``m`` GUE spectra."""
+    rows = []
+    for _ in range(m):
+        energies = _gue_spectrum(gen, d)
+        systems = [build_tfd(energies, beta, gamma) for beta in betas]
+        probs = np.array([sys.weights ** 2 for sys in systems])
+        scalars = [[purity_inf_tfd(sys), rate_tfd(sys)] for sys in systems]
+        rows.append(np.hstack([_purity_kernel(energies, probs, gamma_t), scalars]))
+    return np.stack(rows)
 
 
-# Old name of the per-sample function, still wrapped by perfbench/tracer.py.
-_tfd_purity_chunk = _tfd_purity_sample
+# Old name of the block function, still wrapped by perfbench/tracer.py.
+_tfd_purity_chunk = _tfd_purity_block
 
 
 def ensemble_purity_tfd(n_qubits: int, betas: Sequence[float], gamma: float,
@@ -246,16 +248,15 @@ def ensemble_purity_tfd(n_qubits: int, betas: Sequence[float], gamma: float,
     """Average the thermofield-double purity decay over GUE Hamiltonians.
 
     Returns one curve per entry of ``betas``.  ``gamma_t`` is the
-    dimensionless time grid.  Sample ``i`` draws one GUE spectrum from
-    substream ``i`` of ``rng`` and every beta reads it, so each curve's
-    standard error is over ``n_samples`` independent draws.  The reduction
-    is in fixed index order, so results depend only on ``rng`` and
-    ``n_samples``, not on ``workers``.
+    dimensionless time grid.  Each sample draws one GUE spectrum, which every
+    beta reads, so each curve's standard error is over ``n_samples``
+    independent draws; results depend only on ``rng`` and ``n_samples``, not
+    on ``workers`` (see ``_pool``).
     """
     if n_qubits < 1 or 2 ** n_qubits > 2 ** 10:
         raise ValueError("qubit count must give a dimension between 2 and 2^10")
     grid = np.asarray(gamma_t, dtype=float)
-    table = _pool.gather_samples(_tfd_purity_sample, n_samples, rng, workers,
+    table = _pool.gather_samples(_tfd_purity_block, n_samples, rng, workers,
                                  2 ** n_qubits, list(betas), gamma, grid)
     seed = rng.master_seed
     return [TfdPurityCurve(times=grid,
@@ -293,7 +294,7 @@ def annealing_check(betas: Sequence[float], d: int, n_samples: int,
     annealed rate estimated from the draws.  Every ``beta`` reads the same
     ``n_samples`` spectra, drawn once.
     """
-    spectra = _pool.gather_samples(_gue_spectrum, n_samples, rng, 1, d)
+    spectra = _pool.gather_samples(_gue_spectra, n_samples, rng, 1, d)
     return [_annealing_at(spectra, beta, gamma, rng.master_seed)
             for beta in betas]
 

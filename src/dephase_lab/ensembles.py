@@ -13,8 +13,8 @@ Randomness is counter-based (Philox).  A :class:`RngStream` is the pair
 ``(master_seed, stream_index)``; distinct pairs give independent streams and
 the same pair reproduces the same values on any platform or worker layout.
 Every ensemble estimator runs through the sample engine in ``_pool``, which
-derives one substream per sample index by setting the Philox counter, so
-results are independent of how samples are distributed over workers.
+derives one substream per block of samples by setting the Philox counter, so
+results are independent of how blocks are distributed over workers.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class RngStream:
         return np.random.Generator(self.bit_generator())
 
     def sample_generator(self, index: int) -> np.random.Generator:
-        """Fresh generator for sample ``index`` of an ensemble loop."""
+        """Fresh generator on substream ``index`` (the engine's block ``index``)."""
         return np.random.Generator(self.bit_generator(index))
 
 
@@ -97,25 +97,30 @@ class EnsembleEstimate:
         return cls(mean, stderr, n, master_seed)
 
 
-def _ginibre_from_normals(r: np.ndarray) -> np.ndarray:
-    """Complex Ginibre matrices from the ``(..., 2, d, d)`` normals that
-    ``gen.standard_normal((2, d, d))`` draws per matrix: real parts first.
+def _gue_block(gen: np.random.Generator, m: int, d: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """``(S, K)``, each ``(m, d, d)``: ``V = S + iK`` for ``m`` GUE draws.
 
-    Each entry is ``(a + 1j b) / sqrt(2)`` whatever the stack shape, so a
-    matrix assembled in a stack is bit-identical to one assembled alone.
+    From the normals ``g`` of ``gen.standard_normal((m, d, d))``,
+    ``S_jj = sqrt(1/2) g_jj``, and ``S_jk = S_kj = g_jk/2``,
+    ``K_jk = -K_kj = -g_kj/2`` for ``j < k``: exactly Hermitian, and matrix
+    ``i`` reads only ``g[i]``, so draws in slices equal one draw.
     """
-    return (r[..., 0, :, :] + 1j * r[..., 1, :, :]) / np.sqrt(2.0)
-
-
-def _ginibre(gen: np.random.Generator, d: int) -> np.ndarray:
-    """Complex Ginibre matrix with independent standard complex normal entries."""
-    return _ginibre_from_normals(gen.standard_normal((2, d, d)))
+    g = gen.standard_normal((m, d, d))
+    diag = np.arange(d)
+    g_jj = np.sqrt(0.5) * g[:, diag, diag]
+    g *= 0.5
+    s, k = np.triu(g, 1), np.tril(g, -1)
+    s += s.transpose(0, 2, 1)
+    k -= k.transpose(0, 2, 1)
+    s[:, diag, diag] = g_jj
+    return s, k
 
 
 def _gue_matrix(d: int, gen: np.random.Generator) -> np.ndarray:
-    """Raw GUE draw as an ndarray; Hermitian exactly by construction."""
-    z = _ginibre(gen, d)
-    return (z + z.conj().T) / 2.0
+    """One GUE draw as a complex ndarray; Hermitian exactly by construction."""
+    s, k = _gue_block(gen, 1, d)
+    return s[0] + 1j * k[0]
 
 
 def _gue_spectrum(gen: np.random.Generator, d: int) -> np.ndarray:
@@ -126,11 +131,16 @@ def _gue_spectrum(gen: np.random.Generator, d: int) -> np.ndarray:
     off-diagonal entries ``sqrt(chi^2_{2k}/4)`` for ``k = d-1, ..., 1``
     (Dumitriu & Edelman, J. Math. Phys. 43, 5830 (2002), at beta = 2).  So
     one draw costs ``2d - 1`` variates and one real eigensolve instead of
-    ``2 d^2`` variates and a complex one.
+    ``d^2`` variates and a complex one.
     """
     diag = np.sqrt(0.5) * gen.standard_normal(d)
     off = np.sqrt(gen.chisquare(2.0 * np.arange(d - 1, 0, -1)) / 4.0)
     return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+
+
+def _gue_spectra(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
+    """``(m, d)`` tridiagonal spectra drawn one after another from ``gen``."""
+    return np.stack([_gue_spectrum(gen, d) for _ in range(m)])
 
 
 def sample_gue(spec: GueSpec, rng: RngStream) -> np.ndarray:
@@ -138,20 +148,18 @@ def sample_gue(spec: GueSpec, rng: RngStream) -> np.ndarray:
     return _gue_matrix(spec.dim, rng.generator())
 
 
-def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a Ginibre matrix or a stack of them.
-
-    QR of a complex Ginibre matrix; fixing the phases of R's diagonal to be
-    positive makes the distribution exactly Haar.  A stack is factored
-    matrix by matrix, so each unitary is bit-identical to its own 2-D call.
-    """
-    q, r = np.linalg.qr(z)
+def _haar_block(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
+    """``m`` Haar unitaries: QR of Ginibre matrices ``(a + ib)/sqrt(2)``, each
+    from one ``(2, d, d)`` draw, with R's diagonal phases made positive.  The
+    stacked QR factors matrix by matrix, so no unitary depends on its block."""
+    g = gen.standard_normal((m, 2, d, d))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
 
 
 def _haar_unitary(d: int, gen: np.random.Generator) -> np.ndarray:
-    return _haar_from_ginibre(_ginibre(gen, d))
+    return _haar_block(gen, 1, d)[0]
 
 
 def sample_haar_unitary(d: int, rng: RngStream) -> np.ndarray:
@@ -161,15 +169,8 @@ def sample_haar_unitary(d: int, rng: RngStream) -> np.ndarray:
     return _haar_unitary(d, rng.generator())
 
 
-def _haar_ginibre(gen: np.random.Generator, m1: np.ndarray, *_) -> np.ndarray:
-    """Per-sample draw of the Haar moments: the raw normals of one Ginibre
-    matrix of m1's dimension.  Assembly, QR and products run per block."""
-    d = m1.shape[0]
-    return gen.standard_normal((2, d, d))
-
-
-def _haar_second_batch(r: np.ndarray, xm: np.ndarray) -> np.ndarray:
-    u = _haar_from_ginibre(_ginibre_from_normals(r))
+def _haar_second_block(gen: np.random.Generator, m: int, xm: np.ndarray) -> np.ndarray:
+    u = _haar_block(gen, m, xm.shape[0])
     return u @ xm @ np.swapaxes(u.conj(), -1, -2)
 
 
@@ -180,8 +181,7 @@ def haar_second_moment(x, n_samples: int, rng: RngStream
     Returns ``(mean, stderr)`` with an entrywise standard error; the exact
     average is ``tr(X) 1/d`` (see :func:`haar_second_moment_exact`).
     """
-    samples = _pool.gather_samples(_haar_ginibre, n_samples, rng, 1, as_matrix(x),
-                                   batch_fn=_haar_second_batch)
+    samples = _pool.gather_samples(_haar_second_block, n_samples, rng, 1, as_matrix(x))
     est = EnsembleEstimate.from_samples(samples, rng.master_seed)
     return est.mean, est.stderr
 
@@ -192,9 +192,9 @@ def haar_second_moment_exact(x) -> np.ndarray:
     return np.trace(xm) / d * np.eye(d, dtype=complex)
 
 
-def _haar_fourth_batch(r: np.ndarray, m1: np.ndarray, m2: np.ndarray,
-                       m3: np.ndarray) -> np.ndarray:
-    u = _haar_from_ginibre(_ginibre_from_normals(r))
+def _haar_fourth_block(gen: np.random.Generator, m: int, m1: np.ndarray,
+                       m2: np.ndarray, m3: np.ndarray) -> np.ndarray:
+    u = _haar_block(gen, m, m1.shape[0])
     udag = np.swapaxes(u.conj(), -1, -2)
     return u @ m1 @ udag @ m2 @ u @ m3 @ udag
 
@@ -206,8 +206,7 @@ def haar_fourth_moment(x1, x2, x3, n_samples: int, rng: RngStream
     d = m1.shape[0]
     if not (m2.shape[0] == m3.shape[0] == d):
         raise ValueError("operators must share one dimension")
-    samples = _pool.gather_samples(_haar_ginibre, n_samples, rng, 1, m1, m2, m3,
-                                   batch_fn=_haar_fourth_batch)
+    samples = _pool.gather_samples(_haar_fourth_block, n_samples, rng, 1, m1, m2, m3)
     est = EnsembleEstimate.from_samples(samples, rng.master_seed)
     return est.mean, est.stderr
 
@@ -245,8 +244,10 @@ def gue_level_density(v, d: int):
     return rho if rho.ndim else float(rho)
 
 
-def _trace_square_sample(gen: np.random.Generator, d: int) -> float:
-    return float(np.trace(_gue_matrix(d, gen)).real) ** 2
+def _trace_square_block(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
+    traces = [np.trace(_gue_block(gen, hi - lo, d)[0], axis1=1, axis2=2)
+              for lo, hi in _pool.row_slices(m, d * d)]
+    return np.concatenate(traces) ** 2
 
 
 def gue_trace_square_mc(d: int, n_samples: int, rng: RngStream) -> EnsembleEstimate:
@@ -257,5 +258,5 @@ def gue_trace_square_mc(d: int, n_samples: int, rng: RngStream) -> EnsembleEstim
     integral is summed, and the decoherence-rate suite adjudicates between
     them empirically instead of hard-coding either.
     """
-    vals = _pool.gather_samples(_trace_square_sample, n_samples, rng, 1, d)
+    vals = _pool.gather_samples(_trace_square_block, n_samples, rng, 1, d)
     return EnsembleEstimate.from_samples(vals, rng.master_seed)

@@ -86,22 +86,27 @@ def log_laguerre_l(n: int, alpha: float, x: float) -> float:
     """``log L_n^(alpha)(x)`` for ``x <= 0``.
 
     All recurrence terms are positive in this range, so the running pair is
-    renormalized whenever it grows large and the result is exact to roundoff.
+    renormalized before a step, which multiplies by up to ``2n - 1 + alpha - x``,
+    could overflow; the result is exact to roundoff.  A non-finite ``x``
+    raises ``NumericalError``.
     """
     if x > 0:
         raise ValueError("log-scaled form requires x <= 0")
+    if not math.isfinite(x):
+        raise NumericalError(f"log_laguerre_l needs a finite x, got {x}")
     if n < 0:
         raise ValueError("degree must be nonnegative for the log form")
     if n == 0:
         return 0.0
+    cap = min(_LOG_SCALE_CAP, 1e300 / (2 * n + alpha - x))
     prev, cur = 1.0, 1.0 + alpha - x
     shift = 0.0
     for m in range(2, n + 1):
-        prev, cur = cur, ((2 * m - 1 + alpha - x) * cur - (m - 1 + alpha) * prev) / m
-        if cur > _LOG_SCALE_CAP:
+        if cur > cap:
             prev /= cur
             shift += math.log(cur)
             cur = 1.0
+        prev, cur = cur, ((2 * m - 1 + alpha - x) * cur - (m - 1 + alpha) * prev) / m
     return math.log(cur) + shift
 
 

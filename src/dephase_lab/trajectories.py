@@ -14,10 +14,11 @@ Integration is Euler-Maruyama (weak order 1); the Monte-Carlo error
 dominates the discretization error at the ensemble sizes used here.  Exact
 Ito dynamics preserves the norm as a martingale, so the O(dt) discretization
 drift is removed by renormalizing after each step (a switch exists to watch
-the drift instead).  Trajectory ``i`` draws its increments from substream
-``i`` of one :class:`RngStream` through the sample engine in ``_pool``; one
-stepping loop evolves a single trajectory or the whole ensemble as a batch
-of row states, so results depend only on the stream and the configuration.
+the drift instead).  The trajectories of block ``b`` of the sample engine in
+``_pool`` draw their increments from substream ``b`` of one
+:class:`RngStream`; one stepping loop evolves a single trajectory or the
+whole ensemble as a batch of row states, so results depend only on the
+stream and the configuration.
 """
 
 from __future__ import annotations
@@ -77,14 +78,14 @@ def _start(h0: np.ndarray | None, channels: list[LindbladChannel],
     return (None if h0 is None else np.asarray(h0)), psi0
 
 
-def _wiener_sample(gen: np.random.Generator, steps: int, n_channels: int,
-                   dt: float) -> np.ndarray:
-    """One trajectory's Wiener increments, shape (steps, n_channels)."""
-    return gen.normal(0.0, math.sqrt(dt), size=(steps, n_channels))
+def _wiener_block(gen: np.random.Generator, m: int, steps: int,
+                  n_channels: int, dt: float) -> np.ndarray:
+    """Wiener increments of ``m`` trajectories, shape (m, steps, n_channels)."""
+    return gen.normal(0.0, math.sqrt(dt), size=(m, steps, n_channels))
 
 
-# Old name of the per-sample function, still wrapped by perfbench/tracer.py.
-_batch_worker = _wiener_sample
+# Old name of the block function, still wrapped by perfbench/tracer.py.
+_batch_worker = _wiener_block
 
 
 def _em_states(h0: np.ndarray | None, channels: list[LindbladChannel],
@@ -120,15 +121,14 @@ def sse_trajectory(h0: np.ndarray | None, channels: list[LindbladChannel],
                    stream: RngStream) -> np.ndarray:
     """One Euler-Maruyama trajectory; returns states of shape (steps+1, d).
 
-    Draws from substream 0 of ``stream``, so it is trajectory 0 of
-    :func:`average_trajectories` on the same stream.  With
+    Draws from substream 0 of ``stream`` as the first row of a block, so it
+    is trajectory 0 of :func:`average_trajectories` on the same stream.  With
     ``cfg.renormalize`` the returned states have unit norm at every step.
     """
     h0, vec = _start(h0, channels, psi0, cfg)
-    dw = _wiener_sample(stream.sample_generator(0), cfg.steps, len(channels),
-                        cfg.dt)
-    return np.concatenate(list(_em_states(h0, channels, vec[None, :],
-                                          dw[None], cfg)))
+    dw = _wiener_block(stream.sample_generator(0), 1, cfg.steps, len(channels),
+                       cfg.dt)
+    return np.concatenate(list(_em_states(h0, channels, vec[None, :], dw, cfg)))
 
 
 @dataclass(frozen=True)
@@ -155,14 +155,14 @@ def average_trajectories(h0: np.ndarray | None, channels: list[LindbladChannel],
                          rng: RngStream) -> TrajectoryAverage:
     """Noise average of the trajectory outer products.
 
-    Trajectory ``i`` draws from substream ``i`` of ``rng``.  The result is an
-    estimator of the dephasing master-equation solution; its deviation is
-    bounded by Monte-Carlo noise O(1/sqrt(N)) plus the O(dt) weak
-    discretization error.
+    Block ``b`` of the sample engine draws its trajectories from substream
+    ``b`` of ``rng``.  The result is an estimator of the dephasing
+    master-equation solution; its deviation is bounded by Monte-Carlo noise
+    O(1/sqrt(N)) plus the O(dt) weak discretization error.
     """
     h0, vec = _start(h0, channels, psi0, cfg)
     n = cfg.n_trajectories
-    dw = _pool.gather_samples(_wiener_sample, n, rng, 1, cfg.steps,
+    dw = _pool.gather_samples(_wiener_block, n, rng, 1, cfg.steps,
                               len(channels), cfg.dt)
     d = vec.shape[0]
     sum_outer = np.empty((cfg.steps + 1, d, d), dtype=complex)

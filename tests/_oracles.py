@@ -3,9 +3,10 @@
 These deliberately take independent routes from the library code:
 quadrature over the exact finite-d eigenvalue correlations instead of
 sampling, direct summations instead of recurrences, and the raw polynomial
-recurrences that the library replaces by scaled forms.  The one exception is
-``laguerre_ratio_chain``: the library's earlier form of the same recurrence,
-kept as the reference that the tight loop must reproduce bit for bit.
+recurrences that the library replaces by scaled forms.  The exceptions are
+``laguerre_ratio_chain`` and ``log_laguerre_reference``: the library's
+earlier forms of the same recurrences, kept as the references that the
+current loops must reproduce bit for bit.
 """
 
 import math
@@ -135,6 +136,23 @@ def laguerre_l(n: int, alpha: float, x: float) -> float:
     for m in range(2, n + 1):
         prev, cur = cur, ((2 * m - 1 + alpha - x) * cur - (m - 1 + alpha) * prev) / m
     return cur
+
+
+def log_laguerre_reference(n: int, alpha: float, x: float) -> float:
+    """The library's earlier ``log_laguerre_l`` loop, which renormalizes
+    after each step at a fixed cap: the reference its guarded form must
+    reproduce bit for bit wherever no step can overflow."""
+    if n == 0:
+        return 0.0
+    prev, cur = 1.0, 1.0 + alpha - x
+    shift = 0.0
+    for m in range(2, n + 1):
+        prev, cur = cur, ((2 * m - 1 + alpha - x) * cur - (m - 1 + alpha) * prev) / m
+        if cur > _LOG_SCALE_CAP:
+            prev /= cur
+            shift += math.log(cur)
+            cur = 1.0
+    return math.log(cur) + shift
 
 
 def laguerre_ratio_chain(d: int, x: float) -> tuple[float, float, float]:

@@ -36,7 +36,7 @@ class TestRateGue:
         assert run_cli(["rate-gue", "--dims", "2,4", "--samples", "200",
                         "--seed", "5", "-o", str(out)]) == 0
         comments, header, rows = read_csv(str(out))
-        assert comments[0] == "# dephase-lab schema v3"
+        assert comments[0] == "# dephase-lab schema v4"
         assert header == ["d", "gamma", "rate_haar", "rate_wick", "rate_mc_mean",
                           "rate_mc_stderr", "n_samples", "seed"]
         assert len(rows) == 2
@@ -305,12 +305,17 @@ def test_non_finite_beta_among_finite_ones_exit_2(tmp_path, capsys):
     ["crossover", "--n-max", "1000"],       # rate_gue at d = 2**512 is inf
     ["crossover", "--n-max", "1100"],       # float(2**1024) overflows
     ["tfd", "--formula-only", "--beta-list", "1e-300"],  # beta**2 is 0.0
+    # Monte-Carlo samples that overflow: 2 gamma var V, 4 gamma var H.
+    ["rate-gue", "--dims", "1,64", "--samples", "10", "--gamma", "1e307"],
+    ["tfd", "--n-qubits", "2", "--samples", "10", "--gamma", "1e308"],
 ])
 def test_non_finite_results_exit_3_without_a_row(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     assert run_cli([*argv, "-o", str(out)]) == 3
     captured = capsys.readouterr()
-    assert "numerical failure" in captured.err and captured.out == ""
+    # One line on stderr: no floating-point warning leaks before it.
+    assert captured.err.startswith("numerical failure")
+    assert captured.err.count("\n") == 1 and captured.out == ""
     assert not out.exists()
 
 

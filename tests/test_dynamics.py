@@ -227,14 +227,16 @@ class TestEnsemblePurity:
             assert curve.purity.mean[0] == alone.purity.mean[0] == 1.0
 
     def test_rows_match_per_spectrum_reference(self):
-        # Sample i is the spectrum of substream i, evaluated per beta by
-        # the reference double sum.
+        # The six samples are the first six spectra drawn one after another
+        # from substream 0 (block 0), evaluated per beta by the reference
+        # double sum.
         from _oracles import purity_double_sum
         grid = np.array([0.0, 0.5, 4.0])
         betas = [0.0, 1.0]
         rng = RngStream(45, 5)
         curves = ensemble_purity_tfd(3, betas, 1.0, grid, 6, rng)
-        spectra = [_gue_spectrum(rng.sample_generator(i), 8) for i in range(6)]
+        gen = rng.sample_generator(0)
+        spectra = [_gue_spectrum(gen, 8) for _ in range(6)]
         for beta, curve in zip(betas, curves):
             ref = np.array([[purity_double_sum(build_tfd(e, beta), t) for t in grid]
                             for e in spectra])
@@ -311,11 +313,12 @@ class TestAnnealing:
 
     def test_betas_share_one_draw_per_sample(self):
         # Every beta reads the same n spectra, and each value equals the one
-        # computed from that sample's own substream, draw by draw.
+        # computed from block 0's substream, draw by draw.
         betas, d, n = (0.25, 0.5, 1.0), 6, 5
         rng = RngStream(46, 4)
         checks = annealing_check(betas, d, n, rng)
-        spectra = [_gue_spectrum(rng.sample_generator(i), d) for i in range(n)]
+        gen = rng.sample_generator(0)
+        spectra = [_gue_spectrum(gen, d) for _ in range(n)]
         for beta, chk in zip(betas, checks):
             rows = []
             for energies in spectra:

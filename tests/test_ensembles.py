@@ -5,7 +5,8 @@ import pytest
 
 from _oracles import dense_gue_spectrum
 from dephase_lab.ensembles import (EnsembleEstimate, GueSpec, RngStream,
-                                   _gue_matrix, _gue_spectrum, gue_level_density,
+                                   _gue_block, _gue_matrix, _gue_spectrum,
+                                   gue_level_density,
                                    gue_trace_square_mc, haar_fourth_moment,
                                    haar_fourth_moment_exact, haar_second_moment,
                                    haar_second_moment_exact, sample_gue,
@@ -40,25 +41,28 @@ class TestGueSampling:
         m = sample_gue(GueSpec(16), RngStream(1, 0))
         assert (m == m.conj().T).all()
 
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_block_entries_follow_the_normals(self, d):
+        # Entry by entry from the d^2 normals of each matrix, in draw order.
+        g = RngStream(3, 1).generator().standard_normal((40, d, d))
+        s, k = _gue_block(RngStream(3, 1).generator(), 40, d)
+        want_s, want_k = np.zeros_like(g), np.zeros_like(g)
+        for j in range(d):
+            want_s[:, j, j] = math.sqrt(0.5) * g[:, j, j]
+            for l in range(j + 1, d):
+                want_s[:, j, l] = want_s[:, l, j] = g[:, j, l] / 2
+                want_k[:, j, l], want_k[:, l, j] = -g[:, l, j] / 2, g[:, l, j] / 2
+        assert s.tobytes() == want_s.tobytes() and k.tobytes() == want_k.tobytes()
+
     def test_scalar_variance(self):
         # d = 1: weight exp(-x^2) means variance 1/2.
-        rng = RngStream(2, 0)
-        vals = np.array([_gue_matrix(1, rng.sample_generator(i))[0, 0].real
-                         for i in range(4000)])
+        vals = _gue_block(RngStream(2, 0).generator(), 4000, 1)[0][:, 0, 0]
         second = vals ** 2
         se = second.std(ddof=1) / math.sqrt(len(vals))
         assert abs(second.mean() - 0.5) <= 3 * se
 
     def test_trace_square_normalization(self):
-        # <tr X^2>/d^2 -> 1/2 at d = 8 over 1e4 draws.
-        d = 8
-        rng = RngStream(3, 0)
-        vals = np.empty(10_000)
-        for i in range(vals.size):
-            m = _gue_matrix(d, rng.sample_generator(i))
-            vals[i] = np.sum(np.abs(m) ** 2).real / d ** 2
-        se = vals.std(ddof=1) / math.sqrt(vals.size)
-        assert abs(vals.mean() - 0.5) <= 3 * se
+        assert _trace_square_ok(_gue_block)
 
     def test_eigenvalue_histogram_semicircle_d256(self):
         d = 256
@@ -75,20 +79,46 @@ class TestGueSampling:
         assert l1 <= 0.05
 
     def test_pooled_histogram_matches_level_density_d64(self):
-        # 1e5 pooled eigenvalues at d = 64 against the exact finite-d
-        # density, rescaled spectral units, bin width 0.1: L1 below 0.02.
-        d = 64
-        rng = RngStream(5, 0)
-        n_mat = 10 ** 5 // d
-        evs = np.concatenate([np.linalg.eigvalsh(_gue_matrix(d, rng.sample_generator(i)))
-                              for i in range(n_mat)])
-        scale = math.sqrt(2 * d)
-        edges = np.arange(-1.3, 1.3001, 0.1)
-        hist, _ = np.histogram(evs / scale, bins=edges, density=True)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        model = gue_level_density(mid * scale, d) * scale / d
-        l1 = float(np.sum(np.abs(hist - model)) * 0.1)
-        assert l1 <= 0.02
+        assert _level_density_l1(_gue_block) <= 0.02
+
+    def test_planted_off_diagonal_variance_fails_the_law_tests(self):
+        # Real and imaginary off-diagonal parts of variance 1/2 instead of
+        # 1/4: <tr X^2> is 15 d^2/16 at d = 8, and the spectrum spreads.
+        assert not _trace_square_ok(_planted_gue_block)
+        assert _level_density_l1(_planted_gue_block) > 0.2
+
+
+def _planted_gue_block(gen, m, d):
+    """``_gue_block`` with every off-diagonal entry scaled by sqrt(2)."""
+    s, k = _gue_block(gen, m, d)
+    off = ~np.eye(d, dtype=bool)
+    return np.where(off, math.sqrt(2.0) * s, s), math.sqrt(2.0) * k
+
+
+def _trace_square_ok(block) -> bool:
+    """<tr X^2>/d^2 within 3 stderr of 1/2 at d = 8 over 1e4 draws."""
+    d = 8
+    s, k = block(RngStream(3, 0).generator(), 10_000, d)
+    vals = (s * s + k * k).sum(axis=(1, 2)) / d ** 2
+    se = vals.std(ddof=1) / math.sqrt(vals.size)
+    return bool(abs(vals.mean() - 0.5) <= 3 * se)
+
+
+def _level_density_l1(block) -> float:
+    """L1 distance of about 1e5 pooled eigenvalues at d = 64 from the exact
+    finite-d density, in rescaled spectral units with bin width 0.1."""
+    d = 64
+    gen = RngStream(5, 0).generator()
+    evs = []
+    for _ in range(10 ** 5 // d // 64):
+        s, k = block(gen, 64, d)
+        evs.append(np.linalg.eigvalsh(s + 1j * k).ravel())
+    scale = math.sqrt(2 * d)
+    edges = np.arange(-1.3, 1.3001, 0.1)
+    hist, _ = np.histogram(np.concatenate(evs) / scale, bins=edges, density=True)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    model = gue_level_density(mid * scale, d) * scale / d
+    return float(np.sum(np.abs(hist - model)) * 0.1)
 
 
 def _spectra(draw, d, n, rng):

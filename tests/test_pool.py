@@ -1,11 +1,14 @@
 import concurrent.futures
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from _oracles import haar_fourth_sample, haar_second_sample
-from dephase_lab import _pool, ensembles
+from dephase_lab import _pool, ensembles, rates
 from dephase_lab.dynamics import annealing_check, ensemble_purity_tfd
+from dephase_lab.exceptions import NumericalError
 from dephase_lab.ensembles import (EnsembleEstimate, RngStream,
                                    gue_trace_square_mc, haar_fourth_moment,
                                    haar_second_moment)
@@ -13,33 +16,37 @@ from dephase_lab.rates import PAULI, LindbladChannel, rate_gue_mc
 from dephase_lab.trajectories import TrajectoryConfig, average_trajectories
 
 
-def _first_normals(gen, k):
-    return gen.standard_normal(k)
+def _first_normals(gen, m, k):
+    return gen.standard_normal((m, k))
 
 
-def _complex_scalar(gen):
-    return complex(gen.standard_normal(), gen.standard_normal())
+def _complex_scalars(gen, m):
+    return gen.standard_normal(m) + 1j * gen.standard_normal(m)
 
 
-def _uint32_then_normals(gen, k):
-    # One 32-bit draw leaves half a 64-bit word cached and the Philox buffer
-    # part used, so the next index sees both unless the engine resets them.
-    return np.concatenate([[float(gen.integers(2 ** 32, dtype=np.uint32))],
-                           gen.standard_normal(k)])
+def _uint32_then_normals(gen, m, k):
+    # One 32-bit draw per row leaves half a 64-bit word cached and the
+    # Philox buffer part used: the next row sees both, the next block must
+    # see neither.
+    return np.stack([np.concatenate([[float(gen.integers(2 ** 32, dtype=np.uint32))],
+                                     gen.standard_normal(k)])
+                     for _ in range(m)])
 
 
-def _row_sums_and_block_size(block, k):
-    return np.column_stack([block.sum(axis=1), np.full(len(block), len(block))])
-
-
-def _row_sums(block, k):
-    return block.sum(axis=1)
+def _row_sums_and_block_size(gen, m, k):
+    return np.column_stack([gen.standard_normal((m, k)).sum(axis=1), np.full(m, m)])
 
 
 def _jumped(rng, i):
     """Reference substream: the Philox jump API, independent of the engine."""
     key = np.array([rng.master_seed, rng.stream_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key).jumped(i))
+
+
+def _blocks(n):
+    """``(b, lo, hi)`` of every block of an ``n``-sample run."""
+    B = _pool._BLOCK
+    return [(b, lo, min(lo + B, n)) for b, lo in enumerate(range(0, n, B))]
 
 
 _INDICES = [0, 1, 1023, 1024, 1025, 2 ** 40]
@@ -49,8 +56,8 @@ class TestSubstreams:
     @pytest.mark.parametrize("i", _INDICES)
     def test_sample_generator_is_the_jumped_stream(self, i):
         rng = RngStream(7, 2)
-        got = _uint32_then_normals(rng.sample_generator(i), 5)
-        assert got.tobytes() == _uint32_then_normals(_jumped(rng, i), 5).tobytes()
+        got = _uint32_then_normals(rng.sample_generator(i), 2, 5)
+        assert got.tobytes() == _uint32_then_normals(_jumped(rng, i), 2, 5).tobytes()
 
     def test_sample_generator_is_fresh_per_call(self):
         rng = RngStream(7, 2)
@@ -58,38 +65,45 @@ class TestSubstreams:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_engine_reuse_matches_the_jumped_streams(self, workers):
+        # Block b is the jumped stream b, whatever chunk or worker draws it.
         rng = RngStream(7, 2)
-        got = _pool.gather_samples(_uint32_then_normals, 1026, rng, workers, 5)
-        for i in _INDICES[:-1]:
-            want = _uint32_then_normals(_jumped(rng, i), 5)
-            assert got[i].tobytes() == want.tobytes()
+        n = 3 * _pool._BLOCK + 2
+        got = _pool.gather_samples(_uint32_then_normals, n, rng, workers, 5)
+        for b, lo, hi in _blocks(n):
+            want = _uint32_then_normals(_jumped(rng, b), hi - lo, 5)
+            assert got[lo:hi].tobytes() == want.tobytes()
 
     def test_engine_reuse_at_a_large_index(self):
         rng = RngStream(7, 2)
-        start = 2 ** 40 - 2
-        got = _pool._sample_chunk((_uint32_then_normals, None, rng, start,
-                                   start + 4, (5,)))
-        for k in range(4):
-            want = _uint32_then_normals(_jumped(rng, start + k), 5)
-            assert got[k].tobytes() == want.tobytes()
+        b0 = 2 ** 40 - 1
+        n = (b0 + 2) * _pool._BLOCK - 3
+        got = _pool._block_chunk((_uint32_then_normals, rng, n, b0, b0 + 2, (5,)))
+        assert got.shape == (2 * _pool._BLOCK - 3, 6)
+        for j in range(2):
+            m = _pool._BLOCK - 3 * j
+            want = _uint32_then_normals(_jumped(rng, b0 + j), m, 5)
+            assert got[j * _pool._BLOCK:][:m].tobytes() == want.tobytes()
 
 
 class TestGatherSamples:
-    def test_stacks_one_substream_per_index(self):
+    def test_stacks_one_substream_per_block(self):
         rng = RngStream(7, 2)
-        got = _pool.gather_samples(_first_normals, 5, rng, 1, 3)
-        assert got.shape == (5, 3)
-        for i in range(5):
-            assert (got[i] == rng.sample_generator(i).standard_normal(3)).all()
+        n = 2 * _pool._BLOCK + 5
+        got = _pool.gather_samples(_first_normals, n, rng, 1, 3)
+        assert got.shape == (n, 3)
+        for b, lo, hi in _blocks(n):
+            want = rng.sample_generator(b).standard_normal((hi - lo, 3))
+            assert got[lo:hi].tobytes() == want.tobytes()
 
     def test_worker_count_does_not_change_the_stack(self):
         rng = RngStream(7, 2)
-        one = _pool.gather_samples(_first_normals, 11, rng, 1, 2)
-        two = _pool.gather_samples(_first_normals, 11, rng, 2, 2)
+        n = 3 * _pool._BLOCK + 11
+        one = _pool.gather_samples(_first_normals, n, rng, 1, 2)
+        two = _pool.gather_samples(_first_normals, n, rng, 2, 2)
         assert one.tobytes() == two.tobytes()
 
     def test_keeps_the_sample_dtype(self):
-        got = _pool.gather_samples(_complex_scalar, 4, RngStream(1), 1)
+        got = _pool.gather_samples(_complex_scalars, 4, RngStream(1), 1)
         assert got.shape == (4,) and got.dtype == complex
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -97,24 +111,69 @@ class TestGatherSamples:
         with pytest.raises(ValueError, match="at least two samples"):
             _pool.gather_samples(_first_normals, n, RngStream(1), 1, 2)
 
-    def test_batch_fn_maps_each_block(self):
+    def test_block_fn_maps_each_block(self):
         rng = RngStream(7, 3)
         n = _pool._BLOCK + 5
         plain = _pool.gather_samples(_first_normals, n, rng, 1, 4)
-        got = _pool.gather_samples(_first_normals, n, rng, 1, 4,
-                                   batch_fn=_row_sums_and_block_size)
+        got = _pool.gather_samples(_row_sums_and_block_size, n, rng, 1, 4)
         assert got.shape == (n, 2)
         assert got[:, 0].tobytes() == plain.sum(axis=1).tobytes()
         assert (got[:_pool._BLOCK, 1] == _pool._BLOCK).all()
         assert (got[_pool._BLOCK:, 1] == 5).all()
 
-    def test_batch_fn_rows_do_not_depend_on_workers(self):
-        rng = RngStream(7, 3)
-        n = _pool._BLOCK + 5
-        one = _pool.gather_samples(_first_normals, n, rng, 1, 4, batch_fn=_row_sums)
-        two = _pool.gather_samples(_first_normals, n, rng, 2, 4, batch_fn=_row_sums)
-        assert one.shape == (n,)
-        assert one.tobytes() == two.tobytes()
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rows_are_a_numerical_failure(self, bad):
+        with pytest.raises(NumericalError, match="not finite"):
+            _pool.gather_samples(_with_one_value, 2 * _pool._BLOCK, RngStream(1),
+                                 1, bad)
+
+    def test_block_functions_run_without_float_warnings(self):
+        # 1e308 * 10 overflows; the engine reports the inf it leaves behind.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                _pool.gather_samples(_scaled_normals, 10, RngStream(1), 1, 1e308)
+
+
+def _with_one_value(gen, m, value):
+    rows = gen.standard_normal(m)
+    rows[-1] = value
+    return rows
+
+
+def _scaled_normals(gen, m, scale):
+    return scale * (10.0 + np.abs(gen.standard_normal(m)))
+
+
+class TestRowSlices:
+    @pytest.mark.parametrize("m,row_size", [(256, 4), (256, 64), (256, 4096),
+                                            (5, 1 << 15), (1, 1)])
+    def test_slices_tile_the_block_within_the_budget(self, m, row_size):
+        pieces = _pool.row_slices(m, row_size)
+        assert pieces[0][0] == 0 and pieces[-1][1] == m
+        assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+        assert all(hi - lo == 1 or (hi - lo) * row_size <= _pool._SLICE
+                   for lo, hi in pieces)
+
+    @pytest.mark.parametrize("d", [1, 7])
+    def test_gue_block_drawn_in_slices_equals_one_draw(self, d):
+        rng = RngStream(9, 1)
+        s, k = ensembles._gue_block(rng.sample_generator(0), 100, d)
+        gen = rng.sample_generator(0)
+        parts = [ensembles._gue_block(gen, m, d) for m in (13, 40, 47)]
+        assert s.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+        assert k.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+
+    @pytest.mark.parametrize("slice_size", [1, 16 * 16 * 7, 1 << 20])
+    def test_rates_do_not_depend_on_the_slice_size(self, monkeypatch, slice_size):
+        psi = np.exp(1j * np.arange(16.0)) / 4.0
+        rng = RngStream(9, 2)
+        want = _pool.gather_samples(rates._rate_gue_block, 300, rng, 1, 16, 1.0,
+                                    psi)
+        monkeypatch.setattr(_pool, "_SLICE", slice_size)
+        got = _pool.gather_samples(rates._rate_gue_block, 300, rng, 1, 16, 1.0,
+                                   psi)
+        assert got.tobytes() == want.tobytes()
 
 
 class _RecordingExecutor:
@@ -162,15 +221,34 @@ class TestWorkerCap:
         assert executor.sizes == []
 
     def test_engine_chunks_follow_the_capped_count(self, executor):
+        # 2000 samples are 8 blocks: 4 workers, and at most one chunk a block.
         rng = RngStream(7, 2)
         got = _pool.gather_samples(_first_normals, 2000, rng, 1000, 2)
-        assert executor.sizes == [4] and executor.n_tasks == [16]
+        assert executor.sizes == [4] and executor.n_tasks == [8]
         assert got.tobytes() == _pool.gather_samples(_first_normals, 2000, rng,
                                                      1, 2).tobytes()
 
+    def test_workers_1_2_4_give_identical_stacks(self, executor):
+        n = 5 * _pool._BLOCK + 7
+        psi = np.exp(1j * np.arange(8.0)) / np.sqrt(8.0)
+        runs = {
+            "engine": lambda w: _pool.gather_samples(_uint32_then_normals, n,
+                                                     RngStream(7, 4), w, 3),
+            "rate_gue_mc": lambda w: np.array([*astuple(rate_gue_mc(
+                psi, 1.0, 8, n, RngStream(7, 5), workers=w))[:2]]),
+            "ensemble_purity_tfd": lambda w: np.array([c.purity.mean for c in
+                ensemble_purity_tfd(2, [0.0, 1.0], 1.0, np.array([0.0, 1.0]),
+                                    n, RngStream(7, 6), workers=w)]),
+        }
+        for name, run in runs.items():
+            stacks = [run(w).tobytes() for w in (1, 2, 4)]
+            assert stacks[0] == stacks[1] == stacks[2], name
+        assert executor.sizes == [2, 4] * len(runs)
+
 
 class TestBatchedHaar:
-    """The stacked QR and products against one 2-D draw per sample."""
+    """The stacked draw, QR and products against one 2-D draw per sample,
+    taken one after another from each block's substream."""
 
     n = 2 * _pool._BLOCK + 3
 
@@ -180,22 +258,25 @@ class TestBatchedHaar:
         a = gen.standard_normal((3, 3, 3)) + 1j * gen.standard_normal((3, 3, 3))
         return a + np.swapaxes(a.conj(), -1, -2)
 
+    def _per_sample(self, rng, sample, *ms):
+        rows = []
+        for b, lo, hi in _blocks(self.n):
+            gen = _jumped(rng, b)
+            rows += [sample(gen, *ms) for _ in range(hi - lo)]
+        return np.stack(rows)
+
     def test_second_moment_stack(self):
         xm = self._operators()[0]
         rng = RngStream(4, 101)
-        got = _pool.gather_samples(ensembles._haar_ginibre, self.n, rng, 1, xm,
-                                   batch_fn=ensembles._haar_second_batch)
-        want = np.stack([haar_second_sample(_jumped(rng, i), xm)
-                         for i in range(self.n)])
+        got = _pool.gather_samples(ensembles._haar_second_block, self.n, rng, 1, xm)
+        want = self._per_sample(rng, haar_second_sample, xm)
         assert got.tobytes() == want.tobytes()
 
     def test_fourth_moment_stack(self):
         ms = tuple(self._operators())
         rng = RngStream(4, 102)
-        got = _pool.gather_samples(ensembles._haar_ginibre, self.n, rng, 1, *ms,
-                                   batch_fn=ensembles._haar_fourth_batch)
-        want = np.stack([haar_fourth_sample(_jumped(rng, i), *ms)
-                         for i in range(self.n)])
+        got = _pool.gather_samples(ensembles._haar_fourth_block, self.n, rng, 1, *ms)
+        want = self._per_sample(rng, haar_fourth_sample, *ms)
         assert got.tobytes() == want.tobytes()
 
 

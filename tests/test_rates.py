@@ -4,7 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dephase_lab.ensembles import RngStream, _gue_matrix
+from dephase_lab import _pool, rates
+from dephase_lab.ensembles import RngStream, _gue_block, _gue_matrix
 from dephase_lab.hermitian import spectral_norm
 from dephase_lab.rates import (KBodySpec, LindbladChannel, PAULI, TbreSpec,
                                build_kbody_operator, build_tbre_hamiltonian,
@@ -135,6 +136,25 @@ class TestRateGueMc:
         a = rate_gue_mc(psi, 1.0, 4, 300, RngStream(31, 0))
         b = rate_gue_mc(psi, 1.0, 4, 300, RngStream(31, 0), workers=2)
         assert a.mean == b.mean and a.stderr == b.stderr
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_samples_are_the_rates_of_the_dense_draws(self, kind):
+        # The stacked real products (pure) and stacked traces (mixed) give
+        # decoherence_rate of each GUE matrix the blocks draw, in order.
+        d, n = 5, _pool._BLOCK + 40
+        gen = np.random.default_rng(3)
+        a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+        if kind == "pure":
+            state = a[0] / np.linalg.norm(a[0])
+        else:
+            state = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        rng = RngStream(31, 5)
+        got = _pool.gather_samples(rates._rate_gue_block, n, rng, 1, d, 0.7, state)
+        draws = [_gue_block(rng.sample_generator(b), m, d)
+                 for b, m in ((0, _pool._BLOCK), (1, 40))]
+        vs = np.concatenate([s + 1j * k for s, k in draws])
+        want = [decoherence_rate(state, [LindbladChannel(0.7, v)]) for v in vs]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_small_d_adjudication(self):
         # d = 2: the Wick value lies inside 3 stderr, the other form far out.

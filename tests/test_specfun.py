@@ -13,7 +13,8 @@ from dephase_lab.specfun import (_laguerre_ratio_chain, bessel_i_ratio_g,
                                  z_gue_exact, z_gue_semicircle)
 
 from _oracles import (hermite_h, laguerre_l, laguerre_ratio_chain,
-                      z_from_spectrum)
+                      log_laguerre_reference, z_from_spectrum)
+from dephase_lab.exceptions import NumericalError
 
 
 class TestHermite:
@@ -133,6 +134,33 @@ class TestLaguerre:
             with pytest.raises(ValueError) as want:
                 laguerre_ratio_chain(d, 0.5)
             assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n", [*range(0, 40), 254, 1023, 16383, 20000])
+    def test_log_form_is_bit_identical_at_ordinary_beta(self, n):
+        # The annealing check's betas, and the x = -8 that renormalizes
+        # from n of a few thousand on.
+        for x in (-0.25 ** 2 / 2.0, -0.5 ** 2 / 2.0, -8.0, 0.0):
+            for alpha in (0, 1, 2.5):
+                assert log_laguerre_l(n, alpha, x) == log_laguerre_reference(n, alpha, x)
+
+    @pytest.mark.parametrize("beta", [1e40, 1e100])
+    def test_log_form_at_huge_beta_against_mpmath(self, beta):
+        # A step multiplies by about beta^2/2, past the fixed cap's headroom.
+        x = -beta * beta / 2.0
+        with mpmath.workdps(40):
+            log_l = mpmath.log(mpmath.laguerre(15, 1, x))
+            want = float(beta * beta / 4.0 + log_l)
+            assert log_laguerre_l(15, 1, x) == pytest.approx(float(log_l), rel=1e-14)
+        assert z_gue_exact(beta, 16).log_value == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [-math.inf, math.nan])
+    def test_log_form_raises_on_a_non_finite_argument(self, x):
+        with pytest.raises(NumericalError, match="finite x"):
+            log_laguerre_l(15, 1, x)
+
+    def test_z_exact_raises_where_beta_squared_overflows(self):
+        with pytest.raises(NumericalError):
+            z_gue_exact(1e160, 16)
 
     def test_log_form_huge_degree(self):
         # Would overflow unscaled: values grow like exp(2 sqrt(n y)).

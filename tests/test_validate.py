@@ -15,17 +15,19 @@ def _checks_of(seeds, check):
 
 
 def test_streams_drawn_by_one_run_are_disjoint(monkeypatch):
-    # Every draw is recorded as (check, key, substreams): engine calls with
-    # their whole index range, direct generators with their one substream.
+    # Every draw is recorded as (check, kind, substreams): engine calls with
+    # the substream of every block they draw, direct generators with their
+    # one substream.
     draws = []
     current = []
     real_gather = _pool.gather_samples
     real_bit_generator = RngStream.bit_generator
 
-    def gather(sample_fn, n, rng, *args, **kwargs):
+    def gather(block_fn, n, rng, *args):
+        blocks = range(-(-n // _pool._BLOCK))
         draws.append((current[-1], "engine",
-                      {(rng.master_seed, rng.stream_index, i) for i in range(n)}))
-        return real_gather(sample_fn, n, rng, *args, **kwargs)
+                      {(rng.master_seed, rng.stream_index, b) for b in blocks}))
+        return real_gather(block_fn, n, rng, *args)
 
     def bit_generator(self, index=0):
         draws.append((current[-1], "direct",
@@ -59,10 +61,11 @@ def test_streams_drawn_by_one_run_are_disjoint(monkeypatch):
         for b in names[i + 1:]:
             assert not used[a] & used[b], f"{a} and {b} share a stream"
     # The two annealing betas read one set of draws, on purpose: common
-    # random numbers make their results comparable.
+    # random numbers make their results comparable.  Its 400 samples are
+    # two blocks.
     annealing = [s for name, kind, s in draws
                  if name == "_check_annealing" and kind == "engine"]
-    assert len(annealing) == 1 and len(annealing[0]) == 400
+    assert annealing == [{(8, validate._STREAMS["annealing"], b) for b in (0, 1)}]
 
 
 def test_annealing_check_passes_on_correct_code_and_fails_a_planted_bias(
