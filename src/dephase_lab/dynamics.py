@@ -32,6 +32,7 @@ every inverse temperature reads it, and every purity shares one pair kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -43,13 +44,13 @@ from .exceptions import StepSizeError
 from .hermitian import _gibbs_log_weights, as_matrix, as_state, spectral_norm
 from .ensembles import EnsembleEstimate, RngStream, _gue_spectra, _gue_spectrum
 from .rates import LindbladChannel
-from .specfun import gauss_hermite, rate_tfd_gue_exact
+from .specfun import rate_tfd_gue_exact
 
 __all__ = [
     "TfdSystem", "TfdDensity", "build_tfd", "evolve_tfd", "purity_tfd",
-    "purity_inf_tfd", "purity_tfd_hs", "rate_tfd", "ensemble_purity_tfd",
-    "TfdPurityCurve", "annealing_check", "AnnealingCheck",
-    "master_equation_rk4",
+    "purity_inf_tfd", "gauss_hermite", "purity_tfd_hs", "rate_tfd",
+    "ensemble_purity_tfd", "TfdPurityCurve", "annealing_check",
+    "AnnealingCheck", "master_equation_rk4",
 ]
 
 
@@ -175,6 +176,26 @@ def purity_tfd(sys: TfdSystem, t):
 def purity_inf_tfd(sys: TfdSystem) -> float:
     """Long-time purity plateau ``Z(2 beta)/Z(beta)^2``."""
     return float(np.sum(sys.weights ** 4))
+
+
+# Bounded, so at most 64 rules (32 KB each at the 2048-node cap) stay alive.
+@functools.lru_cache(maxsize=64)
+def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights (weight ``exp(-x^2)``) by Golub-Welsch.
+
+    Stable for any practical node count, unlike the power-basis route which
+    overflows near 400 nodes.  The rule is cached per node count (one dense
+    eigensolve each) and shared by every caller, so both arrays are
+    read-only: writing to them raises ``ValueError``.
+    """
+    if n < 1:
+        raise ValueError("need at least one node")
+    k = np.arange(1, n)
+    jac = np.diag(np.sqrt(k / 2.0), 1)
+    nodes, vecs = np.linalg.eigh(jac + jac.T)
+    weights = math.sqrt(math.pi) * vecs[0] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def purity_tfd_hs(sys: TfdSystem, t: float,

@@ -19,19 +19,19 @@ results are independent of how blocks are distributed over workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _pool
 from .hermitian import as_matrix
-from .specfun import _hermite_functions
 
 __all__ = [
     "RngStream", "GueSpec", "EnsembleEstimate", "sample_gue",
     "sample_haar_unitary", "haar_second_moment", "haar_second_moment_exact",
-    "haar_fourth_moment", "haar_fourth_moment_exact", "gue_level_density",
-    "gue_trace_square_mc",
+    "haar_fourth_moment", "haar_fourth_moment_exact", "hermite_phi",
+    "gue_level_density", "gue_trace_square_mc",
 ]
 
 
@@ -228,6 +228,27 @@ def haar_fourth_moment_exact(x1, x2, x3) -> np.ndarray:
     a = (d * t13 - t1 * t3) / den
     b = (d * t1 * t3 - t13) / den
     return a * np.trace(m2) * np.eye(d, dtype=complex) + b * m2
+
+
+def _hermite_functions(n: int, x):
+    """Yield ``phi_0(x), ..., phi_{n-1}(x)`` for a float array ``x``; n >= 1."""
+    phi_prev, phi = np.zeros_like(x), np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    yield phi
+    for m in range(n - 1):
+        # phi_{m+1} = x sqrt(2/(m+1)) phi_m - sqrt(m/(m+1)) phi_{m-1}
+        phi_prev, phi = phi, x * math.sqrt(2.0 / (m + 1)) * phi - math.sqrt(
+            m / (m + 1)) * phi_prev
+        yield phi
+
+
+def hermite_phi(l: int, x):
+    """Normalized Hermite function ``exp(-x^2/2) H_l(x) / sqrt(sqrt(pi) 2^l l!)``."""
+    if l < 0:
+        raise ValueError("degree must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    for phi in _hermite_functions(l + 1, x):
+        pass
+    return phi if phi.ndim else float(phi)
 
 
 def gue_level_density(v, d: int):

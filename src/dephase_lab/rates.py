@@ -12,16 +12,16 @@ For channels drawn from GUE two closed-form candidates exist for the
 fixed-pure-state average.  They differ only through the value assigned to
 the ensemble moment ``<(tr V)^2>``:
 
-* ``<(tr V)^2> = 0``   gives  ``Gamma d^2/(d+1)``   (:func:`rate_gue_haar`),
-* ``<(tr V)^2> = d/2`` gives  ``Gamma (d - 1)``     (:func:`rate_gue_wick`),
+* ``<(tr V)^2> = 0``   gives  ``Gamma d^2/(d+1)``   (``specfun.rate_gue_haar``),
+* ``<(tr V)^2> = d/2`` gives  ``Gamma (d - 1)``     (``specfun.rate_gue_wick``),
 
 where ``Gamma`` is the summed channel rate.  The two disagree by
 ``Gamma/(d+1)``, so :func:`rate_gue_mc` keeps an unbiased Monte-Carlo
 estimator around and the acceptance suite records which candidate the data
 selects rather than assuming one.
 
-Also here: diagonal k-body sigma^z-string operators with their
-norm-squared rate bounds and the GUE/k-body crossover scan, the
+Also here: diagonal k-body sigma^z-string operators (their norm-squared
+bounds and the crossover scan are scalar closed forms in ``specfun``), the
 two-body-random-ensemble (TBRE) bound, and the all-to-all Ising
 (Lipkin-Meshkov-Glick type) thermal rate.
 """
@@ -29,7 +29,7 @@ two-body-random-ensemble (TBRE) bound, and the all-to-all Ising
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -37,13 +37,12 @@ from . import _pool
 from .exceptions import DimensionMismatchError
 from .hermitian import _gibbs_log_weights, _modified_covariance, as_state
 from .ensembles import EnsembleEstimate, RngStream, _gue_block
+from .specfun import KBodySpec
 
 __all__ = [
-    "LindbladChannel", "KBodySpec", "TbreSpec", "decoherence_rate",
-    "rate_gue_haar", "rate_gue_wick", "rate_gue_mc", "build_kbody_operator",
-    "rate_kbody_bound", "calibrate_epsilon", "crossover_min_n",
-    "build_tbre_operator", "build_tbre_hamiltonian", "tbre_rate_and_bound",
-    "rate_lmg", "lmg_sector_spectrum",
+    "LindbladChannel", "TbreSpec", "decoherence_rate", "rate_gue_mc",
+    "build_kbody_operator", "build_tbre_operator", "build_tbre_hamiltonian",
+    "tbre_rate_and_bound", "rate_lmg", "lmg_sector_spectrum",
 ]
 
 PAULI = {
@@ -72,26 +71,6 @@ class LindbladChannel:
             raise ValueError(f"channel operator must be a vector or a square "
                              f"matrix, got shape {v.shape}")
         object.__setattr__(self, "v", v)
-
-
-@dataclass(frozen=True)
-class KBodySpec:
-    """All-to-all k-body sigma^z-string operator on n qubits, amplitude epsilon."""
-
-    n: int
-    k: int
-    epsilon: float = 1.0
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError("locality k must satisfy 1 <= k <= n")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-
-    @property
-    def norm(self) -> float:
-        """Spectral norm epsilon * C(n, k) (attained on the all-up state)."""
-        return self.epsilon * comb(self.n, self.k)
 
 
 @dataclass(frozen=True)
@@ -128,24 +107,6 @@ def decoherence_rate(rho0: np.ndarray, channels: list[LindbladChannel]) -> float
     for c in channels:
         acc += c.gamma * _modified_covariance(rho0, c.v, c.v).real
     return 2.0 * acc / p0
-
-
-def rate_gue_haar(d: int, total_gamma: float) -> float:
-    """Closed form ``Gamma d^2/(d+1)`` for a fixed pure state (vanishing
-    ``<(tr V)^2>`` variant)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return total_gamma * d * d / (d + 1.0)
-
-
-def rate_gue_wick(d: int, total_gamma: float, purity0: float = 1.0) -> float:
-    """Closed form ``Gamma (d - 1/P0)`` from entrywise Wick contractions
-    (``<(tr V)^2> = d/2`` variant); ``P0`` is the initial purity."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if not 0 < purity0 <= 1 + 1e-12:
-        raise ValueError("purity must lie in (0, 1]")
-    return total_gamma * (d - 1.0 / purity0)
 
 
 def _rate_gue_block(gen: np.random.Generator, m: int, d: int, gamma: float,
@@ -209,67 +170,6 @@ def build_kbody_operator(spec: KBodySpec) -> np.ndarray:
         for j in range(min(site + 1, k), 0, -1):
             e[j] = e[j] + s * e[j - 1]
     return spec.epsilon * e[k]
-
-
-def rate_kbody_bound(spec: KBodySpec, gamma: float, mode: str = "approx") -> float:
-    """State-independent upper bound on the k-body decoherence rate.
-
-    ``approx`` uses ``2 gamma eps^2 n^(2k)/(k!)^2`` (large-n form of the
-    squared-norm bound); ``exact-binomial`` uses ``2 gamma eps^2 C(n,k)^2``.
-    Both assume unit-norm string factors.
-    """
-    if mode == "approx":
-        return 2.0 * gamma * spec.epsilon ** 2 * float(spec.n) ** (2 * spec.k) \
-            / factorial(spec.k) ** 2
-    if mode == "exact-binomial":
-        return 2.0 * gamma * spec.epsilon ** 2 * comb(spec.n, spec.k) ** 2
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def calibrate_epsilon(n0: int, k: int, gamma: float, mode: str = "exact-binomial"
-                      ) -> float:
-    """Squared amplitude matching the GUE rate and the k-body bound at ``n0``.
-
-    Solves ``rate_gue_haar(2^n0) = rate_kbody_bound(n0, k, eps)`` for
-    ``eps^2``; the channel rate cancels.  The reference calibration
-    ``n0 = 1, k = 1`` gives ``eps^2 = 2/3`` in either mode.
-    """
-    if n0 < k:
-        raise ValueError("n0 must be at least k")
-    target = rate_gue_haar(2 ** n0, gamma)
-    unit = rate_kbody_bound(KBodySpec(n0, k, 1.0), gamma, mode)
-    return target / unit
-
-
-def crossover_min_n(k: int, epsilon_sq: float, mode: str = "approx",
-                    n_cap: int = 64) -> int | None:
-    """Smallest n past which the GUE rate exceeds the k-body bound for good.
-
-    The exponential ``Gamma d^2/(d+1)`` with ``d = 2^n`` overtakes the
-    polynomial bound permanently; this returns the first n of that final
-    regime.  Exact equality counts as not crossed, so the calibration point
-    itself never qualifies, and an isolated crossing at ``n = k`` (where the
-    binomial bound is trivially small) is ignored.  Returns ``None`` when no
-    permanent crossover exists below ``n_cap``.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if epsilon_sq <= 0:
-        raise ValueError("epsilon_sq must be positive")
-    eps = float(np.sqrt(epsilon_sq))
-    last_not_crossed = None
-    crossed_at_cap = False
-    for n in range(k, n_cap + 1):
-        gue = rate_gue_haar(2 ** n, 1.0)
-        bound = rate_kbody_bound(KBodySpec(n, k, eps), 1.0, mode)
-        if gue > bound:
-            crossed_at_cap = True
-        else:
-            last_not_crossed = n
-            crossed_at_cap = False
-    if not crossed_at_cap:
-        return None
-    return k if last_not_crossed is None else last_not_crossed + 1
 
 
 def _site_operator(n: int, site: int, alpha: str) -> np.ndarray:

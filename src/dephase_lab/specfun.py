@@ -1,11 +1,6 @@
-"""Special functions and closed-form partition-function / dephasing-rate formulas.
+"""Special functions and the closed-form rate formulas, in scalar ``math`` only,
+so the closed-form CLI commands never load numpy.  Contents:
 
-Contents:
-
-* Normalized Hermite functions
-  ``phi_l(x) = exp(-x^2/2) H_l(x) / sqrt(sqrt(pi) 2^l l!)`` by a three-term
-  recurrence carried on ``phi`` directly, so the values stay O(1) and no
-  overflow occurs up to degrees of a few thousand.
 * Generalized Laguerre polynomials ``L_n^(alpha)`` in log-scaled form for
   ``x <= 0``, where every recurrence term is positive.
 * The modified-Bessel ratio ``g(x) = I_2(x)/I_1(x)`` by a Gauss continued
@@ -20,6 +15,8 @@ Contents:
   formula ``8 gamma d [1 - 3 g(x)/x - g(x)^2]`` with ``x = sqrt(2 d) beta``,
   valid for dimensions as large as ``2**60``: beyond ``x = 50`` the bracket
   is one cancellation-free asymptotic series in ``1/x``.
+* The GUE-channel rates ``Gamma d^2/(d+1)`` and ``Gamma (d - 1/P0)`` (see
+  ``rates``), the k-body bounds, their calibration and the crossover scan.
 
 Conventions: hbar = 1; the GUE weight is ``exp(-tr X^2)``, so the
 semicircle support is ``[-sqrt(2 d), sqrt(2 d)]``.
@@ -27,11 +24,8 @@ semicircle support is ``[-sqrt(2 d), sqrt(2 d)]``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .exceptions import NumericalError
 
@@ -39,47 +33,6 @@ from .exceptions import NumericalError
 _G_CF_CUTOFF = 50.0
 _G_CF_TOL = 1e-14
 _LOG_SCALE_CAP = 1e250
-
-
-def _hermite_functions(n: int, x):
-    """Yield ``phi_0(x), ..., phi_{n-1}(x)`` for a float array ``x``; n >= 1."""
-    phi_prev, phi = np.zeros_like(x), np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    yield phi
-    for m in range(n - 1):
-        # phi_{m+1} = x sqrt(2/(m+1)) phi_m - sqrt(m/(m+1)) phi_{m-1}
-        phi_prev, phi = phi, x * math.sqrt(2.0 / (m + 1)) * phi - math.sqrt(
-            m / (m + 1)) * phi_prev
-        yield phi
-
-
-def hermite_phi(l: int, x):
-    """Normalized Hermite function ``exp(-x^2/2) H_l(x) / sqrt(sqrt(pi) 2^l l!)``."""
-    if l < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    for phi in _hermite_functions(l + 1, x):
-        pass
-    return phi if phi.ndim else float(phi)
-
-
-# Bounded, so at most 64 rules (32 KB each at the 2048-node cap) stay alive.
-@functools.lru_cache(maxsize=64)
-def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights (weight ``exp(-x^2)``) by Golub-Welsch.
-
-    Stable for any practical node count, unlike the power-basis route which
-    overflows near 400 nodes.  The rule is cached per node count (one dense
-    eigensolve each) and shared by every caller, so both arrays are
-    read-only: writing to them raises ``ValueError``.
-    """
-    if n < 1:
-        raise ValueError("need at least one node")
-    k = np.arange(1, n)
-    jac = np.diag(np.sqrt(k / 2.0), 1)
-    nodes, vecs = np.linalg.eigh(jac + jac.T)
-    weights = math.sqrt(math.pi) * vecs[0] ** 2
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
 
 
 def log_laguerre_l(n: int, alpha: float, x: float) -> float:
@@ -120,18 +73,24 @@ def _laguerre_ratio_chain(d: int, x: float) -> tuple[float, float, float]:
     cap, every value is divided by it, so the returned ratios
     ``f12 = L_{d-2}^(2)/L_{d-1}^(1)`` and ``f13 = L_{d-3}^(3)/L_{d-1}^(1)``
     never pass through an overflowing intermediate.  Also returns
-    ``log L_{d-1}^(1)(x)``.  Requires ``x <= 0``, where every term is
-    positive.
+    ``log L_{d-1}^(1)(x)``.  Requires a finite ``x <= 0``, where every term
+    is positive.  A step grows a value less than ``2d + 4 - x``-fold, so the
+    cap (``_LOG_SCALE_CAP`` up to ``|x| = 5e49``) leaves that much headroom.
     """
     if x > 0:
         raise ValueError("ratio chain requires x <= 0")
-    cap = _LOG_SCALE_CAP
+    if not math.isfinite(x):
+        raise NumericalError(f"Laguerre ratio chain needs a finite x, got {x}")
+    cap = min(_LOG_SCALE_CAP, 1e300 / (2 * d + 4 - x))
     p1 = p2 = p3 = 1.0                              # degree 0
-    c1, c2, c3 = 2.0 - x, 3.0 - x, 4.0 - x          # degree 1
+    c1, c2, c3 = 2.0 - x, 3.0 - x, 4.0 - x          # degree 1, c3 the largest
     shift = 0.0
+    if c3 > cap:
+        p1 = p2 = p3 = 1.0 / c3
+        c1, c2, c3, shift = c1 / c3, c2 / c3, 1.0, math.log(c3)
     # The degree m counts in floats (exact), since float-only arithmetic is
-    # what makes this loop fast.  Every value is positive, so comparing each
-    # with the cap screens for the peak test.
+    # what makes this loop fast.  Every value is positive, so one exceeding
+    # the cap makes the peak exceed it.
     m = 1.0
     for _ in range(2, d - 2):
         m += 1.0
@@ -140,11 +99,10 @@ def _laguerre_ratio_chain(d: int, x: float) -> tuple[float, float, float]:
         p2, c2 = c2, ((k + 1.0 - x) * c2 - (m + 1.0) * p2) / m
         p3, c3 = c3, ((k + 2.0 - x) * c3 - (m + 2.0) * p3) / m
         if c1 > cap or c2 > cap or c3 > cap:
-            peak = max(abs(c1), abs(c2), abs(c3))
-            if peak > cap:
-                p1, c1, p2, c2, p3, c3 = (p1 / peak, c1 / peak, p2 / peak,
-                                          c2 / peak, p3 / peak, c3 / peak)
-                shift += math.log(peak)
+            peak = max(c1, c2, c3)
+            p1, c1, p2, c2, p3, c3 = (p1 / peak, c1 / peak, p2 / peak,
+                                      c2 / peak, p3 / peak, c3 / peak)
+            shift += math.log(peak)
     for n in range(max(2, d - 2), d):
         p1, c1 = c1, ((2 * n - x) * c1 - n * p1) / n
         if n == d - 2:
@@ -388,3 +346,96 @@ def beta_crossover(d: float) -> float:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     return math.sqrt(3.0 / d)
+
+
+@dataclass(frozen=True)
+class KBodySpec:
+    """All-to-all k-body sigma^z-string operator on n qubits, amplitude epsilon."""
+
+    n: int
+    k: int
+    epsilon: float = 1.0
+
+    def __post_init__(self):
+        if not 1 <= self.k <= self.n:
+            raise ValueError("locality k must satisfy 1 <= k <= n")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+
+    @property
+    def norm(self) -> float:
+        """Spectral norm epsilon * C(n, k) (attained on the all-up state)."""
+        return self.epsilon * math.comb(self.n, self.k)
+
+
+def rate_gue_haar(d: int, total_gamma: float) -> float:
+    """Closed form ``Gamma d^2/(d+1)`` for a fixed pure state (vanishing
+    ``<(tr V)^2>`` variant)."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    return total_gamma * d * d / (d + 1.0)
+
+
+def rate_gue_wick(d: int, total_gamma: float, purity0: float = 1.0) -> float:
+    """Closed form ``Gamma (d - 1/P0)`` from entrywise Wick contractions
+    (``<(tr V)^2> = d/2`` variant); ``P0`` is the initial purity."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if not 0 < purity0 <= 1 + 1e-12:
+        raise ValueError("purity must lie in (0, 1]")
+    return total_gamma * (d - 1.0 / purity0)
+
+
+def rate_kbody_bound(spec: KBodySpec, gamma: float, mode: str = "approx") -> float:
+    """State-independent upper bound on the k-body decoherence rate.
+
+    ``approx`` uses ``2 gamma eps^2 n^(2k)/(k!)^2`` (large-n form of the
+    squared-norm bound); ``exact-binomial`` uses ``2 gamma eps^2 C(n,k)^2``.
+    Both assume unit-norm string factors.
+    """
+    if mode == "approx":
+        return 2.0 * gamma * spec.epsilon ** 2 * float(spec.n) ** (2 * spec.k) \
+            / math.factorial(spec.k) ** 2
+    if mode == "exact-binomial":
+        return 2.0 * gamma * spec.epsilon ** 2 * math.comb(spec.n, spec.k) ** 2
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def calibrate_epsilon(n0: int, k: int, gamma: float, mode: str = "exact-binomial"
+                      ) -> float:
+    """Squared amplitude matching the GUE rate and the k-body bound at ``n0``.
+
+    Solves ``rate_gue_haar(2^n0) = rate_kbody_bound(n0, k, eps)`` for
+    ``eps^2``; the channel rate cancels.  The reference calibration
+    ``n0 = 1, k = 1`` gives ``eps^2 = 2/3`` in either mode.
+    """
+    if n0 < k:
+        raise ValueError("n0 must be at least k")
+    target = rate_gue_haar(2 ** n0, gamma)
+    unit = rate_kbody_bound(KBodySpec(n0, k, 1.0), gamma, mode)
+    return target / unit
+
+
+def crossover_min_n(k: int, epsilon_sq: float, mode: str = "approx",
+                    n_cap: int = 64) -> int | None:
+    """Smallest n past which the GUE rate exceeds the k-body bound for good.
+
+    The exponential ``Gamma d^2/(d+1)`` with ``d = 2^n`` overtakes the
+    polynomial bound permanently; this returns the first n of that final
+    regime.  Exact equality counts as not crossed, so the calibration point
+    itself never qualifies, and an isolated crossing at ``n = k`` (where the
+    binomial bound is trivially small) is ignored.  Returns ``None`` when no
+    permanent crossover exists below ``n_cap``.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if epsilon_sq <= 0:
+        raise ValueError("epsilon_sq must be positive")
+    eps = math.sqrt(epsilon_sq)
+    first, crossed = k, False
+    for n in range(k, n_cap + 1):
+        bound = rate_kbody_bound(KBodySpec(n, k, eps), 1.0, mode)
+        crossed = rate_gue_haar(2 ** n, 1.0) > bound
+        if not crossed:
+            first = n + 1
+    return first if crossed else None

@@ -46,20 +46,18 @@ def _check_haar_moments(seed: int, n_samples: int, tol_se: float = 4.0
     for _ in range(3):
         a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
         xs.append((a + a.conj().T) / 2.0)
-    floor = 1e-12
-
-    mean2, se2 = haar_second_moment(xs[0], n_samples, RngStream(seed, _STREAMS["haar2"]))
-    dev2 = np.abs(mean2 - haar_second_moment_exact(xs[0]))
-    ok2 = bool((dev2 <= tol_se * np.maximum(se2, floor)).all())
-    res2 = CheckResult("haar-second-moment", ok2,
-                       f"max deviation {dev2.max():.2e} vs {tol_se} stderr")
-
-    mean4, se4 = haar_fourth_moment(*xs, n_samples, RngStream(seed, _STREAMS["haar4"]))
-    dev4 = np.abs(mean4 - haar_fourth_moment_exact(*xs))
-    ok4 = bool((dev4 <= tol_se * np.maximum(se4, floor)).all())
-    res4 = CheckResult("haar-fourth-moment", ok4,
-                       f"max deviation {dev4.max():.2e} vs {tol_se} stderr")
-    return [res2, res4]
+    out = []
+    for name, key, moment, exact, ops in (
+            ("haar-second-moment", "haar2", haar_second_moment,
+             haar_second_moment_exact, xs[:1]),
+            ("haar-fourth-moment", "haar4", haar_fourth_moment,
+             haar_fourth_moment_exact, xs)):
+        mean, se = moment(*ops, n_samples, RngStream(seed, _STREAMS[key]))
+        dev = np.abs(mean - exact(*ops))
+        ok = bool((dev <= tol_se * np.maximum(se, 1e-12)).all())
+        out.append(CheckResult(name, ok, f"max deviation {dev.max():.2e} vs "
+                                         f"{tol_se} stderr"))
+    return out
 
 
 def _check_annealing(seed: int, d: int, n_samples: int,

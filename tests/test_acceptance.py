@@ -23,12 +23,12 @@ from dephase_lab.dynamics import (annealing_check, build_tfd,
                                   purity_tfd, purity_tfd_hs)
 from dephase_lab.ensembles import RngStream, _gue_matrix
 from dephase_lab.hermitian import purity, spectral_norm
-from dephase_lab.rates import (KBodySpec, LindbladChannel, PAULI, TbreSpec,
-                               build_kbody_operator, calibrate_epsilon,
-                               crossover_min_n, decoherence_rate, rate_gue_haar,
-                               rate_gue_mc, rate_gue_wick, rate_kbody_bound,
-                               rate_lmg, tbre_rate_and_bound)
-from dephase_lab.specfun import (beta_crossover, rate_tfd_gue_exact,
+from dephase_lab.rates import (LindbladChannel, PAULI, TbreSpec,
+                               build_kbody_operator, decoherence_rate,
+                               rate_gue_mc, rate_lmg, tbre_rate_and_bound)
+from dephase_lab.specfun import (KBodySpec, beta_crossover, calibrate_epsilon,
+                                 crossover_min_n, rate_gue_haar, rate_gue_wick,
+                                 rate_kbody_bound, rate_tfd_gue_exact,
                                  rate_tfd_gue_semicircle)
 from dephase_lab.trajectories import (TrajectoryConfig, average_trajectories,
                                       tfd_two_noise_config)

@@ -333,6 +333,30 @@ def test_threads_below_one_exit_2(tmp_path, capsys, command, extra, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+@pytest.mark.parametrize("command,extra", [
+    ("rate-gue", ["--dims", "2", "--samples", "10"]),
+    ("crossover", ["--n-max", "6"]),
+    ("tfd", ["--n-qubits", "2", "--t-points", "3", "--samples", "4"]),
+    ("tfd", ["--formula-only"]),
+    ("validate", ["--quick"]),
+])
+def test_seed_outside_uint64_exits_2(tmp_path, capsys, command, extra, seed):
+    out = tmp_path / "x.csv"
+    assert run_cli([command, *extra, "--seed", seed, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "configuration error: --seed must lie in [0, 2**64)\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["0", str(2 ** 64 - 1)])
+def test_seed_range_ends_are_accepted(tmp_path, seed):
+    out = tmp_path / "r.csv"
+    assert run_cli(["rate-gue", "--dims", "2", "--samples", "10", "--seed", seed,
+                    "-o", str(out)]) == 0
+    assert read_csv(str(out))[2][0][7] == seed
+
+
 class TestDeterminism:
     def test_threads_do_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -362,7 +386,8 @@ class TestValidate:
         def broken(seed, quick=False):
             return [CheckResult("tampered", False, "forced failure")]
 
-        monkeypatch.setattr(cli, "run_validation", broken)
+        # cmd_validate imports run_validation when it runs, from this module.
+        monkeypatch.setattr(val, "run_validation", broken)
         assert run_cli(["validate", "--quick"]) == 3
         assert "FAIL" in capsys.readouterr().out
 
@@ -405,3 +430,88 @@ def test_serial_run_never_imports_the_pool_module(tmp_path):
                "assert rc == 0, rc\n"
                "assert 'concurrent.futures' not in sys.modules\n",
                str(tmp_path / "r.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["tfd", "--formula-only", "--log2-dim", "14", "--beta-list", "0,1,3"],
+    ["crossover", "--k-list", "1,2,3", "--n-max", "50"],
+])
+def test_closed_form_commands_never_import_numpy(tmp_path, argv):
+    # As `python -m dephase_lab` runs them: the package __init__, then
+    # __main__.  Their closed forms are scalar math.
+    _run_fresh("import runpy, sys\n"
+               "try:\n"
+               "    runpy.run_module('dephase_lab', run_name='__main__')\n"
+               "except SystemExit as exc:\n"
+               "    assert exc.code == 0, exc.code\n"
+               "assert 'numpy' not in sys.modules\n",
+               *argv, "-o", str(tmp_path / "c.csv"))
+    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v4")
+
+
+def test_package_import_loads_no_submodule():
+    _run_fresh("import sys\n"
+               "import dephase_lab\n"
+               "loaded = [m for m in sys.modules if m.startswith('dephase_lab.')]\n"
+               "assert loaded == [], loaded\n"
+               "assert 'numpy' not in sys.modules\n")
+
+
+def test_cli_module_imports_numpy_the_pool_and_every_module():
+    # perfbench finds the functions it wraps, and times the package import,
+    # through `import dephase_lab.cli`.
+    _run_fresh("import pkgutil, sys\n"
+               "import dephase_lab.cli\n"
+               "names = [m.name for m in pkgutil.iter_modules(dephase_lab.__path__)]\n"
+               "assert '_pool' in names and 'validate' in names, names\n"
+               "want = ['numpy'] + ['dephase_lab.' + m for m in names\n"
+               "                    if m != '__main__']\n"
+               "missing = [m for m in want if m not in sys.modules]\n"
+               "assert not missing, missing\n")
+
+
+# The package's public names before its imports became lazy, by the module
+# that owns each one now.
+PUBLIC_NAMES = {
+    "exceptions": "DimensionMismatchError HermiticityError NumericalError "
+                  "StepSizeError",
+    "hermitian": "SpectralData eig_hermitian modified_covariance purity "
+                 "spectral_norm",
+    "ensembles": "EnsembleEstimate GueSpec RngStream gue_level_density "
+                 "gue_trace_square_mc haar_fourth_moment haar_fourth_moment_exact "
+                 "haar_second_moment haar_second_moment_exact hermite_phi "
+                 "sample_gue sample_haar_unitary",
+    "specfun": "KBodySpec PartitionValue bessel_i_ratio_g beta_crossover "
+               "calibrate_epsilon crossover_min_n log_bessel_i1 log_laguerre_l "
+               "rate_gue_haar rate_gue_wick rate_kbody_bound rate_tfd_gue_exact "
+               "rate_tfd_gue_semicircle z_gue_exact z_gue_semicircle",
+    "rates": "LindbladChannel TbreSpec build_kbody_operator "
+             "build_tbre_hamiltonian build_tbre_operator decoherence_rate "
+             "lmg_sector_spectrum rate_gue_mc rate_lmg tbre_rate_and_bound",
+    "dynamics": "AnnealingCheck TfdDensity TfdPurityCurve TfdSystem "
+                "annealing_check build_tfd ensemble_purity_tfd evolve_tfd "
+                "gauss_hermite master_equation_rk4 purity_inf_tfd purity_tfd "
+                "purity_tfd_hs rate_tfd",
+    "trajectories": "TrajectoryAverage TrajectoryConfig average_trajectories "
+                    "default_dt sse_trajectory tfd_two_noise_config",
+}
+
+
+def test_public_names_resolve_to_their_owners():
+    import importlib
+    import dephase_lab
+    listed = dir(dephase_lab)
+    assert dephase_lab.__version__ == "0.1.0"
+    for owner, names in PUBLIC_NAMES.items():
+        module = importlib.import_module(f"dephase_lab.{owner}")
+        # A module's __all__, where it has one, is what the package exports.
+        assert set(getattr(module, "__all__", names.split())) == set(names.split())
+        for name in names.split():
+            obj = getattr(dephase_lab, name)
+            assert obj is getattr(module, name), name
+            assert obj.__module__ == module.__name__, name
+            assert name in listed, name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        dephase_lab.no_such_name
+    with pytest.raises(ImportError):
+        from dephase_lab import no_such_name  # noqa: F401

@@ -9,9 +9,9 @@ from dephase_lab.ensembles import (EnsembleEstimate, GueSpec, RngStream,
                                    gue_level_density,
                                    gue_trace_square_mc, haar_fourth_moment,
                                    haar_fourth_moment_exact, haar_second_moment,
-                                   haar_second_moment_exact, sample_gue,
-                                   sample_haar_unitary)
-from dephase_lab.specfun import gauss_hermite
+                                   haar_second_moment_exact, hermite_phi,
+                                   sample_gue, sample_haar_unitary)
+from dephase_lab.dynamics import gauss_hermite
 from dephase_lab.rates import PAULI
 
 
@@ -280,7 +280,6 @@ class TestTraceSquareAdjudication:
         # Quadrature for sum_{k,l<d} (integral v phi_k phi_l)^2: the truncated
         # double sum equals d(d-1)/2, not d^2/2 (the l = d boundary term is
         # outside the sum range).
-        from dephase_lab.specfun import hermite_phi
         d = 6
         x, w = gauss_hermite(60)
         total = 0.0

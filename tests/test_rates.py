@@ -7,13 +7,13 @@ import pytest
 from dephase_lab import _pool, rates
 from dephase_lab.ensembles import RngStream, _gue_block, _gue_matrix
 from dephase_lab.hermitian import spectral_norm
-from dephase_lab.rates import (KBodySpec, LindbladChannel, PAULI, TbreSpec,
+from dephase_lab.rates import (LindbladChannel, PAULI, TbreSpec,
                                build_kbody_operator, build_tbre_hamiltonian,
-                               build_tbre_operator, calibrate_epsilon,
-                               crossover_min_n, decoherence_rate,
-                               lmg_sector_spectrum, rate_gue_haar, rate_gue_mc,
-                               rate_gue_wick, rate_kbody_bound, rate_lmg,
+                               build_tbre_operator, decoherence_rate,
+                               lmg_sector_spectrum, rate_gue_mc, rate_lmg,
                                tbre_rate_and_bound)
+from dephase_lab.specfun import (KBodySpec, calibrate_epsilon, crossover_min_n,
+                                 rate_gue_haar, rate_gue_wick, rate_kbody_bound)
 
 
 def rand_herm(d, gen):

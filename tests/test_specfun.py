@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 import scipy.special
 
-from dephase_lab.ensembles import RngStream, _gue_matrix
+from dephase_lab.dynamics import gauss_hermite
+from dephase_lab.ensembles import RngStream, _gue_matrix, hermite_phi
 from dephase_lab.specfun import (_laguerre_ratio_chain, bessel_i_ratio_g,
-                                 beta_crossover, gauss_hermite, hermite_phi,
-                                 log_bessel_i1, log_laguerre_l,
+                                 beta_crossover, log_bessel_i1, log_laguerre_l,
                                  rate_tfd_gue_exact, rate_tfd_gue_semicircle,
                                  z_gue_exact, z_gue_semicircle)
 
@@ -126,6 +126,23 @@ class TestLaguerre:
             want = laguerre_ratio_chain(d, x)
             assert all(map(math.isfinite, want)), (d, beta)
             assert _laguerre_ratio_chain(d, x) == want, (d, beta)
+
+    @pytest.mark.parametrize("x", [-5e79, -5e199])
+    def test_ratio_chain_at_huge_x_against_mpmath(self, x):
+        # A step multiplies by about |x|, past the fixed cap's headroom; at
+        # -5e199 the degree-1 values already exceed the cap.
+        with mpmath.workdps(40):
+            l1 = mpmath.laguerre(15, 1, x)
+            want = (float(mpmath.log(l1)), float(mpmath.laguerre(14, 2, x) / l1),
+                    float(mpmath.laguerre(13, 3, x) / l1))
+        got = _laguerre_ratio_chain(16, x)
+        assert all(map(math.isfinite, got))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("x", [-math.inf, math.nan])
+    def test_ratio_chain_raises_on_a_non_finite_argument(self, x):
+        with pytest.raises(NumericalError, match="finite x"):
+            _laguerre_ratio_chain(16, x)
 
     def test_ratio_chain_rejects_positive_x_like_the_reference(self):
         for d in (1, 3, 4, 256):

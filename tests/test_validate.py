@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dephase_lab import _pool, specfun, trajectories, validate
+from dephase_lab import _pool, dynamics, trajectories, validate
 from dephase_lab.ensembles import RngStream
 
 ANNEALING_SEEDS = range(1, 21)      # includes 8, where the former check failed
@@ -140,15 +140,15 @@ def test_hs_check_solves_one_quadrature_rule_per_node_count(monkeypatch):
         sizes.append(a.shape[-1])
         return real_eigh(a, *args, **kwargs)
 
-    specfun.gauss_hermite.cache_clear()
+    dynamics.gauss_hermite.cache_clear()
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     assert validate._check_hs_quadrature(1)[0].passed
     monkeypatch.undo()
     assert len(sizes) == 5 and len(set(sizes)) == 5
 
     for n in sizes:
-        nodes, weights = specfun.gauss_hermite(n)
-        fresh_nodes, fresh_weights = specfun.gauss_hermite.__wrapped__(n)
+        nodes, weights = dynamics.gauss_hermite(n)
+        fresh_nodes, fresh_weights = dynamics.gauss_hermite.__wrapped__(n)
         assert nodes.tobytes() == fresh_nodes.tobytes()
         assert weights.tobytes() == fresh_weights.tobytes()
         with pytest.raises(ValueError):
