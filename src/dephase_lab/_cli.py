@@ -36,7 +36,7 @@ from .specfun import (KBodySpec, beta_crossover, calibrate_epsilon,
                       rate_kbody_bound, rate_tfd_gue_exact,
                       rate_tfd_gue_semicircle)
 
-SCHEMA_COMMENT = "# dephase-lab schema v4"
+SCHEMA_COMMENT = "# dephase-lab schema v5"
 DEFAULT_SEED = 20250117
 # Largest log2(dimension) for which the finite-d Laguerre rate is evaluated.
 EXACT_RATE_LOG2_CAP = 14
@@ -88,8 +88,8 @@ def _check_gamma(gamma: float) -> None:
 
 def cmd_rate_gue(args) -> int:
     dims = _parse_list(args.dims, int)
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError("--dims must list dimensions >= 1")
+    if not dims or any(not 1 <= d <= 2 ** 10 for d in dims):   # tfd's sampling cap
+        raise ValueError("--dims must list dimensions between 1 and 1024")
     _check_gamma(args.gamma)
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")

@@ -30,8 +30,8 @@ from .exceptions import NumericalError
 # Samples per substream.  Small enough that 1000 samples still split over
 # two workers, large enough to amortise the per-block numpy calls.
 _BLOCK = 256
-# Variates per draw inside a block: bounds the buffers of large-d draws.
-_SLICE = 1 << 12
+# Variates per slice of a large-d draw: bounds its buffers (128 KB of normals).
+_SLICE = 1 << 14
 
 
 def row_slices(m: int, row_size: int) -> list[tuple[int, int]]:

@@ -4,10 +4,10 @@ The GUE convention is pinned to the matrix weight ``exp(-tr X^2)``: diagonal
 entries are real N(0, 1/2) and the real and imaginary parts of each
 off-diagonal entry are N(0, 1/4).  With this normalization the eigenvalue
 density at large dimension is the semicircle on ``[-sqrt(2 d), sqrt(2 d)]``
-and ``<tr X^2> = d^2/2``.  Estimators that need only eigenvalues (the
-thermofield-double ensemble, the annealing check) draw them from the
-tridiagonal beta = 2 model of the same law, which needs numpy alone; the
-rate estimator, which applies the matrix to a state, draws it dense.
+and ``<tr X^2> = d^2/2``.  A dense draw is ``V = w g + conj(w) g^T``, with
+``w = e^{i pi/4}/2`` and ``g`` a ``d x d`` matrix of standard normals.
+Estimators that need only eigenvalues (the thermofield-double ensemble, the
+annealing check) draw them from the tridiagonal beta = 2 model of the same law.
 
 Randomness is counter-based (Philox).  A :class:`RngStream` is the pair
 ``(master_seed, stream_index)``; distinct pairs give independent streams and
@@ -97,30 +97,30 @@ class EnsembleEstimate:
         return cls(mean, stderr, n, master_seed)
 
 
-def _gue_block(gen: np.random.Generator, m: int, d: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """``(S, K)``, each ``(m, d, d)``: ``V = S + iK`` for ``m`` GUE draws.
+_OMEGA = math.sqrt(0.125) * (1 + 1j)      # w = e^{i pi/4}/2, Re w == Im w
 
-    From the normals ``g`` of ``gen.standard_normal((m, d, d))``,
-    ``S_jj = sqrt(1/2) g_jj``, and ``S_jk = S_kj = g_jk/2``,
-    ``K_jk = -K_kj = -g_kj/2`` for ``j < k``: exactly Hermitian, and matrix
-    ``i`` reads only ``g[i]``, so draws in slices equal one draw.
-    """
+
+def _gue_block(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
+    """``m`` GUE draws ``V = w g + conj(w) g^T``, ``(m, d, d)``, from the normals
+    ``g`` of ``gen.standard_normal((m, d, d))``.  ``Re V_jk = (g_jk + g_kj)/sqrt(8)``
+    and ``Im V_jk = (g_jk - g_kj)/sqrt(8)`` are independent with variance 1/4,
+    ``V_jj = g_jj/sqrt(2)`` is real, and ``V_kj = conj(V_jk)`` by the same float
+    operations.  Matrix ``i`` reads only ``g[i]``, so slices equal one draw."""
     g = gen.standard_normal((m, d, d))
-    diag = np.arange(d)
-    g_jj = np.sqrt(0.5) * g[:, diag, diag]
-    g *= 0.5
-    s, k = np.triu(g, 1), np.tril(g, -1)
-    s += s.transpose(0, 2, 1)
-    k -= k.transpose(0, 2, 1)
-    s[:, diag, diag] = g_jj
-    return s, k
+    return _OMEGA * g + _OMEGA.conjugate() * g.transpose(0, 2, 1)
+
+
+def _gue_times(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``V x``, ``(m, d)``, for the ``V`` that :func:`_gue_block` builds from normals
+    ``g``: ``w (g x) + conj(w) (g^T x)`` from two stacked real products."""
+    xr = np.stack([x.real, x.imag], axis=-1)
+    return (_OMEGA * (g @ xr).view(complex)
+            + _OMEGA.conjugate() * (g.transpose(0, 2, 1) @ xr).view(complex))[..., 0]
 
 
 def _gue_matrix(d: int, gen: np.random.Generator) -> np.ndarray:
     """One GUE draw as a complex ndarray; Hermitian exactly by construction."""
-    s, k = _gue_block(gen, 1, d)
-    return s[0] + 1j * k[0]
+    return _gue_block(gen, 1, d)[0]
 
 
 def _gue_spectrum(gen: np.random.Generator, d: int) -> np.ndarray:
@@ -266,7 +266,7 @@ def gue_level_density(v, d: int):
 
 
 def _trace_square_block(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
-    traces = [np.trace(_gue_block(gen, hi - lo, d)[0], axis1=1, axis2=2)
+    traces = [np.trace(_gue_block(gen, hi - lo, d).real, axis1=1, axis2=2)
               for lo, hi in _pool.row_slices(m, d * d)]
     return np.concatenate(traces) ** 2
 

@@ -36,7 +36,7 @@ import numpy as np
 from . import _pool
 from .exceptions import DimensionMismatchError
 from .hermitian import _gibbs_log_weights, _modified_covariance, as_state
-from .ensembles import EnsembleEstimate, RngStream, _gue_block
+from .ensembles import EnsembleEstimate, RngStream, _gue_block, _gue_times
 from .specfun import KBodySpec
 
 __all__ = [
@@ -95,36 +95,30 @@ def decoherence_rate(rho0: np.ndarray, channels: list[LindbladChannel]) -> float
     """Initial purity-decay rate of ``rho0`` under Hermitian dephasing channels.
 
     Zero channels give 0; a maximally mixed state gives 0 for any channels.
+    A channel of another dimension raises ``DimensionMismatchError``.
     """
     rho0 = as_state(rho0)
-    if not channels:
-        return 0.0
-    for c in channels:
-        if len(c.v) != rho0.shape[0]:
-            raise DimensionMismatchError("channel dimension differs from the state")
     p0 = 1.0 if rho0.ndim == 1 else float(np.sum(np.abs(rho0) ** 2))
-    acc = 0.0
-    for c in channels:
-        acc += c.gamma * _modified_covariance(rho0, c.v, c.v).real
-    return 2.0 * acc / p0
+    return 2.0 * sum(c.gamma * _modified_covariance(rho0, c.v, c.v).real
+                     for c in channels) / p0
 
 
 def _rate_gue_block(gen: np.random.Generator, m: int, d: int, gamma: float,
                     state: np.ndarray) -> np.ndarray:
-    """Rates of ``m`` dense GUE channels ``V = S + iK``, drawn in row slices.
-    For a pure state ``a + ib``, ``V psi`` has columns ``S [a, b] + K [-b, a]``,
-    and each row's sums are stacked products, so no rate depends on its slice."""
+    """Rates of ``m`` dense GUE channels, drawn in row slices.  A pure state's is
+    ``|V psi - mu psi|^2``, ``mu = <psi|V|psi>``, with ``V psi`` from the normals;
+    each row's sums are stacked products, so no rate depends on its slice."""
     out = np.empty(m)
-    ab = np.stack([state.real, state.imag], axis=-1)
-    rot = np.stack([-state.imag, state.real], axis=-1)
+    ab = np.stack([state.real, state.imag], axis=-1).reshape(-1, 1)
     for lo, hi in _pool.row_slices(m, d * d):
-        s, k = _gue_block(gen, hi - lo, d)
+        k = hi - lo
         if state.ndim == 1:
-            w = (s @ ab + k @ rot).reshape(hi - lo, 1, 2 * d)
-            mean = (w @ ab.reshape(2 * d, 1))[:, 0, 0]
-            out[lo:hi] = (w @ w.transpose(0, 2, 1))[:, 0, 0] - mean * mean
+            w = _gue_times(gen.standard_normal((k, d, d)), state)
+            mu = (w.view(float).reshape(k, 1, 2 * d) @ ab)[:, 0]
+            r = (w - mu * state).view(float).reshape(k, 1, 2 * d)
+            out[lo:hi] = (r @ r.transpose(0, 2, 1))[:, 0, 0]
         else:   # tr(rho^2 V^2) - tr(rho V rho V) as stacked traces
-            v = s + 1j * k
+            v = _gue_block(gen, k, d)
             rv = state @ v
             out[lo:hi] = np.einsum("kij,kji->k", state @ rv - rv @ state, v).real
     return 2.0 * gamma * out / (1.0 if state.ndim == 1 else np.sum(np.abs(state) ** 2))

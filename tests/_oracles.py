@@ -6,7 +6,9 @@ sampling, direct summations instead of recurrences, and the raw polynomial
 recurrences that the library replaces by scaled forms.  The exceptions are
 ``laguerre_ratio_chain`` and ``log_laguerre_reference``: the library's
 earlier forms of the same recurrences, kept as the references that the
-current loops must reproduce bit for bit.
+current loops must reproduce bit for bit; and ``gue_block_triangles``, the
+library's earlier GUE draw, which the current one must match in law and,
+for a basis state, in every rate up to rounding.
 """
 
 import math
@@ -21,6 +23,31 @@ from dephase_lab.specfun import _LOG_SCALE_CAP
 def dense_gue_spectrum(gen, d: int) -> np.ndarray:
     """Ascending eigenvalues of one dense GUE matrix, by a complex eigensolve."""
     return np.linalg.eigvalsh(_gue_matrix(d, gen))
+
+
+def gue_block_triangles(gen, m: int, d: int) -> np.ndarray:
+    """``m`` GUE draws ``V = S + iK`` from the normals ``g`` of
+    ``gen.standard_normal((m, d, d))``: ``S_jj = sqrt(1/2) g_jj``, and for
+    ``j < k``, ``S_jk = S_kj = g_jk/2`` and ``K_jk = -K_kj = -g_kj/2``."""
+    g = gen.standard_normal((m, d, d))
+    diag = np.arange(d)
+    g_jj = np.sqrt(0.5) * g[:, diag, diag]
+    g *= 0.5
+    s, k = np.triu(g, 1), np.tril(g, -1)
+    s += s.transpose(0, 2, 1)
+    k -= k.transpose(0, 2, 1)
+    s[:, diag, diag] = g_jj
+    return s + 1j * k
+
+
+def gue_rates_triangles(gen, m: int, d: int, gamma: float,
+                        psi: np.ndarray) -> np.ndarray:
+    """Block function of the sample engine: ``2 gamma var_psi(V)`` of the
+    ``gue_block_triangles`` draws, as ``|V psi - <V> psi|^2`` per matrix.  For a
+    basis state ``e_0`` that is ``sum_{j != 0} |V_j0|^2``, with no cancellation."""
+    w = gue_block_triangles(gen, m, d) @ psi
+    mean = (w @ psi.conj()).real
+    return 2.0 * gamma * (np.abs(w - mean[:, None] * psi) ** 2).sum(axis=1)
 
 
 def purity_double_sum(sys, t: float) -> float:

@@ -36,7 +36,7 @@ class TestRateGue:
         assert run_cli(["rate-gue", "--dims", "2,4", "--samples", "200",
                         "--seed", "5", "-o", str(out)]) == 0
         comments, header, rows = read_csv(str(out))
-        assert comments[0] == "# dephase-lab schema v4"
+        assert comments[0] == "# dephase-lab schema v5"
         assert header == ["d", "gamma", "rate_haar", "rate_wick", "rate_mc_mean",
                           "rate_mc_stderr", "n_samples", "seed"]
         assert len(rows) == 2
@@ -65,6 +65,35 @@ class TestRateGue:
         assert run_cli(["rate-gue", "--gamma", "-1",
                         "-o", str(tmp_path / "x.csv")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("dims", ["1025", "1000000", "2,1000000"])
+    def test_oversized_dimension_exit_2(self, tmp_path, capsys, monkeypatch, dims):
+        # Rejected before any draw: sampling here would fail on memory.
+        from dephase_lab import rates
+        monkeypatch.setattr(rates, "rate_gue_mc", _never_called)
+        out = tmp_path / "x.csv"
+        assert run_cli(["rate-gue", "--dims", dims, "--samples", "2",
+                        "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error: --dims must list "
+                                "dimensions between 1 and 1024\n")
+        assert captured.out == "" and not out.exists()
+
+    def test_dimension_cap_is_inclusive(self, tmp_path, monkeypatch):
+        from dephase_lab import ensembles, rates
+        seen = []
+
+        def fake(psi, gamma, d, n, rng, workers=1):
+            seen.append(d)
+            return ensembles.EnsembleEstimate(1.0, 0.5, n, rng.master_seed)
+        monkeypatch.setattr(rates, "rate_gue_mc", fake)
+        assert run_cli(["rate-gue", "--dims", "1024", "--samples", "2",
+                        "-o", str(tmp_path / "r.csv")]) == 0
+        assert seen == [1024]
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("rate_gue_mc was called")
 
 
 class TestCrossover:
@@ -446,7 +475,7 @@ def test_closed_form_commands_never_import_numpy(tmp_path, argv):
                "    assert exc.code == 0, exc.code\n"
                "assert 'numpy' not in sys.modules\n",
                *argv, "-o", str(tmp_path / "c.csv"))
-    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v4")
+    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v5")
 
 
 def test_package_import_loads_no_submodule():

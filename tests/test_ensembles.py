@@ -6,7 +6,7 @@ import pytest
 from _oracles import dense_gue_spectrum
 from dephase_lab.ensembles import (EnsembleEstimate, GueSpec, RngStream,
                                    _gue_block, _gue_matrix, _gue_spectrum,
-                                   gue_level_density,
+                                   _gue_times, gue_level_density,
                                    gue_trace_square_mc, haar_fourth_moment,
                                    haar_fourth_moment_exact, haar_second_moment,
                                    haar_second_moment_exact, hermite_phi,
@@ -43,20 +43,30 @@ class TestGueSampling:
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_block_entries_follow_the_normals(self, d):
-        # Entry by entry from the d^2 normals of each matrix, in draw order.
+        # V_jk = w g_jk + conj(w) g_kj with w = e^{i pi/4}/2, entry by entry
+        # from the d^2 normals of each matrix, in draw order.
         g = RngStream(3, 1).generator().standard_normal((40, d, d))
-        s, k = _gue_block(RngStream(3, 1).generator(), 40, d)
-        want_s, want_k = np.zeros_like(g), np.zeros_like(g)
-        for j in range(d):
-            want_s[:, j, j] = math.sqrt(0.5) * g[:, j, j]
-            for l in range(j + 1, d):
-                want_s[:, j, l] = want_s[:, l, j] = g[:, j, l] / 2
-                want_k[:, j, l], want_k[:, l, j] = -g[:, l, j] / 2, g[:, l, j] / 2
-        assert s.tobytes() == want_s.tobytes() and k.tobytes() == want_k.tobytes()
+        v = _gue_block(RngStream(3, 1).generator(), 40, d)
+        w = complex(math.sqrt(0.125), math.sqrt(0.125))
+        want = np.zeros((40, d, d), dtype=complex)
+        for i in range(40):
+            for j in range(d):
+                for l in range(d):
+                    want[i, j, l] = w * g[i, j, l] + w.conjugate() * g[i, l, j]
+        assert v.tobytes() == want.tobytes()
+        assert (v.imag[:, range(d), range(d)] == 0).all()
+
+    def test_times_is_the_product_with_the_block(self):
+        # V x from the normals equals the formed V applied to x.
+        d = 7
+        x = np.exp(0.3j * np.arange(d)) / math.sqrt(d)
+        g = RngStream(3, 2).generator().standard_normal((30, d, d))
+        v = _gue_block(RngStream(3, 2).generator(), 30, d)
+        np.testing.assert_allclose(_gue_times(g, x), v @ x, rtol=1e-13, atol=1e-15)
 
     def test_scalar_variance(self):
         # d = 1: weight exp(-x^2) means variance 1/2.
-        vals = _gue_block(RngStream(2, 0).generator(), 4000, 1)[0][:, 0, 0]
+        vals = _gue_block(RngStream(2, 0).generator(), 4000, 1)[:, 0, 0].real
         second = vals ** 2
         se = second.std(ddof=1) / math.sqrt(len(vals))
         assert abs(second.mean() - 0.5) <= 3 * se
@@ -87,21 +97,45 @@ class TestGueSampling:
         assert not _trace_square_ok(_planted_gue_block)
         assert _level_density_l1(_planted_gue_block) > 0.2
 
+    def test_off_diagonal_entries_are_circular(self):
+        assert _circular_ok(_gue_block)
+
+    @pytest.mark.parametrize("w", [0.5, 0.5 * np.exp(1j * math.pi / 8)],
+                             ids=["real", "phase-pi-over-8"])
+    def test_planted_phase_fails_circularity(self, w):
+        # <V_jk^2> = 2 |w|^2 cos(2 arg w) vanishes only at arg w = pi/4
+        # (mod pi/2).  The basis-state rate, 2 |w|^2 (d - 1) on average,
+        # cannot see the phase; w = 1/2 is a real symmetric (GOE-like) draw.
+        def block(gen, m, d):
+            g = gen.standard_normal((m, d, d))
+            return w * g + np.conj(w) * g.transpose(0, 2, 1)
+        assert not _circular_ok(block)
+
 
 def _planted_gue_block(gen, m, d):
     """``_gue_block`` with every off-diagonal entry scaled by sqrt(2)."""
-    s, k = _gue_block(gen, m, d)
-    off = ~np.eye(d, dtype=bool)
-    return np.where(off, math.sqrt(2.0) * s, s), math.sqrt(2.0) * k
+    v = _gue_block(gen, m, d)
+    return np.where(np.eye(d, dtype=bool), v, math.sqrt(2.0) * v)
 
 
 def _trace_square_ok(block) -> bool:
     """<tr X^2>/d^2 within 3 stderr of 1/2 at d = 8 over 1e4 draws."""
     d = 8
-    s, k = block(RngStream(3, 0).generator(), 10_000, d)
-    vals = (s * s + k * k).sum(axis=(1, 2)) / d ** 2
+    v = block(RngStream(3, 0).generator(), 10_000, d)
+    vals = (np.abs(v) ** 2).sum(axis=(1, 2)) / d ** 2
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     return bool(abs(vals.mean() - 0.5) <= 3 * se)
+
+
+def _circular_ok(block) -> bool:
+    """<V_jk^2> = 0 off the diagonal: the mean over 1e4 draws at d = 8 of
+    each draw's average V_jk^2 over j < k, within 4 standard errors."""
+    d = 8
+    v = block(RngStream(3, 3).generator(), 10_000, d)
+    j, k = np.triu_indices(d, 1)
+    vals = (v[:, j, k] ** 2).mean(axis=1)
+    se = math.sqrt((vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / vals.size)
+    return bool(abs(vals.mean()) <= 4 * se)
 
 
 def _level_density_l1(block) -> float:
@@ -111,8 +145,7 @@ def _level_density_l1(block) -> float:
     gen = RngStream(5, 0).generator()
     evs = []
     for _ in range(10 ** 5 // d // 64):
-        s, k = block(gen, 64, d)
-        evs.append(np.linalg.eigvalsh(s + 1j * k).ravel())
+        evs.append(np.linalg.eigvalsh(block(gen, 64, d)).ravel())
     scale = math.sqrt(2 * d)
     edges = np.arange(-1.3, 1.3001, 0.1)
     hist, _ = np.histogram(np.concatenate(evs) / scale, bins=edges, density=True)

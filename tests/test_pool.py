@@ -158,11 +158,10 @@ class TestRowSlices:
     @pytest.mark.parametrize("d", [1, 7])
     def test_gue_block_drawn_in_slices_equals_one_draw(self, d):
         rng = RngStream(9, 1)
-        s, k = ensembles._gue_block(rng.sample_generator(0), 100, d)
+        v = ensembles._gue_block(rng.sample_generator(0), 100, d)
         gen = rng.sample_generator(0)
         parts = [ensembles._gue_block(gen, m, d) for m in (13, 40, 47)]
-        assert s.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
-        assert k.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+        assert v.tobytes() == np.concatenate(parts).tobytes()
 
     @pytest.mark.parametrize("slice_size", [1, 16 * 16 * 7, 1 << 20])
     def test_rates_do_not_depend_on_the_slice_size(self, monkeypatch, slice_size):
@@ -173,6 +172,17 @@ class TestRowSlices:
         monkeypatch.setattr(_pool, "_SLICE", slice_size)
         got = _pool.gather_samples(rates._rate_gue_block, 300, rng, 1, 16, 1.0,
                                    psi)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("slice_size", [1, 8 * 8 * 7, 1 << 20])
+    def test_mixed_state_rates_do_not_depend_on_the_slice_size(self, monkeypatch,
+                                                               slice_size):
+        a = np.exp(1j * np.outer(np.arange(8.0), np.arange(8.0)) / 3) + np.eye(8)
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        rng = RngStream(9, 3)
+        want = _pool.gather_samples(rates._rate_gue_block, 300, rng, 1, 8, 1.0, rho)
+        monkeypatch.setattr(_pool, "_SLICE", slice_size)
+        got = _pool.gather_samples(rates._rate_gue_block, 300, rng, 1, 8, 1.0, rho)
         assert got.tobytes() == want.tobytes()
 
 

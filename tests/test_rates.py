@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from _oracles import gue_rates_triangles
 from dephase_lab import _pool, rates
 from dephase_lab.ensembles import RngStream, _gue_block, _gue_matrix
 from dephase_lab.hermitian import spectral_norm
@@ -150,11 +151,32 @@ class TestRateGueMc:
             state = a @ a.conj().T / np.trace(a @ a.conj().T).real
         rng = RngStream(31, 5)
         got = _pool.gather_samples(rates._rate_gue_block, n, rng, 1, d, 0.7, state)
-        draws = [_gue_block(rng.sample_generator(b), m, d)
-                 for b, m in ((0, _pool._BLOCK), (1, 40))]
-        vs = np.concatenate([s + 1j * k for s, k in draws])
+        vs = np.concatenate([_gue_block(rng.sample_generator(b), m, d)
+                             for b, m in ((0, _pool._BLOCK), (1, 40))])
         want = [decoherence_rate(state, [LindbladChannel(0.7, v)]) for v in vs]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16, 64])
+    def test_basis_state_rates_match_the_triangle_construction(self, d):
+        # For e_0, |V_j0|^2 = (g_j0^2 + g_0j^2)/4 in both constructions, so
+        # the rates of the same normals differ only by rounding.
+        psi = np.eye(d, dtype=complex)[0]
+        rng = RngStream(31, 6)
+        got = _pool.gather_samples(rates._rate_gue_block, 300, rng, 1, d, 0.7, psi)
+        want = _pool.gather_samples(gue_rates_triangles, 300, rng, 1, d, 0.7, psi)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_non_basis_state_mean_matches_the_triangle_construction(self):
+        # Other states see other entries of the same normals: the two
+        # constructions agree only in law.
+        d, n = 4, 4000
+        psi = rand_pure(d, RngStream(31, 7).generator())
+        rng = RngStream(31, 8)
+        a = _pool.gather_samples(rates._rate_gue_block, n, rng, 1, d, 1.0, psi)
+        b = _pool.gather_samples(gue_rates_triangles, n, rng, 1, d, 1.0, psi)
+        assert not np.allclose(a, b)
+        combined = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / n)
+        assert abs(a.mean() - b.mean()) <= 4 * combined
 
     def test_small_d_adjudication(self):
         # d = 2: the Wick value lies inside 3 stderr, the other form far out.
