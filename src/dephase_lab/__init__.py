@@ -17,7 +17,7 @@ _EXPORTS = {  # owner module: the names it exports
     "exceptions": "DimensionMismatchError HermiticityError NumericalError "
                   "StepSizeError",
     "hermitian": "SpectralData eig_hermitian modified_covariance purity spectral_norm",
-    "ensembles": "EnsembleEstimate GueSpec RngStream gue_level_density "
+    "ensembles": "EnsembleEstimate RngStream gue_level_density "
                  "gue_trace_square_mc haar_fourth_moment haar_fourth_moment_exact "
                  "haar_second_moment haar_second_moment_exact hermite_phi sample_gue "
                  "sample_haar_unitary",
@@ -25,7 +25,7 @@ _EXPORTS = {  # owner module: the names it exports
                "calibrate_epsilon crossover_min_n log_bessel_i1 log_laguerre_l "
                "rate_gue_haar rate_gue_wick rate_kbody_bound rate_tfd_gue_exact "
                "rate_tfd_gue_semicircle z_gue_exact z_gue_semicircle",
-    "rates": "LindbladChannel TbreSpec build_kbody_operator build_tbre_hamiltonian "
+    "rates": "LindbladChannel TbreSpec build_kbody_operator "
              "build_tbre_operator decoherence_rate lmg_sector_spectrum rate_gue_mc "
              "rate_lmg tbre_rate_and_bound",
     "dynamics": "AnnealingCheck TfdDensity TfdPurityCurve TfdSystem annealing_check "

@@ -5,7 +5,10 @@ entries are real N(0, 1/2) and the real and imaginary parts of each
 off-diagonal entry are N(0, 1/4).  With this normalization the eigenvalue
 density at large dimension is the semicircle on ``[-sqrt(2 d), sqrt(2 d)]``
 and ``<tr X^2> = d^2/2``.  A dense draw is ``V = w g + conj(w) g^T``, with
-``w = e^{i pi/4}/2`` and ``g`` a ``d x d`` matrix of standard normals.
+``w = e^{i pi/4}/2`` and ``g`` a ``d x d`` matrix of standard normals.  A draw
+that is read only through some columns ``V[:, S]`` takes only the normals in
+the rows and columns ``S`` of ``g`` (``2 |S| d - |S|^2``), and ``tr V`` only the
+``d`` diagonal ones.
 Estimators that need only eigenvalues (the thermofield-double ensemble, the
 annealing check) draw them from the tridiagonal beta = 2 model of the same law.
 
@@ -28,7 +31,7 @@ from . import _pool
 from .hermitian import as_matrix
 
 __all__ = [
-    "RngStream", "GueSpec", "EnsembleEstimate", "sample_gue",
+    "RngStream", "EnsembleEstimate", "sample_gue",
     "sample_haar_unitary", "haar_second_moment", "haar_second_moment_exact",
     "haar_fourth_moment", "haar_fourth_moment_exact", "hermite_phi",
     "gue_level_density", "gue_trace_square_mc",
@@ -59,17 +62,6 @@ class RngStream:
     def sample_generator(self, index: int) -> np.random.Generator:
         """Fresh generator on substream ``index`` (the engine's block ``index``)."""
         return np.random.Generator(self.bit_generator(index))
-
-
-@dataclass(frozen=True)
-class GueSpec:
-    """Dimension of a GUE draw; the weight convention exp(-tr X^2) is fixed."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -110,12 +102,23 @@ def _gue_block(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
     return _OMEGA * g + _OMEGA.conjugate() * g.transpose(0, 2, 1)
 
 
-def _gue_times(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``V x``, ``(m, d)``, for the ``V`` that :func:`_gue_block` builds from normals
-    ``g``: ``w (g x) + conj(w) (g^T x)`` from two stacked real products."""
-    xr = np.stack([x.real, x.imag], axis=-1)
-    return (_OMEGA * (g @ xr).view(complex)
-            + _OMEGA.conjugate() * (g.transpose(0, 2, 1) @ xr).view(complex))[..., 0]
+def _gue_columns(gen: np.random.Generator, m: int, d: int,
+                 cols: np.ndarray) -> np.ndarray:
+    """Columns ``cols`` (ascending) of ``m`` GUE draws, ``V[:, :, cols]`` as
+    ``(m, d, s)``, from the ``2 s d - s^2`` normals of ``g`` they read instead
+    of ``d^2``.  Matrix ``i`` takes one row of ``gen.standard_normal``: first
+    ``g_{j, cols[c]}`` for ``j < d``, ``c < s`` (the columns, row-major), then
+    ``g_{cols[c], t}`` for ``t`` outside ``cols`` (the rest of their rows,
+    ascending).  ``V_jk = w g_jk + conj(w) g_kj`` by the float operations of
+    :func:`_gue_block`, so ``V_kk`` is real and ``V_kj = conj(V_jk)`` for ``j, k``
+    in ``cols``, and ``cols = range(d)`` gives :func:`_gue_block` bit for bit."""
+    s = len(cols)
+    x = gen.standard_normal((m, (2 * d - s) * s))
+    col = x[:, :d * s].reshape(m, d, s)            # g_{j, cols[c]}
+    row = np.empty((m, s, d))                      # g_{cols[c], j}
+    row[:, :, cols] = col[:, cols]
+    row[:, :, np.delete(np.arange(d), cols)] = x[:, d * s:].reshape(m, s, d - s)
+    return _OMEGA * col + _OMEGA.conjugate() * row.transpose(0, 2, 1)
 
 
 def _gue_matrix(d: int, gen: np.random.Generator) -> np.ndarray:
@@ -143,9 +146,11 @@ def _gue_spectra(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
     return np.stack([_gue_spectrum(gen, d) for _ in range(m)])
 
 
-def sample_gue(spec: GueSpec, rng: RngStream) -> np.ndarray:
-    """Draw one GUE matrix under the exp(-tr X^2) convention."""
-    return _gue_matrix(spec.dim, rng.generator())
+def sample_gue(d: int, rng: RngStream) -> np.ndarray:
+    """Draw one ``d x d`` GUE matrix under the exp(-tr X^2) convention."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    return _gue_matrix(d, rng.generator())
 
 
 def _haar_block(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
@@ -266,8 +271,10 @@ def gue_level_density(v, d: int):
 
 
 def _trace_square_block(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
-    traces = [np.trace(_gue_block(gen, hi - lo, d).real, axis1=1, axis2=2)
-              for lo, hi in _pool.row_slices(m, d * d)]
+    """``(tr V)^2`` of ``m`` GUE draws from the ``d`` normals of each diagonal,
+    ``tr V = sum_j g_jj/sqrt(2)``: the off-diagonal normals are never read."""
+    traces = [(math.sqrt(0.5) * gen.standard_normal((hi - lo, d))).sum(axis=1)
+              for lo, hi in _pool.row_slices(m, d)]
     return np.concatenate(traces) ** 2
 
 

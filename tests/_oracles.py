@@ -8,7 +8,9 @@ recurrences that the library replaces by scaled forms.  The exceptions are
 earlier forms of the same recurrences, kept as the references that the
 current loops must reproduce bit for bit; and ``gue_block_triangles``, the
 library's earlier GUE draw, which the current one must match in law and,
-for a basis state, in every rate up to rounding.
+for a basis state, in every rate of the same normals up to rounding.
+``build_tbre_hamiltonian`` is the illustrative TBRE Hamiltonian draw; the
+library's TBRE rate and bound read only the fixed operator.
 """
 
 import math
@@ -17,6 +19,7 @@ import numpy as np
 
 from dephase_lab.ensembles import _gue_matrix
 from dephase_lab.exceptions import NumericalError
+from dephase_lab.rates import _site_operator
 from dephase_lab.specfun import _LOG_SCALE_CAP
 
 
@@ -48,6 +51,25 @@ def gue_rates_triangles(gen, m: int, d: int, gamma: float,
     w = gue_block_triangles(gen, m, d) @ psi
     mean = (w @ psi.conj()).real
     return 2.0 * gamma * (np.abs(w - mean[:, None] * psi) ** 2).sum(axis=1)
+
+
+def build_tbre_hamiltonian(spec, rng) -> np.ndarray:
+    """Illustrative TBRE Hamiltonian draw (random couplings A and fields B) of a
+    ``rates.TbreSpec`` chain, from ``rng``'s generator."""
+    gen = rng.generator()
+    n = spec.n
+    dim = 1 << n
+    h = np.zeros((dim, dim), dtype=complex)
+    for l in range(n - 1):
+        for a in "xyz":
+            sa = _site_operator(n, l, a)
+            for b in "xyz":
+                h += spec.coupling_scale * gen.standard_normal() \
+                    * (sa @ _site_operator(n, l + 1, b))
+    for l in range(n):
+        for a in "xyz":
+            h += spec.field_scale * gen.standard_normal() * _site_operator(n, l, a)
+    return h
 
 
 def purity_double_sum(sys, t: float) -> float:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ class TestRateGue:
         assert run_cli(["rate-gue", "--dims", "2,4", "--samples", "200",
                         "--seed", "5", "-o", str(out)]) == 0
         comments, header, rows = read_csv(str(out))
-        assert comments[0] == "# dephase-lab schema v5"
+        assert comments[0] == "# dephase-lab schema v6"
         assert header == ["d", "gamma", "rate_haar", "rate_wick", "rate_mc_mean",
                           "rate_mc_stderr", "n_samples", "seed"]
         assert len(rows) == 2
@@ -90,6 +91,19 @@ class TestRateGue:
         assert run_cli(["rate-gue", "--dims", "1024", "--samples", "2",
                         "-o", str(tmp_path / "r.csv")]) == 0
         assert seen == [1024]
+
+    def test_sampling_at_the_dimension_cap(self, tmp_path):
+        # A basis state draws 2d - 1 normals per channel, so d = 2^10 takes
+        # well under a second where d^2 normals took about 15 s.
+        out = tmp_path / "r.csv"
+        t0 = time.perf_counter()
+        assert run_cli(["rate-gue", "--dims", "1024", "--samples", "600",
+                        "--threads", "1", "-o", str(out)]) == 0
+        assert time.perf_counter() - t0 < 5.0
+        _, header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        mean, se = float(row["rate_mc_mean"]), float(row["rate_mc_stderr"])
+        assert se > 0 and abs(mean - 1023) <= 5 * se
 
 
 def _never_called(*args, **kwargs):
@@ -475,7 +489,7 @@ def test_closed_form_commands_never_import_numpy(tmp_path, argv):
                "    assert exc.code == 0, exc.code\n"
                "assert 'numpy' not in sys.modules\n",
                *argv, "-o", str(tmp_path / "c.csv"))
-    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v5")
+    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v6")
 
 
 def test_package_import_loads_no_submodule():
@@ -506,7 +520,7 @@ PUBLIC_NAMES = {
                   "StepSizeError",
     "hermitian": "SpectralData eig_hermitian modified_covariance purity "
                  "spectral_norm",
-    "ensembles": "EnsembleEstimate GueSpec RngStream gue_level_density "
+    "ensembles": "EnsembleEstimate RngStream gue_level_density "
                  "gue_trace_square_mc haar_fourth_moment haar_fourth_moment_exact "
                  "haar_second_moment haar_second_moment_exact hermite_phi "
                  "sample_gue sample_haar_unitary",
@@ -515,7 +529,7 @@ PUBLIC_NAMES = {
                "rate_gue_haar rate_gue_wick rate_kbody_bound rate_tfd_gue_exact "
                "rate_tfd_gue_semicircle z_gue_exact z_gue_semicircle",
     "rates": "LindbladChannel TbreSpec build_kbody_operator "
-             "build_tbre_hamiltonian build_tbre_operator decoherence_rate "
+             "build_tbre_operator decoherence_rate "
              "lmg_sector_spectrum rate_gue_mc rate_lmg tbre_rate_and_bound",
     "dynamics": "AnnealingCheck TfdDensity TfdPurityCurve TfdSystem "
                 "annealing_check build_tfd ensemble_purity_tfd evolve_tfd "

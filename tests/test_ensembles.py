@@ -4,27 +4,26 @@ import numpy as np
 import pytest
 
 from _oracles import dense_gue_spectrum
-from dephase_lab.ensembles import (EnsembleEstimate, GueSpec, RngStream,
-                                   _gue_block, _gue_matrix, _gue_spectrum,
-                                   _gue_times, gue_level_density,
-                                   gue_trace_square_mc, haar_fourth_moment,
-                                   haar_fourth_moment_exact, haar_second_moment,
-                                   haar_second_moment_exact, hermite_phi,
-                                   sample_gue, sample_haar_unitary)
+from dephase_lab.ensembles import (_OMEGA, EnsembleEstimate, RngStream, _gue_block,
+                                   _gue_columns, _gue_matrix, _gue_spectrum,
+                                   gue_level_density, gue_trace_square_mc,
+                                   haar_fourth_moment, haar_fourth_moment_exact,
+                                   haar_second_moment, haar_second_moment_exact,
+                                   hermite_phi, sample_gue, sample_haar_unitary)
 from dephase_lab.dynamics import gauss_hermite
 from dephase_lab.rates import PAULI
 
 
 class TestRngStream:
     def test_bitwise_reproducible(self):
-        a = sample_gue(GueSpec(6), RngStream(42, 3))
-        b = sample_gue(GueSpec(6), RngStream(42, 3))
+        a = sample_gue(6, RngStream(42, 3))
+        b = sample_gue(6, RngStream(42, 3))
         assert (a == b).all()
 
     def test_distinct_streams_differ(self):
-        a = sample_gue(GueSpec(6), RngStream(42, 3))
-        b = sample_gue(GueSpec(6), RngStream(42, 4))
-        c = sample_gue(GueSpec(6), RngStream(43, 3))
+        a = sample_gue(6, RngStream(42, 3))
+        b = sample_gue(6, RngStream(42, 4))
+        c = sample_gue(6, RngStream(43, 3))
         assert not (a == b).all() and not (a == c).all()
 
     def test_sample_substreams_independent_of_order(self):
@@ -38,7 +37,7 @@ class TestRngStream:
 
 class TestGueSampling:
     def test_hermitian_exactly(self):
-        m = sample_gue(GueSpec(16), RngStream(1, 0))
+        m = sample_gue(16, RngStream(1, 0))
         assert (m == m.conj().T).all()
 
     @pytest.mark.parametrize("d", [1, 2, 5])
@@ -56,13 +55,26 @@ class TestGueSampling:
         assert v.tobytes() == want.tobytes()
         assert (v.imag[:, range(d), range(d)] == 0).all()
 
-    def test_times_is_the_product_with_the_block(self):
-        # V x from the normals equals the formed V applied to x.
-        d = 7
-        x = np.exp(0.3j * np.arange(d)) / math.sqrt(d)
-        g = RngStream(3, 2).generator().standard_normal((30, d, d))
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_full_support_columns_are_the_block(self, d):
+        # Columns on every index draw the d^2 normals of _gue_block in its order.
         v = _gue_block(RngStream(3, 2).generator(), 30, d)
-        np.testing.assert_allclose(_gue_times(g, x), v @ x, rtol=1e-13, atol=1e-15)
+        cols = _gue_columns(RngStream(3, 2).generator(), 30, d, np.arange(d))
+        assert cols.tobytes() == v.tobytes()
+
+    def test_support_columns_follow_the_law(self):
+        assert _columns_law_ok(_gue_columns)
+
+    @pytest.mark.parametrize("plant", ["complex-diagonal", "off-diagonal-variance-1/2"])
+    def test_planted_columns_fail_the_law(self, plant):
+        def columns(gen, m, d, cols):
+            v = _gue_columns(gen, m, d, cols)
+            if plant == "off-diagonal-variance-1/2":
+                return np.where(_on_diagonal(d, cols), v, math.sqrt(2.0) * v)
+            a, b = gen.standard_normal((2, m, len(cols)))
+            v[:, cols, np.arange(len(cols))] = _OMEGA * a + _OMEGA.conjugate() * b
+            return v
+        assert not _columns_law_ok(columns)
 
     def test_scalar_variance(self):
         # d = 1: weight exp(-x^2) means variance 1/2.
@@ -116,6 +128,34 @@ def _planted_gue_block(gen, m, d):
     """``_gue_block`` with every off-diagonal entry scaled by sqrt(2)."""
     v = _gue_block(gen, m, d)
     return np.where(np.eye(d, dtype=bool), v, math.sqrt(2.0) * v)
+
+
+def _on_diagonal(d, cols) -> np.ndarray:
+    """Mask of the diagonal entries ``V_kk`` among the columns ``V[:, cols]``."""
+    diag = np.zeros((d, len(cols)), dtype=bool)
+    diag[cols, np.arange(len(cols))] = True
+    return diag
+
+
+def _columns_law_ok(columns) -> bool:
+    """Columns ``S = {1, 4, 5}`` of 2e4 draws at d = 7: ``Im V_kk == 0`` and
+    ``V_kj == conj(V_jk)`` exactly for ``j, k`` in ``S``, and the real and
+    imaginary parts of every off-diagonal entry have variance 1/4 (the
+    diagonal: 1/2 and 0) within 5 standard errors, entry by entry."""
+    d, n, cols = 7, 20_000, np.array([1, 4, 5])
+    v = columns(RngStream(3, 4).generator(), n, d, cols)
+    on_support = v[:, cols]
+    if not ((np.diagonal(on_support, axis1=1, axis2=2).imag == 0).all()
+            and (on_support == on_support.conj().transpose(0, 2, 1)).all()):
+        return False
+    diag = _on_diagonal(d, cols)
+    for part, want in ((v.real, np.where(diag, 0.5, 0.25)),
+                       (v.imag, np.where(diag, 0.0, 0.25))):
+        sq = part ** 2
+        se = sq.std(axis=0, ddof=1) / math.sqrt(n)
+        if (np.abs(sq.mean(axis=0) - want) > 5 * se).any():
+            return False
+    return True
 
 
 def _trace_square_ok(block) -> bool:

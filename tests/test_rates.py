@@ -4,15 +4,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from _oracles import gue_rates_triangles
+from _oracles import build_tbre_hamiltonian, gue_rates_triangles
 from dephase_lab import _pool, rates
 from dephase_lab.ensembles import RngStream, _gue_block, _gue_matrix
 from dephase_lab.hermitian import spectral_norm
 from dephase_lab.rates import (LindbladChannel, PAULI, TbreSpec,
-                               build_kbody_operator, build_tbre_hamiltonian,
-                               build_tbre_operator, decoherence_rate,
-                               lmg_sector_spectrum, rate_gue_mc, rate_lmg,
-                               tbre_rate_and_bound)
+                               build_kbody_operator, build_tbre_operator,
+                               decoherence_rate, lmg_sector_spectrum, rate_gue_mc,
+                               rate_lmg, tbre_rate_and_bound)
 from dephase_lab.specfun import (KBodySpec, calibrate_epsilon, crossover_min_n,
                                  rate_gue_haar, rate_gue_wick, rate_kbody_bound)
 
@@ -25,6 +24,32 @@ def rand_herm(d, gen):
 def rand_pure(d, gen):
     v = gen.standard_normal(d) + 1j * gen.standard_normal(d)
     return v / np.linalg.norm(v)
+
+
+def support_normals(rng, n, d, cols, gen):
+    """Normals ``g``, ``(n, d, d)``, of the ``n`` GUE channels that the rate blocks
+    draw on ``rng`` for a pure state supported on ``cols``: the rows and columns
+    ``cols`` as the blocks draw them (the columns, then the rest of their rows),
+    every other entry from ``gen``."""
+    s, rest = len(cols), np.delete(np.arange(d), cols)
+    x = np.concatenate([rng.sample_generator(b).standard_normal(
+        (min(_pool._BLOCK, n - lo), (2 * d - s) * s))
+        for b, lo in enumerate(range(0, n, _pool._BLOCK))])
+    g = gen.standard_normal((n, d, d))
+    g[:, :, cols] = x[:, :d * s].reshape(n, d, s)
+    g[:, cols[:, None], rest] = x[:, d * s:].reshape(n, s, d - s)
+    return g
+
+
+class FixedNormals:
+    """Stands in for a generator whose next ``standard_normal`` draw is ``g``."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def standard_normal(self, shape):
+        assert shape == self.g.shape
+        return self.g.copy()
 
 
 class TestDecoherenceRate:
@@ -141,7 +166,8 @@ class TestRateGueMc:
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_samples_are_the_rates_of_the_dense_draws(self, kind):
         # The stacked real products (pure) and stacked traces (mixed) give
-        # decoherence_rate of each GUE matrix the blocks draw, in order.
+        # decoherence_rate of each GUE matrix the blocks draw, in order.  The
+        # pure state is dense, so its support draw is the dense draw.
         d, n = 5, _pool._BLOCK + 40
         gen = np.random.default_rng(3)
         a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
@@ -159,12 +185,36 @@ class TestRateGueMc:
     @pytest.mark.parametrize("d", [1, 2, 5, 16, 64])
     def test_basis_state_rates_match_the_triangle_construction(self, d):
         # For e_0, |V_j0|^2 = (g_j0^2 + g_0j^2)/4 in both constructions, so
-        # the rates of the same normals differ only by rounding.
+        # the triangle construction of the normals the blocks draw (row and
+        # column 0, the rest at random) gives the same rates up to rounding.
         psi = np.eye(d, dtype=complex)[0]
         rng = RngStream(31, 6)
         got = _pool.gather_samples(rates._rate_gue_block, 300, rng, 1, d, 0.7, psi)
-        want = _pool.gather_samples(gue_rates_triangles, 300, rng, 1, d, 0.7, psi)
+        g = support_normals(rng, 300, d, np.array([0]), np.random.default_rng(d))
+        want = gue_rates_triangles(FixedNormals(g), 300, d, 0.7, psi)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16, 64])
+    def test_pure_rates_read_only_the_support_draws(self, d):
+        # Rebuild each V from the normals the blocks draw for the support S
+        # of psi, with two different random fillings of every entry outside
+        # the rows and columns of S: decoherence_rate of either equals the
+        # block's rate.
+        n = _pool._BLOCK + 40
+        gen = np.random.default_rng(d)
+        cat = np.zeros(d, dtype=complex)
+        cat[0] = cat[-1] = 1.0
+        dense = gen.standard_normal(d) + 1j * gen.standard_normal(d)
+        w = complex(math.sqrt(0.125), math.sqrt(0.125))
+        for state in (np.eye(d, dtype=complex)[0], np.eye(d, dtype=complex)[-1],
+                      cat / np.linalg.norm(cat), dense / np.linalg.norm(dense)):
+            rng = RngStream(31, 5)
+            got = _pool.gather_samples(rates._rate_gue_block, n, rng, 1, d, 0.7, state)
+            for _ in range(2):
+                g = support_normals(rng, n, d, np.flatnonzero(state), gen)
+                vs = w * g + w.conjugate() * g.transpose(0, 2, 1)
+                want = [decoherence_rate(state, [LindbladChannel(0.7, v)]) for v in vs]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_non_basis_state_mean_matches_the_triangle_construction(self):
         # Other states see other entries of the same normals: the two
