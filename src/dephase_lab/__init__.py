@@ -16,19 +16,19 @@ __version__ = "0.1.0"
 _EXPORTS = {  # owner module: the names it exports
     "exceptions": "DimensionMismatchError HermiticityError NumericalError "
                   "StepSizeError",
-    "hermitian": "SpectralData eig_hermitian modified_covariance purity spectral_norm",
+    "hermitian": "modified_covariance purity spectral_norm",
     "ensembles": "EnsembleEstimate RngStream gue_level_density "
                  "gue_trace_square_mc haar_fourth_moment haar_fourth_moment_exact "
                  "haar_second_moment haar_second_moment_exact hermite_phi sample_gue "
                  "sample_haar_unitary",
-    "specfun": "KBodySpec PartitionValue bessel_i_ratio_g beta_crossover "
+    "specfun": "KBodySpec bessel_i_ratio_g beta_crossover "
                "calibrate_epsilon crossover_min_n log_bessel_i1 log_laguerre_l "
                "rate_gue_haar rate_gue_wick rate_kbody_bound rate_tfd_gue_exact "
                "rate_tfd_gue_semicircle z_gue_exact z_gue_semicircle",
     "rates": "LindbladChannel TbreSpec build_kbody_operator "
              "build_tbre_operator decoherence_rate lmg_sector_spectrum rate_gue_mc "
              "rate_lmg tbre_rate_and_bound",
-    "dynamics": "AnnealingCheck TfdDensity TfdPurityCurve TfdSystem annealing_check "
+    "dynamics": "AnnealingCheck TfdPurityCurve TfdSystem annealing_check "
                 "build_tfd ensemble_purity_tfd evolve_tfd gauss_hermite "
                 "master_equation_rk4 purity_inf_tfd purity_tfd purity_tfd_hs rate_tfd",
     "trajectories": "TrajectoryAverage TrajectoryConfig average_trajectories "

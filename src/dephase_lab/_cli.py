@@ -120,6 +120,9 @@ def cmd_crossover(args) -> int:
         raise ValueError("--k-list must list localities >= 1")
     if args.n_max < max(k_list):
         raise ValueError("--n-max must reach the largest k")
+    for flag, n in (("--n-max", args.n_max), ("--n0", args.n0)):
+        if n > 1023:
+            raise ValueError(f"{flag} is too large: 2**{n} overflows a double")
     _check_gamma(args.gamma)
     # Reference-size calibration at k = 1, where both bound modes coincide.
     eps_sq = calibrate_epsilon(args.n0, 1, args.gamma)

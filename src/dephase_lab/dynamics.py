@@ -46,14 +46,6 @@ from .ensembles import EnsembleEstimate, RngStream, _gue_spectra, _gue_spectrum
 from .rates import LindbladChannel
 from .specfun import rate_tfd_gue_exact
 
-__all__ = [
-    "TfdSystem", "TfdDensity", "build_tfd", "evolve_tfd", "purity_tfd",
-    "purity_inf_tfd", "gauss_hermite", "purity_tfd_hs", "rate_tfd",
-    "ensemble_purity_tfd", "TfdPurityCurve", "annealing_check",
-    "AnnealingCheck", "master_equation_rk4",
-]
-
-
 @dataclass(frozen=True)
 class TfdSystem:
     """Thermofield double data: spectrum, inverse temperature, noise rate.
@@ -71,31 +63,6 @@ class TfdSystem:
     @property
     def dim(self) -> int:
         return self.energies.shape[0]
-
-
-@dataclass(frozen=True)
-class TfdDensity:
-    """Doubled-basis coefficients c_kl of a dephasing thermofield double."""
-
-    coefficients: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.coefficients.shape[0]
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.coefficients)))
-
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.coefficients) ** 2))
-
-    def to_product_basis(self) -> np.ndarray:
-        """Dense d^2 x d^2 density matrix on the doubled Hilbert space."""
-        d = self.dim
-        rho = np.zeros((d * d, d * d), dtype=complex)
-        kk = np.arange(d) * d + np.arange(d)
-        rho[np.ix_(kk, kk)] = self.coefficients
-        return rho
 
 
 def build_tfd(energies: np.ndarray, beta: float,
@@ -117,15 +84,16 @@ def build_tfd(energies: np.ndarray, beta: float,
                      gamma=gamma, weights=weights, log_z=log_z)
 
 
-def evolve_tfd(sys: TfdSystem, t: float) -> TfdDensity:
-    """Closed-form coefficients at time ``t`` (diagonal entries constant)."""
+def evolve_tfd(sys: TfdSystem, t: float) -> np.ndarray:
+    """Closed-form doubled-basis coefficients ``c_kl`` at time ``t``, a
+    ``(d, d)`` array whose diagonal stays constant."""
     if t < 0:
         raise ValueError("time must be nonnegative")
     e = sys.energies
     gaps = e[:, None] - e[None, :]
     c0 = sys.weights[:, None] * sys.weights[None, :]
     phase = np.exp(-2j * t * gaps - sys.gamma * t * gaps ** 2)
-    return TfdDensity(c0 * phase)
+    return c0 * phase
 
 
 # Just above ln of the smallest normal double (-708.40): exp below it is

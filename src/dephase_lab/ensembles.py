@@ -30,14 +30,6 @@ import numpy as np
 from . import _pool
 from .hermitian import as_matrix
 
-__all__ = [
-    "RngStream", "EnsembleEstimate", "sample_gue",
-    "sample_haar_unitary", "haar_second_moment", "haar_second_moment_exact",
-    "haar_fourth_moment", "haar_fourth_moment_exact", "hermite_phi",
-    "gue_level_density", "gue_trace_square_mc",
-]
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based random stream identified by (master_seed, stream_index)."""
@@ -92,26 +84,19 @@ class EnsembleEstimate:
 _OMEGA = math.sqrt(0.125) * (1 + 1j)      # w = e^{i pi/4}/2, Re w == Im w
 
 
-def _gue_block(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
-    """``m`` GUE draws ``V = w g + conj(w) g^T``, ``(m, d, d)``, from the normals
-    ``g`` of ``gen.standard_normal((m, d, d))``.  ``Re V_jk = (g_jk + g_kj)/sqrt(8)``
-    and ``Im V_jk = (g_jk - g_kj)/sqrt(8)`` are independent with variance 1/4,
-    ``V_jj = g_jj/sqrt(2)`` is real, and ``V_kj = conj(V_jk)`` by the same float
-    operations.  Matrix ``i`` reads only ``g[i]``, so slices equal one draw."""
-    g = gen.standard_normal((m, d, d))
-    return _OMEGA * g + _OMEGA.conjugate() * g.transpose(0, 2, 1)
-
-
 def _gue_columns(gen: np.random.Generator, m: int, d: int,
                  cols: np.ndarray) -> np.ndarray:
-    """Columns ``cols`` (ascending) of ``m`` GUE draws, ``V[:, :, cols]`` as
-    ``(m, d, s)``, from the ``2 s d - s^2`` normals of ``g`` they read instead
-    of ``d^2``.  Matrix ``i`` takes one row of ``gen.standard_normal``: first
-    ``g_{j, cols[c]}`` for ``j < d``, ``c < s`` (the columns, row-major), then
-    ``g_{cols[c], t}`` for ``t`` outside ``cols`` (the rest of their rows,
-    ascending).  ``V_jk = w g_jk + conj(w) g_kj`` by the float operations of
-    :func:`_gue_block`, so ``V_kk`` is real and ``V_kj = conj(V_jk)`` for ``j, k``
-    in ``cols``, and ``cols = range(d)`` gives :func:`_gue_block` bit for bit."""
+    """Columns ``cols`` (ascending) of ``m`` GUE draws ``V = w g + conj(w) g^T``,
+    ``V[:, :, cols]`` as ``(m, d, s)``, from the ``2 s d - s^2`` normals of ``g``
+    they read instead of ``d^2``.  Matrix ``i`` takes one row of
+    ``gen.standard_normal``: first ``g_{j, cols[c]}`` for ``j < d``, ``c < s``
+    (the columns, row-major), then ``g_{cols[c], t}`` for ``t`` outside ``cols``
+    (the rest of their rows, ascending), so ``cols = range(d)`` reads ``g`` as
+    ``gen.standard_normal((m, d, d))``.  ``Re V_jk = (g_jk + g_kj)/sqrt(8)`` and
+    ``Im V_jk = (g_jk - g_kj)/sqrt(8)`` are independent with variance 1/4, and
+    for ``j, k`` in ``cols``, ``V_kk = g_kk/sqrt(2)`` is real and
+    ``V_kj = conj(V_jk)`` by the same float operations.  Matrix ``i`` reads
+    only its own row, so slices of a block equal one draw."""
     s = len(cols)
     x = gen.standard_normal((m, (2 * d - s) * s))
     col = x[:, :d * s].reshape(m, d, s)            # g_{j, cols[c]}
@@ -123,7 +108,7 @@ def _gue_columns(gen: np.random.Generator, m: int, d: int,
 
 def _gue_matrix(d: int, gen: np.random.Generator) -> np.ndarray:
     """One GUE draw as a complex ndarray; Hermitian exactly by construction."""
-    return _gue_block(gen, 1, d)[0]
+    return _gue_columns(gen, 1, d, np.arange(d))[0]
 
 
 def _gue_spectrum(gen: np.random.Generator, d: int) -> np.ndarray:

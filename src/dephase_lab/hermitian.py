@@ -8,41 +8,21 @@ the vector form keeps k-body rate evaluations at ``O(2**n)`` cost instead of
 and a square matrix is a mixed one.  :func:`as_state` checks a state once
 at each public entry point.
 
-All tolerances below are defaults and can be overridden per call; matrix
-comparisons are made relative to the spectral norm so they are scale-free.
+The tolerances below are fixed; the Hermiticity check scales with the
+largest entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, HermiticityError, NumericalError
+from .exceptions import DimensionMismatchError, HermiticityError
 
 HERMITICITY_RTOL = 1e-12
-EIG_RESIDUAL_RTOL = 1e-10
-UNITARITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """Return ``U diag(E) U^dagger``."""
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
 
 
 def _gibbs_log_weights(energies: np.ndarray, beta: float,
@@ -109,39 +89,6 @@ def as_state(state: np.ndarray) -> np.ndarray:
     if np.linalg.eigvalsh(a).min() < -PSD_ATOL:
         raise ValueError("density matrix is not positive semidefinite")
     return a
-
-
-def eig_hermitian(h: np.ndarray, *, validate: bool = True,
-                  tol: float = HERMITICITY_RTOL,
-                  residual_rtol: float = EIG_RESIDUAL_RTOL) -> SpectralData:
-    """Eigendecomposition of a Hermitian matrix or of a diagonal vector.
-
-    Eigenvalues are returned in ascending order.  The residual contract
-    ``||H v_k - E_k v_k||_2 <= residual_rtol * d * ||H||`` and the unitarity
-    of the eigenvector matrix are verified; a violation raises
-    :class:`NumericalError`.
-    """
-    h = np.asarray(h)
-    if h.ndim == 1:
-        d = len(h)
-        order = np.argsort(h, kind="stable")
-        vecs = np.zeros((d, d), dtype=complex)
-        vecs[order, np.arange(d)] = 1.0
-        return SpectralData(h[order].copy(), vecs)
-    m = np.asarray(h, dtype=complex)
-    if validate:
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.conj().T).max() > tol * scale:
-            raise HermiticityError("eig_hermitian requires a Hermitian matrix")
-    vals, vecs = np.linalg.eigh(m)
-    d = m.shape[0]
-    norm = float(np.abs(vals).max()) if d else 0.0
-    resid = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
-    if norm > 0 and resid.max() > residual_rtol * d * norm:
-        raise NumericalError(f"eigendecomposition residual {resid.max():.3e} out of contract")
-    if np.abs(vecs.conj().T @ vecs - np.eye(d)).max() > UNITARITY_ATOL:
-        raise NumericalError("eigenvector matrix failed the unitarity check")
-    return SpectralData(vals, vecs)
 
 
 def purity(rho: np.ndarray) -> float:

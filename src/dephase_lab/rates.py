@@ -38,14 +38,8 @@ import numpy as np
 from . import _pool
 from .exceptions import DimensionMismatchError
 from .hermitian import _gibbs_log_weights, _modified_covariance, as_state
-from .ensembles import EnsembleEstimate, RngStream, _gue_block, _gue_columns
+from .ensembles import EnsembleEstimate, RngStream, _gue_columns
 from .specfun import KBodySpec
-
-__all__ = [
-    "LindbladChannel", "TbreSpec", "decoherence_rate", "rate_gue_mc",
-    "build_kbody_operator", "build_tbre_operator",
-    "tbre_rate_and_bound", "rate_lmg", "lmg_sector_spectrum",
-]
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -80,14 +74,10 @@ class TbreSpec:
     """Spin chain with random two-body couplings and fields, open boundaries.
 
     The fluctuating part is coupling-independent: the Lindblad operator is
-    the fixed sum of all nearest-neighbour Pauli pairs.  The coupling and
-    field scales only parametrize the illustrative Hamiltonian draw, which
-    the test oracles keep; the rate and its bound never read them.
+    the fixed sum of all nearest-neighbour Pauli pairs.
     """
 
     n: int
-    coupling_scale: float = 1.0
-    field_scale: float = 1.0
 
     def __post_init__(self):
         if self.n < 2:
@@ -125,8 +115,9 @@ def _rate_gue_block(gen: np.random.Generator, m: int, d: int, gamma: float,
             r = (w - mu * state).view(float).reshape(k, 1, 2 * d)
             out[lo:hi] = (r @ r.transpose(0, 2, 1))[:, 0, 0]
         return 2.0 * gamma * out
+    cols = np.arange(d)
     for lo, hi in _pool.row_slices(m, d * d):   # tr(rho^2 V^2) - tr(rho V rho V)
-        v = _gue_block(gen, hi - lo, d)
+        v = _gue_columns(gen, hi - lo, d, cols)
         rv = state @ v
         out[lo:hi] = np.einsum("kij,kji->k", state @ rv - rv @ state, v).real
     return 2.0 * gamma * out / np.sum(np.abs(state) ** 2)

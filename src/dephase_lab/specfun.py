@@ -253,30 +253,19 @@ def log_bessel_i1(x: float) -> float:
     return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(_i_asymptotic_series(1, x))
 
 
-@dataclass(frozen=True)
-class PartitionValue:
-    """Log-scaled partition function value: ``log_value`` is ``ln Z``."""
-
-    log_value: float
-
-    @property
-    def value(self) -> float:
-        return math.exp(self.log_value)
-
-
-def z_gue_exact(beta: float, d: int) -> PartitionValue:
-    """GUE-averaged partition function, finite-d Laguerre closed form.
+def z_gue_exact(beta: float, d: int) -> float:
+    """``ln <Z(beta)>`` of the GUE average in its finite-d Laguerre form.
 
     ``<Z(beta)> = exp(beta^2/4) L_{d-1}^(1)(-beta^2/2)``; equals ``d`` at
     ``beta = 0``.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return PartitionValue(beta * beta / 4.0 + log_laguerre_l(d - 1, 1, -beta * beta / 2.0))
+    return beta * beta / 4.0 + log_laguerre_l(d - 1, 1, -beta * beta / 2.0)
 
 
-def z_gue_semicircle(beta: float, d: float) -> PartitionValue:
-    """GUE-averaged partition function in the semicircle (large-d) form.
+def z_gue_semicircle(beta: float, d: float) -> float:
+    """``ln <Z(beta)>`` of the GUE average in its semicircle (large-d) form.
 
     ``<Z(beta)> = sqrt(2 d) I_1(sqrt(2 d) beta) / beta``; the ``beta -> 0``
     limit is ``d``.  Accepts huge dimensions (e.g. ``2.0**50``) since only
@@ -287,9 +276,9 @@ def z_gue_semicircle(beta: float, d: float) -> PartitionValue:
     if beta < 0:
         raise ValueError("inverse temperature must be nonnegative")
     if beta == 0.0:
-        return PartitionValue(math.log(d))
+        return math.log(d)
     x = math.sqrt(2.0 * d) * beta
-    return PartitionValue(0.5 * math.log(2.0 * d) + log_bessel_i1(x) - math.log(beta))
+    return 0.5 * math.log(2.0 * d) + log_bessel_i1(x) - math.log(beta)
 
 
 def rate_tfd_gue_exact(beta: float, d: int, gamma: float) -> float:
@@ -370,10 +359,12 @@ class KBodySpec:
 
 def rate_gue_haar(d: int, total_gamma: float) -> float:
     """Closed form ``Gamma d^2/(d+1)`` for a fixed pure state (vanishing
-    ``<(tr V)^2>`` variant)."""
+    ``<(tr V)^2>`` variant).  Where ``Gamma d^2`` overflows (``d = 2^512`` at
+    ``Gamma = 1``) it is ``Gamma d / (1 + 1/d)``, finite up to ``Gamma d``."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return total_gamma * d * d / (d + 1.0)
+    rate = total_gamma * d * d / (d + 1.0)
+    return total_gamma * d / (1.0 + 1.0 / d) if math.isinf(rate) else rate
 
 
 def rate_gue_wick(d: int, total_gamma: float, purity0: float = 1.0) -> float:

@@ -35,11 +35,6 @@ from .hermitian import apply_operator, as_state, spectral_norm
 from .ensembles import RngStream
 from .rates import LindbladChannel
 
-__all__ = [
-    "TrajectoryConfig", "TrajectoryAverage", "sse_trajectory",
-    "average_trajectories", "tfd_two_noise_config", "default_dt",
-]
-
 _NORM_FLOOR = 1e-6
 
 

@@ -23,8 +23,6 @@ from .ensembles import (RngStream, _gue_spectrum, haar_fourth_moment,
 from .rates import PAULI, LindbladChannel
 from .trajectories import TrajectoryConfig, average_trajectories
 
-__all__ = ["CheckResult", "run_validation"]
-
 # Stream indices reserved per check so one master seed drives them all; no
 # two checks draw from the same key.
 _STREAMS = {"haar2": 101, "haar4": 102, "annealing": 103, "trajectory": 104,

@@ -53,7 +53,8 @@ def gue_rates_triangles(gen, m: int, d: int, gamma: float,
     return 2.0 * gamma * (np.abs(w - mean[:, None] * psi) ** 2).sum(axis=1)
 
 
-def build_tbre_hamiltonian(spec, rng) -> np.ndarray:
+def build_tbre_hamiltonian(spec, rng, *, coupling_scale: float = 1.0,
+                           field_scale: float = 1.0) -> np.ndarray:
     """Illustrative TBRE Hamiltonian draw (random couplings A and fields B) of a
     ``rates.TbreSpec`` chain, from ``rng``'s generator."""
     gen = rng.generator()
@@ -64,12 +65,22 @@ def build_tbre_hamiltonian(spec, rng) -> np.ndarray:
         for a in "xyz":
             sa = _site_operator(n, l, a)
             for b in "xyz":
-                h += spec.coupling_scale * gen.standard_normal() \
+                h += coupling_scale * gen.standard_normal() \
                     * (sa @ _site_operator(n, l + 1, b))
     for l in range(n):
         for a in "xyz":
-            h += spec.field_scale * gen.standard_normal() * _site_operator(n, l, a)
+            h += field_scale * gen.standard_normal() * _site_operator(n, l, a)
     return h
+
+
+def to_product_basis(c: np.ndarray) -> np.ndarray:
+    """Dense ``d^2 x d^2`` density matrix on the doubled Hilbert space of the
+    doubled-basis coefficients ``c_kl`` that ``dynamics.evolve_tfd`` returns."""
+    d = c.shape[0]
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    kk = np.arange(d) * d + np.arange(d)
+    rho[np.ix_(kk, kk)] = c
+    return rho
 
 
 def purity_double_sum(sys, t: float) -> float:

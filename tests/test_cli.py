@@ -152,6 +152,28 @@ class TestCrossover:
         assert float(rows_b[n - 1][3]) == pytest.approx(
             2 * eps_sq * math.comb(n, 2) ** 2)  # C(n,k)^2
 
+    @pytest.mark.parametrize("n_max", [511, 512, 1023])
+    def test_rate_is_finite_up_to_the_largest_double(self, tmp_path, n_max):
+        # d^2 overflows from d = 2^512 on; Gamma d^2/(d+1), about Gamma d,
+        # does not.  Rows below that keep the bytes of the direct formula.
+        out = tmp_path / "c.csv"
+        assert run_cli(["crossover", "--n-max", str(n_max), "-o", str(out)]) == 0
+        _, _, rows = read_csv(str(out))
+        assert len(rows) == n_max
+        for row in rows:
+            d = 2.0 ** int(row[0])
+            want = d * d / (d + 1.0) if d < 2.0 ** 512 else d
+            assert float(row[1]) == want
+
+    @pytest.mark.parametrize("argv", [["--n-max", "1024"], ["--n0", "1024"]])
+    def test_dimension_beyond_a_double_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "c.csv"
+        assert run_cli(["crossover", *argv, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {argv[0]} is too large")
+        assert "overflows a double" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTfd:
     def test_sampling_run(self, tmp_path):
@@ -345,8 +367,9 @@ def test_non_finite_beta_among_finite_ones_exit_2(tmp_path, capsys):
     ["tfd", "--formula-only", "--log2-dim", "1023", "--beta-list", "0,1"],
     ["tfd", "--formula-only", "--log2-dim", "8", "--gamma", "1e308"],
     ["rate-gue", "--dims", "2", "--samples", "10", "--gamma", "1e308"],
-    ["crossover", "--n-max", "1000"],       # rate_gue at d = 2**512 is inf
-    ["crossover", "--n-max", "1100"],       # float(2**1024) overflows
+    ["crossover", "--n-max", "1023", "--gamma", "4"],   # rate_gue 2**1025
+    # rate_gue = gamma d passes the largest double at n = 592.
+    ["crossover", "--k-list", "1", "--n-max", "600", "--gamma", "1e130"],
     ["tfd", "--formula-only", "--beta-list", "1e-300"],  # beta**2 is 0.0
     # Monte-Carlo samples that overflow: 2 gamma var V, 4 gamma var H.
     ["rate-gue", "--dims", "1,64", "--samples", "10", "--gamma", "1e307"],
@@ -513,25 +536,23 @@ def test_cli_module_imports_numpy_the_pool_and_every_module():
                "assert not missing, missing\n")
 
 
-# The package's public names before its imports became lazy, by the module
-# that owns each one now.
+# The package's public names, by the module that owns each one.
 PUBLIC_NAMES = {
     "exceptions": "DimensionMismatchError HermiticityError NumericalError "
                   "StepSizeError",
-    "hermitian": "SpectralData eig_hermitian modified_covariance purity "
-                 "spectral_norm",
+    "hermitian": "modified_covariance purity spectral_norm",
     "ensembles": "EnsembleEstimate RngStream gue_level_density "
                  "gue_trace_square_mc haar_fourth_moment haar_fourth_moment_exact "
                  "haar_second_moment haar_second_moment_exact hermite_phi "
                  "sample_gue sample_haar_unitary",
-    "specfun": "KBodySpec PartitionValue bessel_i_ratio_g beta_crossover "
+    "specfun": "KBodySpec bessel_i_ratio_g beta_crossover "
                "calibrate_epsilon crossover_min_n log_bessel_i1 log_laguerre_l "
                "rate_gue_haar rate_gue_wick rate_kbody_bound rate_tfd_gue_exact "
                "rate_tfd_gue_semicircle z_gue_exact z_gue_semicircle",
     "rates": "LindbladChannel TbreSpec build_kbody_operator "
              "build_tbre_operator decoherence_rate "
              "lmg_sector_spectrum rate_gue_mc rate_lmg tbre_rate_and_bound",
-    "dynamics": "AnnealingCheck TfdDensity TfdPurityCurve TfdSystem "
+    "dynamics": "AnnealingCheck TfdPurityCurve TfdSystem "
                 "annealing_check build_tfd ensemble_purity_tfd evolve_tfd "
                 "gauss_hermite master_equation_rk4 purity_inf_tfd purity_tfd "
                 "purity_tfd_hs rate_tfd",
@@ -545,10 +566,10 @@ def test_public_names_resolve_to_their_owners():
     import dephase_lab
     listed = dir(dephase_lab)
     assert dephase_lab.__version__ == "0.1.0"
+    assert dephase_lab._OWNER == {name: owner for owner, names in PUBLIC_NAMES.items()
+                                  for name in names.split()}
     for owner, names in PUBLIC_NAMES.items():
         module = importlib.import_module(f"dephase_lab.{owner}")
-        # A module's __all__, where it has one, is what the package exports.
-        assert set(getattr(module, "__all__", names.split())) == set(names.split())
         for name in names.split():
             obj = getattr(dephase_lab, name)
             assert obj is getattr(module, name), name

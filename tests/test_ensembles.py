@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import dense_gue_spectrum
-from dephase_lab.ensembles import (_OMEGA, EnsembleEstimate, RngStream, _gue_block,
+from dephase_lab.ensembles import (_OMEGA, EnsembleEstimate, RngStream,
                                    _gue_columns, _gue_matrix, _gue_spectrum,
                                    gue_level_density, gue_trace_square_mc,
                                    haar_fourth_moment, haar_fourth_moment_exact,
@@ -42,10 +42,11 @@ class TestGueSampling:
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_block_entries_follow_the_normals(self, d):
-        # V_jk = w g_jk + conj(w) g_kj with w = e^{i pi/4}/2, entry by entry
-        # from the d^2 normals of each matrix, in draw order.
+        # Columns on every index: V_jk = w g_jk + conj(w) g_kj with
+        # w = e^{i pi/4}/2, entry by entry from the d^2 normals of each
+        # matrix, in draw order.
         g = RngStream(3, 1).generator().standard_normal((40, d, d))
-        v = _gue_block(RngStream(3, 1).generator(), 40, d)
+        v = _dense_block(RngStream(3, 1).generator(), 40, d)
         w = complex(math.sqrt(0.125), math.sqrt(0.125))
         want = np.zeros((40, d, d), dtype=complex)
         for i in range(40):
@@ -57,8 +58,10 @@ class TestGueSampling:
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_full_support_columns_are_the_block(self, d):
-        # Columns on every index draw the d^2 normals of _gue_block in its order.
-        v = _gue_block(RngStream(3, 2).generator(), 30, d)
+        # Columns on every index are the whole block w g + conj(w) g^T of
+        # gen.standard_normal((m, d, d)), bit for bit.
+        g = RngStream(3, 2).generator().standard_normal((30, d, d))
+        v = _OMEGA * g + _OMEGA.conjugate() * g.transpose(0, 2, 1)
         cols = _gue_columns(RngStream(3, 2).generator(), 30, d, np.arange(d))
         assert cols.tobytes() == v.tobytes()
 
@@ -78,13 +81,13 @@ class TestGueSampling:
 
     def test_scalar_variance(self):
         # d = 1: weight exp(-x^2) means variance 1/2.
-        vals = _gue_block(RngStream(2, 0).generator(), 4000, 1)[:, 0, 0].real
+        vals = _dense_block(RngStream(2, 0).generator(), 4000, 1)[:, 0, 0].real
         second = vals ** 2
         se = second.std(ddof=1) / math.sqrt(len(vals))
         assert abs(second.mean() - 0.5) <= 3 * se
 
     def test_trace_square_normalization(self):
-        assert _trace_square_ok(_gue_block)
+        assert _trace_square_ok(_dense_block)
 
     def test_eigenvalue_histogram_semicircle_d256(self):
         d = 256
@@ -101,7 +104,7 @@ class TestGueSampling:
         assert l1 <= 0.05
 
     def test_pooled_histogram_matches_level_density_d64(self):
-        assert _level_density_l1(_gue_block) <= 0.02
+        assert _level_density_l1(_dense_block) <= 0.02
 
     def test_planted_off_diagonal_variance_fails_the_law_tests(self):
         # Real and imaginary off-diagonal parts of variance 1/2 instead of
@@ -110,7 +113,7 @@ class TestGueSampling:
         assert _level_density_l1(_planted_gue_block) > 0.2
 
     def test_off_diagonal_entries_are_circular(self):
-        assert _circular_ok(_gue_block)
+        assert _circular_ok(_dense_block)
 
     @pytest.mark.parametrize("w", [0.5, 0.5 * np.exp(1j * math.pi / 8)],
                              ids=["real", "phase-pi-over-8"])
@@ -124,9 +127,14 @@ class TestGueSampling:
         assert not _circular_ok(block)
 
 
+def _dense_block(gen, m, d):
+    """``m`` full GUE draws: the columns of every index."""
+    return _gue_columns(gen, m, d, np.arange(d))
+
+
 def _planted_gue_block(gen, m, d):
-    """``_gue_block`` with every off-diagonal entry scaled by sqrt(2)."""
-    v = _gue_block(gen, m, d)
+    """``_dense_block`` with every off-diagonal entry scaled by sqrt(2)."""
+    v = _dense_block(gen, m, d)
     return np.where(np.eye(d, dtype=bool), v, math.sqrt(2.0) * v)
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from dephase_lab import (HermiticityError, DimensionMismatchError,
-                         eig_hermitian, modified_covariance, purity,
-                         spectral_norm)
+                         modified_covariance, purity, spectral_norm)
 from dephase_lab.hermitian import as_state
 from dephase_lab.ensembles import RngStream, _gue_matrix
 from dephase_lab.rates import PAULI
@@ -23,50 +22,6 @@ def rand_mixed(d, gen):
 def rand_pure(d, gen):
     v = gen.standard_normal(d) + 1j * gen.standard_normal(d)
     return v / np.linalg.norm(v)
-
-
-class TestEig:
-    def test_identity(self):
-        spec = eig_hermitian(np.eye(3, dtype=complex))
-        np.testing.assert_allclose(spec.eigenvalues, [1.0, 1.0, 1.0])
-
-    def test_pauli_z(self):
-        spec = eig_hermitian(PAULI["z"])
-        np.testing.assert_allclose(spec.eigenvalues, [-1.0, 1.0])
-
-    def test_gue_residual(self):
-        h = _gue_matrix(8, RngStream(11, 0).generator())
-        spec = eig_hermitian(h)
-        norm = np.abs(spec.eigenvalues).max()
-        resid = np.linalg.norm(h @ spec.eigenvectors
-                               - spec.eigenvectors * spec.eigenvalues, axis=0)
-        assert resid.max() <= 1e-10 * 8 * norm
-        assert np.all(np.diff(spec.eigenvalues) >= 0)
-
-    def test_reconstruction(self):
-        gen = RngStream(12, 0).generator()
-        for d in (2, 5, 16):
-            h = rand_herm(d, gen)
-            spec = eig_hermitian(h)
-            err = np.abs(spec.reconstruct() - h).max()
-            assert err <= 1e-9 * np.abs(spec.eigenvalues).max()
-
-    def test_unitarity(self):
-        h = rand_herm(12, RngStream(13, 0).generator())
-        spec = eig_hermitian(h)
-        u = spec.eigenvectors
-        assert np.abs(u.conj().T @ u - np.eye(12)).max() <= 1e-10
-
-    def test_non_hermitian_rejected(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(HermiticityError):
-            eig_hermitian(m)
-
-    def test_diagonal_operator(self):
-        op = np.array([3.0, -1.0, 2.0])
-        spec = eig_hermitian(op)
-        np.testing.assert_allclose(spec.eigenvalues, [-1.0, 2.0, 3.0])
-        np.testing.assert_allclose(spec.reconstruct(), np.diag(op))
 
 
 class TestPurity:

@@ -158,9 +158,10 @@ class TestRowSlices:
     @pytest.mark.parametrize("d", [1, 7])
     def test_gue_block_drawn_in_slices_equals_one_draw(self, d):
         rng = RngStream(9, 1)
-        v = ensembles._gue_block(rng.sample_generator(0), 100, d)
+        cols = np.arange(d)
+        v = ensembles._gue_columns(rng.sample_generator(0), 100, d, cols)
         gen = rng.sample_generator(0)
-        parts = [ensembles._gue_block(gen, m, d) for m in (13, 40, 47)]
+        parts = [ensembles._gue_columns(gen, m, d, cols) for m in (13, 40, 47)]
         assert v.tobytes() == np.concatenate(parts).tobytes()
 
     @pytest.mark.parametrize("slice_size", [1, 16 * 16 * 7, 1 << 20])

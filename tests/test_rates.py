@@ -6,7 +6,7 @@ import pytest
 
 from _oracles import build_tbre_hamiltonian, gue_rates_triangles
 from dephase_lab import _pool, rates
-from dephase_lab.ensembles import RngStream, _gue_block, _gue_matrix
+from dephase_lab.ensembles import RngStream, _gue_columns, _gue_matrix
 from dephase_lab.hermitian import spectral_norm
 from dephase_lab.rates import (LindbladChannel, PAULI, TbreSpec,
                                build_kbody_operator, build_tbre_operator,
@@ -177,7 +177,8 @@ class TestRateGueMc:
             state = a @ a.conj().T / np.trace(a @ a.conj().T).real
         rng = RngStream(31, 5)
         got = _pool.gather_samples(rates._rate_gue_block, n, rng, 1, d, 0.7, state)
-        vs = np.concatenate([_gue_block(rng.sample_generator(b), m, d)
+        vs = np.concatenate([_gue_columns(rng.sample_generator(b), m, d,
+                                          np.arange(d))
                              for b, m in ((0, _pool._BLOCK), (1, 40))])
         want = [decoherence_rate(state, [LindbladChannel(0.7, v)]) for v in vs]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)

@@ -6,7 +6,6 @@ import pytest
 from dephase_lab.dynamics import build_tfd, master_equation_rk4, purity_tfd
 from dephase_lab.ensembles import RngStream, _gue_matrix
 from dephase_lab.exceptions import StepSizeError
-from dephase_lab.hermitian import eig_hermitian
 from dephase_lab.rates import PAULI, LindbladChannel
 from dephase_lab.trajectories import (TrajectoryConfig, average_trajectories,
                                       default_dt, sse_trajectory,
@@ -26,9 +25,8 @@ class TestSingleTrajectory:
         psi0 /= np.linalg.norm(psi0)
         cfg = TrajectoryConfig(dt=1e-4, steps=10_000, n_trajectories=1)
         states = sse_trajectory(h, [], psi0, cfg, RngStream(1, 0))
-        spec = eig_hermitian(h)
-        phases = np.exp(-1j * spec.eigenvalues * 1.0)
-        exact = spec.eigenvectors @ (phases * (spec.eigenvectors.conj().T @ psi0))
+        vals, vecs = np.linalg.eigh(h)
+        exact = vecs @ (np.exp(-1j * vals * 1.0) * (vecs.conj().T @ psi0))
         fidelity = abs(np.vdot(exact, states[-1]))
         assert fidelity >= 1.0 - 1e-4
 
