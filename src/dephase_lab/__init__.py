@@ -25,9 +25,9 @@ _EXPORTS = {  # owner module: the names it exports
                "calibrate_epsilon crossover_min_n log_bessel_i1 log_laguerre_l "
                "rate_gue_haar rate_gue_wick rate_kbody_bound rate_tfd_gue_exact "
                "rate_tfd_gue_semicircle z_gue_exact z_gue_semicircle",
-    "rates": "LindbladChannel TbreSpec build_kbody_operator "
-             "build_tbre_operator decoherence_rate lmg_sector_spectrum rate_gue_mc "
-             "rate_lmg tbre_rate_and_bound",
+    "rates": "LindbladChannel build_kbody_operator build_tbre_operator "
+             "decoherence_rate lmg_sector_spectrum rate_gue_mc rate_lmg "
+             "tbre_rate_and_bound",
     "dynamics": "AnnealingCheck TfdPurityCurve TfdSystem annealing_check "
                 "build_tfd ensemble_purity_tfd evolve_tfd gauss_hermite "
                 "master_equation_rk4 purity_inf_tfd purity_tfd purity_tfd_hs rate_tfd",

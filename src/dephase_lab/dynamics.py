@@ -27,7 +27,7 @@ master equation in double-commutator form
 GUE ensemble averaging of the purity decay, and the annealed-average
 consistency check ``<ln Z> <= ln <Z>``.  Both ensemble estimators use only
 eigenvalues: each sample draws one GUE spectrum from the tridiagonal model,
-every inverse temperature reads it, and every purity shares one pair kernel.
+and one stacked Gibbs pass weighs a block's spectra at every temperature.
 """
 
 from __future__ import annotations
@@ -41,28 +41,28 @@ import numpy as np
 
 from . import _pool
 from .exceptions import StepSizeError
-from .hermitian import _gibbs_log_weights, as_matrix, as_state, spectral_norm
-from .ensembles import EnsembleEstimate, RngStream, _gue_spectra, _gue_spectrum
-from .rates import LindbladChannel
+from .hermitian import (_energy_dephasing_rate, _gibbs_log_weights, _variance_rate,
+                        as_matrix, as_state, spectral_norm)
+from .ensembles import EnsembleEstimate, RngStream, _gue_spectra
+from .rates import LindbladChannel, _noise_stiffness
 from .specfun import rate_tfd_gue_exact
 
 @dataclass(frozen=True)
 class TfdSystem:
-    """Thermofield double data: spectrum, inverse temperature, noise rate.
-
-    ``weights`` are the Schmidt coefficients ``w_k = exp(-beta E_k/2)/sqrt(Z)``
-    (so sum w_k^2 = 1) and ``log_z`` is ``ln Z(beta)``.
-    """
+    """Thermofield double data: spectrum, noise rate and the Schmidt
+    coefficients ``w_k = exp(-beta E_k/2)/sqrt(Z)`` (so sum w_k^2 = 1)."""
 
     energies: np.ndarray
-    beta: float
     gamma: float
     weights: np.ndarray
-    log_z: float
 
-    @property
-    def dim(self) -> int:
-        return self.energies.shape[0]
+
+def _check_thermal(betas: Sequence[float], gamma: float) -> None:
+    """Refuse a negative inverse temperature or a nonpositive noise rate."""
+    if any(beta < 0 for beta in betas):
+        raise ValueError("inverse temperature must be nonnegative")
+    if gamma <= 0:
+        raise ValueError("noise rate must be positive")
 
 
 def build_tfd(energies: np.ndarray, beta: float,
@@ -73,15 +73,10 @@ def build_tfd(energies: np.ndarray, beta: float,
     ``beta`` only drives them to the ground-state limit instead of
     underflowing.  The reduced state of either copy is the thermal state.
     """
-    if beta < 0:
-        raise ValueError("inverse temperature must be nonnegative")
-    if gamma <= 0:
-        raise ValueError("noise rate must be positive")
-    energies = np.asarray(energies, dtype=float)
-    log_p, log_z = _gibbs_log_weights(energies, beta)
-    weights = np.exp(0.5 * log_p)
-    return TfdSystem(energies=np.array(energies, dtype=float), beta=beta,
-                     gamma=gamma, weights=weights, log_z=log_z)
+    _check_thermal([beta], gamma)
+    energies = np.array(energies, dtype=float)
+    weights = np.exp(0.5 * _gibbs_log_weights(energies, beta)[0])
+    return TfdSystem(energies=energies, gamma=gamma, weights=weights)
 
 
 def evolve_tfd(sys: TfdSystem, t: float) -> np.ndarray:
@@ -199,9 +194,7 @@ def rate_tfd(sys: TfdSystem) -> float:
     ``4 gamma`` times the second beta-derivative of ``ln Z`` and is computed
     exactly from the eigenvalues rather than by finite differences.
     """
-    p = sys.weights ** 2
-    mean = float(p @ sys.energies)
-    return 4.0 * sys.gamma * (float(p @ sys.energies ** 2) - mean * mean)
+    return float(_energy_dephasing_rate(sys.weights ** 2, sys.energies, sys.gamma)[0])
 
 
 @dataclass(frozen=True)
@@ -216,15 +209,15 @@ class TfdPurityCurve:
 
 def _tfd_purity_block(gen: np.random.Generator, m: int, d: int, betas: Sequence[float],
                       gamma: float, gamma_t: np.ndarray) -> np.ndarray:
-    """Purity curve, plateau and rate per beta of each of ``m`` GUE spectra."""
-    rows = []
-    for _ in range(m):
-        energies = _gue_spectrum(gen, d)
-        systems = [build_tfd(energies, beta, gamma) for beta in betas]
-        probs = np.array([sys.weights ** 2 for sys in systems])
-        scalars = [[purity_inf_tfd(sys), rate_tfd(sys)] for sys in systems]
-        rows.append(np.hstack([_purity_kernel(energies, probs, gamma_t), scalars]))
-    return np.stack(rows)
+    """Purity curve, plateau and rate per beta of each of ``m`` GUE spectra,
+    ``(m, n_beta, T + 2)``: row by row what :func:`purity_tfd`,
+    :func:`purity_inf_tfd` and :func:`rate_tfd` give for ``build_tfd(e, beta)``."""
+    spectra = _gue_spectra(gen, m, d)[:, None, :]
+    weights = np.exp(0.5 * _gibbs_log_weights(spectra, np.asarray(betas)[:, None])[0])
+    probs = weights ** 2
+    curves = np.stack([_purity_kernel(e[0], p, gamma_t) for e, p in zip(spectra, probs)])
+    rates = _energy_dephasing_rate(probs, spectra, gamma)[0]
+    return np.dstack([curves, (weights ** 4).sum(axis=-1), rates])
 
 
 # Old name of the block function, still wrapped by perfbench/tracer.py.
@@ -244,14 +237,14 @@ def ensemble_purity_tfd(n_qubits: int, betas: Sequence[float], gamma: float,
     """
     if n_qubits < 1 or 2 ** n_qubits > 2 ** 10:
         raise ValueError("qubit count must give a dimension between 2 and 2^10")
+    _check_thermal(betas, gamma)
     grid = np.asarray(gamma_t, dtype=float)
     table = _pool.gather_samples(_tfd_purity_block, n_samples, rng, workers,
                                  2 ** n_qubits, list(betas), gamma, grid)
-    seed = rng.master_seed
     return [TfdPurityCurve(times=grid,
-                           purity=EnsembleEstimate.from_samples(rows[:, :-2], seed),
-                           purity_inf=EnsembleEstimate.from_samples(rows[:, -2], seed),
-                           rate=EnsembleEstimate.from_samples(rows[:, -1], seed))
+                           purity=EnsembleEstimate.from_samples(rows[:, :-2]),
+                           purity_inf=EnsembleEstimate.from_samples(rows[:, -2]),
+                           rate=EnsembleEstimate.from_samples(rows[:, -1]))
             for rows in np.moveaxis(table, 1, 0)]
 
 
@@ -283,44 +276,36 @@ def annealing_check(betas: Sequence[float], d: int, n_samples: int,
     annealed rate estimated from the draws.  Every ``beta`` reads the same
     ``n_samples`` spectra, drawn once.
     """
+    _check_thermal(betas, gamma)
     spectra = _pool.gather_samples(_gue_spectra, n_samples, rng, 1, d)
-    return [_annealing_at(spectra, beta, gamma, rng.master_seed)
-            for beta in betas]
+    return [_annealing_at(spectra, beta, gamma) for beta in betas]
 
 
-def _annealing_at(spectra: np.ndarray, beta: float, gamma: float,
-                  seed: int) -> AnnealingCheck:
+def _annealing_at(spectra: np.ndarray, beta: float, gamma: float) -> AnnealingCheck:
     """:class:`AnnealingCheck` at one ``beta`` from ``(n, d)`` spectra."""
     n_samples = len(spectra)
-    # ln Z and the Gibbs moments <E>, <E^2> of each draw.
-    table = np.empty((n_samples, 3))
-    for i, energies in enumerate(spectra):
-        sys = build_tfd(energies, beta, gamma)
-        p = sys.weights ** 2
-        table[i] = sys.log_z, p @ sys.energies, p @ sys.energies ** 2
-    ln_z, m1, m2 = table.T
-    ln_z_est = EnsembleEstimate.from_samples(ln_z, seed)
+    # ln Z, the quenched rate and the Gibbs moments <E>, <E^2> of each draw.
+    log_p, ln_z = _gibbs_log_weights(spectra, beta)
+    quenched, m1, m2 = _energy_dephasing_rate(np.exp(0.5 * log_p) ** 2, spectra, gamma)
+    ln_z_est = EnsembleEstimate.from_samples(ln_z)
     # <Z> from the same draws, max-shifted.
     shift = ln_z.max()
     z = np.exp(ln_z - shift)
 
-    # 4 gamma [<Z2>/<Z> - (<Z1>/<Z>)^2] with Z_k = sum_j E_j^k exp(-beta E_j),
-    # which is z <E^k> per draw; dropping one draw per sum gives the jackknife.
-    def rate(s0, s1, s2):
-        return 4.0 * gamma * (s2 / s0 - (s1 / s0) ** 2)
-
-    loo = rate(z.sum() - z, z @ m1 - z * m1, z @ m2 - z * m2)
+    # The annealed <E^k> is s_k/s0 with s_k = sum z <E^k> over the draws (z <E^k>
+    # is Z_k = sum_j E_j^k exp(-beta E_j)); dropping one draw gives the jackknife.
+    s0, s1, s2 = z.sum(), z @ m1, z @ m2
+    loo = _variance_rate((s1 - z * m1) / (s0 - z), (s2 - z * m2) / (s0 - z), gamma)
     jackknife = math.sqrt((n_samples - 1) / n_samples
                           * ((loo - loo.mean()) ** 2).sum())
     return AnnealingCheck(
         mean_ln_z=ln_z_est.mean,
         ln_mean_z=float(shift + math.log(z.mean())),
         ln_z_stderr=ln_z_est.stderr,
-        rate_quenched=EnsembleEstimate.from_samples(
-            4.0 * gamma * (m2 - m1 * m1), seed),
+        rate_quenched=EnsembleEstimate.from_samples(quenched),
         rate_annealed=rate_tfd_gue_exact(beta, spectra.shape[1], gamma),
         rate_annealed_mc=EnsembleEstimate(
-            float(rate(z.sum(), z @ m1, z @ m2)), jackknife, n_samples, seed),
+            float(_variance_rate(s1 / s0, s2 / s0, gamma)), jackknife),
     )
 
 
@@ -339,8 +324,7 @@ def master_equation_rk4(h0: np.ndarray, channels: list[LindbladChannel],
     """
     rho0 = as_state(rho0)
     h = as_matrix(h0)
-    stiffness = spectral_norm(h) + sum(c.gamma * spectral_norm(c.v) ** 2
-                                       for c in channels)
+    stiffness = spectral_norm(h) + _noise_stiffness(channels)
     if dt * stiffness > 0.05:
         raise StepSizeError(
             f"dt * (||H0|| + sum gamma ||V||^2) = {dt * stiffness:.3g} exceeds "

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import _pool
 from .hermitian import as_matrix
+from .specfun import _check_dim
 
 @dataclass(frozen=True)
 class RngStream:
@@ -48,37 +49,32 @@ class RngStream:
         counter = np.array([0, 0, index, 0], dtype=np.uint64)
         return np.random.Philox(counter=counter, key=key)
 
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(self.bit_generator())
-
-    def sample_generator(self, index: int) -> np.random.Generator:
+    def sample_generator(self, index: int = 0) -> np.random.Generator:
         """Fresh generator on substream ``index`` (the engine's block ``index``)."""
         return np.random.Generator(self.bit_generator(index))
+
+    generator = sample_generator        # substream 0
 
 
 @dataclass(frozen=True)
 class EnsembleEstimate:
-    """Monte-Carlo mean with its standard error and provenance."""
+    """Monte-Carlo mean with its standard error."""
 
     mean: float | np.ndarray
     stderr: float | np.ndarray
-    n_samples: int
-    master_seed: int
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray, master_seed: int
-                     ) -> EnsembleEstimate:
+    def from_samples(cls, samples: np.ndarray) -> EnsembleEstimate:
         """Mean and standard error ``std(ddof=1)/sqrt(n)`` over axis 0.
 
         Scalar columns give floats.  For complex entries the standard error
         is ``sqrt((var Re + var Im) / n)``.
         """
-        n = samples.shape[0]
         mean = samples.mean(axis=0)
-        stderr = samples.std(axis=0, ddof=1) / np.sqrt(n)
+        stderr = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
         if mean.ndim == 0:
-            return cls(float(mean), float(stderr), n, master_seed)
-        return cls(mean, stderr, n, master_seed)
+            return cls(float(mean), float(stderr))
+        return cls(mean, stderr)
 
 
 _OMEGA = math.sqrt(0.125) * (1 + 1j)      # w = e^{i pi/4}/2, Re w == Im w
@@ -133,8 +129,7 @@ def _gue_spectra(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
 
 def sample_gue(d: int, rng: RngStream) -> np.ndarray:
     """Draw one ``d x d`` GUE matrix under the exp(-tr X^2) convention."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(d)
     return _gue_matrix(d, rng.generator())
 
 
@@ -154,8 +149,7 @@ def _haar_unitary(d: int, gen: np.random.Generator) -> np.ndarray:
 
 def sample_haar_unitary(d: int, rng: RngStream) -> np.ndarray:
     """Draw a Haar-distributed unitary matrix."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(d)
     return _haar_unitary(d, rng.generator())
 
 
@@ -172,7 +166,7 @@ def haar_second_moment(x, n_samples: int, rng: RngStream
     average is ``tr(X) 1/d`` (see :func:`haar_second_moment_exact`).
     """
     samples = _pool.gather_samples(_haar_second_block, n_samples, rng, 1, as_matrix(x))
-    est = EnsembleEstimate.from_samples(samples, rng.master_seed)
+    est = EnsembleEstimate.from_samples(samples)
     return est.mean, est.stderr
 
 
@@ -197,7 +191,7 @@ def haar_fourth_moment(x1, x2, x3, n_samples: int, rng: RngStream
     if not (m2.shape[0] == m3.shape[0] == d):
         raise ValueError("operators must share one dimension")
     samples = _pool.gather_samples(_haar_fourth_block, n_samples, rng, 1, m1, m2, m3)
-    est = EnsembleEstimate.from_samples(samples, rng.master_seed)
+    est = EnsembleEstimate.from_samples(samples)
     return est.mean, est.stderr
 
 
@@ -248,8 +242,7 @@ def gue_level_density(v, d: int):
     Hermite-function recurrence keeps every value O(1), so the evaluation is
     stable up to dimensions of about two thousand.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(d)
     v = np.asarray(v, dtype=float)
     rho = sum(phi * phi for phi in _hermite_functions(d, v))
     return rho if rho.ndim else float(rho)
@@ -272,4 +265,4 @@ def gue_trace_square_mc(d: int, n_samples: int, rng: RngStream) -> EnsembleEstim
     them empirically instead of hard-coding either.
     """
     vals = _pool.gather_samples(_trace_square_block, n_samples, rng, 1, d)
-    return EnsembleEstimate.from_samples(vals, rng.master_seed)
+    return EnsembleEstimate.from_samples(vals)

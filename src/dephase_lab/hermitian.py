@@ -25,24 +25,39 @@ TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
 
 
-def _gibbs_log_weights(energies: np.ndarray, beta: float,
+def _gibbs_log_weights(energies: np.ndarray, beta: float | np.ndarray,
                        log_mult: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, float]:
-    """Gibbs log-probabilities ``log p_k`` and ``ln Z`` of a spectrum.
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Gibbs log-probabilities ``log p_k`` and ``ln Z`` of spectra on the last axis.
 
-    ``log_mult`` adds the log-multiplicity of each level.  The partition sum
-    is max-shifted before exponentiation, so large ``beta`` drives the
-    weights to the ground-state limit instead of underflowing.  ``log p_k``
-    is taken from the shifted values, never through ``ln Z``: at large
-    ``beta`` the shift is large and ``ln Z - shift`` would lose its digits.
+    ``beta`` broadcasts against ``energies`` (a column of betas against a
+    stack of spectra takes one call); ``log_mult`` adds each level's
+    log-multiplicity.  Each sum is max-shifted, so large ``beta`` gives the
+    ground-state limit instead of underflowing, and ``log p_k`` never goes
+    through ``ln Z``, whose digits the shift would take.
     """
     log_w = -beta * energies
     if log_mult is not None:
         log_w = log_w + log_mult
-    shift = log_w.max()
+    shift = log_w.max(axis=-1, keepdims=True)
     log_w = log_w - shift
-    log_sum = math.log(np.exp(log_w).sum())
-    return log_w - log_sum, shift + log_sum
+    sums = np.exp(log_w).sum(axis=-1, keepdims=True)
+    log_sum = np.array([math.log(s) for s in sums.flat]).reshape(sums.shape)
+    return log_w - log_sum, (shift + log_sum)[..., 0]
+
+
+def _energy_dephasing_rate(p: np.ndarray, energies: np.ndarray, gamma: float):
+    """``4 gamma var_p(E)``, ``<E>`` and ``<E^2>`` of populations ``p``, over the
+    last axis; a stacked ``(1, d) @ (d, 1)`` moment equals one row's ``p @ E``."""
+    row = p[..., None, :]
+    m1 = (row @ energies[..., :, None])[..., 0, 0]
+    m2 = (row @ (energies ** 2)[..., :, None])[..., 0, 0]
+    return _variance_rate(m1, m2, gamma), m1, m2
+
+
+def _variance_rate(m1, m2, gamma: float):
+    """``4 gamma (<E^2> - <E>^2)`` from the first two energy moments."""
+    return 4.0 * gamma * (m2 - m1 * m1)
 
 
 def as_matrix(op: np.ndarray) -> np.ndarray:

@@ -37,7 +37,8 @@ import numpy as np
 
 from . import _pool
 from .exceptions import DimensionMismatchError
-from .hermitian import _gibbs_log_weights, _modified_covariance, as_state
+from .hermitian import (_energy_dephasing_rate, _gibbs_log_weights,
+                        _modified_covariance, as_state, spectral_norm)
 from .ensembles import EnsembleEstimate, RngStream, _gue_columns
 from .specfun import KBodySpec
 
@@ -69,19 +70,9 @@ class LindbladChannel:
         object.__setattr__(self, "v", v)
 
 
-@dataclass(frozen=True)
-class TbreSpec:
-    """Spin chain with random two-body couplings and fields, open boundaries.
-
-    The fluctuating part is coupling-independent: the Lindblad operator is
-    the fixed sum of all nearest-neighbour Pauli pairs.
-    """
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least two spins")
+def _noise_stiffness(channels: list[LindbladChannel]) -> float:
+    """``sum gamma ||V||^2``, the noise part of a step-size scale."""
+    return sum(c.gamma * spectral_norm(c.v) ** 2 for c in channels)
 
 
 def decoherence_rate(rho0: np.ndarray, channels: list[LindbladChannel]) -> float:
@@ -140,7 +131,7 @@ def rate_gue_mc(rho0: np.ndarray, gamma: float, d: int,
         raise DimensionMismatchError("state dimension differs from d")
     vals = _pool.gather_samples(_rate_gue_block, n_samples, rng, workers,
                                 d, gamma, rho0)
-    return EnsembleEstimate.from_samples(vals, rng.master_seed)
+    return EnsembleEstimate.from_samples(vals)
 
 
 def build_kbody_operator(spec: KBodySpec) -> np.ndarray:
@@ -186,16 +177,20 @@ def build_tbre_operator(n: int) -> np.ndarray:
     return v
 
 
-def tbre_rate_and_bound(spec: TbreSpec, rho0: np.ndarray,
+def tbre_rate_and_bound(n: int, rho0: np.ndarray,
                         gamma: float) -> tuple[float, float]:
-    """Decoherence rate under the fixed TBRE operator and its polynomial bound.
+    """Decoherence rate of an ``n``-spin chain with random two-body couplings
+    (TBRE, open boundaries) and its polynomial bound.
 
-    The bound is ``162 gamma (n-1)^2``, from ``2 gamma ||V||^2`` with
+    The fluctuating part does not depend on the couplings: the Lindblad
+    operator is the fixed sum of all nearest-neighbour Pauli pairs.  The
+    bound is ``162 gamma (n-1)^2``, from ``2 gamma ||V||^2`` with
     ``||V|| <= 9 (n-1)``; the rate never exceeds it.
     """
-    v = build_tbre_operator(spec.n)
-    rate = decoherence_rate(rho0, [LindbladChannel(gamma, v)])
-    return rate, 162.0 * gamma * (spec.n - 1) ** 2
+    if n < 2:
+        raise ValueError("need at least two spins")
+    rate = decoherence_rate(rho0, [LindbladChannel(gamma, build_tbre_operator(n))])
+    return rate, 162.0 * gamma * (n - 1) ** 2
 
 
 def lmg_sector_spectrum(n: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -222,5 +217,4 @@ def rate_lmg(n: int, epsilon: float, beta: float, gamma: float) -> float:
         raise ValueError("need at least two spins")
     energies, mult = lmg_sector_spectrum(n, epsilon)
     w = np.exp(_gibbs_log_weights(energies, beta, np.log(mult))[0])
-    mean = float(w @ energies)
-    return 4.0 * gamma * (float(w @ (energies ** 2)) - mean * mean)
+    return float(_energy_dephasing_rate(w, energies, gamma)[0])

@@ -35,6 +35,11 @@ _G_CF_TOL = 1e-14
 _LOG_SCALE_CAP = 1e250
 
 
+def _check_dim(d: float) -> None:
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+
+
 def log_laguerre_l(n: int, alpha: float, x: float) -> float:
     """``log L_n^(alpha)(x)`` for ``x <= 0``.
 
@@ -139,17 +144,16 @@ def bessel_i_ratio_g(x: float) -> float:
         return 0.25 * x * (1.0 - x * x / 24.0)
     if x <= _G_CF_CUTOFF:
         return _ratio_continued_fraction(x)
-    return _i_asymptotic_series(2, x) / _i_asymptotic_series(1, x)
+    return _optimal_sum(_HANKEL[2], 1 / x, 1.0) / _optimal_sum(_HANKEL[1], 1 / x, 1.0)
 
 
-def _ratio_continued_fraction(x: float, nu: int = 1) -> float:
-    # I_{nu+1}/I_nu = 1 / (2(nu+1)/x + 1 / (2(nu+2)/x + ...)), modified Lentz.
+def _ratio_continued_fraction(x: float) -> float:
+    # I_2/I_1 = 1 / (4/x + 1 / (6/x + ...)), modified Lentz.
     tiny = 1e-300
-    f = tiny
-    c = f
+    f = c = tiny
     d = 0.0
     for k in range(1, 40000):
-        b = 2.0 * (nu + k) / x
+        b = 2.0 * (1 + k) / x
         d = b + d
         if d == 0.0:
             d = tiny
@@ -164,46 +168,53 @@ def _ratio_continued_fraction(x: float, nu: int = 1) -> float:
     raise NumericalError(f"Bessel ratio continued fraction stalled at x={x}")
 
 
-def _i_asymptotic_series(nu: int, x: float) -> float:
-    # Truncated asymptotic sum for I_nu(x) * sqrt(2 pi x) * exp(-x),
-    # stopped at the smallest term (optimal truncation).
+def _hankel_coefficients(nu: int, n_terms: int) -> list[float]:
+    """Coefficients ``a_k`` of the large-x series
+    ``I_nu(x) sqrt(2 pi x) exp(-x) ~ sum_k a_k x^-k``."""
     mu = 4.0 * nu * nu
-    term = 1.0
-    total = 1.0
+    c = [1.0]
+    for k in range(1, n_terms):
+        c.append(c[-1] * -(mu - (2 * k - 1) ** 2) / (8.0 * k))
+    return c
+
+
+def _optimal_sum(coeffs, t: float, power: float) -> float:
+    """``sum_k coeffs[k] power t^k`` of an asymptotic series, stopped before
+    its terms grow (optimal truncation) or once they stop counting."""
+    total = 0.0
     prev = math.inf
-    for k in range(1, 60):
-        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
+    for c in coeffs:
+        term = c * power
         mag = abs(term)
         if mag >= prev:
             break
         total += term
         prev = mag
-        if mag < 1e-18:
+        if mag < 1e-17 * abs(total):
             break
+        power *= t
     return total
+
+
+# I_nu(x) sqrt(2 pi x) exp(-x) at x >= 30 is _optimal_sum(_HANKEL[nu], 1/x, 1),
+# to full precision in at most 18 terms.
+_HANKEL = {nu: _hankel_coefficients(nu, 30) for nu in (1, 2)}
 
 
 def _rate_bracket_coefficients(n_terms: int) -> tuple[float, ...]:
     """Coefficients ``c_k`` of ``1 - 3 g/x - g^2 ~ sum_k c_k x^-k`` for large x.
 
-    Built from the asymptotic coefficients ``a_k`` of ``I_1`` and ``b_k`` of
-    ``I_2`` (those of :func:`_i_asymptotic_series`): with ``A = sum a_k x^-k``
-    and ``B = sum b_k x^-k`` the bracket is ``(A^2 - 3 A B/x - B^2) / A^2``.
+    Built from the coefficients ``a_k`` of ``I_1`` and ``b_k`` of ``I_2``
+    (:func:`_hankel_coefficients`): with ``A = sum a_k x^-k`` and
+    ``B = sum b_k x^-k`` the bracket is ``(A^2 - 3 A B/x - B^2) / A^2``.
     The ``x^0`` and ``x^-1`` coefficients of the numerator cancel exactly, so
     the series starts ``3/(2x^2) - 3/(4x^3) - 9/(8x^4)`` and evaluating it
     loses no digits, unlike the direct form.
     """
-    def i_coefficients(nu):
-        mu = 4.0 * nu * nu
-        c = [1.0]
-        for k in range(1, n_terms):
-            c.append(c[-1] * -(mu - (2 * k - 1) ** 2) / (8.0 * k))
-        return c
-
     def product(p, q):
         return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(n_terms)]
 
-    a, b = i_coefficients(1), i_coefficients(2)
+    a, b = _hankel_coefficients(1, n_terms), _hankel_coefficients(2, n_terms)
     aa, ab, bb = product(a, a), product(a, b), product(b, b)
     numerator = [aa[k] - bb[k] - (3.0 * ab[k - 1] if k else 0.0)
                  for k in range(n_terms)]
@@ -220,20 +231,7 @@ _RATE_BRACKET = _rate_bracket_coefficients(30)
 def _rate_bracket_series(x: float) -> float:
     # Optimally truncated sum of _RATE_BRACKET for x > _G_CF_CUTOFF.
     t = 1.0 / x
-    power = t * t
-    total = 0.0
-    prev = math.inf
-    for c in _RATE_BRACKET[2:]:
-        term = c * power
-        mag = abs(term)
-        if mag >= prev:
-            break
-        total += term
-        prev = mag
-        if mag < 1e-17 * abs(total):
-            break
-        power *= t
-    return total
+    return _optimal_sum(_RATE_BRACKET[2:], t, t * t)
 
 
 def log_bessel_i1(x: float) -> float:
@@ -250,7 +248,8 @@ def log_bessel_i1(x: float) -> float:
             if t < 1e-18 * s:
                 break
         return math.log(0.5 * x) + math.log(s)
-    return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(_i_asymptotic_series(1, x))
+    return (x - 0.5 * math.log(2.0 * math.pi * x)
+            + math.log(_optimal_sum(_HANKEL[1], 1 / x, 1.0)))
 
 
 def z_gue_exact(beta: float, d: int) -> float:
@@ -259,8 +258,7 @@ def z_gue_exact(beta: float, d: int) -> float:
     ``<Z(beta)> = exp(beta^2/4) L_{d-1}^(1)(-beta^2/2)``; equals ``d`` at
     ``beta = 0``.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(d)
     return beta * beta / 4.0 + log_laguerre_l(d - 1, 1, -beta * beta / 2.0)
 
 
@@ -271,8 +269,7 @@ def z_gue_semicircle(beta: float, d: float) -> float:
     limit is ``d``.  Accepts huge dimensions (e.g. ``2.0**50``) since only
     ``log I_1`` is evaluated.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(d)
     if beta < 0:
         raise ValueError("inverse temperature must be nonnegative")
     if beta == 0.0:
@@ -294,8 +291,7 @@ def rate_tfd_gue_exact(beta: float, d: int, gamma: float) -> float:
     ``2 gamma d``; above ``beta = 1e25`` it is its limit ``2 gamma``, to
     which ``2 gamma [1 - 4 (d-1)/beta^2]`` rounds there.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(d)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if beta > 1e25:             # 4 (d-1)/beta^2 < 2^-53 for every d <= 2^60
@@ -315,8 +311,7 @@ def rate_tfd_gue_semicircle(beta: float, d: float, gamma: float) -> float:
     low-temperature limits are ``2 gamma d`` (``beta << beta_c``) and
     ``6 gamma / beta^2`` (``beta >> beta_c``), with ``beta_c = sqrt(3/d)``.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(d)
     if beta < 0:
         raise ValueError("inverse temperature must be nonnegative")
     if beta == 0.0:
@@ -332,8 +327,7 @@ def rate_tfd_gue_semicircle(beta: float, d: float, gamma: float) -> float:
 
 def beta_crossover(d: float) -> float:
     """Crossover inverse temperature ``sqrt(3/d)`` between the rate regimes."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(d)
     return math.sqrt(3.0 / d)
 
 
@@ -361,8 +355,7 @@ def rate_gue_haar(d: int, total_gamma: float) -> float:
     """Closed form ``Gamma d^2/(d+1)`` for a fixed pure state (vanishing
     ``<(tr V)^2>`` variant).  Where ``Gamma d^2`` overflows (``d = 2^512`` at
     ``Gamma = 1``) it is ``Gamma d / (1 + 1/d)``, finite up to ``Gamma d``."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(d)
     rate = total_gamma * d * d / (d + 1.0)
     return total_gamma * d / (1.0 + 1.0 / d) if math.isinf(rate) else rate
 
@@ -370,8 +363,7 @@ def rate_gue_haar(d: int, total_gamma: float) -> float:
 def rate_gue_wick(d: int, total_gamma: float, purity0: float = 1.0) -> float:
     """Closed form ``Gamma (d - 1/P0)`` from entrywise Wick contractions
     (``<(tr V)^2> = d/2`` variant); ``P0`` is the initial purity."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(d)
     if not 0 < purity0 <= 1 + 1e-12:
         raise ValueError("purity must lie in (0, 1]")
     return total_gamma * (d - 1.0 / purity0)
@@ -385,8 +377,12 @@ def rate_kbody_bound(spec: KBodySpec, gamma: float, mode: str = "approx") -> flo
     Both assume unit-norm string factors.
     """
     if mode == "approx":
-        return 2.0 * gamma * spec.epsilon ** 2 * float(spec.n) ** (2 * spec.k) \
+        rate = 2.0 * gamma * spec.epsilon ** 2 * float(spec.n) ** (2 * spec.k) \
             / math.factorial(spec.k) ** 2
+        if math.isinf(rate):    # n^(2k) overflowed: n^k/k! as a product of n/j >= 1
+            ratio = math.prod(spec.n / j for j in range(1, spec.k + 1))
+            rate = 2.0 * gamma * spec.epsilon ** 2 * ratio * ratio
+        return rate
     if mode == "exact-binomial":
         return 2.0 * gamma * spec.epsilon ** 2 * math.comb(spec.n, spec.k) ** 2
     raise ValueError(f"unknown mode {mode!r}")

@@ -33,7 +33,7 @@ from .dynamics import build_tfd
 from .exceptions import NumericalError, StepSizeError
 from .hermitian import apply_operator, as_state, spectral_norm
 from .ensembles import RngStream
-from .rates import LindbladChannel
+from .rates import LindbladChannel, _noise_stiffness
 
 _NORM_FLOOR = 1e-6
 
@@ -54,8 +54,7 @@ class TrajectoryConfig:
 
 def default_dt(h0: np.ndarray, channels: list[LindbladChannel]) -> float:
     """Step-size default ``1e-3 / (||H0|| + sum gamma ||V||^2)``."""
-    scale = spectral_norm(h0) + sum(c.gamma * spectral_norm(c.v) ** 2
-                                    for c in channels)
+    scale = spectral_norm(h0) + _noise_stiffness(channels)
     return 1e-3 / max(scale, 1e-12)
 
 
@@ -66,7 +65,7 @@ def _start(h0: np.ndarray | None, channels: list[LindbladChannel],
     psi0 = as_state(psi0)
     if psi0.ndim != 1:
         raise ValueError("trajectories start from a pure state")
-    stiff = sum(c.gamma * spectral_norm(c.v) ** 2 for c in channels)
+    stiff = _noise_stiffness(channels)
     if cfg.dt * stiff > 0.01 + 1e-12:
         raise StepSizeError(
             f"dt * sum gamma ||V||^2 = {cfg.dt * stiff:.3g} exceeds 0.01")

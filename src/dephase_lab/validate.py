@@ -27,6 +27,10 @@ from .trajectories import TrajectoryConfig, average_trajectories
 # two checks draw from the same key.
 _STREAMS = {"haar2": 101, "haar4": 102, "annealing": 103, "trajectory": 104,
             "hs": 105, "haar-operators": 999}
+_TOL_SE = 4.0                   # Monte-Carlo deviations, in standard errors
+_TRAJECTORY_TOL_SCALE = 3.0     # trajectory deviation, in units of 1/sqrt(N)
+_HS_TOL = 1e-8                  # quadrature against double sum, absolute
+_ANNEALING_BETAS = (0.25, 0.5)
 
 
 @dataclass(frozen=True)
@@ -36,8 +40,7 @@ class CheckResult:
     detail: str
 
 
-def _check_haar_moments(seed: int, n_samples: int, tol_se: float = 4.0
-                        ) -> list[CheckResult]:
+def _check_haar_moments(seed: int, n_samples: int) -> list[CheckResult]:
     d = 3
     gen = RngStream(seed, _STREAMS["haar-operators"]).generator()
     xs = []
@@ -52,34 +55,32 @@ def _check_haar_moments(seed: int, n_samples: int, tol_se: float = 4.0
              haar_fourth_moment_exact, xs)):
         mean, se = moment(*ops, n_samples, RngStream(seed, _STREAMS[key]))
         dev = np.abs(mean - exact(*ops))
-        ok = bool((dev <= tol_se * np.maximum(se, 1e-12)).all())
+        ok = bool((dev <= _TOL_SE * np.maximum(se, 1e-12)).all())
         out.append(CheckResult(name, ok, f"max deviation {dev.max():.2e} vs "
-                                         f"{tol_se} stderr"))
+                                         f"{_TOL_SE} stderr"))
     return out
 
 
-def _check_annealing(seed: int, d: int, n_samples: int,
-                     betas: tuple[float, ...] = (0.25, 0.5),
-                     tol_se: float = 4.0) -> list[CheckResult]:
+def _check_annealing(seed: int, d: int, n_samples: int) -> list[CheckResult]:
     out = []
     # Common random numbers: every beta reads the same draws.
-    checks = annealing_check(betas, d, n_samples, RngStream(seed, _STREAMS["annealing"]))
-    for beta, chk in zip(betas, checks):
+    checks = annealing_check(_ANNEALING_BETAS, d, n_samples,
+                             RngStream(seed, _STREAMS["annealing"]))
+    for beta, chk in zip(_ANNEALING_BETAS, checks):
         # <ln Z> <= ln <Z> exactly on the same draws (AM-GM): rounding slack only.
         jensen_ok = chk.mean_ln_z <= chk.ln_mean_z + 1e-12 * max(1.0, abs(chk.ln_mean_z))
         mc = chk.rate_annealed_mc
         z = (chk.rate_annealed - mc.mean) / mc.stderr
         gap = (chk.rate_quenched.mean - chk.rate_annealed) / chk.rate_annealed
-        ok = bool(jensen_ok and abs(z) <= tol_se)
+        ok = bool(jensen_ok and abs(z) <= _TOL_SE)
         out.append(CheckResult(
             f"annealing-beta-{beta:g}", ok,
             f"jensen gap {chk.jensen_gap:+.2e}, annealed rate z {z:+.2f} "
-            f"vs {tol_se} stderr, quenched gap {gap:+.2%} at d={d}"))
+            f"vs {_TOL_SE} stderr, quenched gap {gap:+.2%} at d={d}"))
     return out
 
 
-def _check_trajectory_vs_master(seed: int, n_traj: int,
-                                tol_scale: float = 3.0) -> list[CheckResult]:
+def _check_trajectory_vs_master(seed: int, n_traj: int) -> list[CheckResult]:
     gamma = 1.0
     dt = 0.01
     steps = 200                      # gamma t up to 2
@@ -92,20 +93,20 @@ def _check_trajectory_vs_master(seed: int, n_traj: int,
     off = 0.5 * np.exp(-2.0 * gamma * avg.times)[:, None, None]
     target = np.where(np.eye(2, dtype=bool), 0.5, off)
     dev = np.abs(avg.mean - target).max()
-    limit = tol_scale / math.sqrt(n_traj)
+    limit = _TRAJECTORY_TOL_SCALE / math.sqrt(n_traj)
     return [CheckResult("trajectory-vs-master", bool(dev <= limit),
                         f"max entry deviation {dev:.2e} vs {limit:.2e}")]
 
 
-def _check_hs_quadrature(seed: int, tol: float = 1e-8) -> list[CheckResult]:
+def _check_hs_quadrature(seed: int) -> list[CheckResult]:
     energies = _gue_spectrum(RngStream(seed, _STREAMS["hs"]).generator(), 8)
     worst = 0.0
     for beta in (0.0, 0.3, 0.7, 1.5, 3.0):
         sys = build_tfd(energies, beta)
         for gt in (0.05, 0.2, 0.5, 1.0, 2.0):
             worst = max(worst, abs(purity_tfd_hs(sys, gt) - purity_tfd(sys, gt)))
-    return [CheckResult("hs-vs-double-sum", bool(worst <= tol),
-                        f"max |quadrature - double sum| = {worst:.2e} vs {tol:.0e}")]
+    return [CheckResult("hs-vs-double-sum", bool(worst <= _HS_TOL),
+                        f"max |quadrature - double sum| = {worst:.2e} vs {_HS_TOL:.0e}")]
 
 
 def run_validation(seed: int, quick: bool = False) -> list[CheckResult]:

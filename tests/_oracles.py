@@ -53,12 +53,11 @@ def gue_rates_triangles(gen, m: int, d: int, gamma: float,
     return 2.0 * gamma * (np.abs(w - mean[:, None] * psi) ** 2).sum(axis=1)
 
 
-def build_tbre_hamiltonian(spec, rng, *, coupling_scale: float = 1.0,
+def build_tbre_hamiltonian(n: int, rng, *, coupling_scale: float = 1.0,
                            field_scale: float = 1.0) -> np.ndarray:
-    """Illustrative TBRE Hamiltonian draw (random couplings A and fields B) of a
-    ``rates.TbreSpec`` chain, from ``rng``'s generator."""
+    """Illustrative TBRE Hamiltonian draw (random couplings A and fields B) of an
+    ``n``-spin open chain, from ``rng``'s generator."""
     gen = rng.generator()
-    n = spec.n
     dim = 1 << n
     h = np.zeros((dim, dim), dtype=complex)
     for l in range(n - 1):

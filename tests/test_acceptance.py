@@ -23,7 +23,7 @@ from dephase_lab.dynamics import (annealing_check, build_tfd,
                                   purity_tfd, purity_tfd_hs)
 from dephase_lab.ensembles import RngStream, _gue_matrix
 from dephase_lab.hermitian import purity, spectral_norm
-from dephase_lab.rates import (LindbladChannel, PAULI, TbreSpec,
+from dephase_lab.rates import (LindbladChannel, PAULI,
                                build_kbody_operator, decoherence_rate,
                                rate_gue_mc, rate_lmg, tbre_rate_and_bound)
 from dephase_lab.specfun import (KBodySpec, beta_crossover, calibrate_epsilon,
@@ -345,7 +345,7 @@ def test_15_lmg_and_tbre():
         n = int(gen.integers(2, 7))
         v = gen.standard_normal(1 << n) + 1j * gen.standard_normal(1 << n)
         state = v / np.linalg.norm(v)
-        rate, bound = tbre_rate_and_bound(TbreSpec(n), state, gamma)
+        rate, bound = tbre_rate_and_bound(n, state, gamma)
         worst_margin = max(worst_margin, rate - bound)
         ok = ok and rate <= bound + 1e-9
     report(15, ok, f"max LMG relative dev {worst_lmg:.2e}; max TBRE rate-bound "

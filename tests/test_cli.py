@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dephase_lab import cli
+from dephase_lab.specfun import calibrate_epsilon
 from dephase_lab.validate import CheckResult, run_validation
 
 
@@ -86,7 +87,7 @@ class TestRateGue:
 
         def fake(psi, gamma, d, n, rng, workers=1):
             seen.append(d)
-            return ensembles.EnsembleEstimate(1.0, 0.5, n, rng.master_seed)
+            return ensembles.EnsembleEstimate(1.0, 0.5)
         monkeypatch.setattr(rates, "rate_gue_mc", fake)
         assert run_cli(["rate-gue", "--dims", "1024", "--samples", "2",
                         "-o", str(tmp_path / "r.csv")]) == 0
@@ -164,6 +165,24 @@ class TestCrossover:
             d = 2.0 ** int(row[0])
             want = d * d / (d + 1.0) if d < 2.0 ** 512 else d
             assert float(row[1]) == want
+
+    def test_kbody_bound_overflows_only_past_the_largest_double(self, tmp_path,
+                                                                capsys):
+        # Calibrated at n0 = 1023, eps^2 is about 4e301.  The k = 5 bound
+        # 2 gamma eps^2 n^10/(5!)^2 is 5.96e307 at n = 11 (finite, although
+        # eps^2 n^10 alone is not) and passes the largest double at n = 12.
+        out = tmp_path / "c.csv"
+        assert run_cli(["crossover", "--n0", "1023", "--n-max", "11",
+                        "-o", str(out)]) == 0
+        _, _, rows = read_csv(str(out))
+        eps_sq = calibrate_epsilon(1023, 1, 1.0)
+        want = 2 * Fraction(eps_sq) * 11 ** 10 / math.factorial(5) ** 2
+        assert float(rows[-1][-1]) == pytest.approx(float(want), rel=1e-15)
+        assert float(rows[-1][-1]) > 5.9e307
+        assert run_cli(["crossover", "--n0", "1023", "--n-max", "12",
+                        "-o", str(out)]) == 3
+        assert capsys.readouterr().err.endswith(
+            "rate_kbody_k5 is inf in the row for n=12\n")
 
     @pytest.mark.parametrize("argv", [["--n-max", "1024"], ["--n0", "1024"]])
     def test_dimension_beyond_a_double_exit_2(self, tmp_path, capsys, argv):
@@ -457,10 +476,10 @@ class TestValidate:
         assert run_cli(["validate", "--quick"]) == 3
         assert "FAIL" in capsys.readouterr().out
 
-    def test_direct_tolerance_tightening_fails(self):
-        from dephase_lab.validate import _check_hs_quadrature
-        results = _check_hs_quadrature(100, tol=1e-30)
-        assert not results[0].passed
+    def test_direct_tolerance_tightening_fails(self, monkeypatch):
+        import dephase_lab.validate as val
+        monkeypatch.setattr(val, "_HS_TOL", 1e-30)
+        assert not val._check_hs_quadrature(100)[0].passed
 
 
 def _run_fresh(code, *argv):
@@ -549,7 +568,7 @@ PUBLIC_NAMES = {
                "calibrate_epsilon crossover_min_n log_bessel_i1 log_laguerre_l "
                "rate_gue_haar rate_gue_wick rate_kbody_bound rate_tfd_gue_exact "
                "rate_tfd_gue_semicircle z_gue_exact z_gue_semicircle",
-    "rates": "LindbladChannel TbreSpec build_kbody_operator "
+    "rates": "LindbladChannel build_kbody_operator "
              "build_tbre_operator decoherence_rate "
              "lmg_sector_spectrum rate_gue_mc rate_lmg tbre_rate_and_bound",
     "dynamics": "AnnealingCheck TfdPurityCurve TfdSystem "

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from _oracles import to_product_basis
-from dephase_lab.dynamics import (annealing_check, build_tfd,
+from dephase_lab.dynamics import (_tfd_purity_block, annealing_check, build_tfd,
                                   ensemble_purity_tfd, evolve_tfd,
                                   master_equation_rk4, purity_inf_tfd,
                                   purity_tfd, purity_tfd_hs, rate_tfd)
 from dephase_lab.ensembles import RngStream, _gue_matrix, _gue_spectrum
 from dephase_lab.exceptions import StepSizeError
-from dephase_lab.hermitian import purity
+from dephase_lab.hermitian import _gibbs_log_weights, purity
 from dephase_lab.rates import PAULI, LindbladChannel, decoherence_rate
 from dephase_lab.specfun import rate_tfd_gue_exact, z_gue_exact
 from dephase_lab.trajectories import tfd_two_noise_config
@@ -243,6 +243,37 @@ class TestEnsemblePurity:
             np.testing.assert_allclose(curve.purity.mean, ref.mean(axis=0),
                                        rtol=1e-12)
 
+    @pytest.mark.parametrize("betas", [[0.7], [0.0, 0.4, 3.0, 1e3]])
+    def test_block_rows_equal_the_single_system_functions(self, betas):
+        # The block's stacked Gibbs pass gives, bit for bit, the plateau and
+        # rate of build_tfd(e, beta) for each spectrum e and beta.  The purity
+        # curve is bit-identical for one beta; for several, BLAS orders the
+        # pair sum by the number of rows, so it agrees to rounding.  The
+        # block takes gamma t, purity_tfd t: gamma = 1/2 scales exactly.
+        gamma_t = np.array([0.0, 0.3, 2.0, 50.0])
+        rng = RngStream(45, 6)
+        block = _tfd_purity_block(rng.sample_generator(0), 5, 16, betas, 0.5,
+                                  gamma_t)
+        gen = rng.sample_generator(0)
+        assert block.shape == (5, len(betas), len(gamma_t) + 2)
+        for rows in block:
+            e = _gue_spectrum(gen, 16)
+            for beta, row in zip(betas, rows):
+                sys = build_tfd(e, beta, 0.5)
+                assert row[-2] == purity_inf_tfd(sys)
+                assert row[-1] == rate_tfd(sys)
+                curve = purity_tfd(sys, gamma_t / 0.5)
+                if len(betas) == 1:
+                    assert row[:-2].tobytes() == curve.tobytes()
+                np.testing.assert_allclose(row[:-2], curve, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("betas,gamma,match", [
+        ([0.5, -0.5], 1.0, "inverse temperature"), ([0.5], 0.0, "noise rate")])
+    def test_bad_beta_or_gamma_rejected(self, betas, gamma, match):
+        with pytest.raises(ValueError, match=match):
+            ensemble_purity_tfd(3, betas, gamma, np.array([0.0, 1.0]), 4,
+                                RngStream(45, 7))
+
     def test_plateau_value(self):
         # At beta = 0 the per-sample long-time purity is exactly 1/d; the
         # finite-time curve sits above it by the exactly computable
@@ -311,6 +342,12 @@ class TestAnnealing:
                         / chk.rate_annealed)
         assert gaps[2] < gaps[0]
 
+    @pytest.mark.parametrize("betas,gamma,match", [
+        ([0.5, -0.5], 1.0, "inverse temperature"), ([0.5], 0.0, "noise rate")])
+    def test_bad_beta_or_gamma_rejected(self, betas, gamma, match):
+        with pytest.raises(ValueError, match=match):
+            annealing_check(betas, 6, 4, RngStream(46, 5), gamma)
+
     def test_betas_share_one_draw_per_sample(self):
         # Every beta reads the same n spectra, and each value equals the one
         # computed from block 0's substream, draw by draw.
@@ -322,9 +359,9 @@ class TestAnnealing:
         for beta, chk in zip(betas, checks):
             rows = []
             for energies in spectra:
-                sys = build_tfd(energies, beta)
-                p = sys.weights ** 2
-                rows.append([sys.log_z, p @ sys.energies, p @ sys.energies ** 2])
+                ln_z = _gibbs_log_weights(energies, beta)[1]
+                p = build_tfd(energies, beta).weights ** 2
+                rows.append([ln_z, p @ energies, p @ energies ** 2])
             ln_z, m1, m2 = np.array(rows).T
             assert chk.mean_ln_z == ln_z.mean()
             assert chk.rate_quenched.mean == (4.0 * (m2 - m1 * m1)).mean()

@@ -3,7 +3,7 @@ import pytest
 
 from dephase_lab import (HermiticityError, DimensionMismatchError,
                          modified_covariance, purity, spectral_norm)
-from dephase_lab.hermitian import as_state
+from dephase_lab.hermitian import _energy_dephasing_rate, _gibbs_log_weights, as_state
 from dephase_lab.ensembles import RngStream, _gue_matrix
 from dephase_lab.rates import PAULI
 
@@ -164,3 +164,33 @@ class TestSpectralNorm:
             rho = np.outer(state, state.conj()) if state.ndim == 1 else state
             var = np.trace(rho @ x @ x).real - np.trace(rho @ x).real ** 2
             assert var <= spectral_norm(x) ** 2 + 1e-10
+
+
+class TestGibbsStack:
+    # One call over an (m, n_beta, d) stack gives, bit for bit, what the 1-D
+    # calls give row by row, so the stacked callers cannot drift from the
+    # single-system functions.
+    def test_stack_equals_row_by_row(self):
+        gen = RngStream(12, 0).generator()
+        spectra = np.sort(3.0 * gen.standard_normal((4, 1, 33)), axis=-1)
+        betas = np.array([0.0, 0.3, 2.5, 1e3])
+        log_mult = np.log(gen.integers(1, 50, 33).astype(float))
+        for mult in (None, log_mult):
+            log_p, ln_z = _gibbs_log_weights(spectra, betas[:, None], mult)
+            assert log_p.shape == (4, 4, 33) and ln_z.shape == (4, 4)
+            p = np.exp(log_p)
+            rate, m1, m2 = _energy_dephasing_rate(p, spectra, 0.7)
+            for i in range(4):
+                for j, beta in enumerate(betas):
+                    e = spectra[i, 0]
+                    lp, lz = _gibbs_log_weights(e, float(beta), mult)
+                    assert lp.tobytes() == log_p[i, j].tobytes()
+                    assert lz == ln_z[i, j]
+                    q = np.exp(lp)
+                    assert (m1[i, j], m2[i, j]) == (q @ e, q @ e ** 2)
+                    assert rate[i, j] == 4.0 * 0.7 * (q @ e ** 2 - (q @ e) ** 2)
+
+    def test_huge_beta_keeps_the_ground_state(self):
+        log_p, ln_z = _gibbs_log_weights(np.array([-1.0, 0.0, 2.0]), 1e6)
+        assert np.exp(log_p).tolist() == [1.0, 0.0, 0.0]
+        assert ln_z == 1e6

@@ -293,17 +293,16 @@ class TestBatchedHaar:
 
 class TestFromSamples:
     def test_scalar_column_gives_floats(self):
-        est = EnsembleEstimate.from_samples(np.array([1.0, 2.0, 4.0]), 9)
+        est = EnsembleEstimate.from_samples(np.array([1.0, 2.0, 4.0]))
         assert isinstance(est.mean, float) and isinstance(est.stderr, float)
         assert est.mean == pytest.approx(7.0 / 3.0)
         assert est.stderr == pytest.approx(np.std([1.0, 2.0, 4.0], ddof=1)
                                            / np.sqrt(3.0))
-        assert est.n_samples == 3 and est.master_seed == 9
 
     def test_complex_stderr_adds_both_variances(self):
         gen = np.random.default_rng(0)
         z = gen.standard_normal((50, 2, 2)) + 1j * gen.standard_normal((50, 2, 2))
-        est = EnsembleEstimate.from_samples(z, 0)
+        est = EnsembleEstimate.from_samples(z)
         var = z.real.var(axis=0, ddof=1) + z.imag.var(axis=0, ddof=1)
         np.testing.assert_allclose(est.stderr, np.sqrt(var / 50), rtol=1e-12)
         np.testing.assert_allclose(est.mean, z.mean(axis=0), rtol=1e-12)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +9,7 @@ from _oracles import build_tbre_hamiltonian, gue_rates_triangles
 from dephase_lab import _pool, rates
 from dephase_lab.ensembles import RngStream, _gue_columns, _gue_matrix
 from dephase_lab.hermitian import spectral_norm
-from dephase_lab.rates import (LindbladChannel, PAULI, TbreSpec,
+from dephase_lab.rates import (LindbladChannel, PAULI,
                                build_kbody_operator, build_tbre_operator,
                                decoherence_rate, lmg_sector_spectrum, rate_gue_mc,
                                rate_lmg, tbre_rate_and_bound)
@@ -326,6 +327,19 @@ class TestKBodyBoundsAndCalibration:
                 assert rate <= rate_kbody_bound(spec, gamma, "exact-binomial") + 1e-9
                 assert rate <= rate_kbody_bound(spec, gamma, "approx") + 1e-9
 
+    def test_approx_bound_where_the_direct_product_overflows(self):
+        # 2 eps^2 n^(2k) passes the largest double before the division by
+        # (k!)^2 brings it back; the bound itself is finite up to there.
+        eps = 2.0 ** 500
+        for n, k in ((11, 5), (30, 10), (9, 4)):
+            spec = KBodySpec(n, k, eps)
+            want = 2 * Fraction(eps) ** 2 * n ** (2 * k) / math.factorial(k) ** 2
+            if want < 2 ** 1024:
+                assert rate_kbody_bound(spec, 1.0) == pytest.approx(float(want),
+                                                                   rel=1e-14)
+            else:
+                assert rate_kbody_bound(spec, 1.0) == math.inf
+
     def test_binomial_bound_below_approx_bound(self):
         for n in range(1, 31):
             for k in range(1, min(n, 5) + 1):
@@ -379,13 +393,12 @@ class TestTbre:
         gen = RngStream(32, 0).generator()
         for n in (2, 3):
             for _ in range(5):
-                rate, bound = tbre_rate_and_bound(TbreSpec(n), rand_pure(1 << n, gen),
-                                                  gamma)
+                rate, bound = tbre_rate_and_bound(n, rand_pure(1 << n, gen), gamma)
                 assert bound == pytest.approx(162 * gamma * (n - 1) ** 2)
                 assert rate <= bound + 1e-9
 
     def test_maximally_mixed_zero(self):
-        rate, _ = tbre_rate_and_bound(TbreSpec(2), np.eye(4) / 4, 1.0)
+        rate, _ = tbre_rate_and_bound(2, np.eye(4) / 4, 1.0)
         assert abs(rate) <= 1e-12
 
     def test_norm_squared_intermediate_bound(self):
@@ -396,12 +409,16 @@ class TestTbre:
         assert cap <= 648 * gamma + 1e-9
         gen = RngStream(32, 1).generator()
         for _ in range(5):
-            rate, _ = tbre_rate_and_bound(TbreSpec(3), rand_pure(8, gen), gamma)
+            rate, _ = tbre_rate_and_bound(3, rand_pure(8, gen), gamma)
             assert rate <= cap + 1e-9
 
     def test_hamiltonian_draw_is_hermitian(self):
-        h = build_tbre_hamiltonian(TbreSpec(3), RngStream(32, 2))
+        h = build_tbre_hamiltonian(3, RngStream(32, 2))
         assert np.abs(h - h.conj().T).max() <= 1e-12
+
+    def test_needs_two_spins(self):
+        with pytest.raises(ValueError, match="two spins"):
+            tbre_rate_and_bound(1, np.array([1.0, 0.0]), 1.0)
 
 
 class TestLmg:
