@@ -63,7 +63,11 @@ def _emit(path: str | None, comments: list[str], header: list[str],
                 raise NumericalError(f"{name} is {_fmt(v)} in the row for "
                                      f"{header[0]}={_fmt(row[0])}")
         writer.writerow([_fmt(v) for v in row])
-    data = buf.getvalue()
+    _write(path, buf.getvalue())
+
+
+def _write(path: str | None, data: str) -> None:
+    """Write ``data`` to ``path``, or to stdout without one."""
     if path is None:
         sys.stdout.write(data)
     else:
@@ -223,13 +227,12 @@ def cmd_validate(args) -> int:
     from .validate import run_validation
     results = run_validation(args.seed, quick=args.quick)
     width = max(len(r.name) for r in results)
-    failures = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:<{width}}  {status}  {r.detail}")
-        failures += 0 if r.passed else 1
-    print(f"{failures} of {len(results)} checks failed"
-          if failures else f"all {len(results)} checks passed")
+    failures = sum(not r.passed for r in results)
+    lines = [f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}\n"
+             for r in results]
+    lines.append(f"{failures} of {len(results)} checks failed\n"
+                 if failures else f"all {len(results)} checks passed\n")
+    _write(args.output, "".join(lines))
     return 3 if failures else 0
 
 
@@ -248,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "one per core (validate accepts it but runs "
                             "serially)")
         p.add_argument("-o", "--output", default=None,
-                       help="output CSV path (default: stdout)")
+                       help="output path of the CSV or the validate report "
+                            "(default: stdout)")
 
     p = sub.add_parser("rate-gue", help="GUE-channel rate sweep with MC adjudication")
     p.add_argument("--dims", default="2,4,8,16,32,64",
@@ -305,6 +309,6 @@ def main(argv=None) -> int:
     except (NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:   # a request too large for memory
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Dense complex Hermitian linear algebra.
+"""Dense complex Hermitian linear algebra, and every variance a rate reads.
 
 An operator is a plain ``numpy`` array: either a ``d x d`` matrix, or a real
 vector of length ``d`` holding the diagonal of an operator that is diagonal
@@ -6,10 +6,12 @@ in the computational basis.  Every function here picks its path by ``ndim``;
 the vector form keeps k-body rate evaluations at ``O(2**n)`` cost instead of
 ``O(4**n)``.  A state is a plain array too: a unit vector is a pure state
 and a square matrix is a mixed one.  :func:`as_state` checks a state once
-at each public entry point.
+at each public entry point.  The tolerances below are fixed; the
+Hermiticity check scales with the largest entry.
 
-The tolerances below are fixed; the Hermiticity check scales with the
-largest entry.
+Every rate reads one centred variance kernel per kind of state, the modified
+covariance of a state or ``4 gamma var_p(E)`` of Gibbs populations, so no
+constant shift of an operator cancels a rate's digits.
 """
 
 from __future__ import annotations
@@ -48,11 +50,13 @@ def _gibbs_log_weights(energies: np.ndarray, beta: float | np.ndarray,
 
 def _energy_dephasing_rate(p: np.ndarray, energies: np.ndarray, gamma: float):
     """``4 gamma var_p(E)``, ``<E>`` and ``<E^2>`` of populations ``p``, over the
-    last axis; a stacked ``(1, d) @ (d, 1)`` moment equals one row's ``p @ E``."""
+    last axis; a stacked ``(1, d) @ (d, 1)`` moment equals one row's ``p @ E``.
+    The variance is ``sum p (E - <E>)^2``, so a constant shift cannot cancel it."""
     row = p[..., None, :]
     m1 = (row @ energies[..., :, None])[..., 0, 0]
     m2 = (row @ (energies ** 2)[..., :, None])[..., 0, 0]
-    return _variance_rate(m1, m2, gamma), m1, m2
+    var = (row @ ((energies - m1[..., None]) ** 2)[..., :, None])[..., 0, 0]
+    return 4.0 * gamma * var, m1, m2
 
 
 def _variance_rate(m1, m2, gamma: float):
@@ -106,12 +110,14 @@ def as_state(state: np.ndarray) -> np.ndarray:
     return a
 
 
+def _purity(r: np.ndarray):
+    """tr(rho^2) = sum |rho_ij|^2 of a checked state or a stack; 1 if pure."""
+    return 1.0 if r.ndim == 1 else np.sum(np.abs(r) ** 2, axis=(-2, -1))
+
+
 def purity(rho: np.ndarray) -> float:
     """tr(rho^2); equals 1 for a pure state and 1/d for the maximally mixed one."""
-    rho = as_state(rho)
-    if rho.ndim == 1:
-        return 1.0
-    return float(np.sum(np.abs(rho) ** 2))
+    return float(_purity(as_state(rho)))
 
 
 def modified_covariance(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> complex:
@@ -119,31 +125,27 @@ def modified_covariance(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> comple
 
     Real and nonnegative for X = Y Hermitian; on a pure state it reduces to
     the ordinary covariance <XY> - <X><Y>, so ``modified_covariance(psi, x, x)``
-    is the variance of ``x``.  Two diagonal vectors take an ``O(d)`` (pure)
-    or ``O(d^2)`` (mixed) path.
+    is the variance of ``x``.  It is unchanged by ``X -> X + c 1``.  Two
+    diagonal vectors take an ``O(d)`` (pure) or ``O(d^2)`` (mixed) path.
     """
-    return _modified_covariance(as_state(rho), np.asarray(x), np.asarray(y))
+    return complex(_modified_covariance(as_state(rho), np.asarray(x), np.asarray(y)))
 
 
-def _modified_covariance(r: np.ndarray, x: np.ndarray, y: np.ndarray) -> complex:
-    """:func:`modified_covariance` of a state already checked by :func:`as_state`."""
-    if not (r.shape[0] == len(x) == len(y)):
+def _modified_covariance(r: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """:func:`modified_covariance`, centred, of a state checked by :func:`as_state`;
+    on a mixed state, dense operators may carry a leading stack axis."""
+    if not (r.shape[0] == x.shape[-1] == y.shape[-1]):
         raise DimensionMismatchError("state and operator dimensions differ")
-    if r.ndim == 1:
-        if x.ndim == y.ndim == 1:
-            p = np.abs(r) ** 2
-            return complex((x * y) @ p - (x @ p) * (y @ p))
-        xv = apply_operator(x, r)
-        yv = apply_operator(y, r)
-        return complex(np.vdot(xv, yv) - np.vdot(r, xv) * np.vdot(r, yv))
-    if x.ndim == y.ndim == 1:
-        r2diag = np.real(np.einsum("ij,ji->i", r, r))
-        t1 = complex((r2diag * x) @ y)
-        t2 = complex(np.einsum("ij,j,ji,i->", r, x + 0j, r, y + 0j))
-        return t1 - t2
-    xm, ym = as_matrix(x), as_matrix(y)
-    rx = r @ xm
-    return complex(np.trace(r @ rx @ ym) - np.trace(rx @ r @ ym))
+    if r.ndim == 1:             # <(X - <X>) psi, (Y - <Y>) psi>
+        xv, yv = apply_operator(x, r), apply_operator(y, r)
+        return np.vdot(xv - np.vdot(r, xv) * r, yv - np.vdot(r, yv) * r)
+    if x.ndim == y.ndim == 1:   # 1/2 sum_ij |rho_ij|^2 (x_i - x_j)(y_i - y_j)
+        return 0.5 * (np.abs(r) ** 2 * (x[:, None] - x) * (y[:, None] - y)).sum()
+    # tr(rho^2 X Y) - tr(rho X rho Y) of X - tr(rho X) 1 and Y - tr(rho Y) 1
+    xc, yc = (a - np.einsum("ij,...ji->...", r, a)[..., None, None] * np.eye(len(r))
+              for a in (as_matrix(x), as_matrix(y)))
+    rx = r @ xc
+    return np.einsum("...ij,...ji->...", r @ rx - rx @ r, yc)
 
 
 def spectral_norm(x: np.ndarray) -> float:

@@ -5,8 +5,9 @@ under Hermitian Lindblad channels ``(gamma_mu, V_mu)``:
 
     D = 2 sum_mu gamma_mu [tr(rho^2 V_mu^2) - tr(rho V_mu rho V_mu)] / tr(rho^2),
 
-which depends only on the initial state and the channels.  For a pure state
-it reduces to ``2 sum_mu gamma_mu var(V_mu)``.
+which depends only on the initial state and the channels, not on a constant
+shift of any ``V_mu``.  For a pure state it is ``2 sum_mu gamma_mu var(V_mu)``;
+every rate here takes the bracket centred, from ``hermitian``.
 
 For channels drawn from GUE two closed-form candidates exist for the
 fixed-pure-state average.  They differ only through the value assigned to
@@ -22,10 +23,9 @@ selects rather than assuming one.  For a pure state the estimator reads
 ``V psi``, so it draws only the columns of ``V`` on the support of ``psi``:
 ``2d - 1`` normals per channel for a basis state instead of ``d^2``.
 
-Also here: diagonal k-body sigma^z-string operators (their norm-squared
-bounds and the crossover scan are scalar closed forms in ``specfun``), the
-two-body-random-ensemble (TBRE) bound, and the all-to-all Ising
-(Lipkin-Meshkov-Glick type) thermal rate.
+Also here: diagonal k-body sigma^z-string operators (their bounds are closed
+forms in ``specfun``), the two-body-random-ensemble (TBRE) bound, and the
+all-to-all Ising (Lipkin-Meshkov-Glick type) thermal rate.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from . import _pool
 from .exceptions import DimensionMismatchError
 from .hermitian import (_energy_dephasing_rate, _gibbs_log_weights,
-                        _modified_covariance, as_state, spectral_norm)
+                        _modified_covariance, _purity, as_state, spectral_norm)
 from .ensembles import EnsembleEstimate, RngStream, _gue_columns
 from .specfun import KBodySpec
 
@@ -82,9 +82,8 @@ def decoherence_rate(rho0: np.ndarray, channels: list[LindbladChannel]) -> float
     A channel of another dimension raises ``DimensionMismatchError``.
     """
     rho0 = as_state(rho0)
-    p0 = 1.0 if rho0.ndim == 1 else float(np.sum(np.abs(rho0) ** 2))
-    return 2.0 * sum(c.gamma * _modified_covariance(rho0, c.v, c.v).real
-                     for c in channels) / p0
+    return float(2.0 * sum(c.gamma * _modified_covariance(rho0, c.v, c.v).real
+                           for c in channels) / _purity(rho0))
 
 
 def _rate_gue_block(gen: np.random.Generator, m: int, d: int, gamma: float,
@@ -106,12 +105,10 @@ def _rate_gue_block(gen: np.random.Generator, m: int, d: int, gamma: float,
             r = (w - mu * state).view(float).reshape(k, 1, 2 * d)
             out[lo:hi] = (r @ r.transpose(0, 2, 1))[:, 0, 0]
         return 2.0 * gamma * out
-    cols = np.arange(d)
-    for lo, hi in _pool.row_slices(m, d * d):   # tr(rho^2 V^2) - tr(rho V rho V)
-        v = _gue_columns(gen, hi - lo, d, cols)
-        rv = state @ v
-        out[lo:hi] = np.einsum("kij,kji->k", state @ rv - rv @ state, v).real
-    return 2.0 * gamma * out / np.sum(np.abs(state) ** 2)
+    for lo, hi in _pool.row_slices(m, d * d):
+        v = _gue_columns(gen, hi - lo, d, np.arange(d))
+        out[lo:hi] = _modified_covariance(state, v, v).real
+    return 2.0 * gamma * out / _purity(state)
 
 
 # Old name of the block function, still wrapped by perfbench/tracer.py.

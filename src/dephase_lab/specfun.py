@@ -377,8 +377,11 @@ def rate_kbody_bound(spec: KBodySpec, gamma: float, mode: str = "approx") -> flo
     Both assume unit-norm string factors.
     """
     if mode == "approx":
-        rate = 2.0 * gamma * spec.epsilon ** 2 * float(spec.n) ** (2 * spec.k) \
-            / math.factorial(spec.k) ** 2
+        try:
+            rate = 2.0 * gamma * spec.epsilon ** 2 * float(spec.n) ** (2 * spec.k) \
+                / math.factorial(spec.k) ** 2
+        except OverflowError:   # n^(2k) or (k!)^2 past a double raises, not inf
+            rate = math.inf
         if math.isinf(rate):    # n^(2k) overflowed: n^k/k! as a product of n/j >= 1
             ratio = math.prod(spec.n / j for j in range(1, spec.k + 1))
             rate = 2.0 * gamma * spec.epsilon ** 2 * ratio * ratio

@@ -31,7 +31,7 @@ import numpy as np
 from . import _pool
 from .dynamics import build_tfd
 from .exceptions import NumericalError, StepSizeError
-from .hermitian import apply_operator, as_state, spectral_norm
+from .hermitian import _purity, apply_operator, as_state, spectral_norm
 from .ensembles import RngStream
 from .rates import LindbladChannel, _noise_stiffness
 
@@ -136,7 +136,7 @@ class TrajectoryAverage:
 
     def purity(self) -> np.ndarray:
         """tr(rho_bar^2) of the ensemble mean (biased upward by ~1/N)."""
-        return np.real(np.einsum("tij,tji->t", self.mean, self.mean))
+        return _purity(self.mean)
 
     def purity_unbiased(self) -> np.ndarray:
         """U-statistic estimate of tr(rho^2): (N tr(rho_bar^2) - 1)/(N - 1)."""

@@ -184,6 +184,17 @@ class TestCrossover:
         assert capsys.readouterr().err.endswith(
             "rate_kbody_k5 is inf in the row for n=12\n")
 
+    def test_kbody_bound_survives_an_overflowing_power(self, tmp_path):
+        # 90^180 and the int (90!)^2 both pass the largest double and raise
+        # OverflowError; the k = 90 bound at n = 90, about 3.5e75, does not.
+        out = tmp_path / "c.csv"
+        assert run_cli(["crossover", "--k-list", "90", "--n-max", "90",
+                        "-o", str(out)]) == 0
+        _, _, rows = read_csv(str(out))
+        eps_sq = calibrate_epsilon(1, 1, 1.0)
+        want = 2 * Fraction(eps_sq) * 90 ** 180 / math.factorial(90) ** 2
+        assert float(rows[-1][-1]) == pytest.approx(float(want), rel=1e-12)
+
     @pytest.mark.parametrize("argv", [["--n-max", "1024"], ["--n0", "1024"]])
     def test_dimension_beyond_a_double_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "c.csv"
@@ -404,6 +415,20 @@ def test_non_finite_results_exit_3_without_a_row(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["tfd", "--n-qubits", "1", "--samples", "2", "--t-points", "1000000000000"],
+    ["rate-gue", "--dims", "2", "--samples", "1000000000000"],
+])
+def test_request_too_large_for_memory_exits_2(tmp_path, capsys, argv):
+    # Each asks numpy for a 7 TiB array, which fails at once.
+    out = tmp_path / "x.csv"
+    assert run_cli([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: Unable to allocate")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 @pytest.mark.parametrize("command,extra", [
     ("rate-gue", ["--dims", "2", "--samples", "10"]),
@@ -475,6 +500,23 @@ class TestValidate:
         monkeypatch.setattr(val, "run_validation", broken)
         assert run_cli(["validate", "--quick"]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_output_path_takes_the_report(self, tmp_path, capsys, monkeypatch):
+        import dephase_lab.validate as val
+
+        def mixed(seed, quick=False):
+            return [CheckResult("good", True, "fine"),
+                    CheckResult("bad-check", False, "forced failure")]
+
+        monkeypatch.setattr(val, "run_validation", mixed)
+        out = tmp_path / "v.txt"
+        assert run_cli(["validate", "--quick", "-o", str(out)]) == 3
+        assert capsys.readouterr().out == ""
+        assert run_cli(["validate", "--quick"]) == 3
+        printed = capsys.readouterr().out
+        assert out.read_text() == printed
+        assert printed.endswith("bad-check  FAIL  forced failure\n"
+                                "1 of 2 checks failed\n")
 
     def test_direct_tolerance_tightening_fails(self, monkeypatch):
         import dephase_lab.validate as val

@@ -188,7 +188,7 @@ class TestGibbsStack:
                     assert lz == ln_z[i, j]
                     q = np.exp(lp)
                     assert (m1[i, j], m2[i, j]) == (q @ e, q @ e ** 2)
-                    assert rate[i, j] == 4.0 * 0.7 * (q @ e ** 2 - (q @ e) ** 2)
+                    assert rate[i, j] == 4.0 * 0.7 * (q @ (e - q @ e) ** 2)
 
     def test_huge_beta_keeps_the_ground_state(self):
         log_p, ln_z = _gibbs_log_weights(np.array([-1.0, 0.0, 2.0]), 1e6)

@@ -8,7 +8,8 @@ import pytest
 from _oracles import build_tbre_hamiltonian, gue_rates_triangles
 from dephase_lab import _pool, rates
 from dephase_lab.ensembles import RngStream, _gue_columns, _gue_matrix
-from dephase_lab.hermitian import spectral_norm
+from dephase_lab.dynamics import build_tfd, rate_tfd
+from dephase_lab.hermitian import modified_covariance, spectral_norm
 from dephase_lab.rates import (LindbladChannel, PAULI,
                                build_kbody_operator, build_tbre_operator,
                                decoherence_rate, lmg_sector_spectrum, rate_gue_mc,
@@ -128,6 +129,27 @@ class TestDecoherenceRate:
                      _random_mixed(d, gen))
             channels = [LindbladChannel(float(gen.random()), rand_herm(d, gen))]
             assert decoherence_rate(state, channels) >= -1e-10
+
+    def test_constant_shift_dephases_nothing(self):
+        # V -> V + c 1 leaves every rate unchanged; a one-pass <V^2> - <V>^2
+        # would cancel to 0 or 8 (true 0.5) at c = 1e8.
+        psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        rho = np.array([[0.7, 0.2], [0.2, 0.3]])
+        x = np.array([[1.0, 0.3], [0.3, -2.0]])
+        y = np.array([[0.5, 1j], [-1j, 2.0]])
+
+        def values(c):
+            v = np.array([c, c + 1.0])
+            out = [decoherence_rate(s, [LindbladChannel(1.0, op)])
+                   for s in (psi, rho) for op in (v, np.diag(v))]
+            shift = c * np.eye(2)
+            cov = modified_covariance(rho, x + shift, y + shift)
+            return out + [cov.real, cov.imag, rate_tfd(build_tfd(v, 0.0))]
+
+        base = values(0.0)
+        assert base[0] == pytest.approx(0.5) and base[2] == pytest.approx(4.0 / 33.0)
+        assert base[-1] == pytest.approx(1.0)
+        np.testing.assert_allclose(values(1e8), base, rtol=0.0, atol=1e-6)
 
 
 def _random_mixed(d, gen):
@@ -281,8 +303,9 @@ class TestKBodyOperator:
                 assert spectral_norm(op) == pytest.approx(spec.norm, rel=1e-12)
 
     def test_rates_keep_the_diagonal_arithmetic(self):
-        # The vector route evaluates the O(d) / O(d^2) diagonal formulas, bit
-        # for bit, and agrees with the dense np.diag route to rounding.
+        # The vector route evaluates the centred O(d) / O(d^2) diagonal
+        # formulas, bit for bit, and agrees with the dense np.diag route to
+        # rounding.
         gen = RngStream(30, 5).generator()
         gamma = 0.6
         for n in range(1, 6):
@@ -290,14 +313,12 @@ class TestKBodyOperator:
                 x = build_kbody_operator(KBodySpec(n, k, 0.9))
                 ch = [LindbladChannel(gamma, x)]
                 psi = rand_pure(1 << n, gen)
-                p = np.abs(psi) ** 2
-                want = 2.0 * gamma * complex((x * x) @ p - (x @ p) * (x @ p)).real
-                assert decoherence_rate(psi, ch) == want
+                u = psi * x - np.vdot(psi, psi * x) * psi     # (X - <X>) psi
+                assert decoherence_rate(psi, ch) == 2.0 * (gamma * np.vdot(u, u).real)
                 mixed = _random_mixed(1 << n, gen)
-                r2diag = np.real(np.einsum("ij,ji->i", mixed, mixed))
-                cov = (complex((r2diag * x) @ x)
-                       - complex(np.einsum("ij,j,ji,i->", mixed, x + 0j, mixed, x + 0j)))
-                want = 2.0 * (gamma * cov.real) / float(np.sum(np.abs(mixed) ** 2))
+                w = np.abs(mixed) ** 2
+                cov = 0.5 * (w * (x[:, None] - x) * (x[:, None] - x)).sum()
+                want = 2.0 * (gamma * cov) / np.sum(w, axis=(-2, -1))
                 assert decoherence_rate(mixed, ch) == want
                 for state in (psi, mixed):
                     dense = decoherence_rate(state, [LindbladChannel(gamma, np.diag(x))])
