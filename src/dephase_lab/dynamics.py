@@ -19,7 +19,10 @@ evaluated here by Gauss-Hermite quadrature.  The long-time limit is
 
 States live in the d-dimensional doubled-basis coefficient representation
 (memory O(d^2), not O(d^4)); every partition sum is max-shifted before
-exponentiation so inverse temperatures up to ~1e3 stay in range.
+exponentiation so inverse temperatures up to ~1e3 stay in range.  The
+double sum runs over level pairs: up to 64 levels as one product over the
+upper triangle, above that one offset diagonal after another, without
+BLAS, and only over the offsets whose gap factors can exceed ``2^-80``.
 
 The module also provides a fixed-step RK4 integrator for the dephasing
 master equation in double-commutator form
@@ -95,6 +98,10 @@ def evolve_tfd(sys: TfdSystem, t: float) -> np.ndarray:
 # under 3.4e-308, and numpy's exp is an order of magnitude slower on the
 # subnormal results further down.
 _EXP_FLOOR = -708.0
+# ln 2^-80: the band kernel drops every pair factor at or below it.
+_BAND_FLOOR = -80.0 * math.log(2.0)
+# Largest dimension summed by the dense pair product; above it, by the band.
+_DENSE_MAX_DIM = 64
 
 
 def _purity_kernel(energies: np.ndarray, probs: np.ndarray,
@@ -105,10 +112,14 @@ def _purity_kernel(energies: np.ndarray, probs: np.ndarray,
     temperature.  The purity is
     ``sum_k p_k^2 + 2 sum_{k<l} p_k p_l exp(-2 gamma t (E_k - E_l)^2)``; the
     gap factor does not depend on beta, so each time point evaluates it once
-    over the upper-triangle pairs and contracts every row in one product.
-    Factors below ``exp(_EXP_FLOOR)`` are left at zero instead of computed:
-    each such term is below 1e-307, against purities of at least 1/d.
+    per pair and contracts every row with it.  Up to ``_DENSE_MAX_DIM``
+    levels, the pairs are the upper triangle in row-major order, factors
+    below ``exp(_EXP_FLOOR)`` are left at zero instead of computed (each such
+    term is below 1e-307, against purities of at least 1/d), and one product
+    ``pp @ k`` contracts them.  Larger spectra take :func:`_band_kernel`.
     """
+    if energies.shape[0] > _DENSE_MAX_DIM:
+        return _band_kernel(energies, probs, gamma_t)
     iu, ju = np.triu_indices(energies.shape[0], 1)
     gaps2 = (energies[iu] - energies[ju]) ** 2
     pp = probs[:, iu] * probs[:, ju]
@@ -119,6 +130,56 @@ def _purity_kernel(energies: np.ndarray, probs: np.ndarray,
         arg = -2.0 * gamma_t[j] * gaps2
         k = np.exp(arg, out=np.zeros_like(arg), where=arg > _EXP_FLOOR)
         out[:, j] = diag + 2.0 * (pp @ k)
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _band_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level pairs ``(k, k + o)`` diagonal by diagonal (every pair at offset
+    ``o = 1``, then ``o = 2``, ...) as index arrays ``iu, ju``, and the
+    position where each offset's pairs start, ending with the pair count.
+    Cached per ``d`` and shared, so all three arrays are read-only."""
+    lens = np.arange(d - 1, 0, -1)
+    starts = np.zeros(d, dtype=np.intp)
+    np.cumsum(lens, out=starts[1:])
+    iu = np.arange(starts[-1]) - np.repeat(starts[:-1], lens)
+    ju = iu + np.repeat(np.arange(1, d), lens)
+    for a in (iu, ju, starts):
+        a.flags.writeable = False
+    return iu, ju, starts
+
+
+def _band_kernel(energies: np.ndarray, probs: np.ndarray,
+                 gamma_t: np.ndarray) -> np.ndarray:
+    """:func:`_purity_kernel` over the pairs ordered by offset.
+
+    A pair factor ``exp(-2 gamma t gap^2)`` at or below ``2^-80`` is dropped,
+    so each dropped term is below ``2^-80 p_k p_l`` and all of them together
+    below ``2^-80``.  The smallest squared gap over an offset and every later
+    one bounds all of their factors and does not decrease with the offset,
+    so each time point exponentiates only the prefix of offsets that
+    ``searchsorted`` finds to hold a factor above the floor; for an
+    ascending spectrum that prefix is short.  Each row is contracted by a
+    one-dimensional ``einsum``, whose summation order does not depend on the
+    BLAS thread count and whose vector accumulators stay within a few ulp
+    of a compensated sum (``einsum('ij,j->i')`` adds a row in one running
+    sum, about 1e-13 off at d = 1024).
+    """
+    iu, ju, starts = _band_pairs(energies.shape[0])
+    gaps2 = (energies[iu] - energies[ju]) ** 2
+    least = np.minimum.accumulate(np.minimum.reduceat(gaps2, starts[:-1])[::-1])[::-1]
+    times = np.flatnonzero(gamma_t)
+    ends = [starts[np.searchsorted(2.0 * gamma_t[j] * least, -_BAND_FLOOR)]
+            for j in times]
+    n = max(ends, default=0)
+    pp = probs[:, iu[:n]] * probs[:, ju[:n]]
+    diag = (probs ** 2).sum(axis=1)
+    out = np.ones((probs.shape[0], len(gamma_t)))
+    for j, end in zip(times, ends):
+        arg = -2.0 * gamma_t[j] * gaps2[:end]
+        k = np.exp(arg, out=np.zeros_like(arg), where=arg > _BAND_FLOOR)
+        out[:, j] = diag + 2.0 * np.array([np.einsum("j,j->", row, k)
+                                           for row in pp[:, :end]])
     return out
 
 

@@ -10,7 +10,8 @@ that is read only through some columns ``V[:, S]`` takes only the normals in
 the rows and columns ``S`` of ``g`` (``2 |S| d - |S|^2``), and ``tr V`` only the
 ``d`` diagonal ones.
 Estimators that need only eigenvalues (the thermofield-double ensemble, the
-annealing check) draw them from the tridiagonal beta = 2 model of the same law.
+annealing check) draw them from the tridiagonal beta = 2 model of the same law,
+solved by LAPACK ``dsterf``.
 
 Randomness is counter-based (Philox).  A :class:`RngStream` is the pair
 ``(master_seed, stream_index)``; distinct pairs give independent streams and
@@ -22,6 +23,7 @@ results are independent of how blocks are distributed over workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,15 +98,56 @@ def _gue_columns(gen: np.random.Generator, m: int, d: int,
     s = len(cols)
     x = gen.standard_normal((m, (2 * d - s) * s))
     col = x[:, :d * s].reshape(m, d, s)            # g_{j, cols[c]}
-    row = np.empty((m, s, d))                      # g_{cols[c], j}
-    row[:, :, cols] = col[:, cols]
-    row[:, :, np.delete(np.arange(d), cols)] = x[:, d * s:].reshape(m, s, d - s)
+    if s == d:                                     # every column: row is col
+        row = col
+    else:
+        row = np.empty((m, s, d))                  # g_{cols[c], j}
+        row[:, :, cols] = col[:, cols]
+        row[:, :, np.delete(np.arange(d), cols)] = x[:, d * s:].reshape(m, s, d - s)
     return _OMEGA * col + _OMEGA.conjugate() * row.transpose(0, 2, 1)
 
 
 def _gue_matrix(d: int, gen: np.random.Generator) -> np.ndarray:
     """One GUE draw as a complex ndarray; Hermitian exactly by construction."""
     return _gue_columns(gen, 1, d, np.arange(d))[0]
+
+
+@functools.cache
+def _dsterf():
+    """LAPACK ``dsterf`` of numpy's own OpenBLAS as ``f(diag, off)``, or None.
+
+    ``f`` returns the ascending eigenvalues of the real symmetric tridiagonal
+    matrix with diagonal ``diag`` and off-diagonal ``off`` (both left intact),
+    or None when ``dsterf`` reports ``info != 0``.  numpy wheels bundle
+    ``numpy.libs/libscipy_openblas64_*.so``, which exports the routine with
+    64-bit integers as ``scipy_dsterf_64_``; a numpy without that library or
+    symbol gives None.  Looked up once, at the first spectrum.
+    """
+    import ctypes
+    import glob
+    import os
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas64_*.so")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            routine = ctypes.CDLL(path).scipy_dsterf_64_
+        except (OSError, AttributeError):
+            continue
+        int_p = ctypes.POINTER(ctypes.c_int64)
+        routine.argtypes = [int_p, ctypes.c_void_p, ctypes.c_void_p, int_p]
+        routine.restype = None
+
+        def sterf(diag: np.ndarray, off: np.ndarray) -> np.ndarray | None:
+            # Contiguous float64 copies, since dsterf overwrites both.
+            w, e = np.array(diag, dtype=np.float64), np.array(off, dtype=np.float64)
+            if w.ndim != 1 or e.shape != (max(len(w) - 1, 0),):
+                raise ValueError("the off-diagonal must be one shorter than the diagonal")
+            info = ctypes.c_int64()
+            routine(ctypes.byref(ctypes.c_int64(len(w))), w.ctypes.data,
+                    e.ctypes.data, ctypes.byref(info))
+            return w if info.value == 0 else None
+        return sterf
+    return None
 
 
 def _gue_spectrum(gen: np.random.Generator, d: int) -> np.ndarray:
@@ -114,12 +157,22 @@ def _gue_spectrum(gen: np.random.Generator, d: int) -> np.ndarray:
     tridiagonal matrix with the same spectrum: an ``N(0, 1/2)`` diagonal and
     off-diagonal entries ``sqrt(chi^2_{2k}/4)`` for ``k = d-1, ..., 1``
     (Dumitriu & Edelman, J. Math. Phys. 43, 5830 (2002), at beta = 2).  So
-    one draw costs ``2d - 1`` variates and one real eigensolve instead of
-    ``d^2`` variates and a complex one.
+    one draw costs ``2d - 1`` variates and one real tridiagonal eigensolve
+    instead of ``d^2`` variates and a complex dense one.
+
+    The eigensolve is LAPACK ``dsterf`` (see :func:`_dsterf`).  ``eigvalsh``
+    of the dense tridiagonal matrix runs ``dsytrd`` and then ``dsterf``, and
+    on a tridiagonal input every Householder reflector of ``dsytrd`` is the
+    identity, so both routes give the same bits with the same LAPACK.
+    Without the routine, or if it fails, the spectrum comes from ``eigvalsh``.
     """
     diag = np.sqrt(0.5) * gen.standard_normal(d)
     off = np.sqrt(gen.chisquare(2.0 * np.arange(d - 1, 0, -1)) / 4.0)
-    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    sterf = _dsterf()
+    spectrum = None if sterf is None else sterf(diag, off)
+    if spectrum is None:
+        spectrum = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    return spectrum
 
 
 def _gue_spectra(gen: np.random.Generator, m: int, d: int) -> np.ndarray:

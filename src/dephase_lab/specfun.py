@@ -354,10 +354,11 @@ class KBodySpec:
 def rate_gue_haar(d: int, total_gamma: float) -> float:
     """Closed form ``Gamma d^2/(d+1)`` for a fixed pure state (vanishing
     ``<(tr V)^2>`` variant).  Where ``Gamma d^2`` overflows (``d = 2^512`` at
-    ``Gamma = 1``) it is ``Gamma d / (1 + 1/d)``, finite up to ``Gamma d``."""
+    ``Gamma = 1``, or ``d = 2`` near the largest double) it is
+    ``Gamma (d / (1 + 1/d))``, finite wherever the rate is."""
     _check_dim(d)
     rate = total_gamma * d * d / (d + 1.0)
-    return total_gamma * d / (1.0 + 1.0 / d) if math.isinf(rate) else rate
+    return total_gamma * (d / (1.0 + 1.0 / d)) if math.isinf(rate) else rate
 
 
 def rate_gue_wick(d: int, total_gamma: float, purity0: float = 1.0) -> float:
@@ -397,12 +398,16 @@ def calibrate_epsilon(n0: int, k: int, gamma: float, mode: str = "exact-binomial
 
     Solves ``rate_gue_haar(2^n0) = rate_kbody_bound(n0, k, eps)`` for
     ``eps^2``; the channel rate cancels.  The reference calibration
-    ``n0 = 1, k = 1`` gives ``eps^2 = 2/3`` in either mode.
+    ``n0 = 1, k = 1`` gives ``eps^2 = 2/3`` in either mode.  Where ``gamma``
+    overflows the unit bound, both rates are taken at unit ``gamma``.
     """
     if n0 < k:
         raise ValueError("n0 must be at least k")
     target = rate_gue_haar(2 ** n0, gamma)
     unit = rate_kbody_bound(KBodySpec(n0, k, 1.0), gamma, mode)
+    if math.isinf(unit):
+        target = rate_gue_haar(2 ** n0, 1.0)
+        unit = rate_kbody_bound(KBodySpec(n0, k, 1.0), 1.0, mode)
     return target / unit
 
 

@@ -95,6 +95,22 @@ def purity_double_sum(sys, t: float) -> float:
                   * np.exp(-2.0 * sys.gamma * t * gaps2)).sum())
 
 
+def purity_fsum(energies: np.ndarray, probs: np.ndarray, gamma_t: float) -> float:
+    """Thermofield-double purity ``sum_kl p_k p_l exp(-2 gamma t (E_k - E_l)^2)``
+    of one Gibbs law ``probs``, exactly rounded by ``math.fsum``.
+
+    Every ordered pair's term is evaluated.  The terms of ``(k, l)`` and
+    ``(l, k)`` are the same float, so each pair ``k < l`` enters once,
+    doubled (exactly), next to the diagonal ``p_k^2``; exact zeros are left
+    out.  No summation order enters the result.
+    """
+    iu, ju = np.triu_indices(len(energies), 1)
+    pairs = 2.0 * (probs[iu] * probs[ju]
+                   * np.exp(-2.0 * gamma_t * (energies[iu] - energies[ju]) ** 2))
+    terms = np.concatenate([probs ** 2, pairs])
+    return math.fsum(terms[terms > 0].tolist())
+
+
 def gue_pair_tail(d: int, gamma_t: float, n_u: int = 80, n_w: int = 1200) -> float:
     """Ensemble mean of the residual purity tail at infinite temperature.
 

@@ -38,7 +38,7 @@ class TestRateGue:
         assert run_cli(["rate-gue", "--dims", "2,4", "--samples", "200",
                         "--seed", "5", "-o", str(out)]) == 0
         comments, header, rows = read_csv(str(out))
-        assert comments[0] == "# dephase-lab schema v6"
+        assert comments[0] == "# dephase-lab schema v7"
         assert header == ["d", "gamma", "rate_haar", "rate_wick", "rate_mc_mean",
                           "rate_mc_stderr", "n_samples", "seed"]
         assert len(rows) == 2
@@ -183,6 +183,17 @@ class TestCrossover:
                         "-o", str(out)]) == 3
         assert capsys.readouterr().err.endswith(
             "rate_kbody_k5 is inf in the row for n=12\n")
+
+    def test_rate_is_finite_where_gamma_d_overflows(self, tmp_path):
+        # At gamma = 5e307, gamma d overflows from d = 4 on, but
+        # gamma d^2/(d+1) = 1.6e308 does not; every column is finite.
+        out = tmp_path / "c.csv"
+        assert run_cli(["crossover", "--k-list", "2", "--n-max", "2", "--mode",
+                        "exact-binomial", "--gamma", "5e307", "-o", str(out)]) == 0
+        _, _, rows = read_csv(str(out))
+        assert all(math.isfinite(float(x)) for row in rows for x in row if x)
+        assert float(rows[1][1]) == pytest.approx(5e307 * (16 / 5), rel=1e-15)
+        assert float(rows[1][3]) == pytest.approx(5e307 * (4 / 3), rel=1e-15)
 
     def test_kbody_bound_survives_an_overflowing_power(self, tmp_path):
         # 90^180 and the int (90!)^2 both pass the largest double and raise
@@ -573,7 +584,32 @@ def test_closed_form_commands_never_import_numpy(tmp_path, argv):
                "    assert exc.code == 0, exc.code\n"
                "assert 'numpy' not in sys.modules\n",
                *argv, "-o", str(tmp_path / "c.csv"))
-    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v6")
+    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v7")
+
+
+def test_cli_import_leaves_the_lapack_handle_unloaded():
+    # The dsterf lookup runs at the first spectrum, not at import time.
+    _run_fresh("import dephase_lab.cli\n"
+               "from dephase_lab import ensembles\n"
+               "assert ensembles._dsterf.cache_info().currsize == 0\n")
+
+
+def test_sampled_tfd_bytes_do_not_depend_on_the_blas_thread_count():
+    # At d = 1024 the pair sum is far past OpenBLAS's threading threshold
+    # for a matrix-vector product.  Only the two children's environments
+    # are set.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "dephase_lab", "tfd",
+                               "--n-qubits", "10", "--samples", "4"],
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_package_import_loads_no_submodule():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import to_product_basis
-from dephase_lab.dynamics import (_tfd_purity_block, annealing_check, build_tfd,
+from _oracles import purity_fsum, to_product_basis
+from dephase_lab.dynamics import (_purity_kernel, _tfd_purity_block, annealing_check,
+                                  build_tfd,
                                   ensemble_purity_tfd, evolve_tfd,
                                   master_equation_rk4, purity_inf_tfd,
                                   purity_tfd, purity_tfd_hs, rate_tfd)
@@ -99,9 +100,9 @@ class TestPurityTfd:
 
     @pytest.mark.parametrize("d", [2, 8, 64, 1024])
     def test_matches_double_sum_reference(self, d):
-        # Pair sum with underflowing factors left at zero against the full
-        # double sum, over six decades of gamma t and from infinite to very
-        # low temperature.
+        # Pair sum with negligible factors left at zero (below exp(-708) up
+        # to 64 levels, 2^-80 above) against the full double sum, over six
+        # decades of gamma t and from infinite to very low temperature.
         from _oracles import purity_double_sum
         energies = _gue_spectrum(RngStream(48, d).generator(), d)
         grid = np.array([0.0, 1e-6, 0.1, 1.0, 10.0, 1000.0])
@@ -123,6 +124,29 @@ class TestPurityTfd:
             assert purity_tfd(sys, 1e3) == pytest.approx(z2 / z ** 2, rel=1e-6)
         sys0 = build_tfd(energies, 0.0)
         assert purity_inf_tfd(sys0) == pytest.approx(1 / 8, rel=1e-12)
+
+
+class TestPurityKernel:
+    """Both pair sums against an exactly rounded one: up to 64 levels the
+    dense product, above that the band, which drops factors below 2^-80."""
+
+    GAMMA_T = np.array([0.0, 1e-6, 0.1, 0.25, 1.0, 10.0, 1000.0])
+
+    def _check(self, energies):
+        betas = np.array([0.0, 1e-3, 0.5, 3.0, 50.0])
+        probs = np.exp(_gibbs_log_weights(energies, betas[:, None])[0])
+        got = _purity_kernel(energies, probs, self.GAMMA_T)
+        want = [[purity_fsum(energies, p, g) for g in self.GAMMA_T] for p in probs]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("d", [8, 64, 65, 256, 1024])
+    def test_matches_the_compensated_double_sum(self, d):
+        self._check(_gue_spectrum(RngStream(49, d).generator(), d))
+
+    def test_band_takes_the_levels_in_any_order(self):
+        # Shuffled levels: the smallest gap no longer grows with the offset.
+        energies = _gue_spectrum(RngStream(49, 7).generator(), 200)
+        self._check(RngStream(49, 8).generator().permutation(energies))
 
 
 class TestPurityHs:

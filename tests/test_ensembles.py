@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import dense_gue_spectrum
+from dephase_lab import ensembles
 from dephase_lab.ensembles import (_OMEGA, EnsembleEstimate, RngStream,
                                    _gue_columns, _gue_matrix, _gue_spectrum,
                                    gue_level_density, gue_trace_square_mc,
@@ -64,6 +65,24 @@ class TestGueSampling:
         v = _OMEGA * g + _OMEGA.conjugate() * g.transpose(0, 2, 1)
         cols = _gue_columns(RngStream(3, 2).generator(), 30, d, np.arange(d))
         assert cols.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    def test_full_draw_equals_the_support_layout(self, d):
+        # With every column drawn, the rows of g are its columns: the
+        # shortcut gives the bits of the general support bookkeeping.
+        def support_layout(gen, m, cols):
+            s = len(cols)
+            x = gen.standard_normal((m, (2 * d - s) * s))
+            col = x[:, :d * s].reshape(m, d, s)
+            row = np.empty((m, s, d))
+            row[:, :, cols] = col[:, cols]
+            row[:, :, np.delete(np.arange(d), cols)] = x[:, d * s:].reshape(m, s, d - s)
+            return _OMEGA * col + _OMEGA.conjugate() * row.transpose(0, 2, 1)
+        part = np.arange(0, d, 3)
+        for cols in (np.arange(d), part):
+            got = _gue_columns(RngStream(3, 4).generator(), 6, d, cols)
+            want = support_layout(RngStream(3, 4).generator(), 6, cols)
+            assert got.tobytes() == want.tobytes()
 
     def test_support_columns_follow_the_law(self):
         assert _columns_law_ok(_gue_columns)
@@ -208,6 +227,28 @@ def _spectra(draw, d, n, rng):
 
 class TestTridiagonalSpectrum:
     """The tridiagonal beta = 2 model against the GUE law it replaces."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 40, 64, 65, 256, 1024])
+    def test_dsterf_route_equals_the_eigvalsh_route(self, d, monkeypatch):
+        # dsterf on the diagonal and off-diagonal, and eigvalsh of the dense
+        # tridiagonal matrix (dsytrd, whose reflectors are all the identity,
+        # then dsterf), give the same bits.
+        if ensembles._dsterf() is None:
+            pytest.skip("this numpy bundles no libscipy_openblas64_ dsterf")
+        fast = _spectra(_gue_spectrum, d, 3, RngStream(9, d))
+        monkeypatch.setattr(ensembles, "_dsterf", lambda: None)
+        dense = _spectra(_gue_spectrum, d, 3, RngStream(9, d))
+        assert fast.tobytes() == dense.tobytes()
+        assert (np.diff(fast, axis=1) >= 0).all()
+
+    @pytest.mark.parametrize("off_len", [0, 2, 4])
+    def test_dsterf_refuses_a_mismatched_off_diagonal(self, off_len):
+        # dsterf reads d - 1 off-diagonal entries, whatever the buffer holds.
+        sterf = ensembles._dsterf()
+        if sterf is None:
+            pytest.skip("this numpy bundles no libscipy_openblas64_ dsterf")
+        with pytest.raises(ValueError, match="one shorter"):
+            sterf(np.ones(4), np.ones(off_len))
 
     def test_trace_square_normalization_d64(self):
         # sum lambda^2 = tr X^2, whose mean is d^2/2.

@@ -173,6 +173,14 @@ class TestGueClosedForms:
         assert rate_gue_wick(4, gamma, purity0=0.25) == pytest.approx(0.0, abs=1e-12)
         assert rate_gue_wick(8, gamma, purity0=0.5) == pytest.approx(6 * gamma)
 
+    @pytest.mark.parametrize("d", [2, 4, 7])
+    def test_haar_form_finite_where_gamma_d_overflows(self, d):
+        # Gamma d overflows, Gamma d^2/(d+1) does not.
+        gamma = 1.79e308 / (d / (1.0 + 1.0 / d)) / (1.0 + 1e-15)
+        assert math.isinf(gamma * d)
+        assert rate_gue_haar(d, gamma) == pytest.approx(
+            gamma * (d / (d + 1.0)) * d, rel=1e-15)
+
     def test_forms_differ_by_gamma_over_dplus1(self):
         for d in (2, 7, 64):
             assert rate_gue_haar(d, 1.0) - rate_gue_wick(d, 1.0) \
@@ -378,6 +386,14 @@ class TestKBodyBoundsAndCalibration:
     def test_calibration_gamma_invariant(self):
         assert calibrate_epsilon(3, 2, 1.0) == pytest.approx(
             calibrate_epsilon(3, 2, 2.0), rel=1e-13)
+
+    @pytest.mark.parametrize("mode", ["approx", "exact-binomial"])
+    @pytest.mark.parametrize("n0,k", [(1, 1), (3, 2)])
+    def test_calibration_where_gamma_overflows_the_bound(self, mode, n0, k):
+        # 2 gamma overflows at gamma = 1e308; the channel rate cancels.
+        unit = calibrate_epsilon(n0, k, 1.0, mode)
+        assert calibrate_epsilon(n0, k, 1e308, mode) == unit
+        assert calibrate_epsilon(n0, k, 1.7e308, mode) == unit
 
 
 class TestCrossover:
