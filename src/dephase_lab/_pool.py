@@ -8,8 +8,8 @@ substreams and per-block values become an array.  Its contract:
   Philox stream of ``rng``'s key at counter ``[0, 0, b, 0]``.
 * ``block_fn(gen, m, *args)``, a module-level function so that it pickles
   into workers, returns the block's ``m`` rows as one ``(m, ...)`` array
-  from the block's fresh generator ``gen`` alone: stacked draws, LAPACK
-  calls and products run once per block.  Large stacks are drawn in
+  from the block's fresh generator ``gen`` alone: stacked draws,
+  factorisations and products run once per block.  Large stacks are drawn in
   :func:`row_slices`; one-at-a-time samples are drawn one after another.
 * Chunks of work are runs of whole blocks, and the rows are stacked in index
   order before any reduction, so results are bit-for-bit identical for any

@@ -25,7 +25,7 @@ semicircle support is ``[-sqrt(2 d), sqrt(2 d)]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exceptions import NumericalError
 
@@ -331,19 +331,22 @@ def beta_crossover(d: float) -> float:
     return math.sqrt(3.0 / d)
 
 
-@dataclass(frozen=True)
-class KBodySpec:
-    """All-to-all k-body sigma^z-string operator on n qubits, amplitude epsilon."""
+class KBodySpec(namedtuple("KBodySpec", "n k epsilon", defaults=(1.0,))):
+    """All-to-all k-body sigma^z-string operator on n qubits, amplitude epsilon.
 
-    n: int
-    k: int
-    epsilon: float = 1.0
+    An immutable tuple ``(n, k, epsilon)``: a namedtuple rather than a
+    dataclass, since importing ``dataclasses`` would load ``inspect`` and
+    ``ast`` into every closed-form command.
+    """
 
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, epsilon: float = 1.0):
+        if not 1 <= k <= n:
             raise ValueError("locality k must satisfy 1 <= k <= n")
-        if self.epsilon <= 0:
+        if epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        return super().__new__(cls, n, k, epsilon)
 
     @property
     def norm(self) -> float:
@@ -385,11 +388,19 @@ def rate_kbody_bound(spec: KBodySpec, gamma: float, mode: str = "approx") -> flo
             rate = math.inf
         if math.isinf(rate):    # n^(2k) overflowed: n^k/k! as a product of n/j >= 1
             ratio = math.prod(spec.n / j for j in range(1, spec.k + 1))
-            rate = 2.0 * gamma * spec.epsilon ** 2 * ratio * ratio
+            rate = _two_gamma_times(gamma, spec.epsilon ** 2, ratio, ratio)
         return rate
     if mode == "exact-binomial":
-        return 2.0 * gamma * spec.epsilon ** 2 * math.comb(spec.n, spec.k) ** 2
+        return _two_gamma_times(gamma, spec.epsilon ** 2, math.comb(spec.n, spec.k) ** 2)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _two_gamma_times(gamma: float, *factors) -> float:
+    """``2 gamma`` times ``factors``, left to right.  Where that overflows,
+    ``gamma`` goes last instead: ``2 gamma`` alone passes the largest double
+    for ``gamma`` above about 9e307, where the product need not."""
+    rate = math.prod((2.0, gamma, *factors))
+    return math.prod((2.0, *factors, gamma)) if math.isinf(rate) else rate
 
 
 def calibrate_epsilon(n0: int, k: int, gamma: float, mode: str = "exact-binomial"

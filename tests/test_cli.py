@@ -195,6 +195,18 @@ class TestCrossover:
         assert float(rows[1][1]) == pytest.approx(5e307 * (16 / 5), rel=1e-15)
         assert float(rows[1][3]) == pytest.approx(5e307 * (4 / 3), rel=1e-15)
 
+    def test_kbody_bound_finite_where_two_gamma_overflows(self, tmp_path):
+        # 2 gamma passes the largest double at gamma = 1e308, but the k = 1
+        # bound 2 gamma eps^2 with eps^2 = 2/3 does not: gamma goes last.
+        out = tmp_path / "c.csv"
+        assert run_cli(["crossover", "--k-list", "1", "--n-max", "1",
+                        "--gamma", "1e308", "-o", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert header == ["n", "rate_gue", "rate_gue_wick", "rate_kbody_k1"]
+        gamma = Fraction(1e308)
+        assert [float(x) for x in rows[0][1:]] == [
+            float(gamma * 4 / 3), float(gamma), float(2 * gamma * Fraction(2, 3))]
+
     def test_kbody_bound_survives_an_overflowing_power(self, tmp_path):
         # 90^180 and the int (90!)^2 both pass the largest double and raise
         # OverflowError; the k = 90 bound at n = 90, about 3.5e75, does not.
@@ -582,7 +594,8 @@ def test_closed_form_commands_never_import_numpy(tmp_path, argv):
                "    runpy.run_module('dephase_lab', run_name='__main__')\n"
                "except SystemExit as exc:\n"
                "    assert exc.code == 0, exc.code\n"
-               "assert 'numpy' not in sys.modules\n",
+               "assert 'numpy' not in sys.modules\n"
+               "assert 'dataclasses' not in sys.modules\n",
                *argv, "-o", str(tmp_path / "c.csv"))
     assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v7")
 

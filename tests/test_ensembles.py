@@ -328,6 +328,53 @@ class TestHaarSampling:
         assert dev.max() <= 4 * 1.0 / math.sqrt(n)
 
 
+def _unitarity_error(u):
+    """Largest entry of ``U^dagger U - 1`` over a ``(m, d, d)`` stack."""
+    gram = np.einsum("sji,sjk->sik", u.conj(), u)
+    return np.abs(gram - np.eye(u.shape[-1])).max()
+
+
+def _one_pass_gram_schmidt(z):
+    """Q of one ``(d, d)`` matrix by a single classical Gram-Schmidt pass."""
+    q = np.zeros_like(z)
+    for j in range(z.shape[1]):
+        v = z[:, j] - q[:, :j] @ (q[:, :j].conj().T @ z[:, j])
+        q[:, j] = v / np.linalg.norm(v)
+    return q
+
+
+class TestGramSchmidtRoute:
+    def test_route_switches_to_lapack_above_d4(self, monkeypatch):
+        # The Gram-Schmidt route calls no QR, and its einsum products are
+        # sample-last in memory; the LAPACK route's `@` products are C-ordered.
+        assert ensembles._GS_MAX_DIM == 4
+        gen = RngStream(3, 0).generator()
+        for d, sample_last in ((4, True), (5, False)):
+            x = np.eye(d, dtype=complex)
+            for rows in (ensembles._haar_second_block(gen, 2, x),
+                         ensembles._haar_fourth_block(gen, 2, x, x, x)):
+                assert (rows.strides[0] == rows.itemsize) == sample_last, d
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("LAPACK QR was called")
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        assert ensembles._haar_block(gen, 2, 4).shape == (2, 4, 4)
+        with pytest.raises(AssertionError, match="LAPACK QR"):
+            ensembles._haar_block(gen, 2, 5)
+
+    def test_unitary_to_working_precision_with_a_planted_near_singular_draw(self):
+        # Draw 0 has two columns parallel to 1e-10 (condition number about
+        # 1e10): one pass leaves them far from orthogonal, the second pass
+        # must restore them.
+        g = RngStream(3, 1).generator().standard_normal((100_000, 2, 3, 3))
+        g[0, :, :, 1] = g[0, :, :, 0] + 1e-10 * g[0, :, :, 1]
+        one_pass = _one_pass_gram_schmidt(g[0, 0] + 1j * g[0, 1])
+        assert _unitarity_error(one_pass[None]) > 1e-8
+        u = np.moveaxis(ensembles._gram_schmidt(g), -1, 0)
+        assert _unitarity_error(u[:1]) <= 1e-13
+        assert _unitarity_error(u) <= 1e-13
+
+
 class TestHaarFourthMoment:
     def test_identity_outer_exact(self):
         x2 = np.diag([0.3, -0.7, 1.1]).astype(complex)

@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from _oracles import haar_fourth_sample, haar_second_sample
+from _oracles import haar_fourth_sample, haar_second_sample, haar_unitary_2d
 from dephase_lab import _pool, ensembles, rates
 from dephase_lab.dynamics import annealing_check, ensemble_purity_tfd
 from dephase_lab.exceptions import NumericalError
@@ -258,37 +258,65 @@ class TestWorkerCap:
 
 
 class TestBatchedHaar:
-    """The stacked draw, QR and products against one 2-D draw per sample,
-    taken one after another from each block's substream."""
+    """Both Haar routes against samples drawn one after another from each
+    block's substream.  Above ``_GS_MAX_DIM`` the stacked QR and products
+    equal one 2-D QR and ``@`` per sample bit for bit; up to it the
+    Gram-Schmidt stack equals the same block function at one sample per
+    call bit for bit, and the 2-D QR within 1e-12."""
 
     n = 2 * _pool._BLOCK + 3
 
     @staticmethod
-    def _operators():
+    def _operators(d):
         gen = np.random.default_rng(5)
-        a = gen.standard_normal((3, 3, 3)) + 1j * gen.standard_normal((3, 3, 3))
+        a = gen.standard_normal((3, d, d)) + 1j * gen.standard_normal((3, d, d))
         return a + np.swapaxes(a.conj(), -1, -2)
 
-    def _per_sample(self, rng, sample, *ms):
+    def _per_sample(self, rng, sample, *args):
         rows = []
         for b, lo, hi in _blocks(self.n):
             gen = _jumped(rng, b)
-            rows += [sample(gen, *ms) for _ in range(hi - lo)]
+            rows += [sample(gen, *args) for _ in range(hi - lo)]
         return np.stack(rows)
 
     def test_second_moment_stack(self):
-        xm = self._operators()[0]
-        rng = RngStream(4, 101)
-        got = _pool.gather_samples(ensembles._haar_second_block, self.n, rng, 1, xm)
-        want = self._per_sample(rng, haar_second_sample, xm)
-        assert got.tobytes() == want.tobytes()
+        for d in (5, 6):
+            xm = self._operators(d)[0]
+            rng = RngStream(4, 101)
+            got = _pool.gather_samples(ensembles._haar_second_block, self.n, rng, 1, xm)
+            want = self._per_sample(rng, haar_second_sample, xm)
+            assert got.tobytes() == want.tobytes(), d
 
     def test_fourth_moment_stack(self):
-        ms = tuple(self._operators())
-        rng = RngStream(4, 102)
-        got = _pool.gather_samples(ensembles._haar_fourth_block, self.n, rng, 1, *ms)
-        want = self._per_sample(rng, haar_fourth_sample, *ms)
+        for d in (5, 6):
+            ms = tuple(self._operators(d))
+            rng = RngStream(4, 102)
+            got = _pool.gather_samples(ensembles._haar_fourth_block, self.n, rng, 1, *ms)
+            want = self._per_sample(rng, haar_fourth_sample, *ms)
+            assert got.tobytes() == want.tobytes(), d
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("block, n_ops", [(ensembles._haar_second_block, 1),
+                                              (ensembles._haar_fourth_block, 3)])
+    def test_gram_schmidt_stack_equals_one_sample_per_call(self, block, n_ops, d):
+        ms = tuple(self._operators(d)[:n_ops])
+        rng = RngStream(4, 103)
+        got = _pool.gather_samples(block, self.n, rng, 1, *ms)
+        want = self._per_sample(rng, lambda gen, *ops: block(gen, 1, *ops)[0], *ms)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_gram_schmidt_matches_the_lapack_oracle(self, d):
+        # Unit spectral norms, so that every sample is at most 1 in size.
+        ms = tuple(x / np.linalg.norm(x, 2) for x in self._operators(d))
+        rng = RngStream(4, 104)
+        for block, sample, args in (
+                (ensembles._haar_block, haar_unitary_2d, (d,)),
+                (ensembles._haar_second_block, haar_second_sample, ms[:1]),
+                (ensembles._haar_fourth_block, haar_fourth_sample, ms)):
+            got = _pool.gather_samples(block, self.n, rng, 1, *args)
+            want = self._per_sample(rng, sample, *args)
+            assert np.abs(got - want).max() <= 1e-12, sample.__name__
 
 
 class TestFromSamples:

@@ -336,6 +336,16 @@ class TestKBodyOperator:
         with pytest.raises(ValueError):
             KBodySpec(2, 3, 1.0)
 
+    def test_spec_is_an_immutable_tuple_with_unit_default_amplitude(self):
+        spec = KBodySpec(5, 2)
+        assert spec == (5, 2, 1.0) and spec.epsilon == 1.0 and spec.norm == 10.0
+        with pytest.raises(AttributeError):
+            spec.k = 3
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            KBodySpec(5, 2, 0.0)
+        with pytest.raises(ValueError, match="locality"):
+            KBodySpec(5, 0)
+
 
 class TestKBodyBoundsAndCalibration:
     def test_plug_in_values(self):
