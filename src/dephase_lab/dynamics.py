@@ -61,11 +61,19 @@ class TfdSystem:
 
 
 def _check_thermal(betas: Sequence[float], gamma: float) -> None:
-    """Refuse a negative inverse temperature or a nonpositive noise rate."""
-    if any(beta < 0 for beta in betas):
-        raise ValueError("inverse temperature must be nonnegative")
-    if gamma <= 0:
-        raise ValueError("noise rate must be positive")
+    """Refuse a beta outside ``[0, inf)`` or a noise rate outside ``(0, inf)``."""
+    if not all(0 <= beta < math.inf for beta in betas):
+        raise ValueError("inverse temperature must be finite and nonnegative")
+    if not 0 < gamma < math.inf:
+        raise ValueError("noise rate must be positive and finite")
+
+
+def _check_times(t) -> np.ndarray:
+    """``t`` as a float array, refused unless every time is finite and >= 0."""
+    t_arr = np.asarray(t, dtype=float)
+    if not (np.isfinite(t_arr) & (t_arr >= 0)).all():
+        raise ValueError("time must be finite and nonnegative")
+    return t_arr
 
 
 def build_tfd(energies: np.ndarray, beta: float,
@@ -85,8 +93,7 @@ def build_tfd(energies: np.ndarray, beta: float,
 def evolve_tfd(sys: TfdSystem, t: float) -> np.ndarray:
     """Closed-form doubled-basis coefficients ``c_kl`` at time ``t``, a
     ``(d, d)`` array whose diagonal stays constant."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    _check_times(t)
     e = sys.energies
     gaps = e[:, None] - e[None, :]
     c0 = sys.weights[:, None] * sys.weights[None, :]
@@ -94,12 +101,8 @@ def evolve_tfd(sys: TfdSystem, t: float) -> np.ndarray:
     return c0 * phase
 
 
-# Just above ln of the smallest normal double (-708.40): exp below it is
-# under 3.4e-308, and numpy's exp is an order of magnitude slower on the
-# subnormal results further down.
-_EXP_FLOOR = -708.0
-# ln 2^-80: the band kernel drops every pair factor at or below it.
-_BAND_FLOOR = -80.0 * math.log(2.0)
+# ln 2^-80: every pair factor at or below it is dropped.
+_PAIR_FLOOR = -80.0 * math.log(2.0)
 # Largest dimension summed by the dense pair product; above it, by the band.
 _DENSE_MAX_DIM = 64
 
@@ -112,11 +115,11 @@ def _purity_kernel(energies: np.ndarray, probs: np.ndarray,
     temperature.  The purity is
     ``sum_k p_k^2 + 2 sum_{k<l} p_k p_l exp(-2 gamma t (E_k - E_l)^2)``; the
     gap factor does not depend on beta, so each time point evaluates it once
-    per pair and contracts every row with it.  Up to ``_DENSE_MAX_DIM``
-    levels, the pairs are the upper triangle in row-major order, factors
-    below ``exp(_EXP_FLOOR)`` are left at zero instead of computed (each such
-    term is below 1e-307, against purities of at least 1/d), and one product
-    ``pp @ k`` contracts them.  Larger spectra take :func:`_band_kernel`.
+    per pair and contracts every row with it.  Factors at or below ``2^-80``
+    are left at zero, so all dropped terms together are below ``2^-80``.  Up
+    to ``_DENSE_MAX_DIM`` levels, the pairs are the upper triangle in
+    row-major order and one product ``pp @ k`` contracts them.  Larger
+    spectra take :func:`_band_kernel`.
     """
     if energies.shape[0] > _DENSE_MAX_DIM:
         return _band_kernel(energies, probs, gamma_t)
@@ -128,7 +131,7 @@ def _purity_kernel(energies: np.ndarray, probs: np.ndarray,
     out = np.ones((probs.shape[0], len(gamma_t)))
     for j in np.flatnonzero(gamma_t):
         arg = -2.0 * gamma_t[j] * gaps2
-        k = np.exp(arg, out=np.zeros_like(arg), where=arg > _EXP_FLOOR)
+        k = np.exp(arg, out=np.zeros_like(arg), where=arg > _PAIR_FLOOR)
         out[:, j] = diag + 2.0 * (pp @ k)
     return out
 
@@ -153,23 +156,24 @@ def _band_kernel(energies: np.ndarray, probs: np.ndarray,
                  gamma_t: np.ndarray) -> np.ndarray:
     """:func:`_purity_kernel` over the pairs ordered by offset.
 
-    A pair factor ``exp(-2 gamma t gap^2)`` at or below ``2^-80`` is dropped,
-    so each dropped term is below ``2^-80 p_k p_l`` and all of them together
-    below ``2^-80``.  The smallest squared gap over an offset and every later
-    one bounds all of their factors and does not decrease with the offset,
-    so each time point exponentiates only the prefix of offsets that
-    ``searchsorted`` finds to hold a factor above the floor; for an
-    ascending spectrum that prefix is short.  Each row is contracted by a
+    The smallest squared gap over an offset and every later one bounds all
+    of their factors and does not decrease with the offset, so each time
+    point exponentiates only the prefix of offsets that ``searchsorted``
+    finds to hold a factor above ``2^-80``; for an ascending spectrum that
+    prefix is short.  Each row is contracted by a
     one-dimensional ``einsum``, whose summation order does not depend on the
-    BLAS thread count and whose vector accumulators stay within a few ulp
-    of a compensated sum (``einsum('ij,j->i')`` adds a row in one running
-    sum, about 1e-13 off at d = 1024).
+    BLAS thread count.  With one beta the row is contiguous, and the vector
+    accumulators of ``einsum`` keep its sum within a few ulp of a compensated
+    one (``einsum('ij,j->i')`` adds a row in one running sum, about 1e-13
+    off at d = 1024).  With more than one beta ``pp`` is F-ordered, so each
+    row is strided and summed in another order: a beta's curve differs in
+    its last bits from the one it gets alone in the call.
     """
     iu, ju, starts = _band_pairs(energies.shape[0])
     gaps2 = (energies[iu] - energies[ju]) ** 2
     least = np.minimum.accumulate(np.minimum.reduceat(gaps2, starts[:-1])[::-1])[::-1]
     times = np.flatnonzero(gamma_t)
-    ends = [starts[np.searchsorted(2.0 * gamma_t[j] * least, -_BAND_FLOOR)]
+    ends = [starts[np.searchsorted(2.0 * gamma_t[j] * least, -_PAIR_FLOOR)]
             for j in times]
     n = max(ends, default=0)
     pp = probs[:, iu[:n]] * probs[:, ju[:n]]
@@ -177,7 +181,7 @@ def _band_kernel(energies: np.ndarray, probs: np.ndarray,
     out = np.ones((probs.shape[0], len(gamma_t)))
     for j, end in zip(times, ends):
         arg = -2.0 * gamma_t[j] * gaps2[:end]
-        k = np.exp(arg, out=np.zeros_like(arg), where=arg > _BAND_FLOOR)
+        k = np.exp(arg, out=np.zeros_like(arg), where=arg > _PAIR_FLOOR)
         out[:, j] = diag + 2.0 * np.array([np.einsum("j,j->", row, k)
                                            for row in pp[:, :end]])
     return out
@@ -189,9 +193,7 @@ def purity_tfd(sys: TfdSystem, t):
     Monotone non-increasing from 1 at ``t = 0`` to ``Z(2 beta)/Z(beta)^2``;
     the infinite-temperature plateau is ``1/d``.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if (t_arr < 0).any():
-        raise ValueError("time must be nonnegative")
+    t_arr = _check_times(t)
     out = _purity_kernel(sys.energies, (sys.weights ** 2)[None, :],
                          sys.gamma * np.atleast_1d(t_arr))[0]
     return float(out[0]) if t_arr.ndim == 0 else out
@@ -233,7 +235,7 @@ def purity_tfd_hs(sys: TfdSystem, t: float,
     to resolve that frequency (capped at 2048).  Degenerate at ``t = 0`` (the
     Gaussian collapses): use :func:`purity_tfd` there.
     """
-    if t <= 0:
+    if _check_times(t) == 0:
         raise ValueError("the Gaussian representation requires t > 0; "
                          "use purity_tfd at t = 0")
     if quadrature_nodes is None:
@@ -299,7 +301,7 @@ def ensemble_purity_tfd(n_qubits: int, betas: Sequence[float], gamma: float,
     if n_qubits < 1 or 2 ** n_qubits > 2 ** 10:
         raise ValueError("qubit count must give a dimension between 2 and 2^10")
     _check_thermal(betas, gamma)
-    grid = np.asarray(gamma_t, dtype=float)
+    grid = _check_times(gamma_t)
     table = _pool.gather_samples(_tfd_purity_block, n_samples, rng, workers,
                                  2 ** n_qubits, list(betas), gamma, grid)
     return [TfdPurityCurve(times=grid,

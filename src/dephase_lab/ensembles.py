@@ -11,7 +11,7 @@ the rows and columns ``S`` of ``g`` (``2 |S| d - |S|^2``), and ``tr V`` only the
 ``d`` diagonal ones.
 Estimators that need only eigenvalues (the thermofield-double ensemble, the
 annealing check) draw them from the tridiagonal beta = 2 model of the same law,
-solved by LAPACK ``dsterf``.
+solved by the LAPACK ``dsterf`` that numpy's ``eigvalsh`` itself calls.
 
 A Haar unitary is the Q factor of a Ginibre matrix whose R factor has a
 positive real diagonal (Mezzadri, Notices AMS 54, 592 (2007)).  Gram-Schmidt
@@ -122,40 +122,38 @@ def _gue_matrix(d: int, gen: np.random.Generator) -> np.ndarray:
 
 @functools.cache
 def _dsterf():
-    """LAPACK ``dsterf`` of numpy's own OpenBLAS as ``f(diag, off)``, or None.
+    """LAPACK ``dsterf`` as ``f(diag, off)``, or None where it is missing.
 
+    Looked up once, at the first spectrum, through numpy's linalg extension,
+    so it is the library that ``eigvalsh`` calls: the OpenBLAS of numpy's
+    wheels, which exports it with 64-bit integers as ``scipy_dsterf_64_``.
     ``f`` returns the ascending eigenvalues of the real symmetric tridiagonal
-    matrix with diagonal ``diag`` and off-diagonal ``off`` (both left intact),
-    or None when ``dsterf`` reports ``info != 0``.  numpy wheels bundle
-    ``numpy.libs/libscipy_openblas64_*.so``, which exports the routine with
-    64-bit integers as ``scipy_dsterf_64_``; a numpy without that library or
-    symbol gives None.  Looked up once, at the first spectrum.
+    matrix with diagonal ``diag`` and off-diagonal ``off`` (both left intact)
+    and raises :class:`NumericalError` where ``dsterf`` reports ``info != 0``.
     """
     import ctypes
-    import glob
-    import os
-    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                           "libscipy_openblas64_*.so")
-    for path in sorted(glob.glob(pattern)):
-        try:
-            routine = ctypes.CDLL(path).scipy_dsterf_64_
-        except (OSError, AttributeError):
-            continue
-        int_p = ctypes.POINTER(ctypes.c_int64)
-        routine.argtypes = [int_p, ctypes.c_void_p, ctypes.c_void_p, int_p]
-        routine.restype = None
+    from numpy.linalg import _umath_linalg
+    from .exceptions import NumericalError
+    try:
+        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_dsterf_64_
+    except (OSError, AttributeError):
+        return None
+    int_p = ctypes.POINTER(ctypes.c_int64)
+    routine.argtypes = [int_p, ctypes.c_void_p, ctypes.c_void_p, int_p]
+    routine.restype = None
 
-        def sterf(diag: np.ndarray, off: np.ndarray) -> np.ndarray | None:
-            # Contiguous float64 copies, since dsterf overwrites both.
-            w, e = np.array(diag, dtype=np.float64), np.array(off, dtype=np.float64)
-            if w.ndim != 1 or e.shape != (max(len(w) - 1, 0),):
-                raise ValueError("the off-diagonal must be one shorter than the diagonal")
-            info = ctypes.c_int64()
-            routine(ctypes.byref(ctypes.c_int64(len(w))), w.ctypes.data,
-                    e.ctypes.data, ctypes.byref(info))
-            return w if info.value == 0 else None
-        return sterf
-    return None
+    def sterf(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+        # Contiguous float64 copies, since dsterf overwrites both.
+        w, e = np.array(diag, dtype=np.float64), np.array(off, dtype=np.float64)
+        if w.ndim != 1 or e.shape != (max(len(w) - 1, 0),):
+            raise ValueError("the off-diagonal must be one shorter than the diagonal")
+        info = ctypes.c_int64()
+        routine(ctypes.byref(ctypes.c_int64(len(w))), w.ctypes.data,
+                e.ctypes.data, ctypes.byref(info))
+        if info.value != 0:
+            raise NumericalError(f"LAPACK dsterf failed (info = {info.value})")
+        return w
+    return sterf
 
 
 def _gue_spectrum(gen: np.random.Generator, d: int) -> np.ndarray:
@@ -172,15 +170,14 @@ def _gue_spectrum(gen: np.random.Generator, d: int) -> np.ndarray:
     of the dense tridiagonal matrix runs ``dsytrd`` and then ``dsterf``, and
     on a tridiagonal input every Householder reflector of ``dsytrd`` is the
     identity, so both routes give the same bits with the same LAPACK.
-    Without the routine, or if it fails, the spectrum comes from ``eigvalsh``.
+    Without the routine the spectrum comes from ``eigvalsh``.
     """
     diag = np.sqrt(0.5) * gen.standard_normal(d)
     off = np.sqrt(gen.chisquare(2.0 * np.arange(d - 1, 0, -1)) / 4.0)
     sterf = _dsterf()
-    spectrum = None if sterf is None else sterf(diag, off)
-    if spectrum is None:
-        spectrum = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
-    return spectrum
+    if sterf is None:
+        return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    return sterf(diag, off)
 
 
 def _gue_spectra(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
@@ -261,11 +258,33 @@ def _conjugated(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("iks,lks->ils", np.einsum("ijs,jk->iks", u, x), u.conj())
 
 
-def _haar_second_block(gen: np.random.Generator, m: int, xm: np.ndarray) -> np.ndarray:
-    u = _haar_block(gen, m, xm.shape[0])
-    if xm.shape[0] > _GS_MAX_DIM:
-        return u @ xm @ np.swapaxes(u.conj(), -1, -2)
-    return np.moveaxis(_conjugated(np.moveaxis(u, 0, -1), xm), -1, 0)
+def _haar_moment_block(gen: np.random.Generator, m: int, x1: np.ndarray,
+                       *x23: np.ndarray) -> np.ndarray:
+    """``U X1 U^dagger`` of ``m`` Haar unitaries as ``(m, d, d)``, or, given
+    ``X2, X3``, ``(U X1 U^dagger) X2 (U X3 U^dagger)``, whose first factor it is."""
+    d = x1.shape[0]
+    u = _haar_block(gen, m, d)
+    if d > _GS_MAX_DIM:
+        udag = np.swapaxes(u.conj(), -1, -2)
+        out = u @ x1 @ udag
+        return out @ x23[0] @ u @ x23[1] @ udag if x23 else out
+    u = np.moveaxis(u, 0, -1)                      # sample-last
+    out = _conjugated(u, x1)
+    if x23:
+        left = np.einsum("ijs,jk->iks", out, x23[0])
+        out = np.einsum("iks,kls->ils", left, _conjugated(u, x23[1]))
+    return np.moveaxis(out, -1, 0)
+
+
+def _haar_moment(n_samples: int, rng: RngStream, *xs) -> tuple[np.ndarray, np.ndarray]:
+    """``(mean, stderr)`` of :func:`_haar_moment_block` over the operators ``xs``."""
+    ms = [as_matrix(x) for x in xs]
+    _check_dim(ms[0].shape[0])
+    if any(m.shape[0] != ms[0].shape[0] for m in ms):
+        raise ValueError("operators must share one dimension")
+    est = EnsembleEstimate.from_samples(
+        _pool.gather_samples(_haar_moment_block, n_samples, rng, 1, *ms))
+    return est.mean, est.stderr
 
 
 def haar_second_moment(x, n_samples: int, rng: RngStream
@@ -275,9 +294,7 @@ def haar_second_moment(x, n_samples: int, rng: RngStream
     Returns ``(mean, stderr)`` with an entrywise standard error; the exact
     average is ``tr(X) 1/d`` (see :func:`haar_second_moment_exact`).
     """
-    samples = _pool.gather_samples(_haar_second_block, n_samples, rng, 1, as_matrix(x))
-    est = EnsembleEstimate.from_samples(samples)
-    return est.mean, est.stderr
+    return _haar_moment(n_samples, rng, x)
 
 
 def haar_second_moment_exact(x) -> np.ndarray:
@@ -286,28 +303,10 @@ def haar_second_moment_exact(x) -> np.ndarray:
     return np.trace(xm) / d * np.eye(d, dtype=complex)
 
 
-def _haar_fourth_block(gen: np.random.Generator, m: int, m1: np.ndarray,
-                       m2: np.ndarray, m3: np.ndarray) -> np.ndarray:
-    u = _haar_block(gen, m, m1.shape[0])
-    if m1.shape[0] > _GS_MAX_DIM:
-        udag = np.swapaxes(u.conj(), -1, -2)
-        return u @ m1 @ udag @ m2 @ u @ m3 @ udag
-    # (U X1 U^dagger) X2 (U X3 U^dagger), sample-last.
-    u = np.moveaxis(u, 0, -1)
-    left = np.einsum("ijs,jk->iks", _conjugated(u, m1), m2)
-    return np.moveaxis(np.einsum("iks,kls->ils", left, _conjugated(u, m3)), -1, 0)
-
-
 def haar_fourth_moment(x1, x2, x3, n_samples: int, rng: RngStream
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean of ``U X1 U^dagger X2 U X3 U^dagger`` over Haar unitaries."""
-    m1, m2, m3 = as_matrix(x1), as_matrix(x2), as_matrix(x3)
-    d = m1.shape[0]
-    if not (m2.shape[0] == m3.shape[0] == d):
-        raise ValueError("operators must share one dimension")
-    samples = _pool.gather_samples(_haar_fourth_block, n_samples, rng, 1, m1, m2, m3)
-    est = EnsembleEstimate.from_samples(samples)
-    return est.mean, est.stderr
+    return _haar_moment(n_samples, rng, x1, x2, x3)
 
 
 def haar_fourth_moment_exact(x1, x2, x3) -> np.ndarray:
@@ -379,5 +378,6 @@ def gue_trace_square_mc(d: int, n_samples: int, rng: RngStream) -> EnsembleEstim
     integral is summed, and the decoherence-rate suite adjudicates between
     them empirically instead of hard-coding either.
     """
+    _check_dim(d)
     vals = _pool.gather_samples(_trace_square_block, n_samples, rng, 1, d)
     return EnsembleEstimate.from_samples(vals)

@@ -123,6 +123,8 @@ def rate_gue_mc(rho0: np.ndarray, gamma: float, d: int,
     One substream per block of samples, reduced in index order, so the
     estimate is reproducible for a given ``rng`` regardless of ``workers``.
     """
+    if gamma < 0:
+        raise ValueError("channel rate must be nonnegative")
     rho0 = as_state(rho0)
     if rho0.shape[0] != d:
         raise DimensionMismatchError("state dimension differs from d")

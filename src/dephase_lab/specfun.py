@@ -68,7 +68,7 @@ def log_laguerre_l(n: int, alpha: float, x: float) -> float:
     return math.log(cur) + shift
 
 
-def _laguerre_ratio_chain(d: int, x: float) -> tuple[float, float, float]:
+def _laguerre_ratio_chain(d: int, x: float) -> tuple[float, float]:
     """Jointly recurse ``L^(1)``, ``L^(2)``, ``L^(3)`` up to degrees d-1, d-2, d-3.
 
     One loop of O(d) scalar steps per ``x``: the three chains advance
@@ -77,10 +77,10 @@ def _laguerre_ratio_chain(d: int, x: float) -> tuple[float, float, float]:
     Whenever the largest of the three current values exceeds the scale
     cap, every value is divided by it, so the returned ratios
     ``f12 = L_{d-2}^(2)/L_{d-1}^(1)`` and ``f13 = L_{d-3}^(3)/L_{d-1}^(1)``
-    never pass through an overflowing intermediate.  Also returns
-    ``log L_{d-1}^(1)(x)``.  Requires a finite ``x <= 0``, where every term
-    is positive.  A step grows a value less than ``2d + 4 - x``-fold, so the
-    cap (``_LOG_SCALE_CAP`` up to ``|x| = 5e49``) leaves that much headroom.
+    never pass through an overflowing intermediate.  Requires a finite
+    ``x <= 0``, where every term is positive.  A step grows a value less
+    than ``2d + 4 - x``-fold, so the cap (``_LOG_SCALE_CAP`` up to
+    ``|x| = 5e49``) leaves that much headroom.
     """
     if x > 0:
         raise ValueError("ratio chain requires x <= 0")
@@ -89,10 +89,9 @@ def _laguerre_ratio_chain(d: int, x: float) -> tuple[float, float, float]:
     cap = min(_LOG_SCALE_CAP, 1e300 / (2 * d + 4 - x))
     p1 = p2 = p3 = 1.0                              # degree 0
     c1, c2, c3 = 2.0 - x, 3.0 - x, 4.0 - x          # degree 1, c3 the largest
-    shift = 0.0
     if c3 > cap:
         p1 = p2 = p3 = 1.0 / c3
-        c1, c2, c3, shift = c1 / c3, c2 / c3, 1.0, math.log(c3)
+        c1, c2, c3 = c1 / c3, c2 / c3, 1.0
     # The degree m counts in floats (exact), since float-only arithmetic is
     # what makes this loop fast.  Every value is positive, so one exceeding
     # the cap makes the peak exceed it.
@@ -107,7 +106,6 @@ def _laguerre_ratio_chain(d: int, x: float) -> tuple[float, float, float]:
             peak = max(c1, c2, c3)
             p1, c1, p2, c2, p3, c3 = (p1 / peak, c1 / peak, p2 / peak,
                                       c2 / peak, p3 / peak, c3 / peak)
-            shift += math.log(peak)
     for n in range(max(2, d - 2), d):
         p1, c1 = c1, ((2 * n - x) * c1 - n * p1) / n
         if n == d - 2:
@@ -116,7 +114,6 @@ def _laguerre_ratio_chain(d: int, x: float) -> tuple[float, float, float]:
         if peak > cap:
             p1, c1, p2, c2, p3, c3 = (p1 / peak, c1 / peak, p2 / peak,
                                       c2 / peak, p3 / peak, c3 / peak)
-            shift += math.log(peak)
     # Below d = 4 a chain of target degree 0 ends on its L_0, one of
     # target degree -1 on zero.
     l1 = c1 if d > 1 else p1
@@ -124,7 +121,7 @@ def _laguerre_ratio_chain(d: int, x: float) -> tuple[float, float, float]:
     f3 = c3 if d > 3 else p3 if d == 3 else 0.0
     if l1 <= 0.0:
         raise NumericalError("Laguerre ratio chain lost positivity")
-    return math.log(l1) + shift, f2 / l1, f3 / l1
+    return f2 / l1, f3 / l1
 
 
 def bessel_i_ratio_g(x: float) -> float:
@@ -296,7 +293,7 @@ def rate_tfd_gue_exact(beta: float, d: int, gamma: float) -> float:
         raise ValueError("gamma must be positive")
     if beta > 1e25:             # 4 (d-1)/beta^2 < 2^-53 for every d <= 2^60
         return 2.0 * gamma
-    _, f12, f13 = _laguerre_ratio_chain(d, -beta * beta / 2.0)
+    f12, f13 = _laguerre_ratio_chain(d, -beta * beta / 2.0)
     b2 = beta * beta
     return 2.0 * gamma * (1.0 + 2.0 * f12 - 2.0 * b2 * f12 * f12 + 2.0 * b2 * f13)
 

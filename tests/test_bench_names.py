@@ -31,6 +31,16 @@ def test_every_name_the_tracer_wraps_resolves():
     assert callable(RngStream.sample_generator)
 
 
+def test_old_block_names_are_the_block_functions():
+    # The tracer wraps the old name and rebinds every module attribute that
+    # is the same object, so the calls made through the new name are timed
+    # only while the old name is an alias of it, not a wrapper or a copy.
+    from dephase_lab import dynamics, rates, trajectories
+    assert rates._rate_gue_chunk is rates._rate_gue_block
+    assert dynamics._tfd_purity_chunk is dynamics._tfd_purity_block
+    assert trajectories._batch_worker is trajectories._wiener_block
+
+
 def test_names_the_bench_runner_imports_resolve():
     from dephase_lab import cli
     for name in ("build_parser", "main", "_emit"):

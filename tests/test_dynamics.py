@@ -42,6 +42,21 @@ class TestBuildTfd:
         with pytest.raises(ValueError):
             build_tfd(np.array([0.0, 1.0]), -0.1)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        # NaN weights and, at inf, a RuntimeWarning before.
+        with pytest.raises(ValueError, match="inverse temperature"):
+            build_tfd(np.array([0.0, 1.0]), beta)
+        with pytest.raises(ValueError, match="inverse temperature"):
+            annealing_check([0.5, beta], 4, 8, RngStream(1))
+        with pytest.raises(ValueError, match="inverse temperature"):
+            ensemble_purity_tfd(2, [beta], 1.0, [0.0, 1.0], 4, RngStream(1))
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_noise_rate_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ValueError, match="noise rate"):
+            build_tfd(np.array([0.0, 1.0]), 0.5, gamma)
+
 
 class TestEvolveTfd:
     def test_initial_coefficients_and_purity(self):
@@ -57,6 +72,11 @@ class TestEvolveTfd:
             c = evolve_tfd(sys, t)
             np.testing.assert_allclose(np.diag(c),
                                        sys.weights ** 2, rtol=1e-12)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_time_must_be_finite_and_nonnegative(self, t):
+        with pytest.raises(ValueError, match="time"):
+            evolve_tfd(build_tfd(np.array([0.0, 1.0]), 0.3), t)
 
     def test_two_level_gap_decay(self):
         sys = build_tfd(np.array([0.0, 1.0]), 0.0, gamma=1.0)
@@ -100,9 +120,9 @@ class TestPurityTfd:
 
     @pytest.mark.parametrize("d", [2, 8, 64, 1024])
     def test_matches_double_sum_reference(self, d):
-        # Pair sum with negligible factors left at zero (below exp(-708) up
-        # to 64 levels, 2^-80 above) against the full double sum, over six
-        # decades of gamma t and from infinite to very low temperature.
+        # Pair sum with factors at or below 2^-80 left at zero against the
+        # full double sum, over six decades of gamma t and from infinite to
+        # very low temperature.
         from _oracles import purity_double_sum
         energies = _gue_spectrum(RngStream(48, d).generator(), d)
         grid = np.array([0.0, 1e-6, 0.1, 1.0, 10.0, 1000.0])
@@ -125,10 +145,16 @@ class TestPurityTfd:
         sys0 = build_tfd(energies, 0.0)
         assert purity_inf_tfd(sys0) == pytest.approx(1 / 8, rel=1e-12)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, [0.0, math.nan]])
+    def test_time_must_be_finite_and_nonnegative(self, t):
+        # A NaN or infinite time used to read as the t -> inf plateau.
+        with pytest.raises(ValueError, match="time"):
+            purity_tfd(build_tfd(np.array([0.0, 1.0]), 0.3), t)
+
 
 class TestPurityKernel:
     """Both pair sums against an exactly rounded one: up to 64 levels the
-    dense product, above that the band, which drops factors below 2^-80."""
+    dense product, above that the band; both drop factors at or below 2^-80."""
 
     GAMMA_T = np.array([0.0, 1e-6, 0.1, 0.25, 1.0, 10.0, 1000.0])
 
@@ -170,6 +196,12 @@ class TestPurityHs:
         with pytest.raises(ValueError):
             purity_tfd_hs(sys, 0.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_time_must_be_finite(self, t):
+        sys = build_tfd(np.array([0.0, 1.0]), 0.0)
+        with pytest.raises(ValueError, match="time"):
+            purity_tfd_hs(sys, t, quadrature_nodes=64)
+
 
 class TestRateTfd:
     def test_symmetric_two_level(self):
@@ -203,6 +235,12 @@ class TestRateTfd:
 
 
 class TestEnsemblePurity:
+    @pytest.mark.parametrize("grid", [[0.0, -1.0], [0.0, math.nan], [0.0, math.inf]])
+    def test_time_grid_must_be_finite_and_nonnegative(self, grid):
+        # [0, -1] used to give a purity of 1.37e22, [0, nan] one of 0.394.
+        with pytest.raises(ValueError, match="time"):
+            ensemble_purity_tfd(2, [0.5], 1.0, grid, 4, RngStream(1))
+
     def test_time_zero_exact(self):
         [curve] = ensemble_purity_tfd(3, [0.0], 1.0, np.array([0.0, 0.5]), 40,
                                       RngStream(45, 0))

@@ -1,4 +1,6 @@
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from dephase_lab.ensembles import (_OMEGA, EnsembleEstimate, RngStream,
                                    haar_second_moment, haar_second_moment_exact,
                                    hermite_phi, sample_gue, sample_haar_unitary)
 from dephase_lab.dynamics import gauss_hermite
+from dephase_lab.exceptions import NumericalError
 from dephase_lab.rates import PAULI
 
 
@@ -234,7 +237,7 @@ class TestTridiagonalSpectrum:
         # tridiagonal matrix (dsytrd, whose reflectors are all the identity,
         # then dsterf), give the same bits.
         if ensembles._dsterf() is None:
-            pytest.skip("this numpy bundles no libscipy_openblas64_ dsterf")
+            pytest.skip("numpy's linalg extension exports no scipy_dsterf_64_")
         fast = _spectra(_gue_spectrum, d, 3, RngStream(9, d))
         monkeypatch.setattr(ensembles, "_dsterf", lambda: None)
         dense = _spectra(_gue_spectrum, d, 3, RngStream(9, d))
@@ -246,9 +249,28 @@ class TestTridiagonalSpectrum:
         # dsterf reads d - 1 off-diagonal entries, whatever the buffer holds.
         sterf = ensembles._dsterf()
         if sterf is None:
-            pytest.skip("this numpy bundles no libscipy_openblas64_ dsterf")
+            pytest.skip("numpy's linalg extension exports no scipy_dsterf_64_")
         with pytest.raises(ValueError, match="one shorter"):
             sterf(np.ones(4), np.ones(off_len))
+
+    def test_dsterf_is_found_wherever_numpy_bundles_openblas(self):
+        # The lookup goes through numpy's linalg extension; a wheel that
+        # ships the OpenBLAS exporting the routine must not fall back.
+        libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                      "numpy.libs", "libscipy_openblas64_*"))
+        if not libs:
+            pytest.skip("this numpy bundles no libscipy_openblas64_")
+        assert ensembles._dsterf() is not None
+
+    def test_dsterf_failure_is_a_numerical_error(self):
+        # A NaN diagonal makes dsterf report info != 0; that is reported at
+        # once, not retried through eigvalsh (whose LinAlgError would read
+        # as a configuration error).
+        sterf = ensembles._dsterf()
+        if sterf is None:
+            pytest.skip("numpy's linalg extension exports no scipy_dsterf_64_")
+        with pytest.raises(NumericalError, match="dsterf"):
+            sterf(np.array([np.nan, 1.0, 2.0]), np.ones(2))
 
     def test_trace_square_normalization_d64(self):
         # sum lambda^2 = tr X^2, whose mean is d^2/2.
@@ -283,6 +305,10 @@ class TestTridiagonalSpectrum:
 
 
 class TestHaarSampling:
+    def test_second_moment_dimension_zero_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            haar_second_moment(np.zeros((0, 0)), 4, RngStream(1))
+
     def test_unitarity(self):
         for d in (2, 5, 9):
             u = sample_haar_unitary(d, RngStream(6, d))
@@ -351,8 +377,8 @@ class TestGramSchmidtRoute:
         gen = RngStream(3, 0).generator()
         for d, sample_last in ((4, True), (5, False)):
             x = np.eye(d, dtype=complex)
-            for rows in (ensembles._haar_second_block(gen, 2, x),
-                         ensembles._haar_fourth_block(gen, 2, x, x, x)):
+            for rows in (ensembles._haar_moment_block(gen, 2, x),
+                         ensembles._haar_moment_block(gen, 2, x, x, x)):
                 assert (rows.strides[0] == rows.itemsize) == sample_last, d
 
         def no_qr(*args, **kwargs):
@@ -376,6 +402,11 @@ class TestGramSchmidtRoute:
 
 
 class TestHaarFourthMoment:
+    def test_dimension_zero_rejected(self):
+        x = np.zeros((0, 0))
+        with pytest.raises(ValueError, match="dimension"):
+            haar_fourth_moment(x, x, x, 4, RngStream(1))
+
     def test_identity_outer_exact(self):
         x2 = np.diag([0.3, -0.7, 1.1]).astype(complex)
         eye = np.eye(3, dtype=complex)
@@ -435,6 +466,10 @@ class TestLevelDensity:
 
 
 class TestTraceSquareAdjudication:
+    def test_dimension_zero_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            gue_trace_square_mc(0, 10, RngStream(1))
+
     def test_mc_selects_d_over_2(self):
         # Two candidate values circulate for <(tr V)^2>: 0 (from summing the
         # connected two-point integral to -d^2/2) and d/2 (entrywise Wick).

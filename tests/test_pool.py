@@ -283,7 +283,7 @@ class TestBatchedHaar:
         for d in (5, 6):
             xm = self._operators(d)[0]
             rng = RngStream(4, 101)
-            got = _pool.gather_samples(ensembles._haar_second_block, self.n, rng, 1, xm)
+            got = _pool.gather_samples(ensembles._haar_moment_block, self.n, rng, 1, xm)
             want = self._per_sample(rng, haar_second_sample, xm)
             assert got.tobytes() == want.tobytes(), d
 
@@ -291,16 +291,16 @@ class TestBatchedHaar:
         for d in (5, 6):
             ms = tuple(self._operators(d))
             rng = RngStream(4, 102)
-            got = _pool.gather_samples(ensembles._haar_fourth_block, self.n, rng, 1, *ms)
+            got = _pool.gather_samples(ensembles._haar_moment_block, self.n, rng, 1, *ms)
             want = self._per_sample(rng, haar_fourth_sample, *ms)
             assert got.tobytes() == want.tobytes(), d
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    @pytest.mark.parametrize("block, n_ops", [(ensembles._haar_second_block, 1),
-                                              (ensembles._haar_fourth_block, 3)])
-    def test_gram_schmidt_stack_equals_one_sample_per_call(self, block, n_ops, d):
+    @pytest.mark.parametrize("n_ops", [1, 3], ids=["second", "fourth"])
+    def test_gram_schmidt_stack_equals_one_sample_per_call(self, n_ops, d):
         ms = tuple(self._operators(d)[:n_ops])
         rng = RngStream(4, 103)
+        block = ensembles._haar_moment_block
         got = _pool.gather_samples(block, self.n, rng, 1, *ms)
         want = self._per_sample(rng, lambda gen, *ops: block(gen, 1, *ops)[0], *ms)
         assert got.tobytes() == want.tobytes()
@@ -312,8 +312,8 @@ class TestBatchedHaar:
         rng = RngStream(4, 104)
         for block, sample, args in (
                 (ensembles._haar_block, haar_unitary_2d, (d,)),
-                (ensembles._haar_second_block, haar_second_sample, ms[:1]),
-                (ensembles._haar_fourth_block, haar_fourth_sample, ms)):
+                (ensembles._haar_moment_block, haar_second_sample, ms[:1]),
+                (ensembles._haar_moment_block, haar_fourth_sample, ms)):
             got = _pool.gather_samples(block, self.n, rng, 1, *args)
             want = self._per_sample(rng, sample, *args)
             assert np.abs(got - want).max() <= 1e-12, sample.__name__

@@ -188,6 +188,13 @@ class TestGueClosedForms:
 
 
 class TestRateGueMc:
+    def test_negative_rate_rejected_like_a_channel(self):
+        psi = np.eye(2, dtype=complex)[:, 0]
+        with pytest.raises(ValueError, match="channel rate must be nonnegative"):
+            rate_gue_mc(psi, -1.0, 2, 4, RngStream(1))
+        with pytest.raises(ValueError, match="channel rate must be nonnegative"):
+            LindbladChannel(-1.0, psi)
+
     def test_deterministic_and_worker_independent(self):
         psi = np.eye(4, dtype=complex)[:, 0]
         a = rate_gue_mc(psi, 1.0, 4, 300, RngStream(31, 0))
