@@ -36,7 +36,7 @@ from .specfun import (KBodySpec, beta_crossover, calibrate_epsilon,
                       rate_kbody_bound, rate_tfd_gue_exact,
                       rate_tfd_gue_semicircle)
 
-SCHEMA_COMMENT = "# dephase-lab schema v7"
+SCHEMA_COMMENT = "# dephase-lab schema v8"
 DEFAULT_SEED = 20250117
 # Largest log2(dimension) for which the finite-d Laguerre rate is evaluated.
 EXACT_RATE_LOG2_CAP = 14

@@ -19,10 +19,11 @@ evaluated here by Gauss-Hermite quadrature.  The long-time limit is
 
 States live in the d-dimensional doubled-basis coefficient representation
 (memory O(d^2), not O(d^4)); every partition sum is max-shifted before
-exponentiation so inverse temperatures up to ~1e3 stay in range.  The
-double sum runs over level pairs: up to 64 levels as one product over the
-upper triangle, above that one offset diagonal after another, without
-BLAS, and only over the offsets whose gap factors can exceed ``2^-80``.
+exponentiation so inverse temperatures up to ~1e3 stay in range.  At
+every dimension the double sum runs over the level pairs one offset
+diagonal after another, without BLAS, and only over the offsets whose gap
+factors can exceed ``2^-80``; each beta's row is summed in one order,
+whatever the other betas of the call.
 
 The module also provides a fixed-step RK4 integrator for the dephasing
 master equation in double-commutator form
@@ -103,37 +104,6 @@ def evolve_tfd(sys: TfdSystem, t: float) -> np.ndarray:
 
 # ln 2^-80: every pair factor at or below it is dropped.
 _PAIR_FLOOR = -80.0 * math.log(2.0)
-# Largest dimension summed by the dense pair product; above it, by the band.
-_DENSE_MAX_DIM = 64
-
-
-def _purity_kernel(energies: np.ndarray, probs: np.ndarray,
-                   gamma_t: np.ndarray) -> np.ndarray:
-    """Purity curves ``(n_beta, T)`` of one spectrum under several Gibbs laws.
-
-    ``probs`` holds one row ``p_k = exp(-beta E_k)/Z`` per inverse
-    temperature.  The purity is
-    ``sum_k p_k^2 + 2 sum_{k<l} p_k p_l exp(-2 gamma t (E_k - E_l)^2)``; the
-    gap factor does not depend on beta, so each time point evaluates it once
-    per pair and contracts every row with it.  Factors at or below ``2^-80``
-    are left at zero, so all dropped terms together are below ``2^-80``.  Up
-    to ``_DENSE_MAX_DIM`` levels, the pairs are the upper triangle in
-    row-major order and one product ``pp @ k`` contracts them.  Larger
-    spectra take :func:`_band_kernel`.
-    """
-    if energies.shape[0] > _DENSE_MAX_DIM:
-        return _band_kernel(energies, probs, gamma_t)
-    iu, ju = np.triu_indices(energies.shape[0], 1)
-    gaps2 = (energies[iu] - energies[ju]) ** 2
-    pp = probs[:, iu] * probs[:, ju]
-    diag = (probs ** 2).sum(axis=1)
-    # t = 0 stays exactly 1: the thermofield double is pure.
-    out = np.ones((probs.shape[0], len(gamma_t)))
-    for j in np.flatnonzero(gamma_t):
-        arg = -2.0 * gamma_t[j] * gaps2
-        k = np.exp(arg, out=np.zeros_like(arg), where=arg > _PAIR_FLOOR)
-        out[:, j] = diag + 2.0 * (pp @ k)
-    return out
 
 
 @functools.lru_cache(maxsize=4)
@@ -152,35 +122,40 @@ def _band_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return iu, ju, starts
 
 
-def _band_kernel(energies: np.ndarray, probs: np.ndarray,
-                 gamma_t: np.ndarray) -> np.ndarray:
-    """:func:`_purity_kernel` over the pairs ordered by offset.
+def _purity_kernel(energies: np.ndarray, probs: np.ndarray,
+                   gamma_t: np.ndarray) -> np.ndarray:
+    """Purity curves ``(n_beta, T)`` of one spectrum under several Gibbs laws.
 
-    The smallest squared gap over an offset and every later one bounds all
-    of their factors and does not decrease with the offset, so each time
-    point exponentiates only the prefix of offsets that ``searchsorted``
-    finds to hold a factor above ``2^-80``; for an ascending spectrum that
-    prefix is short.  Each row is contracted by a
-    one-dimensional ``einsum``, whose summation order does not depend on the
-    BLAS thread count.  With one beta the row is contiguous, and the vector
-    accumulators of ``einsum`` keep its sum within a few ulp of a compensated
-    one (``einsum('ij,j->i')`` adds a row in one running sum, about 1e-13
-    off at d = 1024).  With more than one beta ``pp`` is F-ordered, so each
-    row is strided and summed in another order: a beta's curve differs in
-    its last bits from the one it gets alone in the call.
+    ``probs`` holds one row ``p_k = exp(-beta E_k)/Z`` per inverse
+    temperature.  The purity is
+    ``sum_k p_k^2 + 2 sum_{k<l} p_k p_l exp(-2 gamma t (E_k - E_l)^2)``; the
+    gap factor does not depend on beta, so each time point evaluates it once
+    per pair and contracts every row with it.  The pairs come offset by
+    offset from :func:`_band_pairs`.  The smallest squared gap over an
+    offset and every later one bounds all of their factors and does not
+    decrease with the offset, so each time point exponentiates only the
+    prefix of offsets that can hold a factor above ``2^-80``; the factors
+    at or below it are zero, so all dropped terms together are below
+    ``2^-80``.  ``gamma_t`` is doubled after the product with a gap, so a
+    finite ``gamma_t`` never overflows to ``inf * 0`` on a zero gap.  ``pp``
+    is C-ordered and each row is contracted by its own one-dimensional
+    ``einsum``, without BLAS: a row is summed in one order whatever the
+    number of rows or BLAS threads, and the vector accumulators keep the sum
+    within a few ulp of a compensated one.
     """
     iu, ju, starts = _band_pairs(energies.shape[0])
     gaps2 = (energies[iu] - energies[ju]) ** 2
     least = np.minimum.accumulate(np.minimum.reduceat(gaps2, starts[:-1])[::-1])[::-1]
     times = np.flatnonzero(gamma_t)
-    ends = [starts[np.searchsorted(2.0 * gamma_t[j] * least, -_PAIR_FLOOR)]
+    ends = [starts[np.searchsorted(2.0 * (gamma_t[j] * least), -_PAIR_FLOOR)]
             for j in times]
     n = max(ends, default=0)
-    pp = probs[:, iu[:n]] * probs[:, ju[:n]]
+    pp = np.multiply(probs[:, iu[:n]], probs[:, ju[:n]], order="C")
     diag = (probs ** 2).sum(axis=1)
+    # t = 0 stays exactly 1: the thermofield double is pure.
     out = np.ones((probs.shape[0], len(gamma_t)))
     for j, end in zip(times, ends):
-        arg = -2.0 * gamma_t[j] * gaps2[:end]
+        arg = -2.0 * (gamma_t[j] * gaps2[:end])
         k = np.exp(arg, out=np.zeros_like(arg), where=arg > _PAIR_FLOOR)
         out[:, j] = diag + 2.0 * np.array([np.einsum("j,j->", row, k)
                                            for row in pp[:, :end]])
@@ -191,11 +166,15 @@ def purity_tfd(sys: TfdSystem, t):
     """Purity of the dephasing thermofield double at time(s) ``t``.
 
     Monotone non-increasing from 1 at ``t = 0`` to ``Z(2 beta)/Z(beta)^2``;
-    the infinite-temperature plateau is ``1/d``.
+    the infinite-temperature plateau is ``1/d``.  Refuses a time whose
+    ``gamma t`` overflows.
     """
     t_arr = _check_times(t)
-    out = _purity_kernel(sys.energies, (sys.weights ** 2)[None, :],
-                         sys.gamma * np.atleast_1d(t_arr))[0]
+    with np.errstate(over="ignore"):
+        gamma_t = sys.gamma * np.atleast_1d(t_arr)
+    if not np.isfinite(gamma_t).all():
+        raise ValueError("gamma * t must be finite")
+    out = _purity_kernel(sys.energies, (sys.weights ** 2)[None, :], gamma_t)[0]
     return float(out[0]) if t_arr.ndim == 0 else out
 
 
@@ -385,6 +364,8 @@ def master_equation_rk4(h0: np.ndarray, channels: list[LindbladChannel],
     every ``store_every`` steps, stacked into one
     ``(steps // store_every + 1, d, d)`` array.
     """
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     rho0 = as_state(rho0)
     h = as_matrix(h0)
     stiffness = spectral_norm(h) + _noise_stiffness(channels)

@@ -87,11 +87,13 @@ def apply_operator(op: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def as_state(state: np.ndarray) -> np.ndarray:
     """Checked complex array of a state: a vector is pure, a matrix is mixed.
 
-    A pure state must have unit norm.  A density matrix must be square,
-    Hermitian, of unit trace and positive semidefinite.  Any other shape
-    raises ``ValueError``.
+    Every entry must be finite.  A pure state must have unit norm.  A
+    density matrix must be square, Hermitian, of unit trace and positive
+    semidefinite.  Any other shape raises ``ValueError``.
     """
     a = np.asarray(state, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError("a state must have finite entries")
     if a.ndim == 1:
         nrm = float(np.linalg.norm(a))
         if abs(nrm - 1.0) > TRACE_ATOL:

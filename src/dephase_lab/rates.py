@@ -51,7 +51,7 @@ PAULI = {
 
 @dataclass(frozen=True)
 class LindbladChannel:
-    """One dephasing channel: nonnegative rate and Hermitian operator.
+    """One dephasing channel: nonnegative finite rate and Hermitian operator.
 
     ``v`` is stored as an array: a ``d x d`` matrix, or a length-``d`` vector
     for an operator diagonal in the computational basis.
@@ -61,8 +61,8 @@ class LindbladChannel:
     v: np.ndarray
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("channel rate must be nonnegative")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError("channel rate must be nonnegative and finite")
         v = np.asarray(self.v)
         if not (v.ndim == 1 or (v.ndim == 2 and v.shape[0] == v.shape[1])):
             raise ValueError(f"channel operator must be a vector or a square "
@@ -123,8 +123,8 @@ def rate_gue_mc(rho0: np.ndarray, gamma: float, d: int,
     One substream per block of samples, reduced in index order, so the
     estimate is reproducible for a given ``rng`` regardless of ``workers``.
     """
-    if gamma < 0:
-        raise ValueError("channel rate must be nonnegative")
+    if not 0 <= gamma < np.inf:
+        raise ValueError("channel rate must be nonnegative and finite")
     rho0 = as_state(rho0)
     if rho0.shape[0] != d:
         raise DimensionMismatchError("state dimension differs from d")

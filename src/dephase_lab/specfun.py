@@ -289,8 +289,8 @@ def rate_tfd_gue_exact(beta: float, d: int, gamma: float) -> float:
     which ``2 gamma [1 - 4 (d-1)/beta^2]`` rounds there.
     """
     _check_dim(d)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     if beta > 1e25:             # 4 (d-1)/beta^2 < 2^-53 for every d <= 2^60
         return 2.0 * gamma
     f12, f13 = _laguerre_ratio_chain(d, -beta * beta / 2.0)
@@ -311,6 +311,8 @@ def rate_tfd_gue_semicircle(beta: float, d: float, gamma: float) -> float:
     _check_dim(d)
     if beta < 0:
         raise ValueError("inverse temperature must be nonnegative")
+    if not 0 <= gamma < math.inf:
+        raise ValueError("gamma must be nonnegative and finite")
     if beta == 0.0:
         return 2.0 * gamma * d
     x = math.sqrt(2.0 * d) * beta
@@ -341,8 +343,8 @@ class KBodySpec(namedtuple("KBodySpec", "n k epsilon", defaults=(1.0,))):
     def __new__(cls, n: int, k: int, epsilon: float = 1.0):
         if not 1 <= k <= n:
             raise ValueError("locality k must satisfy 1 <= k <= n")
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         return super().__new__(cls, n, k, epsilon)
 
     @property
@@ -432,8 +434,8 @@ def crossover_min_n(k: int, epsilon_sq: float, mode: str = "approx",
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if epsilon_sq <= 0:
-        raise ValueError("epsilon_sq must be positive")
+    if not 0 < epsilon_sq < math.inf:
+        raise ValueError("epsilon_sq must be positive and finite")
     eps = math.sqrt(epsilon_sq)
     first, crossed = k, False
     for n in range(k, n_cap + 1):

@@ -48,8 +48,8 @@ class TrajectoryConfig:
     renormalize: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0 or self.steps < 1:
-            raise ValueError("dt and steps must be positive")
+        if not 0 < self.dt < math.inf or self.steps < 1:
+            raise ValueError("dt must be positive and finite, and steps positive")
 
 
 def default_dt(h0: np.ndarray, channels: list[LindbladChannel]) -> float:

@@ -38,7 +38,7 @@ class TestRateGue:
         assert run_cli(["rate-gue", "--dims", "2,4", "--samples", "200",
                         "--seed", "5", "-o", str(out)]) == 0
         comments, header, rows = read_csv(str(out))
-        assert comments[0] == "# dephase-lab schema v7"
+        assert comments[0] == "# dephase-lab schema v8"
         assert header == ["d", "gamma", "rate_haar", "rate_wick", "rate_mc_mean",
                           "rate_mc_stderr", "n_samples", "seed"]
         assert len(rows) == 2
@@ -331,6 +331,20 @@ class TestTfd:
             assert float(rows[2 * j + 1][2]) == curve.purity.mean[1]
             assert float(rows[2 * j][4]) == curve.purity_inf.mean
 
+    @pytest.mark.parametrize("n_qubits", ["3", "7"])
+    def test_beta_rows_do_not_depend_on_the_rest_of_the_beta_list(self, tmp_path,
+                                                                  n_qubits):
+        # Each beta's purity curve is summed in the same order whatever
+        # the other betas of the call, below and above 64 levels.
+        rows = {}
+        for betas in ("1", "0,1,2.5"):
+            out = tmp_path / f"t{len(betas)}.csv"
+            assert run_cli(["tfd", "--n-qubits", n_qubits, "--beta-list", betas,
+                            "--samples", "20", "--seed", "3", "-o", str(out)]) == 0
+            rows[betas] = [r for r in read_csv(str(out))[2] if r[0] == "1"]
+        assert len(rows["1"]) == 41
+        assert rows["1"] == rows["0,1,2.5"]
+
     def test_formula_only_log2_dim_zero_sets_beta_c(self, tmp_path):
         out = tmp_path / "f.csv"
         assert run_cli(["tfd", "--formula-only", "--log2-dim", "0",
@@ -597,7 +611,7 @@ def test_closed_form_commands_never_import_numpy(tmp_path, argv):
                "assert 'numpy' not in sys.modules\n"
                "assert 'dataclasses' not in sys.modules\n",
                *argv, "-o", str(tmp_path / "c.csv"))
-    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v7")
+    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v8")
 
 
 def test_cli_import_leaves_the_lapack_handle_unloaded():
@@ -609,20 +623,23 @@ def test_cli_import_leaves_the_lapack_handle_unloaded():
 
 def test_sampled_tfd_bytes_do_not_depend_on_the_blas_thread_count():
     # At d = 1024 the pair sum is far past OpenBLAS's threading threshold
-    # for a matrix-vector product.  Only the two children's environments
-    # are set.
+    # for a matrix-vector product, and at d = 64 twelve betas stack twelve
+    # rows of pairs; neither sum calls BLAS.  Only the two children's
+    # environments are set.
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "dephase_lab", "tfd",
-                               "--n-qubits", "10", "--samples", "4"],
-                              env=env, capture_output=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in (["--n-qubits", "10", "--samples", "4"],
+                 ["--n-qubits", "6", "--samples", "20",
+                  "--beta-list", "0,0.1,0.25,0.5,0.75,1,1.5,2,3,5,8,13"]):
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-m", "dephase_lab", "tfd", *argv],
+                                  env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                                  capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv
 
 
 def test_package_import_loads_no_submodule():

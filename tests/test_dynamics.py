@@ -151,16 +151,27 @@ class TestPurityTfd:
         with pytest.raises(ValueError, match="time"):
             purity_tfd(build_tfd(np.array([0.0, 1.0]), 0.3), t)
 
+    def test_overflowing_gamma_t_rejected(self):
+        # gamma t = inf used to turn a zero gap's factor into inf * 0 = nan,
+        # and the pair was dropped: [0, 0, 1] read 0.34 at t = 1e308.
+        with pytest.raises(ValueError, match="gamma"):
+            purity_tfd(build_tfd(np.array([0.0, 0.0, 1.0]), 0.3, gamma=2.0), 1e308)
+
 
 class TestPurityKernel:
-    """Both pair sums against an exactly rounded one: up to 64 levels the
-    dense product, above that the band; both drop factors at or below 2^-80."""
+    """The one pair sum, offset by offset over a prefix of the offsets,
+    against an exactly rounded one; it drops factors at or below 2^-80.
+    At every dimension each beta's row is contracted by its own einsum,
+    without BLAS."""
 
     GAMMA_T = np.array([0.0, 1e-6, 0.1, 0.25, 1.0, 10.0, 1000.0])
+    BETAS = np.array([0.0, 1e-3, 0.5, 3.0, 50.0])
+
+    def _probs(self, energies):
+        return np.exp(_gibbs_log_weights(energies, self.BETAS[:, None])[0])
 
     def _check(self, energies):
-        betas = np.array([0.0, 1e-3, 0.5, 3.0, 50.0])
-        probs = np.exp(_gibbs_log_weights(energies, betas[:, None])[0])
+        probs = self._probs(energies)
         got = _purity_kernel(energies, probs, self.GAMMA_T)
         want = [[purity_fsum(energies, p, g) for g in self.GAMMA_T] for p in probs]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -171,8 +182,30 @@ class TestPurityKernel:
 
     def test_band_takes_the_levels_in_any_order(self):
         # Shuffled levels: the smallest gap no longer grows with the offset.
-        energies = _gue_spectrum(RngStream(49, 7).generator(), 200)
-        self._check(RngStream(49, 8).generator().permutation(energies))
+        for d in (8, 200):
+            energies = _gue_spectrum(RngStream(49, 7).generator(), d)
+            self._check(RngStream(49, 8).generator().permutation(energies))
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 64, 65, 256])
+    def test_each_row_equals_its_one_beta_call(self, d):
+        # A beta's curve is summed in one order whatever the other rows.
+        energies = _gue_spectrum(RngStream(49, 9).generator(), d)
+        probs = self._probs(energies)
+        gamma_t = np.concatenate([[0.0], np.logspace(-4, 3, 40)])
+        stacked = _purity_kernel(energies, probs, gamma_t)
+        for row, p in zip(stacked, probs):
+            alone = _purity_kernel(energies, p[None, :], gamma_t)[0]
+            assert row.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("gamma_t", [5e-324, 1e300, 1e308])
+    def test_degenerate_spectrum_stays_pure(self, gamma_t):
+        # Every gap is zero, so every factor is 1 and the cut keeps every
+        # offset; the prefix search divides by nothing and gamma t is
+        # doubled only after the product with a gap, so neither the
+        # smallest nor a huge gamma t warns or turns a factor into nan.
+        probs = self._probs(np.zeros(5))
+        got = _purity_kernel(np.zeros(5), probs, np.array([0.0, gamma_t]))
+        np.testing.assert_allclose(got, 1.0, rtol=1e-15, atol=0.0)
 
 
 class TestPurityHs:
@@ -270,9 +303,8 @@ class TestEnsemblePurity:
 
     def test_beta_list_equals_single_beta_calls(self):
         # Every beta reads the same spectra, so a list of k betas gives the
-        # k curves of k one-beta calls on the same stream.  The plateau and
-        # rate columns are bit-identical; the purity columns agree to
-        # rounding, since BLAS orders the pair sum by the number of rows.
+        # k curves of k one-beta calls on the same stream, bit for bit: the
+        # pair sum takes each row in one order whatever the number of rows.
         grid = np.array([0.0, 0.3, 2.0, 50.0])
         betas = [0.0, 0.4, 3.0]
         together = ensemble_purity_tfd(4, betas, 0.7, grid, 12, RngStream(45, 4))
@@ -282,10 +314,8 @@ class TestEnsemblePurity:
             for field in ("purity_inf", "rate"):
                 a, b = getattr(curve, field), getattr(alone, field)
                 assert (a.mean, a.stderr) == (b.mean, b.stderr)
-            np.testing.assert_allclose(curve.purity.mean, alone.purity.mean,
-                                       rtol=1e-14, atol=0.0)
-            np.testing.assert_allclose(curve.purity.stderr, alone.purity.stderr,
-                                       rtol=1e-9, atol=1e-18)
+            assert curve.purity.mean.tobytes() == alone.purity.mean.tobytes()
+            assert curve.purity.stderr.tobytes() == alone.purity.stderr.tobytes()
             assert curve.purity.mean[0] == alone.purity.mean[0] == 1.0
 
     def test_rows_match_per_spectrum_reference(self):
@@ -307,11 +337,10 @@ class TestEnsemblePurity:
 
     @pytest.mark.parametrize("betas", [[0.7], [0.0, 0.4, 3.0, 1e3]])
     def test_block_rows_equal_the_single_system_functions(self, betas):
-        # The block's stacked Gibbs pass gives, bit for bit, the plateau and
-        # rate of build_tfd(e, beta) for each spectrum e and beta.  The purity
-        # curve is bit-identical for one beta; for several, BLAS orders the
-        # pair sum by the number of rows, so it agrees to rounding.  The
-        # block takes gamma t, purity_tfd t: gamma = 1/2 scales exactly.
+        # The block's stacked Gibbs pass gives, bit for bit, the plateau,
+        # rate and purity curve of build_tfd(e, beta) for each spectrum e
+        # and beta, whatever the number of betas.  The block takes gamma t,
+        # purity_tfd t: gamma = 1/2 scales exactly.
         gamma_t = np.array([0.0, 0.3, 2.0, 50.0])
         rng = RngStream(45, 6)
         block = _tfd_purity_block(rng.sample_generator(0), 5, 16, betas, 0.5,
@@ -324,10 +353,7 @@ class TestEnsemblePurity:
                 sys = build_tfd(e, beta, 0.5)
                 assert row[-2] == purity_inf_tfd(sys)
                 assert row[-1] == rate_tfd(sys)
-                curve = purity_tfd(sys, gamma_t / 0.5)
-                if len(betas) == 1:
-                    assert row[:-2].tobytes() == curve.tobytes()
-                np.testing.assert_allclose(row[:-2], curve, rtol=1e-14, atol=0.0)
+                assert row[:-2].tobytes() == purity_tfd(sys, gamma_t / 0.5).tobytes()
 
     @pytest.mark.parametrize("betas,gamma,match", [
         ([0.5, -0.5], 1.0, "inverse temperature"), ([0.5], 0.0, "noise rate")])

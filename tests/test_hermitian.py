@@ -5,7 +5,7 @@ from dephase_lab import (HermiticityError, DimensionMismatchError,
                          modified_covariance, purity, spectral_norm)
 from dephase_lab.hermitian import _energy_dephasing_rate, _gibbs_log_weights, as_state
 from dephase_lab.ensembles import RngStream, _gue_matrix
-from dephase_lab.rates import PAULI
+from dephase_lab.rates import PAULI, decoherence_rate
 
 
 def rand_herm(d, gen):
@@ -71,6 +71,17 @@ class TestAsState:
     def test_non_hermitian_matrix_rejected(self):
         with pytest.raises(HermiticityError):
             as_state(np.array([[0.5, 0.1], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("state", [
+        np.array([np.nan, 0.0]),                  # pure
+        np.array([[0.5, np.nan], [np.nan, 0.5]]),  # mixed
+    ])
+    def test_non_finite_entries_rejected(self, state):
+        # A NaN fails every comparison, so it passed the norm, trace,
+        # Hermiticity and PSD checks, and purity read 1.0 or nan.
+        for call in (as_state, purity, lambda s: decoherence_rate(s, [])):
+            with pytest.raises(ValueError, match="finite"):
+                call(state)
 
     def test_entry_points_check_the_state(self):
         with pytest.raises(ValueError):

@@ -8,14 +8,16 @@ import pytest
 from _oracles import build_tbre_hamiltonian, gue_rates_triangles
 from dephase_lab import _pool, rates
 from dephase_lab.ensembles import RngStream, _gue_columns, _gue_matrix
-from dephase_lab.dynamics import build_tfd, rate_tfd
+from dephase_lab.dynamics import build_tfd, master_equation_rk4, rate_tfd
 from dephase_lab.hermitian import modified_covariance, spectral_norm
 from dephase_lab.rates import (LindbladChannel, PAULI,
                                build_kbody_operator, build_tbre_operator,
                                decoherence_rate, lmg_sector_spectrum, rate_gue_mc,
                                rate_lmg, tbre_rate_and_bound)
 from dephase_lab.specfun import (KBodySpec, calibrate_epsilon, crossover_min_n,
-                                 rate_gue_haar, rate_gue_wick, rate_kbody_bound)
+                                 rate_gue_haar, rate_gue_wick, rate_kbody_bound,
+                                 rate_tfd_gue_exact, rate_tfd_gue_semicircle)
+from dephase_lab.trajectories import TrajectoryConfig
 
 
 def rand_herm(d, gen):
@@ -185,6 +187,25 @@ class TestGueClosedForms:
         for d in (2, 7, 64):
             assert rate_gue_haar(d, 1.0) - rate_gue_wick(d, 1.0) \
                 == pytest.approx(1.0 / (d + 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda x: LindbladChannel(x, np.array([1.0, -1.0])),
+    lambda x: rate_gue_mc(np.array([1.0, 0.0]), x, 2, 4, RngStream(1)),
+    lambda x: master_equation_rk4(np.zeros((2, 2)), [], np.array([1.0, 0.0]), x, 2),
+    lambda x: KBodySpec(3, 1, x),
+    lambda x: rate_tfd_gue_exact(0.5, 4, x),
+    lambda x: rate_tfd_gue_semicircle(0.5, 4, x),
+    lambda x: crossover_min_n(1, x),
+    lambda x: TrajectoryConfig(dt=x, steps=2, n_trajectories=2),
+], ids=["channel", "rate_gue_mc", "rk4_dt", "kbody_epsilon", "rate_exact",
+        "rate_semicircle", "crossover_epsilon_sq", "trajectory_dt"])
+def test_non_finite_rates_and_steps_rejected(call, x):
+    # A NaN fails both x < 0 and x <= 0, so a guard in that form let it
+    # through to a nan result, a None or a later NumericalError.
+    with pytest.raises(ValueError, match="finite"):
+        call(x)
 
 
 class TestRateGueMc:
