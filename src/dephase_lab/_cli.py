@@ -31,9 +31,9 @@ import math
 import sys
 
 from .exceptions import NumericalError
-from .specfun import (KBodySpec, beta_crossover, calibrate_epsilon,
-                      crossover_min_n, rate_gue_haar, rate_gue_wick,
-                      rate_kbody_bound, rate_tfd_gue_exact,
+from .specfun import (_SAMPLING_LOG2_CAP, KBodySpec, _check_real, beta_crossover,
+                      calibrate_epsilon, crossover_min_n, rate_gue_haar,
+                      rate_gue_wick, rate_kbody_bound, rate_tfd_gue_exact,
                       rate_tfd_gue_semicircle)
 
 SCHEMA_COMMENT = "# dephase-lab schema v8"
@@ -79,22 +79,12 @@ def _parse_list(text: str, kind=float) -> list:
     return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _require_finite(flag: str, *values: float) -> None:
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{flag} must be finite")
-
-
-def _check_gamma(gamma: float) -> None:
-    _require_finite("--gamma", gamma)
-    if gamma <= 0:
-        raise ValueError("--gamma must be positive")
-
-
 def cmd_rate_gue(args) -> int:
     dims = _parse_list(args.dims, int)
-    if not dims or any(not 1 <= d <= 2 ** 10 for d in dims):   # tfd's sampling cap
-        raise ValueError("--dims must list dimensions between 1 and 1024")
-    _check_gamma(args.gamma)
+    if not dims or any(not 1 <= d <= 2 ** _SAMPLING_LOG2_CAP for d in dims):
+        raise ValueError(f"--dims must list dimensions between 1 and "
+                         f"{2 ** _SAMPLING_LOG2_CAP}")
+    _check_real("--gamma", args.gamma, "positive")
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
     import numpy as np
@@ -127,7 +117,7 @@ def cmd_crossover(args) -> int:
     for flag, n in (("--n-max", args.n_max), ("--n0", args.n0)):
         if n > 1023:
             raise ValueError(f"{flag} is too large: 2**{n} overflows a double")
-    _check_gamma(args.gamma)
+    _check_real("--gamma", args.gamma, "positive")
     # Reference-size calibration at k = 1, where both bound modes coincide.
     eps_sq = calibrate_epsilon(args.n0, 1, args.gamma)
     eps = math.sqrt(eps_sq)
@@ -155,16 +145,15 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_tfd(args) -> int:
-    betas = _parse_list(args.beta_list)
-    _require_finite("--beta-list", *betas)
-    if not betas or any(b < 0 for b in betas):
+    betas = [_check_real("--beta-list", b) for b in _parse_list(args.beta_list)]
+    if not betas:
         raise ValueError("--beta-list must list inverse temperatures >= 0")
-    _check_gamma(args.gamma)
-    _require_finite("--t-max", args.t_max)
-    if args.t_max <= 0 or args.t_points < 2:
-        raise ValueError("--t-max must be positive and --t-points at least 2")
+    _check_real("--gamma", args.gamma, "positive")
+    _check_real("--t-max", args.t_max, "positive")
+    if args.t_points < 2:
+        raise ValueError("--t-points must be at least 2")
     log2d = args.log2_dim if args.log2_dim is not None else args.n_qubits
-    _require_finite("--log2-dim", log2d)
+    _check_real("--log2-dim", log2d, None)
     if args.log2_dim is not None and not args.formula_only:
         raise ValueError("--log2-dim applies only with --formula-only")
     try:
@@ -184,8 +173,9 @@ def cmd_tfd(args) -> int:
             rows.append([beta, "", "", "", "",
                          *_rate_columns(beta, exact_d, dim, args.gamma)])
     else:
-        if not 1 <= args.n_qubits <= 10:
-            raise ValueError("--n-qubits must be between 1 and 10 when sampling")
+        if not 1 <= args.n_qubits <= _SAMPLING_LOG2_CAP:
+            raise ValueError(f"--n-qubits must be between 1 and "
+                             f"{_SAMPLING_LOG2_CAP} when sampling")
         if args.samples < 2:
             raise ValueError("--samples must be at least 2")
         import numpy as np

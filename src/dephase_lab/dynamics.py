@@ -45,11 +45,11 @@ import numpy as np
 
 from . import _pool
 from .exceptions import StepSizeError
-from .hermitian import (_energy_dephasing_rate, _gibbs_log_weights, _variance_rate,
-                        as_matrix, as_state, spectral_norm)
+from .hermitian import (_energy_dephasing_rate, _gibbs_log_weights, as_matrix,
+                        as_state, spectral_norm)
 from .ensembles import EnsembleEstimate, RngStream, _gue_spectra
 from .rates import LindbladChannel, _noise_stiffness
-from .specfun import rate_tfd_gue_exact
+from .specfun import _SAMPLING_LOG2_CAP, _check_real, rate_tfd_gue_exact
 
 @dataclass(frozen=True)
 class TfdSystem:
@@ -63,10 +63,9 @@ class TfdSystem:
 
 def _check_thermal(betas: Sequence[float], gamma: float) -> None:
     """Refuse a beta outside ``[0, inf)`` or a noise rate outside ``(0, inf)``."""
-    if not all(0 <= beta < math.inf for beta in betas):
-        raise ValueError("inverse temperature must be finite and nonnegative")
-    if not 0 < gamma < math.inf:
-        raise ValueError("noise rate must be positive and finite")
+    for beta in betas:
+        _check_real("inverse temperature", beta)
+    _check_real("noise rate", gamma, "positive")
 
 
 def _check_times(t) -> np.ndarray:
@@ -277,8 +276,9 @@ def ensemble_purity_tfd(n_qubits: int, betas: Sequence[float], gamma: float,
     independent draws; results depend only on ``rng`` and ``n_samples``, not
     on ``workers`` (see ``_pool``).
     """
-    if n_qubits < 1 or 2 ** n_qubits > 2 ** 10:
-        raise ValueError("qubit count must give a dimension between 2 and 2^10")
+    if not 1 <= n_qubits <= _SAMPLING_LOG2_CAP:
+        raise ValueError(f"qubit count must give a dimension between 2 and "
+                         f"2^{_SAMPLING_LOG2_CAP}")
     _check_thermal(betas, gamma)
     grid = _check_times(gamma_t)
     table = _pool.gather_samples(_tfd_purity_block, n_samples, rng, workers,
@@ -326,18 +326,25 @@ def annealing_check(betas: Sequence[float], d: int, n_samples: int,
 def _annealing_at(spectra: np.ndarray, beta: float, gamma: float) -> AnnealingCheck:
     """:class:`AnnealingCheck` at one ``beta`` from ``(n, d)`` spectra."""
     n_samples = len(spectra)
-    # ln Z, the quenched rate and the Gibbs moments <E>, <E^2> of each draw.
+    # ln Z, the quenched rate and the Gibbs mean <E> of each draw.
     log_p, ln_z = _gibbs_log_weights(spectra, beta)
-    quenched, m1, m2 = _energy_dephasing_rate(np.exp(0.5 * log_p) ** 2, spectra, gamma)
+    p = np.exp(0.5 * log_p) ** 2
+    quenched, m1 = _energy_dephasing_rate(p, spectra, gamma)
     ln_z_est = EnsembleEstimate.from_samples(ln_z)
     # <Z> from the same draws, max-shifted.
     shift = ln_z.max()
     z = np.exp(ln_z - shift)
 
-    # The annealed <E^k> is s_k/s0 with s_k = sum z <E^k> over the draws (z <E^k>
-    # is Z_k = sum_j E_j^k exp(-beta E_j)); dropping one draw gives the jackknife.
-    s0, s1, s2 = z.sum(), z @ m1, z @ m2
-    loo = _variance_rate((s1 - z * m1) / (s0 - z), (s2 - z * m2) / (s0 - z), gamma)
+    # The annealed Gibbs law mixes the draws' laws with weights z, so by the law
+    # of total variance its rate is sum z [q + 4 gamma c^2] / s0, with q the
+    # quenched rates, s0 = sum z, M = sum z <E> / s0 and c = <E> - M, each c
+    # summed over the levels less M: no term cancels under E -> E + const.
+    # Dropping draw i moves M by -z_i c_i/(s0 - z_i), which takes
+    # z_i c_i^2 s0/(s0 - z_i) off sum z c^2: the leave-one-out jackknife.
+    s0 = z.sum()
+    c = (p[:, None, :] @ (spectra - (z @ m1) / s0)[:, :, None])[:, 0, 0]
+    total = z @ quenched + 4.0 * gamma * (z @ c ** 2)
+    loo = (total - z * (quenched + 4.0 * gamma * c ** 2 * s0 / (s0 - z))) / (s0 - z)
     jackknife = math.sqrt((n_samples - 1) / n_samples
                           * ((loo - loo.mean()) ** 2).sum())
     return AnnealingCheck(
@@ -346,8 +353,7 @@ def _annealing_at(spectra: np.ndarray, beta: float, gamma: float) -> AnnealingCh
         ln_z_stderr=ln_z_est.stderr,
         rate_quenched=EnsembleEstimate.from_samples(quenched),
         rate_annealed=rate_tfd_gue_exact(beta, spectra.shape[1], gamma),
-        rate_annealed_mc=EnsembleEstimate(
-            float(_variance_rate(s1 / s0, s2 / s0, gamma)), jackknife),
+        rate_annealed_mc=EnsembleEstimate(float(total / s0), jackknife),
     )
 
 
@@ -364,8 +370,7 @@ def master_equation_rk4(h0: np.ndarray, channels: list[LindbladChannel],
     every ``store_every`` steps, stacked into one
     ``(steps // store_every + 1, d, d)`` array.
     """
-    if not 0 < dt < math.inf:
-        raise ValueError("dt must be positive and finite")
+    _check_real("dt", dt, "positive")
     rho0 = as_state(rho0)
     h = as_matrix(h0)
     stiffness = spectral_norm(h) + _noise_stiffness(channels)

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _pool
 from .hermitian import as_matrix
-from .specfun import _check_dim
+from .specfun import _check_dim, _check_real
 
 @dataclass(frozen=True)
 class RngStream:
@@ -341,8 +341,7 @@ def _hermite_functions(n: int, x):
 
 def hermite_phi(l: int, x):
     """Normalized Hermite function ``exp(-x^2/2) H_l(x) / sqrt(sqrt(pi) 2^l l!)``."""
-    if l < 0:
-        raise ValueError("degree must be nonnegative")
+    _check_real("degree", l)
     x = np.asarray(x, dtype=float)
     for phi in _hermite_functions(l + 1, x):
         pass

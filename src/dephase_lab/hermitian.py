@@ -49,19 +49,13 @@ def _gibbs_log_weights(energies: np.ndarray, beta: float | np.ndarray,
 
 
 def _energy_dephasing_rate(p: np.ndarray, energies: np.ndarray, gamma: float):
-    """``4 gamma var_p(E)``, ``<E>`` and ``<E^2>`` of populations ``p``, over the
-    last axis; a stacked ``(1, d) @ (d, 1)`` moment equals one row's ``p @ E``.
-    The variance is ``sum p (E - <E>)^2``, so a constant shift cannot cancel it."""
+    """``4 gamma var_p(E)`` and ``<E>`` of populations ``p``, over the last axis;
+    a stacked ``(1, d) @ (d, 1)`` moment equals one row's ``p @ E``.  The
+    variance is ``sum p (E - <E>)^2``, so a constant shift cannot cancel it."""
     row = p[..., None, :]
     m1 = (row @ energies[..., :, None])[..., 0, 0]
-    m2 = (row @ (energies ** 2)[..., :, None])[..., 0, 0]
     var = (row @ ((energies - m1[..., None]) ** 2)[..., :, None])[..., 0, 0]
-    return 4.0 * gamma * var, m1, m2
-
-
-def _variance_rate(m1, m2, gamma: float):
-    """``4 gamma (<E^2> - <E>^2)`` from the first two energy moments."""
-    return 4.0 * gamma * (m2 - m1 * m1)
+    return 4.0 * gamma * var, m1
 
 
 def as_matrix(op: np.ndarray) -> np.ndarray:

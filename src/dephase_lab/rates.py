@@ -40,7 +40,7 @@ from .exceptions import DimensionMismatchError
 from .hermitian import (_energy_dephasing_rate, _gibbs_log_weights,
                         _modified_covariance, _purity, as_state, spectral_norm)
 from .ensembles import EnsembleEstimate, RngStream, _gue_columns
-from .specfun import KBodySpec
+from .specfun import KBodySpec, _check_real
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -61,8 +61,7 @@ class LindbladChannel:
     v: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.gamma < np.inf:
-            raise ValueError("channel rate must be nonnegative and finite")
+        _check_real("channel rate", self.gamma)
         v = np.asarray(self.v)
         if not (v.ndim == 1 or (v.ndim == 2 and v.shape[0] == v.shape[1])):
             raise ValueError(f"channel operator must be a vector or a square "
@@ -123,8 +122,7 @@ def rate_gue_mc(rho0: np.ndarray, gamma: float, d: int,
     One substream per block of samples, reduced in index order, so the
     estimate is reproducible for a given ``rng`` regardless of ``workers``.
     """
-    if not 0 <= gamma < np.inf:
-        raise ValueError("channel rate must be nonnegative and finite")
+    _check_real("channel rate", gamma)
     rho0 = as_state(rho0)
     if rho0.shape[0] != d:
         raise DimensionMismatchError("state dimension differs from d")
@@ -211,9 +209,13 @@ def rate_lmg(n: int, epsilon: float, beta: float, gamma: float) -> float:
     Computed from the exact magnetization-sector spectrum.  At ``beta = 0``
     this equals ``2 gamma epsilon^2 n (n-1)``; it vanishes as
     ``beta -> infinity`` because the extremal sector is degenerate in energy.
+    ``epsilon`` may take either sign; ``beta`` and ``gamma`` are nonnegative.
     """
     if n < 2:
         raise ValueError("need at least two spins")
+    _check_real("epsilon", epsilon, None)
+    _check_real("inverse temperature", beta)
+    _check_real("gamma", gamma)
     energies, mult = lmg_sector_spectrum(n, epsilon)
     w = np.exp(_gibbs_log_weights(energies, beta, np.log(mult))[0])
     return float(_energy_dephasing_rate(w, energies, gamma)[0])

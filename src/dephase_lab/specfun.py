@@ -17,6 +17,8 @@ so the closed-form CLI commands never load numpy.  Contents:
   is one cancellation-free asymptotic series in ``1/x``.
 * The GUE-channel rates ``Gamma d^2/(d+1)`` and ``Gamma (d - 1/P0)`` (see
   ``rates``), the k-body bounds, their calibration and the crossover scan.
+* :func:`_check_real`, the domain check of every scalar input in the
+  package, and the ``2^10`` dimension cap of the sampling commands.
 
 Conventions: hbar = 1; the GUE weight is ``exp(-tr X^2)``, so the
 semicircle support is ``[-sqrt(2 d), sqrt(2 d)]``.
@@ -33,10 +35,23 @@ from .exceptions import NumericalError
 _G_CF_CUTOFF = 50.0
 _G_CF_TOL = 1e-14
 _LOG_SCALE_CAP = 1e250
+# Largest log2(dimension) that the sampling commands and ensembles draw.
+_SAMPLING_LOG2_CAP = 10
+
+
+def _check_real(name: str, x: float, domain: str | None = "nonnegative") -> float:
+    """``x``, refused with ``ValueError`` unless it is finite and lies in
+    ``domain``: ``"nonnegative"`` (``x >= 0``), ``"positive"`` (``x > 0``) or
+    ``None`` (any sign).  The one check of a scalar input, in every layer."""
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite")
+    if domain is not None and (x <= 0 if domain == "positive" else x < 0):
+        raise ValueError(f"{name} must be {domain}")
+    return x
 
 
 def _check_dim(d: float) -> None:
-    if d < 1:
+    if _check_real("dimension", d, None) < 1:
         raise ValueError("dimension must be >= 1")
 
 
@@ -52,8 +67,7 @@ def log_laguerre_l(n: int, alpha: float, x: float) -> float:
         raise ValueError("log-scaled form requires x <= 0")
     if not math.isfinite(x):
         raise NumericalError(f"log_laguerre_l needs a finite x, got {x}")
-    if n < 0:
-        raise ValueError("degree must be nonnegative for the log form")
+    _check_real("degree", n)
     if n == 0:
         return 0.0
     cap = min(_LOG_SCALE_CAP, 1e300 / (2 * n + alpha - x))
@@ -133,8 +147,7 @@ def bessel_i_ratio_g(x: float) -> float:
     (0, 1), behaves as ``x/4`` for small ``x`` and as ``1 - 3/(2x)`` for
     large ``x``.
     """
-    if x <= 0:
-        raise ValueError("argument must be positive")
+    _check_real("argument", x, "positive")
     if x < 1e-6:
         # Series ratio; the next omitted term is O(x^5).  Also avoids the
         # continued fraction's 1/x overflow for subnormal arguments.
@@ -233,8 +246,7 @@ def _rate_bracket_series(x: float) -> float:
 
 def log_bessel_i1(x: float) -> float:
     """``log I_1(x)`` via the power series (x < 30) or asymptotics (x >= 30)."""
-    if x <= 0:
-        raise ValueError("argument must be positive")
+    _check_real("argument", x, "positive")
     if x < 30.0:
         t = 1.0
         s = 1.0
@@ -267,8 +279,7 @@ def z_gue_semicircle(beta: float, d: float) -> float:
     ``log I_1`` is evaluated.
     """
     _check_dim(d)
-    if beta < 0:
-        raise ValueError("inverse temperature must be nonnegative")
+    _check_real("inverse temperature", beta)
     if beta == 0.0:
         return math.log(d)
     x = math.sqrt(2.0 * d) * beta
@@ -289,8 +300,8 @@ def rate_tfd_gue_exact(beta: float, d: int, gamma: float) -> float:
     which ``2 gamma [1 - 4 (d-1)/beta^2]`` rounds there.
     """
     _check_dim(d)
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
+    _check_real("inverse temperature", beta)
+    _check_real("gamma", gamma, "positive")
     if beta > 1e25:             # 4 (d-1)/beta^2 < 2^-53 for every d <= 2^60
         return 2.0 * gamma
     f12, f13 = _laguerre_ratio_chain(d, -beta * beta / 2.0)
@@ -309,10 +320,8 @@ def rate_tfd_gue_semicircle(beta: float, d: float, gamma: float) -> float:
     ``6 gamma / beta^2`` (``beta >> beta_c``), with ``beta_c = sqrt(3/d)``.
     """
     _check_dim(d)
-    if beta < 0:
-        raise ValueError("inverse temperature must be nonnegative")
-    if not 0 <= gamma < math.inf:
-        raise ValueError("gamma must be nonnegative and finite")
+    _check_real("inverse temperature", beta)
+    _check_real("gamma", gamma)
     if beta == 0.0:
         return 2.0 * gamma * d
     x = math.sqrt(2.0 * d) * beta
@@ -343,8 +352,7 @@ class KBodySpec(namedtuple("KBodySpec", "n k epsilon", defaults=(1.0,))):
     def __new__(cls, n: int, k: int, epsilon: float = 1.0):
         if not 1 <= k <= n:
             raise ValueError("locality k must satisfy 1 <= k <= n")
-        if not 0 < epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        _check_real("epsilon", epsilon, "positive")
         return super().__new__(cls, n, k, epsilon)
 
     @property
@@ -359,6 +367,7 @@ def rate_gue_haar(d: int, total_gamma: float) -> float:
     ``Gamma = 1``, or ``d = 2`` near the largest double) it is
     ``Gamma (d / (1 + 1/d))``, finite wherever the rate is."""
     _check_dim(d)
+    _check_real("gamma", total_gamma)
     rate = total_gamma * d * d / (d + 1.0)
     return total_gamma * (d / (1.0 + 1.0 / d)) if math.isinf(rate) else rate
 
@@ -367,6 +376,7 @@ def rate_gue_wick(d: int, total_gamma: float, purity0: float = 1.0) -> float:
     """Closed form ``Gamma (d - 1/P0)`` from entrywise Wick contractions
     (``<(tr V)^2> = d/2`` variant); ``P0`` is the initial purity."""
     _check_dim(d)
+    _check_real("gamma", total_gamma)
     if not 0 < purity0 <= 1 + 1e-12:
         raise ValueError("purity must lie in (0, 1]")
     return total_gamma * (d - 1.0 / purity0)
@@ -379,6 +389,7 @@ def rate_kbody_bound(spec: KBodySpec, gamma: float, mode: str = "approx") -> flo
     squared-norm bound); ``exact-binomial`` uses ``2 gamma eps^2 C(n,k)^2``.
     Both assume unit-norm string factors.
     """
+    _check_real("gamma", gamma)
     if mode == "approx":
         try:
             rate = 2.0 * gamma * spec.epsilon ** 2 * float(spec.n) ** (2 * spec.k) \
@@ -434,8 +445,7 @@ def crossover_min_n(k: int, epsilon_sq: float, mode: str = "approx",
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not 0 < epsilon_sq < math.inf:
-        raise ValueError("epsilon_sq must be positive and finite")
+    _check_real("epsilon_sq", epsilon_sq, "positive")
     eps = math.sqrt(epsilon_sq)
     first, crossed = k, False
     for n in range(k, n_cap + 1):

@@ -34,6 +34,7 @@ from .exceptions import NumericalError, StepSizeError
 from .hermitian import _purity, apply_operator, as_state, spectral_norm
 from .ensembles import RngStream
 from .rates import LindbladChannel, _noise_stiffness
+from .specfun import _check_real
 
 _NORM_FLOOR = 1e-6
 
@@ -48,8 +49,9 @@ class TrajectoryConfig:
     renormalize: bool = True
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf or self.steps < 1:
-            raise ValueError("dt must be positive and finite, and steps positive")
+        _check_real("dt", self.dt, "positive")
+        if self.steps < 1:
+            raise ValueError("steps must be positive")
 
 
 def default_dt(h0: np.ndarray, channels: list[LindbladChannel]) -> float:

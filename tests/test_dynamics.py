@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from _oracles import purity_fsum, to_product_basis
-from dephase_lab.dynamics import (_purity_kernel, _tfd_purity_block, annealing_check,
-                                  build_tfd,
+from dephase_lab import _pool
+from dephase_lab._cli import DEFAULT_SEED
+from dephase_lab.dynamics import (_annealing_at, _purity_kernel, _tfd_purity_block,
+                                  annealing_check, build_tfd,
                                   ensemble_purity_tfd, evolve_tfd,
                                   master_equation_rk4, purity_inf_tfd,
                                   purity_tfd, purity_tfd_hs, rate_tfd)
-from dephase_lab.ensembles import RngStream, _gue_matrix, _gue_spectrum
+from dephase_lab.ensembles import RngStream, _gue_matrix, _gue_spectra, _gue_spectrum
 from dephase_lab.exceptions import StepSizeError
 from dephase_lab.hermitian import _gibbs_log_weights, purity
 from dephase_lab.rates import PAULI, LindbladChannel, decoherence_rate
 from dephase_lab.specfun import rate_tfd_gue_exact, z_gue_exact
 from dephase_lab.trajectories import tfd_two_noise_config
+from dephase_lab.validate import _ANNEALING_BETAS, _STREAMS
 
 
 class TestBuildTfd:
@@ -454,6 +457,24 @@ class TestAnnealing:
             assert chk.mean_ln_z == ln_z.mean()
             assert chk.rate_quenched.mean == (4.0 * var).mean()
             assert chk.rate_annealed == rate_tfd_gue_exact(beta, d, 1.0)
+
+    @pytest.mark.parametrize("shift", [1e4, 1e8])
+    @pytest.mark.parametrize("seed", [1, 2, DEFAULT_SEED])
+    def test_annealed_rate_does_not_see_a_constant_shift(self, seed, shift):
+        # The validate draws: d = 40, 400 spectra.  <E^2> - <E>^2 read 32.0
+        # against 47.70 at beta = 0.25, shift 1e8 and seed 1.  The jackknife
+        # spreads near-equal leave-one-out rates, so it also sees the rounding
+        # of the shifted levels (ulp(1e8)) and of their Gibbs exponents
+        # (ulp(beta 1e8)): up to 1.4e-8 relative at 1e8, so its bound there
+        # is 1e-7.  The uncentred form missed it by 1e3 there and by 1e-7 at 1e4.
+        spectra = _pool.gather_samples(_gue_spectra, 400,
+                                       RngStream(seed, _STREAMS["annealing"]), 1, 40)
+        for beta in _ANNEALING_BETAS:
+            want = _annealing_at(spectra, beta, 1.0).rate_annealed_mc
+            got = _annealing_at(spectra + shift, beta, 1.0).rate_annealed_mc
+            assert got.mean == pytest.approx(want.mean, rel=1e-9)
+            assert got.stderr == pytest.approx(want.stderr,
+                                               rel=1e-9 if shift < 1e8 else 1e-7)
 
 
 def _dephasing_setup(gamma=1.0):

@@ -14,9 +14,11 @@ from dephase_lab.rates import (LindbladChannel, PAULI,
                                build_kbody_operator, build_tbre_operator,
                                decoherence_rate, lmg_sector_spectrum, rate_gue_mc,
                                rate_lmg, tbre_rate_and_bound)
-from dephase_lab.specfun import (KBodySpec, calibrate_epsilon, crossover_min_n,
+from dephase_lab.specfun import (KBodySpec, bessel_i_ratio_g, beta_crossover,
+                                 calibrate_epsilon, crossover_min_n, log_bessel_i1,
                                  rate_gue_haar, rate_gue_wick, rate_kbody_bound,
-                                 rate_tfd_gue_exact, rate_tfd_gue_semicircle)
+                                 rate_tfd_gue_exact, rate_tfd_gue_semicircle,
+                                 z_gue_semicircle)
 from dephase_lab.trajectories import TrajectoryConfig
 
 
@@ -199,13 +201,48 @@ class TestGueClosedForms:
     lambda x: rate_tfd_gue_semicircle(0.5, 4, x),
     lambda x: crossover_min_n(1, x),
     lambda x: TrajectoryConfig(dt=x, steps=2, n_trajectories=2),
+    lambda x: rate_gue_haar(4, x),
+    lambda x: rate_gue_wick(4, x),
+    lambda x: rate_kbody_bound(KBodySpec(3, 1, 1.0), x),
+    lambda x: rate_tfd_gue_exact(x, 4, 1.0),
+    lambda x: rate_tfd_gue_semicircle(x, 4, 1.0),
+    lambda x: rate_tfd_gue_semicircle(0.5, x, 1.0),
+    lambda x: z_gue_semicircle(x, 4),
+    lambda x: beta_crossover(x),
+    lambda x: calibrate_epsilon(1, 1, x),
+    lambda x: bessel_i_ratio_g(x),
+    lambda x: log_bessel_i1(x),
+    lambda x: rate_lmg(5, x, 0.5, 1.0),
+    lambda x: rate_lmg(5, 1.0, x, 1.0),
+    lambda x: rate_lmg(5, 1.0, 0.5, x),
 ], ids=["channel", "rate_gue_mc", "rk4_dt", "kbody_epsilon", "rate_exact",
-        "rate_semicircle", "crossover_epsilon_sq", "trajectory_dt"])
+        "rate_semicircle", "crossover_epsilon_sq", "trajectory_dt",
+        "haar_gamma", "wick_gamma", "kbody_gamma", "rate_exact_beta",
+        "rate_semicircle_beta", "rate_semicircle_dim", "z_semicircle_beta",
+        "beta_crossover_dim", "calibrate_gamma", "bessel_ratio_x",
+        "log_bessel_i1_x", "lmg_epsilon", "lmg_beta", "lmg_gamma"])
 def test_non_finite_rates_and_steps_rejected(call, x):
     # A NaN fails both x < 0 and x <= 0, so a guard in that form let it
     # through to a nan result, a None or a later NumericalError.
     with pytest.raises(ValueError, match="finite"):
         call(x)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rate_gue_haar(4, -1.0),
+    lambda: rate_gue_wick(4, -1.0),
+    lambda: rate_kbody_bound(KBodySpec(3, 1, 1.0), -1.0),
+    lambda: rate_lmg(5, 1.0, 0.5, -1.0),
+    lambda: rate_lmg(5, 1.0, -0.5, 1.0),
+    lambda: calibrate_epsilon(1, 1, -1.0),
+    lambda: rate_tfd_gue_exact(-1.0, 4, 1.0),
+], ids=["haar_gamma", "wick_gamma", "kbody_gamma", "lmg_gamma", "lmg_beta",
+        "calibrate_gamma", "rate_exact_beta"])
+def test_negative_rates_and_temperatures_rejected(call):
+    # Each returned a number before: rate_gue_haar(4, -1) read -3.2 and
+    # rate_tfd_gue_exact(-1, 4, 1) read 4.05.
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        call()
 
 
 class TestRateGueMc:
