@@ -35,6 +35,7 @@ _EXPORTS = {  # owner module: the names it exports
                     "default_dt sse_trajectory tfd_two_noise_config",
 }
 _OWNER = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_OWNER)    # a star import binds every public name
 
 
 def __getattr__(name):

@@ -31,10 +31,10 @@ import math
 import sys
 
 from .exceptions import NumericalError
-from .specfun import (_SAMPLING_LOG2_CAP, KBodySpec, _check_real, beta_crossover,
-                      calibrate_epsilon, crossover_min_n, rate_gue_haar,
-                      rate_gue_wick, rate_kbody_bound, rate_tfd_gue_exact,
-                      rate_tfd_gue_semicircle)
+from .specfun import (_SAMPLING_LOG2_CAP, KBodySpec, _check_int, _check_real,
+                      beta_crossover, calibrate_epsilon, crossover_min_n,
+                      rate_gue_haar, rate_gue_wick, rate_kbody_bound,
+                      rate_tfd_gue_exact, rate_tfd_gue_semicircle)
 
 SCHEMA_COMMENT = "# dephase-lab schema v8"
 DEFAULT_SEED = 20250117
@@ -85,8 +85,7 @@ def cmd_rate_gue(args) -> int:
         raise ValueError(f"--dims must list dimensions between 1 and "
                          f"{2 ** _SAMPLING_LOG2_CAP}")
     _check_real("--gamma", args.gamma, "positive")
-    if args.samples < 2:
-        raise ValueError("--samples must be at least 2")
+    _check_int("--samples", args.samples, 2)
     import numpy as np
     from . import ensembles, rates
     rows = []
@@ -114,6 +113,8 @@ def cmd_crossover(args) -> int:
         raise ValueError("--k-list must list localities >= 1")
     if args.n_max < max(k_list):
         raise ValueError("--n-max must reach the largest k")
+    if args.n0 < 1:                 # the calibration runs at k = 1
+        raise ValueError("n0 must be at least k")
     for flag, n in (("--n-max", args.n_max), ("--n0", args.n0)):
         if n > 1023:
             raise ValueError(f"{flag} is too large: 2**{n} overflows a double")
@@ -150,8 +151,7 @@ def cmd_tfd(args) -> int:
         raise ValueError("--beta-list must list inverse temperatures >= 0")
     _check_real("--gamma", args.gamma, "positive")
     _check_real("--t-max", args.t_max, "positive")
-    if args.t_points < 2:
-        raise ValueError("--t-points must be at least 2")
+    _check_int("--t-points", args.t_points, 2)
     log2d = args.log2_dim if args.log2_dim is not None else args.n_qubits
     _check_real("--log2-dim", log2d, None)
     if args.log2_dim is not None and not args.formula_only:
@@ -176,8 +176,7 @@ def cmd_tfd(args) -> int:
         if not 1 <= args.n_qubits <= _SAMPLING_LOG2_CAP:
             raise ValueError(f"--n-qubits must be between 1 and "
                              f"{_SAMPLING_LOG2_CAP} when sampling")
-        if args.samples < 2:
-            raise ValueError("--samples must be at least 2")
+        _check_int("--samples", args.samples, 2)
         import numpy as np
         from . import dynamics, ensembles
         grid = np.linspace(0.0, args.t_max, args.t_points)
@@ -291,8 +290,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ValueError("--threads must be at least 1")
+        _check_int("--threads", args.threads, 1)
         if not 0 <= args.seed < 2 ** 64:
             raise ValueError("--seed must lie in [0, 2**64)")
         return args.func(args)

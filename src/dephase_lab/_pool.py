@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import NumericalError
+from .specfun import _check_int
 
 # Samples per substream.  Small enough that 1000 samples still split over
 # two workers, large enough to amortise the per-block numpy calls.
@@ -43,7 +44,7 @@ def row_slices(m: int, row_size: int) -> list[tuple[int, int]]:
 
 def _worker_count(workers: int, n_tasks: int) -> int:
     """Processes actually started: at most one per core and one per task."""
-    return max(1, min(workers, os.cpu_count() or 1, n_tasks))
+    return max(1, min(_check_int("workers", workers, 1), os.cpu_count() or 1, n_tasks))
 
 
 def run_chunked(worker: Callable, payloads: Sequence, workers: int) -> list:
@@ -82,8 +83,7 @@ def gather_samples(block_fn: Callable, n: int, rng, workers: int,
     Serially all blocks are one chunk; with ``workers > 1`` they are split into
     chunks joined in index order.  ``n < 2`` raises ``ValueError`` (no stderr exists).
     """
-    if n < 2:
-        raise ValueError("need at least two samples")
+    n = _check_int("n_samples", n, 2)
     n_blocks = -(-n // _BLOCK)
     workers = _worker_count(workers, n_blocks)
     n_chunks = min(n_blocks, 4 * workers) if workers > 1 else 1

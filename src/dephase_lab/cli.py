@@ -1,5 +1,5 @@
 """The CLI of ``_cli`` behind an eager import of every module, which
-``perfbench/tracer.py`` and ``perfbench/run.py`` rely on; ROADMAP item 1
+``perfbench/tracer.py`` and ``perfbench/run.py`` rely on; ROADMAP item 2
 deletes this shim."""
 from . import validate  # noqa: F401  (loads numpy, _pool and every module)
 from ._cli import *  # noqa: F401,F403

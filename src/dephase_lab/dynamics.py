@@ -46,10 +46,10 @@ import numpy as np
 from . import _pool
 from .exceptions import StepSizeError
 from .hermitian import (_energy_dephasing_rate, _gibbs_log_weights, as_matrix,
-                        as_state, spectral_norm)
+                        as_operator, as_state, spectral_norm)
 from .ensembles import EnsembleEstimate, RngStream, _gue_spectra
 from .rates import LindbladChannel, _noise_stiffness
-from .specfun import _SAMPLING_LOG2_CAP, _check_real, rate_tfd_gue_exact
+from .specfun import _SAMPLING_LOG2_CAP, _check_int, _check_real, rate_tfd_gue_exact
 
 @dataclass(frozen=True)
 class TfdSystem:
@@ -83,9 +83,12 @@ def build_tfd(energies: np.ndarray, beta: float,
     Weights are computed with a max-shifted log-sum-exp, so arbitrarily large
     ``beta`` only drives them to the ground-state limit instead of
     underflowing.  The reduced state of either copy is the thermal state.
+    ``energies`` must be a real finite vector (:func:`as_operator`).
     """
     _check_thermal([beta], gamma)
-    energies = np.array(energies, dtype=float)
+    energies = np.array(as_operator(energies, "energies"), dtype=float)
+    if energies.ndim != 1:
+        raise ValueError("energies must be a vector")
     weights = np.exp(0.5 * _gibbs_log_weights(energies, beta)[0])
     return TfdSystem(energies=energies, gamma=gamma, weights=weights)
 
@@ -182,8 +185,9 @@ def purity_inf_tfd(sys: TfdSystem) -> float:
     return float(np.sum(sys.weights ** 4))
 
 
-# Bounded, so at most 64 rules (32 KB each at the 2048-node cap) stay alive.
-@functools.lru_cache(maxsize=64)
+# Bounded, so at most 64 rules (32 KB each at the 2048-node cap) stay alive;
+# typed, so that 4.0 or True never hits the entry of 4 or 1 past the check.
+@functools.lru_cache(maxsize=64, typed=True)
 def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and weights (weight ``exp(-x^2)``) by Golub-Welsch.
 
@@ -192,9 +196,7 @@ def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     eigensolve each) and shared by every caller, so both arrays are
     read-only: writing to them raises ``ValueError``.
     """
-    if n < 1:
-        raise ValueError("need at least one node")
-    k = np.arange(1, n)
+    k = np.arange(1, _check_int("node count n", n, 1))
     jac = np.diag(np.sqrt(k / 2.0), 1)
     nodes, vecs = np.linalg.eigh(jac + jac.T)
     weights = math.sqrt(math.pi) * vecs[0] ** 2
@@ -276,9 +278,7 @@ def ensemble_purity_tfd(n_qubits: int, betas: Sequence[float], gamma: float,
     independent draws; results depend only on ``rng`` and ``n_samples``, not
     on ``workers`` (see ``_pool``).
     """
-    if not 1 <= n_qubits <= _SAMPLING_LOG2_CAP:
-        raise ValueError(f"qubit count must give a dimension between 2 and "
-                         f"2^{_SAMPLING_LOG2_CAP}")
+    n_qubits = _check_int("n_qubits", n_qubits, 1, _SAMPLING_LOG2_CAP)
     _check_thermal(betas, gamma)
     grid = _check_times(gamma_t)
     table = _pool.gather_samples(_tfd_purity_block, n_samples, rng, workers,
@@ -319,7 +319,8 @@ def annealing_check(betas: Sequence[float], d: int, n_samples: int,
     ``n_samples`` spectra, drawn once.
     """
     _check_thermal(betas, gamma)
-    spectra = _pool.gather_samples(_gue_spectra, n_samples, rng, 1, d)
+    spectra = _pool.gather_samples(_gue_spectra, n_samples, rng, 1,
+                                   _check_int("dimension", d, 1))
     return [_annealing_at(spectra, beta, gamma) for beta in betas]
 
 
@@ -371,8 +372,10 @@ def master_equation_rk4(h0: np.ndarray, channels: list[LindbladChannel],
     ``(steps // store_every + 1, d, d)`` array.
     """
     _check_real("dt", dt, "positive")
+    _check_int("steps", steps, 0)
+    _check_int("store_every", store_every, 1)
     rho0 = as_state(rho0)
-    h = as_matrix(h0)
+    h = as_matrix(as_operator(h0, "h0"))
     stiffness = spectral_norm(h) + _noise_stiffness(channels)
     if dt * stiffness > 0.05:
         raise StepSizeError(

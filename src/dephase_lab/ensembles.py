@@ -39,14 +39,19 @@ import numpy as np
 
 from . import _pool
 from .hermitian import as_matrix
-from .specfun import _check_dim, _check_real
+from .specfun import _check_int
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based random stream identified by (master_seed, stream_index)."""
+    """Counter-based random stream identified by (master_seed, stream_index),
+    two integers in ``[0, 2^64)``: the Philox key."""
 
     master_seed: int
     stream_index: int = 0
+
+    def __post_init__(self):
+        _check_int("master_seed", self.master_seed, 0, 2 ** 64 - 1)
+        _check_int("stream_index", self.stream_index, 0, 2 ** 64 - 1)
 
     def bit_generator(self, index: int = 0) -> np.random.Philox:
         """Philox of this stream's key with its counter at ``[0, 0, index, 0]``.
@@ -187,8 +192,7 @@ def _gue_spectra(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
 
 def sample_gue(d: int, rng: RngStream) -> np.ndarray:
     """Draw one ``d x d`` GUE matrix under the exp(-tr X^2) convention."""
-    _check_dim(d)
-    return _gue_matrix(d, rng.generator())
+    return _gue_matrix(_check_int("dimension", d, 1), rng.generator())
 
 
 # Largest d whose Haar draws take the Gram-Schmidt route.  The einsum calls
@@ -249,8 +253,7 @@ def _haar_unitary(d: int, gen: np.random.Generator) -> np.ndarray:
 
 def sample_haar_unitary(d: int, rng: RngStream) -> np.ndarray:
     """Draw a Haar-distributed unitary matrix."""
-    _check_dim(d)
-    return _haar_unitary(d, rng.generator())
+    return _haar_unitary(_check_int("dimension", d, 1), rng.generator())
 
 
 def _conjugated(u: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -279,7 +282,7 @@ def _haar_moment_block(gen: np.random.Generator, m: int, x1: np.ndarray,
 def _haar_moment(n_samples: int, rng: RngStream, *xs) -> tuple[np.ndarray, np.ndarray]:
     """``(mean, stderr)`` of :func:`_haar_moment_block` over the operators ``xs``."""
     ms = [as_matrix(x) for x in xs]
-    _check_dim(ms[0].shape[0])
+    _check_int("dimension", ms[0].shape[0], 1)
     if any(m.shape[0] != ms[0].shape[0] for m in ms):
         raise ValueError("operators must share one dimension")
     est = EnsembleEstimate.from_samples(
@@ -317,9 +320,7 @@ def haar_fourth_moment_exact(x1, x2, x3) -> np.ndarray:
     ``b = [d tr X1 tr X3 - tr(X1 X3)] / (d (d^2-1))``; undefined at d = 1.
     """
     m1, m2, m3 = as_matrix(x1), as_matrix(x2), as_matrix(x3)
-    d = m1.shape[0]
-    if d == 1:
-        raise ValueError("the closed form has a vanishing denominator at d = 1")
+    d = _check_int("dimension", m1.shape[0], 2)     # the denominator vanishes at d = 1
     t13 = np.trace(m1 @ m3)
     t1, t3 = np.trace(m1), np.trace(m3)
     den = d * (d * d - 1)
@@ -341,9 +342,8 @@ def _hermite_functions(n: int, x):
 
 def hermite_phi(l: int, x):
     """Normalized Hermite function ``exp(-x^2/2) H_l(x) / sqrt(sqrt(pi) 2^l l!)``."""
-    _check_real("degree", l)
     x = np.asarray(x, dtype=float)
-    for phi in _hermite_functions(l + 1, x):
+    for phi in _hermite_functions(_check_int("degree", l, 0) + 1, x):
         pass
     return phi if phi.ndim else float(phi)
 
@@ -355,9 +355,8 @@ def gue_level_density(v, d: int):
     Hermite-function recurrence keeps every value O(1), so the evaluation is
     stable up to dimensions of about two thousand.
     """
-    _check_dim(d)
     v = np.asarray(v, dtype=float)
-    rho = sum(phi * phi for phi in _hermite_functions(d, v))
+    rho = sum(phi * phi for phi in _hermite_functions(_check_int("dimension", d, 1), v))
     return rho if rho.ndim else float(rho)
 
 
@@ -377,6 +376,6 @@ def gue_trace_square_mc(d: int, n_samples: int, rng: RngStream) -> EnsembleEstim
     integral is summed, and the decoherence-rate suite adjudicates between
     them empirically instead of hard-coding either.
     """
-    _check_dim(d)
-    vals = _pool.gather_samples(_trace_square_block, n_samples, rng, 1, d)
+    vals = _pool.gather_samples(_trace_square_block, n_samples, rng, 1,
+                                _check_int("dimension", d, 1))
     return EnsembleEstimate.from_samples(vals)

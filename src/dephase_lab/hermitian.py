@@ -6,8 +6,10 @@ in the computational basis.  Every function here picks its path by ``ndim``;
 the vector form keeps k-body rate evaluations at ``O(2**n)`` cost instead of
 ``O(4**n)``.  A state is a plain array too: a unit vector is a pure state
 and a square matrix is a mixed one.  :func:`as_state` checks a state once
-at each public entry point.  The tolerances below are fixed; the
-Hermiticity check scales with the largest entry.
+at each public entry point, and :func:`as_operator` a channel operator, a
+Hamiltonian or a spectrum.  The tolerances below are fixed; the
+Hermiticity check, written once in :func:`as_operator`, scales with the
+largest entry.
 
 Every rate reads one centred variance kernel per kind of state, the modified
 covariance of a state or ``4 gamma var_p(E)`` of Gibbs populations, so no
@@ -78,12 +80,35 @@ def apply_operator(op: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return vecs @ op.T
 
 
+def as_operator(op, name: str = "operator") -> np.ndarray:
+    """Checked array of an operator, its dtype kept: a vector is the real
+    diagonal of a diagonal operator, a matrix a Hermitian one.
+
+    Every entry must be finite (else ``ValueError``) and the array must be a
+    vector or a square matrix (else ``ValueError``).  ``A`` must equal
+    ``A^dagger`` to ``HERMITICITY_RTOL`` times its largest entry (at least
+    1), else :class:`HermiticityError`; a vector is its own transpose, so
+    that is the test of a real diagonal.  ``name`` opens each message.
+    """
+    a = np.asarray(op)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must have finite entries")
+    if a.ndim not in (1, 2) or a.shape[0] != a.shape[-1]:
+        raise ValueError(f"{name} must be a 1-D array or a square 2-D one, "
+                         f"got shape {a.shape}")
+    if (np.abs(a - a.conj().T).max(initial=0.0)
+            > HERMITICITY_RTOL * max(1.0, np.abs(a).max(initial=0.0))):
+        raise HermiticityError(f"{name} is not Hermitian")
+    return a
+
+
 def as_state(state: np.ndarray) -> np.ndarray:
     """Checked complex array of a state: a vector is pure, a matrix is mixed.
 
     Every entry must be finite.  A pure state must have unit norm.  A
-    density matrix must be square, Hermitian, of unit trace and positive
-    semidefinite.  Any other shape raises ``ValueError``.
+    density matrix must be square, Hermitian (:func:`as_operator`), of
+    unit trace and positive semidefinite.  Any other shape raises
+    ``ValueError``.
     """
     a = np.asarray(state, dtype=complex)
     if not np.isfinite(a).all():
@@ -93,11 +118,7 @@ def as_state(state: np.ndarray) -> np.ndarray:
         if abs(nrm - 1.0) > TRACE_ATOL:
             raise ValueError(f"pure state norm {nrm} is not 1")
         return a
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"a state must be a vector or a square matrix, "
-                         f"got shape {a.shape}")
-    if np.abs(a - a.conj().T).max() > HERMITICITY_RTOL * max(1.0, np.abs(a).max()):
-        raise HermiticityError("density matrix is not Hermitian")
+    as_operator(a, "a state")
     tr = complex(np.trace(a)).real
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"density matrix trace {tr} is not 1")

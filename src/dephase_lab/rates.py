@@ -38,9 +38,10 @@ import numpy as np
 from . import _pool
 from .exceptions import DimensionMismatchError
 from .hermitian import (_energy_dephasing_rate, _gibbs_log_weights,
-                        _modified_covariance, _purity, as_state, spectral_norm)
+                        _modified_covariance, _purity, as_operator, as_state,
+                        spectral_norm)
 from .ensembles import EnsembleEstimate, RngStream, _gue_columns
-from .specfun import KBodySpec, _check_real
+from .specfun import KBodySpec, _check_int, _check_real
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -53,8 +54,9 @@ PAULI = {
 class LindbladChannel:
     """One dephasing channel: nonnegative finite rate and Hermitian operator.
 
-    ``v`` is stored as an array: a ``d x d`` matrix, or a length-``d`` vector
-    for an operator diagonal in the computational basis.
+    ``v`` is stored as the array that :func:`~dephase_lab.hermitian.as_operator`
+    checks: a ``d x d`` matrix, or a length-``d`` real vector for an operator
+    diagonal in the computational basis.
     """
 
     gamma: float
@@ -62,11 +64,7 @@ class LindbladChannel:
 
     def __post_init__(self):
         _check_real("channel rate", self.gamma)
-        v = np.asarray(self.v)
-        if not (v.ndim == 1 or (v.ndim == 2 and v.shape[0] == v.shape[1])):
-            raise ValueError(f"channel operator must be a vector or a square "
-                             f"matrix, got shape {v.shape}")
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", as_operator(self.v, "channel operator"))
 
 
 def _noise_stiffness(channels: list[LindbladChannel]) -> float:
@@ -124,7 +122,7 @@ def rate_gue_mc(rho0: np.ndarray, gamma: float, d: int,
     """
     _check_real("channel rate", gamma)
     rho0 = as_state(rho0)
-    if rho0.shape[0] != d:
+    if rho0.shape[0] != _check_int("dimension", d, 1):
         raise DimensionMismatchError("state dimension differs from d")
     vals = _pool.gather_samples(_rate_gue_block, n_samples, rng, workers,
                                 d, gamma, rho0)
@@ -140,9 +138,7 @@ def build_kbody_operator(spec: KBodySpec) -> np.ndarray:
     ``e_k(s_1..s_m) = e_k(s_1..s_{m-1}) + s_m e_{k-1}(s_1..s_{m-1})``.
     Bit ``l`` of the basis index clear means spin ``l`` up.
     """
-    n, k = spec.n, spec.k
-    if n > 24:
-        raise ValueError("diagonal of length 2^n capped at n = 24")
+    n, k = _check_int("qubit count n", spec.n, 1, 24), spec.k    # a 2^n diagonal
     size = 1 << n
     idx = np.arange(size, dtype=np.uint32)
     e = [np.ones(size)] + [np.zeros(size) for _ in range(k)]
@@ -162,9 +158,7 @@ def _site_operator(n: int, site: int, alpha: str) -> np.ndarray:
 
 def build_tbre_operator(n: int) -> np.ndarray:
     """Fixed TBRE Lindblad operator: sum of all nearest-neighbour Pauli pairs."""
-    if n > 12:
-        raise ValueError("dense 2^n operator capped at n = 12")
-    dim = 1 << n
+    dim = 1 << _check_int("spin count n", n, 1, 12)   # a dense 2^n operator
     v = np.zeros((dim, dim), dtype=complex)
     for l in range(n - 1):
         for a in "xyz":
@@ -184,8 +178,7 @@ def tbre_rate_and_bound(n: int, rho0: np.ndarray,
     bound is ``162 gamma (n-1)^2``, from ``2 gamma ||V||^2`` with
     ``||V|| <= 9 (n-1)``; the rate never exceeds it.
     """
-    if n < 2:
-        raise ValueError("need at least two spins")
+    _check_int("spin count n", n, 2)
     rate = decoherence_rate(rho0, [LindbladChannel(gamma, build_tbre_operator(n))])
     return rate, 162.0 * gamma * (n - 1) ** 2
 
@@ -197,7 +190,7 @@ def lmg_sector_spectrum(n: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]
     magnetization alone: with j spins down, ``E(j) = epsilon [(n-2j)^2 - n]/2``
     with multiplicity ``C(n, j)``.
     """
-    j = np.arange(n + 1)
+    j = np.arange(_check_int("spin count n", n, 1) + 1)
     energies = epsilon * ((n - 2.0 * j) ** 2 - n) / 2.0
     mult = np.array([comb(n, int(jj)) for jj in j], dtype=float)
     return energies, mult
@@ -211,8 +204,7 @@ def rate_lmg(n: int, epsilon: float, beta: float, gamma: float) -> float:
     ``beta -> infinity`` because the extremal sector is degenerate in energy.
     ``epsilon`` may take either sign; ``beta`` and ``gamma`` are nonnegative.
     """
-    if n < 2:
-        raise ValueError("need at least two spins")
+    _check_int("spin count n", n, 2)
     _check_real("epsilon", epsilon, None)
     _check_real("inverse temperature", beta)
     _check_real("gamma", gamma)

@@ -17,8 +17,9 @@ so the closed-form CLI commands never load numpy.  Contents:
   is one cancellation-free asymptotic series in ``1/x``.
 * The GUE-channel rates ``Gamma d^2/(d+1)`` and ``Gamma (d - 1/P0)`` (see
   ``rates``), the k-body bounds, their calibration and the crossover scan.
-* :func:`_check_real`, the domain check of every scalar input in the
-  package, and the ``2^10`` dimension cap of the sampling commands.
+* :func:`_check_real` and :func:`_check_int`, the domain checks of every
+  scalar input and every count in the package, and the ``2^10`` dimension
+  cap of the sampling commands.
 
 Conventions: hbar = 1; the GUE weight is ``exp(-tr X^2)``, so the
 semicircle support is ``[-sqrt(2 d), sqrt(2 d)]``.
@@ -27,6 +28,8 @@ semicircle support is ``[-sqrt(2 d), sqrt(2 d)]``.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from collections import namedtuple
 
 from .exceptions import NumericalError
@@ -50,6 +53,20 @@ def _check_real(name: str, x: float, domain: str | None = "nonnegative") -> floa
     return x
 
 
+def _check_int(name: str, n: int, lo: int, hi: int | None = None) -> int:
+    """``n`` as an ``int``, refused with ``ValueError`` unless it is an
+    integer (a Python or numpy one; not a ``bool``, not an integral float)
+    in ``[lo, hi]``.  The one check of a count, in every layer."""
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise ValueError(f"{name} must be an integer")
+    n = operator.index(n)
+    if n < lo:
+        raise ValueError(f"{name} must be at least {lo}")
+    if hi is not None and n > hi:
+        raise ValueError(f"{name} must be at most {hi}")
+    return n
+
+
 def _check_dim(d: float) -> None:
     if _check_real("dimension", d, None) < 1:
         raise ValueError("dimension must be >= 1")
@@ -67,8 +84,7 @@ def log_laguerre_l(n: int, alpha: float, x: float) -> float:
         raise ValueError("log-scaled form requires x <= 0")
     if not math.isfinite(x):
         raise NumericalError(f"log_laguerre_l needs a finite x, got {x}")
-    _check_real("degree", n)
-    if n == 0:
+    if _check_int("degree", n, 0) == 0:
         return 0.0
     cap = min(_LOG_SCALE_CAP, 1e300 / (2 * n + alpha - x))
     prev, cur = 1.0, 1.0 + alpha - x
@@ -267,7 +283,7 @@ def z_gue_exact(beta: float, d: int) -> float:
     ``<Z(beta)> = exp(beta^2/4) L_{d-1}^(1)(-beta^2/2)``; equals ``d`` at
     ``beta = 0``.
     """
-    _check_dim(d)
+    _check_int("dimension", d, 1)
     return beta * beta / 4.0 + log_laguerre_l(d - 1, 1, -beta * beta / 2.0)
 
 
@@ -299,7 +315,7 @@ def rate_tfd_gue_exact(beta: float, d: int, gamma: float) -> float:
     ``2 gamma d``; above ``beta = 1e25`` it is its limit ``2 gamma``, to
     which ``2 gamma [1 - 4 (d-1)/beta^2]`` rounds there.
     """
-    _check_dim(d)
+    d = _check_int("dimension", d, 1)
     _check_real("inverse temperature", beta)
     _check_real("gamma", gamma, "positive")
     if beta > 1e25:             # 4 (d-1)/beta^2 < 2^-53 for every d <= 2^60
@@ -350,8 +366,8 @@ class KBodySpec(namedtuple("KBodySpec", "n k epsilon", defaults=(1.0,))):
     __slots__ = ()
 
     def __new__(cls, n: int, k: int, epsilon: float = 1.0):
-        if not 1 <= k <= n:
-            raise ValueError("locality k must satisfy 1 <= k <= n")
+        n = _check_int("qubit count n", n, 1)
+        k = _check_int("locality k", k, 1, n)
         _check_real("epsilon", epsilon, "positive")
         return super().__new__(cls, n, k, epsilon)
 
@@ -420,16 +436,15 @@ def calibrate_epsilon(n0: int, k: int, gamma: float, mode: str = "exact-binomial
     Solves ``rate_gue_haar(2^n0) = rate_kbody_bound(n0, k, eps)`` for
     ``eps^2``; the channel rate cancels.  The reference calibration
     ``n0 = 1, k = 1`` gives ``eps^2 = 2/3`` in either mode.  Where ``gamma``
-    overflows the unit bound, both rates are taken at unit ``gamma``.
+    is not a normal float (zero or subnormal, where both rates round to a
+    few ulps or to zero) or overflows the unit bound, both rates are taken
+    at unit ``gamma``.
     """
-    if n0 < k:
-        raise ValueError("n0 must be at least k")
-    target = rate_gue_haar(2 ** n0, gamma)
-    unit = rate_kbody_bound(KBodySpec(n0, k, 1.0), gamma, mode)
-    if math.isinf(unit):
-        target = rate_gue_haar(2 ** n0, 1.0)
-        unit = rate_kbody_bound(KBodySpec(n0, k, 1.0), 1.0, mode)
-    return target / unit
+    spec = KBodySpec(_check_int("n0", n0, 1), k)    # then 1 <= k <= n0
+    _check_real("gamma", gamma)
+    if gamma < sys.float_info.min or math.isinf(rate_kbody_bound(spec, gamma, mode)):
+        gamma = 1.0
+    return rate_gue_haar(2 ** spec.n, gamma) / rate_kbody_bound(spec, gamma, mode)
 
 
 def crossover_min_n(k: int, epsilon_sq: float, mode: str = "approx",
@@ -443,8 +458,8 @@ def crossover_min_n(k: int, epsilon_sq: float, mode: str = "approx",
     binomial bound is trivially small) is ignored.  Returns ``None`` when no
     permanent crossover exists below ``n_cap``.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _check_int("locality k", k, 1)
+    n_cap = _check_int("n_cap", n_cap, 1)
     _check_real("epsilon_sq", epsilon_sq, "positive")
     eps = math.sqrt(epsilon_sq)
     first, crossed = k, False

@@ -31,10 +31,10 @@ import numpy as np
 from . import _pool
 from .dynamics import build_tfd
 from .exceptions import NumericalError, StepSizeError
-from .hermitian import _purity, apply_operator, as_state, spectral_norm
+from .hermitian import _purity, apply_operator, as_operator, as_state, spectral_norm
 from .ensembles import RngStream
 from .rates import LindbladChannel, _noise_stiffness
-from .specfun import _check_real
+from .specfun import _check_int, _check_real
 
 _NORM_FLOOR = 1e-6
 
@@ -50,8 +50,8 @@ class TrajectoryConfig:
 
     def __post_init__(self):
         _check_real("dt", self.dt, "positive")
-        if self.steps < 1:
-            raise ValueError("steps must be positive")
+        _check_int("steps", self.steps, 1)
+        _check_int("n_trajectories", self.n_trajectories, 1)
 
 
 def default_dt(h0: np.ndarray, channels: list[LindbladChannel]) -> float:
@@ -71,7 +71,7 @@ def _start(h0: np.ndarray | None, channels: list[LindbladChannel],
     if cfg.dt * stiff > 0.01 + 1e-12:
         raise StepSizeError(
             f"dt * sum gamma ||V||^2 = {cfg.dt * stiff:.3g} exceeds 0.01")
-    return (None if h0 is None else np.asarray(h0)), psi0
+    return (None if h0 is None else as_operator(h0, "h0")), psi0
 
 
 def _wiener_block(gen: np.random.Generator, m: int, steps: int,
@@ -187,11 +187,10 @@ def tfd_two_noise_config(energies: np.ndarray, beta: float,
     length-``d^2`` vectors; the initial state carries the thermofield-double
     weights on the doubled basis.  Returns ``(H0_total, channels, psi0)``.
     """
-    energies = np.asarray(energies, dtype=float)
-    d = energies.shape[0]
-    if d * d > 2 ** 12:
-        raise ValueError("doubled dimension capped at 2^12")
-    weights = build_tfd(energies, beta, gamma).weights
+    tfd = build_tfd(energies, beta, gamma)
+    energies, weights = tfd.energies, tfd.weights
+    d = len(energies)
+    _check_int("doubled dimension", d * d, 1, 2 ** 12)
     e_left = np.repeat(energies, d)
     e_right = np.tile(energies, d)
     channels = [LindbladChannel(gamma, e_left), LindbladChannel(gamma, e_right)]

@@ -129,6 +129,20 @@ class TestCrossover:
         assert header[:3] == ["n", "rate_gue", "rate_gue_wick"]
         assert len(rows) == 20
 
+    @pytest.mark.parametrize("gamma", ["5e-324", "1e-310"])
+    def test_calibration_at_a_subnormal_gamma(self, tmp_path, gamma):
+        # The channel rate cancels from epsilon_sq, so the calibration and
+        # the crossover lines read as at --gamma 1.
+        comments = {}
+        for g in (gamma, "1"):
+            out = tmp_path / f"c{g}.csv"
+            assert run_cli(["crossover", "--k-list", "1", "--n-max", "3",
+                            "--gamma", g, "-o", str(out)]) == 0
+            comments[g] = [c for c in read_csv(str(out))[0]
+                           if c.startswith(("# epsilon_sq", "# crossover_min_n"))]
+        assert comments[gamma] == comments["1"]
+        assert comments["1"][0] == "# epsilon_sq=0.66666666666666663"
+
     def test_gue_column_closed_form(self, tmp_path):
         out = tmp_path / "c.csv"
         run_cli(["crossover", "--k-list", "1", "--n-max", "8", "-o", str(out)])
@@ -686,6 +700,18 @@ PUBLIC_NAMES = {
     "trajectories": "TrajectoryAverage TrajectoryConfig average_trajectories "
                     "default_dt sse_trajectory tfd_two_noise_config",
 }
+
+
+def test_star_import_binds_every_public_name():
+    # __all__ lists them; nothing is imported until the star import asks.
+    names = sorted(n for names in PUBLIC_NAMES.values() for n in names.split())
+    _run_fresh("import sys\n"
+               "import dephase_lab\n"
+               "assert 'numpy' not in sys.modules\n"
+               "from dephase_lab import *\n"
+               f"missing = [n for n in {names!r} if n not in globals()]\n"
+               "assert not missing, missing\n"
+               f"assert sorted(dephase_lab.__all__) == {names!r}\n")
 
 
 def test_public_names_resolve_to_their_owners():

@@ -1,0 +1,180 @@
+"""One check per input kind: every count goes through ``specfun._check_int``
+and every channel operator, Hamiltonian or spectrum through
+``hermitian.as_operator``.  Each table row names an entry point, the name its
+message carries and the bounds of the count."""
+
+import re
+
+import numpy as np
+import pytest
+
+from dephase_lab import _pool
+from dephase_lab.dynamics import (annealing_check, build_tfd, ensemble_purity_tfd,
+                                  gauss_hermite, master_equation_rk4)
+from dephase_lab.ensembles import (RngStream, gue_level_density, gue_trace_square_mc,
+                                   haar_second_moment, hermite_phi, sample_gue,
+                                   sample_haar_unitary)
+from dephase_lab.exceptions import HermiticityError
+from dephase_lab.hermitian import as_operator
+from dephase_lab.rates import (PAULI, LindbladChannel, build_kbody_operator,
+                               build_tbre_operator, lmg_sector_spectrum, rate_gue_mc,
+                               rate_lmg, tbre_rate_and_bound)
+from dephase_lab.specfun import (KBodySpec, _check_int, calibrate_epsilon,
+                                 crossover_min_n, log_laguerre_l, rate_tfd_gue_exact,
+                                 z_gue_exact)
+from dephase_lab.trajectories import (TrajectoryConfig, sse_trajectory,
+                                      tfd_two_noise_config)
+
+
+def _normals(gen, m, d):
+    return gen.standard_normal((m, d))
+
+
+_PSI = np.array([1.0, 0.0])
+_GRID = np.array([0.0, 1.0])
+_CFG = dict(dt=0.01, steps=2, n_trajectories=2)
+
+# entry point: (call with the count, name in the message, lowest, highest)
+COUNTS = {
+    "gather_samples-n": (lambda n: _pool.gather_samples(_normals, n, RngStream(1), 1, 2),
+                         "n_samples", 2, None),
+    "gather_samples-workers": (
+        lambda w: _pool.gather_samples(_normals, 4, RngStream(1), w, 2), "workers", 1, None),
+    "run_chunked-workers": (lambda w: _pool.run_chunked(abs, [-1], w), "workers", 1, None),
+    "rng-seed": (lambda s: RngStream(s, 0), "master_seed", 0, 2 ** 64 - 1),
+    "rng-index": (lambda i: RngStream(1, i), "stream_index", 0, 2 ** 64 - 1),
+    "sample_gue": (lambda d: sample_gue(d, RngStream(1)), "dimension", 1, None),
+    "sample_haar_unitary": (lambda d: sample_haar_unitary(d, RngStream(1)),
+                            "dimension", 1, None),
+    "haar_second_moment-n": (lambda n: haar_second_moment(PAULI["z"], n, RngStream(1)),
+                             "n_samples", 2, None),
+    "gue_level_density": (lambda d: gue_level_density(0.5, d), "dimension", 1, None),
+    "gue_trace_square_mc-d": (lambda d: gue_trace_square_mc(d, 10, RngStream(1)),
+                              "dimension", 1, None),
+    "gue_trace_square_mc-n": (lambda n: gue_trace_square_mc(4, n, RngStream(1)),
+                              "n_samples", 2, None),
+    "rate_gue_mc-d": (lambda d: rate_gue_mc(_PSI, 1.0, d, 10, RngStream(1)),
+                      "dimension", 1, None),
+    "rate_gue_mc-n": (lambda n: rate_gue_mc(_PSI, 1.0, 2, n, RngStream(1)),
+                      "n_samples", 2, None),
+    "annealing_check-d": (lambda d: annealing_check([0.5], d, 10, RngStream(1)),
+                          "dimension", 1, None),
+    "annealing_check-n": (lambda n: annealing_check([0.5], 4, n, RngStream(1)),
+                          "n_samples", 2, None),
+    "z_gue_exact": (lambda d: z_gue_exact(1.0, d), "dimension", 1, None),
+    "rate_tfd_gue_exact": (lambda d: rate_tfd_gue_exact(1.0, d, 1.0), "dimension", 1, None),
+    "log_laguerre_l": (lambda n: log_laguerre_l(n, 1, -1.0), "degree", 0, None),
+    "hermite_phi": (lambda n: hermite_phi(n, 0.5), "degree", 0, None),
+    "gauss_hermite": (gauss_hermite, "node count n", 1, None),
+    "kbody-n": (lambda n: KBodySpec(n, 1), "qubit count n", 1, None),
+    "kbody-k": (lambda k: KBodySpec(3, k), "locality k", 1, 3),
+    "build_kbody_operator": (lambda n: build_kbody_operator(KBodySpec(n, 1)),
+                             "qubit count n", 1, 24),
+    "crossover_min_n-k": (lambda k: crossover_min_n(k, 0.5), "locality k", 1, None),
+    "crossover_min_n-cap": (lambda c: crossover_min_n(1, 0.5, n_cap=c), "n_cap", 1, None),
+    "calibrate_epsilon-n0": (lambda n: calibrate_epsilon(n, 1, 1.0), "n0", 1, None),
+    "calibrate_epsilon-k": (lambda k: calibrate_epsilon(3, k, 1.0), "locality k", 1, 3),
+    "build_tbre_operator": (build_tbre_operator, "spin count n", 1, 12),
+    "tbre_rate_and_bound": (lambda n: tbre_rate_and_bound(n, _PSI, 1.0),
+                            "spin count n", 2, None),
+    "lmg_sector_spectrum": (lambda n: lmg_sector_spectrum(n, 1.0), "spin count n", 1, None),
+    "rate_lmg": (lambda n: rate_lmg(n, 1.0, 0.5, 1.0), "spin count n", 2, None),
+    "ensemble_purity_tfd-qubits": (
+        lambda n: ensemble_purity_tfd(n, [0.5], 1.0, _GRID, 4, RngStream(1)),
+        "n_qubits", 1, 10),
+    "ensemble_purity_tfd-n": (
+        lambda n: ensemble_purity_tfd(2, [0.5], 1.0, _GRID, n, RngStream(1)),
+        "n_samples", 2, None),
+    "trajectory-steps": (lambda s: TrajectoryConfig(**dict(_CFG, steps=s)), "steps", 1, None),
+    "trajectory-count": (lambda n: TrajectoryConfig(**dict(_CFG, n_trajectories=n)),
+                         "n_trajectories", 1, None),
+    "rk4-steps": (lambda s: master_equation_rk4(None, [], _PSI, 0.01, s), "steps", 0, None),
+    "rk4-store_every": (lambda e: master_equation_rk4(None, [], _PSI, 0.01, 2, e),
+                        "store_every", 1, None),
+}
+
+
+def _count_rows():
+    for entry, (_, name, lo, hi) in sorted(COUNTS.items()):
+        for bad in (2.5, 4.0, True):
+            yield pytest.param(entry, bad, f"{name} must be an integer",
+                               id=f"{entry}-{bad!r}")
+        yield pytest.param(entry, lo - 1, f"{name} must be at least {lo}",
+                           id=f"{entry}-below")
+        if hi is not None:
+            yield pytest.param(entry, hi + 1, f"{name} must be at most {hi}",
+                               id=f"{entry}-above")
+
+
+@pytest.mark.parametrize("entry,bad,message", list(_count_rows()))
+def test_every_count_is_checked_by_one_rule(entry, bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        COUNTS[entry][0](bad)
+
+
+def test_the_doubled_dimension_is_capped():
+    with pytest.raises(ValueError, match="doubled dimension must be at most 4096"):
+        tfd_two_noise_config(np.arange(65.0), 0.5, 1.0)
+    assert len(tfd_two_noise_config(np.arange(64.0), 0.5, 1.0)[0]) == 4096
+
+
+def test_a_count_is_returned_as_a_python_int():
+    for n in (3, np.int64(3), np.uint8(3)):
+        got = _check_int("n", n, 1)
+        assert got == 3 and type(got) is int
+    with pytest.raises(ValueError, match="n must be an integer"):
+        _check_int("n", np.True_, 0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        _check_int("n", np.float64(3.0), 0)
+
+
+def test_no_two_seeds_alias_one_stream():
+    # A numpy integer key is the same key; a float key is refused, where it
+    # used to replay the stream of its integer part.
+    want = RngStream(1, 2).generator().standard_normal(4)
+    got = RngStream(np.uint64(1), np.int64(2)).generator().standard_normal(4)
+    assert got.tobytes() == want.tobytes()
+    top = RngStream(2 ** 64 - 1, 2 ** 64 - 1).generator().standard_normal(2)
+    assert np.isfinite(top).all()
+    for seed, index in ((1.5, 0), (1, 2.7), (-1, 0)):
+        with pytest.raises(ValueError):
+            RngStream(seed, index)
+
+
+# entry point: call with the operator
+OPERATORS = {
+    "LindbladChannel": (lambda op: LindbladChannel(1.0, op), "channel operator"),
+    "master_equation_rk4": (
+        lambda op: master_equation_rk4(op, [], _PSI, 0.01, 2), "h0"),
+    "sse_trajectory": (lambda op: sse_trajectory(op, [], _PSI, TrajectoryConfig(**_CFG),
+                                                 RngStream(1)), "h0"),
+    "build_tfd": (lambda op: build_tfd(op, 0.5), "energies"),
+}
+
+_BAD_OPERATORS = {
+    "nan": ([np.nan, 1.0], ValueError, "must have finite entries"),
+    "inf": ([np.inf, 1.0], ValueError, "must have finite entries"),
+    "non-hermitian": ([[0.0, 1.0], [0.0, 0.0]], HermiticityError, "is not Hermitian"),
+    "complex-diagonal": ([1.0, 1j], HermiticityError, "is not Hermitian"),
+    "non-square": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ValueError,
+                   "must be a 1-D array or a square 2-D one"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_OPERATORS))
+@pytest.mark.parametrize("entry", sorted(OPERATORS))
+def test_every_operator_is_checked_by_one_rule(entry, kind):
+    call, name = OPERATORS[entry]
+    op, error, message = _BAD_OPERATORS[kind]
+    with pytest.raises(error, match=re.escape(f"{name} {message}")):
+        call(np.array(op))
+
+
+def test_as_operator_keeps_the_array_and_its_tolerance():
+    diag = np.array([1, -1])
+    assert as_operator(diag) is diag and as_operator(diag).dtype == diag.dtype
+    near = PAULI["x"] + 1e-13j * np.eye(2)          # within 1e-12 of Hermitian
+    assert as_operator(near) is not None
+    assert LindbladChannel(1.0, [1.0, -1.0]).v.dtype == float
+    with pytest.raises(ValueError, match="energies must be a vector"):
+        build_tfd(PAULI["z"].real, 0.5)

@@ -108,7 +108,7 @@ class TestGatherSamples:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_rejects_fewer_than_two_samples(self, n):
-        with pytest.raises(ValueError, match="at least two samples"):
+        with pytest.raises(ValueError, match="n_samples must be at least 2"):
             _pool.gather_samples(_first_normals, n, RngStream(1), 1, 2)
 
     def test_block_fn_maps_each_block(self):
@@ -356,5 +356,5 @@ _ESTIMATORS = {
 @pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
 def test_every_estimator_needs_two_samples(name, n):
-    with pytest.raises(ValueError, match="at least two samples"):
+    with pytest.raises(ValueError, match="(n_samples|n_trajectories) must be at least"):
         _ESTIMATORS[name](n)

@@ -465,10 +465,13 @@ class TestKBodyBoundsAndCalibration:
     @pytest.mark.parametrize("mode", ["approx", "exact-binomial"])
     @pytest.mark.parametrize("n0,k", [(1, 1), (3, 2)])
     def test_calibration_where_gamma_overflows_the_bound(self, mode, n0, k):
-        # 2 gamma overflows at gamma = 1e308; the channel rate cancels.
+        # 2 gamma overflows at gamma = 1e308; the channel rate cancels.  At a
+        # zero or subnormal gamma both rates round to zero or a few ulps.
         unit = calibrate_epsilon(n0, k, 1.0, mode)
         assert calibrate_epsilon(n0, k, 1e308, mode) == unit
         assert calibrate_epsilon(n0, k, 1.7e308, mode) == unit
+        for gamma in (0.0, 5e-324, 1e-310):
+            assert calibrate_epsilon(n0, k, gamma, mode) == unit, gamma
 
 
 class TestCrossover:
@@ -529,7 +532,7 @@ class TestTbre:
         assert np.abs(h - h.conj().T).max() <= 1e-12
 
     def test_needs_two_spins(self):
-        with pytest.raises(ValueError, match="two spins"):
+        with pytest.raises(ValueError, match="spin count n must be at least 2"):
             tbre_rate_and_bound(1, np.array([1.0, 0.0]), 1.0)
 
 
