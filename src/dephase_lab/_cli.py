@@ -14,7 +14,10 @@ validate   Cross-route consistency checks; nonzero exit on failure.
 
 Identical command line and seed give byte-identical CSV, independent of
 ``--threads``; floats are printed with 17 significant digits so they
-round-trip exactly.  Environment variables are never consulted.
+round-trip exactly.  Environment variables are never consulted.  ``rate-gue``
+calls no BLAS, so its bytes do not depend on the OpenBLAS core type or on
+numpy's SIMD level; sampled ``tfd`` purity still depends on the latter
+through ``np.exp``.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  A
 non-finite value, a float overflow or a division by zero is a numerical
@@ -36,7 +39,7 @@ from .specfun import (_SAMPLING_LOG2_CAP, KBodySpec, _check_int, _check_real,
                       rate_gue_haar, rate_gue_wick, rate_kbody_bound,
                       rate_tfd_gue_exact, rate_tfd_gue_semicircle)
 
-SCHEMA_COMMENT = "# dephase-lab schema v8"
+SCHEMA_COMMENT = "# dephase-lab schema v9"
 DEFAULT_SEED = 20250117
 # Largest log2(dimension) for which the finite-d Laguerre rate is evaluated.
 EXACT_RATE_LOG2_CAP = 14

@@ -326,11 +326,10 @@ def annealing_check(betas: Sequence[float], d: int, n_samples: int,
 
 def _annealing_at(spectra: np.ndarray, beta: float, gamma: float) -> AnnealingCheck:
     """:class:`AnnealingCheck` at one ``beta`` from ``(n, d)`` spectra."""
-    n_samples = len(spectra)
-    # ln Z, the quenched rate and the Gibbs mean <E> of each draw.
+    # ln Z and the quenched rate of each draw, from the levels as given.
     log_p, ln_z = _gibbs_log_weights(spectra, beta)
     p = np.exp(0.5 * log_p) ** 2
-    quenched, m1 = _energy_dephasing_rate(p, spectra, gamma)
+    quenched = _energy_dephasing_rate(p, spectra, gamma)[0]
     ln_z_est = EnsembleEstimate.from_samples(ln_z)
     # <Z> from the same draws, max-shifted.
     shift = ln_z.max()
@@ -340,14 +339,17 @@ def _annealing_at(spectra: np.ndarray, beta: float, gamma: float) -> AnnealingCh
     # of total variance its rate is sum z [q + 4 gamma c^2] / s0, with q the
     # quenched rates, s0 = sum z, M = sum z <E> / s0 and c = <E> - M, each c
     # summed over the levels less M: no term cancels under E -> E + const.
+    # <E> and M are read from the levels above the lowest, so M does not round
+    # at ulp(E), which each leave-one-out term would feel to first order.
     # Dropping draw i moves M by -z_i c_i/(s0 - z_i), which takes
     # z_i c_i^2 s0/(s0 - z_i) off sum z c^2: the leave-one-out jackknife.
     s0 = z.sum()
-    c = (p[:, None, :] @ (spectra - (z @ m1) / s0)[:, :, None])[:, 0, 0]
+    low = spectra - spectra.min()
+    m1 = _energy_dephasing_rate(p, low, gamma)[1]
+    c = (p[:, None, :] @ (low - (z @ m1) / s0)[:, :, None])[:, 0, 0]
     total = z @ quenched + 4.0 * gamma * (z @ c ** 2)
     loo = (total - z * (quenched + 4.0 * gamma * c ** 2 * s0 / (s0 - z))) / (s0 - z)
-    jackknife = math.sqrt((n_samples - 1) / n_samples
-                          * ((loo - loo.mean()) ** 2).sum())
+    jackknife = math.sqrt((len(loo) - 1) * loo.var())
     return AnnealingCheck(
         mean_ln_z=ln_z_est.mean,
         ln_mean_z=float(shift + math.log(z.mean())),

@@ -87,20 +87,19 @@ def _rate_gue_block(gen: np.random.Generator, m: int, d: int, gamma: float,
                     state: np.ndarray) -> np.ndarray:
     """Rates of ``m`` GUE channels, drawn in row slices.  A pure state's is
     ``|V psi - mu psi|^2``, ``mu = <psi|V|psi>``, where ``V psi`` reads only the
-    columns of ``V`` on the support of ``psi``, and only those are drawn; each
-    row's sums are stacked products, so no rate depends on its slice."""
+    columns of ``V`` on the support of ``psi``, and only those are drawn.  Its
+    three sums are ``einsum`` contractions, which call no BLAS kernel chosen
+    per CPU; a row's sum is the same in any slice while it fits ``einsum``'s
+    8192-element buffer: 2d real terms, so any ``d`` up to the ``2^10`` cap."""
     out = np.empty(m)
     if state.ndim == 1:
         cols = np.flatnonzero(state)
         s, psi = len(cols), state[cols]
-        ab = np.stack([psi.real, psi.imag], axis=-1).reshape(-1, 1)
-        # Sliced by the bytes of the complex columns, the largest temporary.
-        for lo, hi in _pool.row_slices(m, 16 * s * d):
-            k = hi - lo
-            w = _gue_columns(gen, k, d, cols) @ psi
-            mu = (w.take(cols, axis=1).view(float).reshape(k, 1, 2 * s) @ ab)[:, 0]
-            r = (w - mu * state).view(float).reshape(k, 1, 2 * d)
-            out[lo:hi] = (r @ r.transpose(0, 2, 1))[:, 0, 0]
+        for lo, hi in _pool.row_slices(m, (2 * d - s) * s):
+            w = np.einsum("kjs,s->kj", _gue_columns(gen, hi - lo, d, cols), psi)
+            mu = np.einsum("ks,s->k", w[:, cols], psi.conj()).real
+            r = (w - mu[:, None] * state).view(float)
+            out[lo:hi] = np.einsum("kj,kj->k", r, r)
         return 2.0 * gamma * out
     for lo, hi in _pool.row_slices(m, d * d):
         v = _gue_columns(gen, hi - lo, d, np.arange(d))

@@ -38,7 +38,7 @@ class TestRateGue:
         assert run_cli(["rate-gue", "--dims", "2,4", "--samples", "200",
                         "--seed", "5", "-o", str(out)]) == 0
         comments, header, rows = read_csv(str(out))
-        assert comments[0] == "# dephase-lab schema v8"
+        assert comments[0] == "# dephase-lab schema v9"
         assert header == ["d", "gamma", "rate_haar", "rate_wick", "rate_mc_mean",
                           "rate_mc_stderr", "n_samples", "seed"]
         assert len(rows) == 2
@@ -625,7 +625,7 @@ def test_closed_form_commands_never_import_numpy(tmp_path, argv):
                "assert 'numpy' not in sys.modules\n"
                "assert 'dataclasses' not in sys.modules\n",
                *argv, "-o", str(tmp_path / "c.csv"))
-    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v8")
+    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v9")
 
 
 def test_cli_import_leaves_the_lapack_handle_unloaded():
@@ -654,6 +654,56 @@ def test_sampled_tfd_bytes_do_not_depend_on_the_blas_thread_count():
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], argv
+
+
+# Runs the CLI on argv[1:] after reporting on stderr the two CPU levers the
+# child runs under: OpenBLAS's core type and whether numpy dispatches AVX-512.
+_CLI_UNDER_LEVERS = (
+    "import ctypes, sys\n"
+    "from numpy._core._multiarray_umath import __cpu_features__\n"
+    "from numpy.linalg import _umath_linalg\n"
+    "core = getattr(ctypes.CDLL(_umath_linalg.__file__),\n"
+    "               'scipy_openblas_get_corename64_', None)\n"
+    "if core is not None:\n"
+    "    core.restype = ctypes.c_char_p\n"
+    "print(core().decode() if core else '?', __cpu_features__['X86_V4'],\n"
+    "      file=sys.stderr)\n"
+    "from dephase_lab._cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("variable,values", [
+    ("OPENBLAS_CORETYPE", ["Haswell", "Sandybridge", "Prescott"]),
+    ("NPY_DISABLE_CPU_FEATURES", ["X86_V4 AVX512_ICL AVX512_SPR"])])
+def test_rate_gue_bytes_do_not_depend_on_the_cpu_kernels(variable, values):
+    # OpenBLAS picks its kernels by core type, and numpy its SIMD paths by
+    # CPU.  rate-gue's sums are einsum contractions and call no BLAS, so
+    # neither lever may move a byte.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(extra):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLI_UNDER_LEVERS, "rate-gue", "--dims",
+             "2,4,8,16,32,64", "--samples", "600", "--seed", "1"],
+            env=dict(env, **extra), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, proc.stderr.split("\n")[0]
+
+    want, lever = run({})
+    core, avx512 = lever.split()
+    if variable == "OPENBLAS_CORETYPE" and core == "?":
+        pytest.skip("this numpy's OpenBLAS does not report its core type")
+    if variable == "NPY_DISABLE_CPU_FEATURES" and avx512 != "True":
+        pytest.skip("numpy runs no AVX-512 path on this CPU, so the SIMD "
+                    "level has nothing to switch off")
+    runs = [run({variable: value}) for value in values]
+    levers = [lever] + [got[1] for got in runs]
+    assert len(set(levers)) > 1, f"{variable} changed nothing: {levers}"
+    for value, (got, _) in zip(values, runs):
+        assert got == want, (variable, value)
 
 
 def test_package_import_loads_no_submodule():

@@ -175,6 +175,18 @@ class TestRowSlices:
                                    psi)
         assert got.tobytes() == want.tobytes()
 
+    def test_rates_at_the_dimension_cap_do_not_depend_on_the_slice_size(
+            self, monkeypatch):
+        # 2d = 2048 real terms per row, within einsum's 8192-element buffer.
+        psi = np.eye(1024, dtype=complex)[3]
+        rng = RngStream(9, 4)
+        want = _pool.gather_samples(rates._rate_gue_block, 40, rng, 1, 1024, 1.0,
+                                    psi)
+        monkeypatch.setattr(_pool, "_SLICE", 1 << 20)
+        got = _pool.gather_samples(rates._rate_gue_block, 40, rng, 1, 1024, 1.0,
+                                   psi)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("slice_size", [1, 8 * 8 * 7, 1 << 20])
     def test_mixed_state_rates_do_not_depend_on_the_slice_size(self, monkeypatch,
                                                                slice_size):
