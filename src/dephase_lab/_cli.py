@@ -39,7 +39,7 @@ from .specfun import (_SAMPLING_LOG2_CAP, KBodySpec, _check_int, _check_real,
                       rate_gue_haar, rate_gue_wick, rate_kbody_bound,
                       rate_tfd_gue_exact, rate_tfd_gue_semicircle)
 
-SCHEMA_COMMENT = "# dephase-lab schema v9"
+SCHEMA_COMMENT = "# dephase-lab schema v10"
 DEFAULT_SEED = 20250117
 # Largest log2(dimension) for which the finite-d Laguerre rate is evaluated.
 EXACT_RATE_LOG2_CAP = 14
@@ -117,7 +117,7 @@ def cmd_crossover(args) -> int:
     if args.n_max < max(k_list):
         raise ValueError("--n-max must reach the largest k")
     if args.n0 < 1:                 # the calibration runs at k = 1
-        raise ValueError("n0 must be at least k")
+        raise ValueError("--n0 must be at least 1")
     for flag, n in (("--n-max", args.n_max), ("--n0", args.n0)):
         if n > 1023:
             raise ValueError(f"{flag} is too large: 2**{n} overflows a double")
@@ -127,7 +127,8 @@ def cmd_crossover(args) -> int:
     eps = math.sqrt(eps_sq)
     comments = [SCHEMA_COMMENT,
                 f"# crossover: k_list={args.k_list} n_max={args.n_max} "
-                f"n0={args.n0} mode={args.mode} seed={args.seed}",
+                f"n0={args.n0} gamma={_fmt(args.gamma)} mode={args.mode} "
+                f"seed={args.seed}",
                 f"# epsilon_sq={_fmt(eps_sq)}"]
     for mode in ("approx", "exact-binomial"):
         for k in k_list:

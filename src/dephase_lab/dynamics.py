@@ -346,8 +346,8 @@ def _annealing_at(spectra: np.ndarray, beta: float, gamma: float) -> AnnealingCh
     s0 = z.sum()
     low = spectra - spectra.min()
     m1 = _energy_dephasing_rate(p, low, gamma)[1]
-    c = (p[:, None, :] @ (low - (z @ m1) / s0)[:, :, None])[:, 0, 0]
-    total = z @ quenched + 4.0 * gamma * (z @ c ** 2)
+    c = np.einsum("nk,nk->n", p, low - np.einsum("n,n->", z, m1) / s0)
+    total = np.einsum("n,n->", z, quenched) + 4.0 * gamma * np.einsum("n,n->", z, c ** 2)
     loo = (total - z * (quenched + 4.0 * gamma * c ** 2 * s0 / (s0 - z))) / (s0 - z)
     jackknife = math.sqrt((len(loo) - 1) * loo.var())
     return AnnealingCheck(

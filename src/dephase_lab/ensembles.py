@@ -321,7 +321,7 @@ def haar_fourth_moment_exact(x1, x2, x3) -> np.ndarray:
     """
     m1, m2, m3 = as_matrix(x1), as_matrix(x2), as_matrix(x3)
     d = _check_int("dimension", m1.shape[0], 2)     # the denominator vanishes at d = 1
-    t13 = np.trace(m1 @ m3)
+    t13 = np.einsum("ij,ji->", m1, m3)
     t1, t3 = np.trace(m1), np.trace(m3)
     den = d * (d * d - 1)
     a = (d * t13 - t1 * t3) / den

@@ -14,6 +14,15 @@ largest entry.
 Every rate reads one centred variance kernel per kind of state, the modified
 covariance of a state or ``4 gamma var_p(E)`` of Gibbs populations, so no
 constant shift of an operator cancels a rate's digits.
+
+Every reduction to one scalar per row, a dot product or a moment, is an
+``einsum``, which calls no BLAS kernel chosen per CPU, so its bits do not
+follow the OpenBLAS core type.  A row of a stack sums as that row alone does
+while it fits ``einsum``'s 8192-element buffer: the ``2^10`` sampling cap and
+trajectory states up to ``2^12`` complex entries.  BLAS runs only the true
+matrix products, ``O(d^3)`` work that its kernels make fast: a dense operator
+on a batch of states, the trajectory outer-product sums, the RK4 step, the
+mixed-state covariance and the Haar moments above ``d = 4``.
 """
 
 from __future__ import annotations
@@ -51,12 +60,10 @@ def _gibbs_log_weights(energies: np.ndarray, beta: float | np.ndarray,
 
 
 def _energy_dephasing_rate(p: np.ndarray, energies: np.ndarray, gamma: float):
-    """``4 gamma var_p(E)`` and ``<E>`` of populations ``p``, over the last axis;
-    a stacked ``(1, d) @ (d, 1)`` moment equals one row's ``p @ E``.  The
-    variance is ``sum p (E - <E>)^2``, so a constant shift cannot cancel it."""
-    row = p[..., None, :]
-    m1 = (row @ energies[..., :, None])[..., 0, 0]
-    var = (row @ ((energies - m1[..., None]) ** 2)[..., :, None])[..., 0, 0]
+    """``4 gamma var_p(E)`` and ``<E>`` of populations ``p``, over the last axis.
+    The variance is ``sum p (E - <E>)^2``, so a constant shift cannot cancel it."""
+    m1 = np.einsum("...k,...k->...", p, energies)
+    var = np.einsum("...k,...k->...", p, (energies - m1[..., None]) ** 2)
     return 4.0 * gamma * var, m1
 
 
@@ -155,7 +162,8 @@ def _modified_covariance(r: np.ndarray, x: np.ndarray, y: np.ndarray):
         raise DimensionMismatchError("state and operator dimensions differ")
     if r.ndim == 1:             # <(X - <X>) psi, (Y - <Y>) psi>
         xv, yv = apply_operator(x, r), apply_operator(y, r)
-        return np.vdot(xv - np.vdot(r, xv) * r, yv - np.vdot(r, yv) * r)
+        u = xv - np.einsum("i,i->", r.conj(), xv) * r
+        return np.einsum("i,i->", u.conj(), yv - np.einsum("i,i->", r.conj(), yv) * r)
     if x.ndim == y.ndim == 1:   # 1/2 sum_ij |rho_ij|^2 (x_i - x_j)(y_i - y_j)
         return 0.5 * (np.abs(r) ** 2 * (x[:, None] - x) * (y[:, None] - y)).sum()
     # tr(rho^2 X Y) - tr(rho X rho Y) of X - tr(rho X) 1 and Y - tr(rho Y) 1

@@ -148,22 +148,18 @@ def build_kbody_operator(spec: KBodySpec) -> np.ndarray:
     return spec.epsilon * e[k]
 
 
-def _site_operator(n: int, site: int, alpha: str) -> np.ndarray:
-    op = np.eye(1, dtype=complex)
-    for l in range(n):
-        op = np.kron(op, PAULI[alpha] if l == site else np.eye(2, dtype=complex))
-    return op
-
-
 def build_tbre_operator(n: int) -> np.ndarray:
-    """Fixed TBRE Lindblad operator: sum of all nearest-neighbour Pauli pairs."""
+    """Fixed TBRE Lindblad operator: sum of all nearest-neighbour Pauli pairs.
+
+    A bond's nine pairs sum to ``S_l S_{l+1}`` with ``S = sigma^x + sigma^y +
+    sigma^z``, so each bond is one Kronecker product; every entry is a small
+    Gaussian integer, so the sum is exact.
+    """
     dim = 1 << _check_int("spin count n", n, 1, 12)   # a dense 2^n operator
+    s = PAULI["x"] + PAULI["y"] + PAULI["z"]
     v = np.zeros((dim, dim), dtype=complex)
     for l in range(n - 1):
-        for a in "xyz":
-            sa = _site_operator(n, l, a)
-            for b in "xyz":
-                v += sa @ _site_operator(n, l + 1, b)
+        v += np.kron(np.kron(np.eye(1 << l), np.kron(s, s)), np.eye(dim >> (l + 2)))
     return v
 
 

@@ -10,7 +10,8 @@ current loops must reproduce bit for bit; and ``gue_block_triangles``, the
 library's earlier GUE draw, which the current one must match in law and,
 for a basis state, in every rate of the same normals up to rounding.
 ``build_tbre_hamiltonian`` is the illustrative TBRE Hamiltonian draw; the
-library's TBRE rate and bound read only the fixed operator.
+library's TBRE rate and bound read only the fixed operator, which
+``tbre_pair_sum`` builds pair by pair.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 
 from dephase_lab.ensembles import _gue_matrix
 from dephase_lab.exceptions import NumericalError
-from dephase_lab.rates import _site_operator
+from dephase_lab.rates import PAULI
 from dephase_lab.specfun import _LOG_SCALE_CAP
 
 
@@ -53,6 +54,26 @@ def gue_rates_triangles(gen, m: int, d: int, gamma: float,
     return 2.0 * gamma * (np.abs(w - mean[:, None] * psi) ** 2).sum(axis=1)
 
 
+def site_operator(n: int, site: int, alpha: str) -> np.ndarray:
+    """Pauli ``alpha`` on ``site`` of ``n`` spins, as a dense ``2^n`` matrix."""
+    op = np.eye(1, dtype=complex)
+    for l in range(n):
+        op = np.kron(op, PAULI[alpha] if l == site else np.eye(2, dtype=complex))
+    return op
+
+
+def tbre_pair_sum(n: int) -> np.ndarray:
+    """The TBRE Lindblad operator as the sum of its ``9 (n - 1)`` Pauli-pair
+    products ``sigma^a_l sigma^b_{l+1}``, each one dense matrix product."""
+    v = np.zeros((1 << n, 1 << n), dtype=complex)
+    for l in range(n - 1):
+        for a in "xyz":
+            sa = site_operator(n, l, a)
+            for b in "xyz":
+                v += sa @ site_operator(n, l + 1, b)
+    return v
+
+
 def build_tbre_hamiltonian(n: int, rng, *, coupling_scale: float = 1.0,
                            field_scale: float = 1.0) -> np.ndarray:
     """Illustrative TBRE Hamiltonian draw (random couplings A and fields B) of an
@@ -62,13 +83,13 @@ def build_tbre_hamiltonian(n: int, rng, *, coupling_scale: float = 1.0,
     h = np.zeros((dim, dim), dtype=complex)
     for l in range(n - 1):
         for a in "xyz":
-            sa = _site_operator(n, l, a)
+            sa = site_operator(n, l, a)
             for b in "xyz":
                 h += coupling_scale * gen.standard_normal() \
-                    * (sa @ _site_operator(n, l + 1, b))
+                    * (sa @ site_operator(n, l + 1, b))
     for l in range(n):
         for a in "xyz":
-            h += field_scale * gen.standard_normal() * _site_operator(n, l, a)
+            h += field_scale * gen.standard_normal() * site_operator(n, l, a)
     return h
 
 

@@ -38,7 +38,7 @@ class TestRateGue:
         assert run_cli(["rate-gue", "--dims", "2,4", "--samples", "200",
                         "--seed", "5", "-o", str(out)]) == 0
         comments, header, rows = read_csv(str(out))
-        assert comments[0] == "# dephase-lab schema v9"
+        assert comments[0] == "# dephase-lab schema v10"
         assert header == ["d", "gamma", "rate_haar", "rate_wick", "rate_mc_mean",
                           "rate_mc_stderr", "n_samples", "seed"]
         assert len(rows) == 2
@@ -231,6 +231,27 @@ class TestCrossover:
         eps_sq = calibrate_epsilon(1, 1, 1.0)
         want = 2 * Fraction(eps_sq) * 90 ** 180 / math.factorial(90) ** 2
         assert float(rows[-1][-1]) == pytest.approx(float(want), rel=1e-12)
+
+    def test_echo_line_records_gamma(self, tmp_path):
+        # The rows scale with --gamma, so the echo line names it.
+        echo, rows = {}, {}
+        for g in ("1", "2"):
+            out = tmp_path / f"c{g}.csv"
+            assert run_cli(["crossover", "--k-list", "1", "--n-max", "3",
+                            "--gamma", g, "-o", str(out)]) == 0
+            comments, _, rows[g] = read_csv(str(out))
+            echo[g] = comments[1]
+        assert echo["2"] == ("# crossover: k_list=1 n_max=3 n0=1 gamma=2 "
+                             "mode=approx seed=20250117")
+        assert echo["1"] == echo["2"].replace("gamma=2", "gamma=1")
+        assert rows["1"] != rows["2"]
+
+    def test_n0_below_one_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run_cli(["crossover", "--n0", "0", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "configuration error: --n0 must be at least 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--n-max", "1024"], ["--n0", "1024"]])
     def test_dimension_beyond_a_double_exit_2(self, tmp_path, capsys, argv):
@@ -625,7 +646,7 @@ def test_closed_form_commands_never_import_numpy(tmp_path, argv):
                "assert 'numpy' not in sys.modules\n"
                "assert 'dataclasses' not in sys.modules\n",
                *argv, "-o", str(tmp_path / "c.csv"))
-    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v9")
+    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v10")
 
 
 def test_cli_import_leaves_the_lapack_handle_unloaded():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -452,7 +455,8 @@ class TestAnnealing:
             for energies in spectra:
                 ln_z = _gibbs_log_weights(energies, beta)[1]
                 p = build_tfd(energies, beta).weights ** 2
-                rows.append([ln_z, p @ (energies - p @ energies) ** 2])
+                mean = np.einsum("k,k->", p, energies)
+                rows.append([ln_z, np.einsum("k,k->", p, (energies - mean) ** 2)])
             ln_z, var = np.array(rows).T
             assert chk.mean_ln_z == ln_z.mean()
             assert chk.rate_quenched.mean == (4.0 * var).mean()
@@ -570,3 +574,69 @@ class TestMasterEquationRk4:
 
 def zero_h(d):
     return np.zeros((d, d), dtype=complex)
+
+
+_MOMENTS_UNDER_CORE_TYPE = """\
+import ctypes, sys
+import numpy as np
+from numpy.linalg import _umath_linalg
+from dephase_lab.dynamics import (annealing_check, build_tfd, ensemble_purity_tfd,
+                                  rate_tfd)
+from dephase_lab.ensembles import RngStream
+from dephase_lab.rates import (LindbladChannel, build_kbody_operator,
+                               decoherence_rate, rate_lmg)
+from dephase_lab.specfun import KBodySpec
+from dephase_lab.trajectories import TrajectoryConfig, sse_trajectory
+
+core = getattr(ctypes.CDLL(_umath_linalg.__file__),
+               'scipy_openblas_get_corename64_', None)
+if core is not None:
+    core.restype = ctypes.c_char_p
+print(core().decode() if core else '?', file=sys.stderr)
+gen = RngStream(7, 0).generator()
+z = gen.standard_normal(256) + 1j * gen.standard_normal(256)
+r = z.view(float)
+psi = z / np.sqrt(np.einsum("j,j->", r, r))
+vals = []
+for chk in annealing_check((0.25, 0.5, 1.0), 40, 400, RngStream(7, 1)):
+    vals += [chk.mean_ln_z, chk.ln_mean_z, chk.rate_quenched.mean,
+             chk.rate_quenched.stderr, chk.rate_annealed_mc.mean,
+             chk.rate_annealed_mc.stderr]
+for c in ensemble_purity_tfd(6, (0.0, 0.5, 1.0), 1.0, np.linspace(0.0, 2.0, 3), 20,
+                             RngStream(7, 2)):
+    vals += [c.rate.mean, c.rate.stderr]
+spectrum = np.sort(4.0 * gen.standard_normal(256))
+vals += [rate_tfd(build_tfd(spectrum, beta)) for beta in (0.0, 0.3, 1.0)]
+vals += [rate_lmg(n, 0.7, beta, 1.0) for n in (50, 1000) for beta in (0.0, 0.1)]
+vals += [decoherence_rate(psi, [LindbladChannel(1.0, build_kbody_operator(
+    KBodySpec(8, k, 0.7)))]) for k in (1, 3)]
+traj = sse_trajectory(None, [LindbladChannel(0.5, gen.standard_normal(256))], psi,
+                      TrajectoryConfig(1e-4, 20, 1), RngStream(7, 3))
+print(np.array(vals).tobytes().hex(), traj.tobytes().hex())
+"""
+
+
+def test_moments_do_not_depend_on_the_blas_core_type():
+    """Thermal, annealed, k-body and trajectory-norm results are the same bytes
+    under every OpenBLAS core type: each per-row moment and dot product is an
+    einsum, and BLAS runs only matrix products these results do not reach.
+
+    Only the OpenBLAS lever is driven.  The Gibbs weights still follow numpy's
+    SIMD level through ``np.exp``, so ``NPY_DISABLE_CPU_FEATURES`` could move
+    these bytes.
+    """
+    src = os.path.dirname(os.path.dirname(_pool.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = []
+    for core in (None, "Haswell", "Sandybridge", "Prescott"):
+        extra = {} if core is None else {"OPENBLAS_CORETYPE": core}
+        proc = subprocess.run([sys.executable, "-c", _MOMENTS_UNDER_CORE_TYPE],
+                              env=dict(env, **extra), capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stderr.split("\n")[0], proc.stdout))
+    if runs[0][0] == "?":
+        pytest.skip("this numpy's OpenBLAS does not report its core type")
+    assert len({name for name, _ in runs}) > 1, [name for name, _ in runs]
+    assert all(out == runs[0][1] for _, out in runs), [name for name, _ in runs]

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from _oracles import build_tbre_hamiltonian, gue_rates_triangles
+from _oracles import build_tbre_hamiltonian, gue_rates_triangles, tbre_pair_sum
 from dephase_lab import _pool, rates
 from dephase_lab.ensembles import RngStream, _gue_columns, _gue_matrix
 from dephase_lab.dynamics import build_tfd, master_equation_rk4, rate_tfd
@@ -386,8 +386,10 @@ class TestKBodyOperator:
                 x = build_kbody_operator(KBodySpec(n, k, 0.9))
                 ch = [LindbladChannel(gamma, x)]
                 psi = rand_pure(1 << n, gen)
-                u = psi * x - np.vdot(psi, psi * x) * psi     # (X - <X>) psi
-                assert decoherence_rate(psi, ch) == 2.0 * (gamma * np.vdot(u, u).real)
+                mean = np.einsum("i,i->", psi.conj(), psi * x)
+                u = psi * x - mean * psi                      # (X - <X>) psi
+                var = np.einsum("i,i->", u.conj(), u).real
+                assert decoherence_rate(psi, ch) == 2.0 * (gamma * var)
                 mixed = _random_mixed(1 << n, gen)
                 w = np.abs(mixed) ** 2
                 cov = 0.5 * (w * (x[:, None] - x) * (x[:, None] - x)).sum()
@@ -498,6 +500,12 @@ class TestCrossover:
 
 
 class TestTbre:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_operator_equals_the_pauli_pair_sum(self, n):
+        # One Kronecker product per bond against the 9 (n - 1) pair products:
+        # every entry is a small Gaussian integer, so the sums agree bit for bit.
+        assert build_tbre_operator(n).tobytes() == tbre_pair_sum(n).tobytes()
+
     def test_operator_norm_bound(self):
         for n in (2, 3, 4):
             v = build_tbre_operator(n)
