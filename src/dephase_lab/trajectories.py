@@ -116,8 +116,11 @@ def sse_trajectory(h0: np.ndarray | None, channels: list[LindbladChannel],
     """One Euler-Maruyama trajectory; returns states of shape (steps+1, d).
 
     Draws from substream 0 of ``stream`` as the first row of a block, so it
-    is trajectory 0 of :func:`average_trajectories` on the same stream.  With
-    ``cfg.renormalize`` the returned states have unit norm at every step.
+    is trajectory 0 of :func:`average_trajectories` on the same stream: bit
+    for bit when every channel and ``h0`` (if given) is diagonal, and up to
+    rounding (a few 1e-16) otherwise, since a dense operator acts on the
+    whole batch in one BLAS product whose rounding follows the batch size.
+    With ``cfg.renormalize`` the returned states have unit norm at every step.
     """
     h0, vec = _start(h0, channels, psi0, cfg)
     dw = _wiener_block(stream.sample_generator(0), 1, cfg.steps, len(channels),

@@ -4,11 +4,11 @@ These deliberately take independent routes from the library code:
 quadrature over the exact finite-d eigenvalue correlations instead of
 sampling, direct summations instead of recurrences, and the raw polynomial
 recurrences that the library replaces by scaled forms.  The exceptions are
-``laguerre_ratio_chain`` and ``log_laguerre_reference``: the library's
-earlier forms of the same recurrences, kept as the references that the
-current loops must reproduce bit for bit; and ``gue_block_triangles``, the
-library's earlier GUE draw, which the current one must match in law and,
-for a basis state, in every rate of the same normals up to rounding.
+``log_laguerre_reference``, the library's earlier form of the same
+recurrence, kept as the reference that the current loop must reproduce bit
+for bit, and ``gue_block_triangles``, the library's earlier GUE draw, which
+the current one must match in law and, for a basis state, in every rate of
+the same normals up to rounding.
 ``build_tbre_hamiltonian`` is the illustrative TBRE Hamiltonian draw; the
 library's TBRE rate and bound read only the fixed operator, which
 ``tbre_pair_sum`` builds pair by pair.
@@ -19,7 +19,6 @@ import math
 import numpy as np
 
 from dephase_lab.ensembles import _gue_matrix
-from dephase_lab.exceptions import NumericalError
 from dephase_lab.rates import PAULI
 from dephase_lab.specfun import _LOG_SCALE_CAP
 
@@ -249,56 +248,6 @@ def log_laguerre_reference(n: int, alpha: float, x: float) -> float:
             shift += math.log(cur)
             cur = 1.0
     return math.log(cur) + shift
-
-
-def laguerre_ratio_chain(d: int, x: float) -> tuple[float, float, float]:
-    """Jointly recurse ``L^(1)``, ``L^(2)``, ``L^(3)`` up to degrees d-1, d-2, d-3.
-
-    All three chains share every renormalization step, so the returned ratios
-    ``f12 = L_{d-2}^(2)/L_{d-1}^(1)`` and ``f13 = L_{d-3}^(3)/L_{d-1}^(1)``
-    never pass through an overflowing intermediate.  Also returns
-    ``log L_{d-1}^(1)(x)``.  Requires ``x <= 0``.
-
-    Per-chain state in dicts, a ``done`` map and one generator ``max`` per
-    step: the reference for ``specfun._laguerre_ratio_chain``.
-    """
-    if x > 0:
-        raise ValueError("ratio chain requires x <= 0")
-    targets = {1: d - 1, 2: d - 2, 3: d - 3}
-    prev = {a: 1.0 for a in (1, 2, 3)}
-    cur = {a: 1.0 + a - x for a in (1, 2, 3)}
-    done: dict[int, float] = {}
-    for a in (1, 2, 3):
-        t = targets[a]
-        if t < 0:
-            done[a] = 0.0
-        elif t == 0:
-            done[a] = 1.0
-        elif t == 1:
-            done[a] = cur[a]
-    shift = 0.0
-    n = 1
-    while n < targets[1]:
-        n += 1
-        for a in (1, 2, 3):
-            if a in done:
-                continue
-            prev[a], cur[a] = cur[a], ((2 * n - 1 + a - x) * cur[a]
-                                       - (n - 1 + a) * prev[a]) / n
-            if n == targets[a]:
-                done[a] = cur[a]
-        peak = max(abs(v) for v in (*cur.values(), *done.values()))
-        if peak > _LOG_SCALE_CAP:
-            for a in (1, 2, 3):
-                prev[a] /= peak
-                cur[a] /= peak
-                if a in done:
-                    done[a] /= peak
-            shift += math.log(peak)
-    l1 = done.get(1, cur[1])
-    if l1 <= 0.0:
-        raise NumericalError("Laguerre ratio chain lost positivity")
-    return math.log(l1) + shift, done[2] / l1, done[3] / l1
 
 
 def z_from_spectrum(energies: np.ndarray, beta: float, y: float = 0.0) -> complex:

@@ -3,6 +3,7 @@ and every channel operator, Hamiltonian or spectrum through
 ``hermitian.as_operator``.  Each table row names an entry point, the name its
 message carries and the bounds of the count."""
 
+import math
 import re
 
 import numpy as np
@@ -178,3 +179,15 @@ def test_as_operator_keeps_the_array_and_its_tolerance():
     assert LindbladChannel(1.0, [1.0, -1.0]).v.dtype == float
     with pytest.raises(ValueError, match="energies must be a vector"):
         build_tfd(PAULI["z"].real, 0.5)
+
+
+@pytest.mark.parametrize("n", [0, 1, 16])
+@pytest.mark.parametrize("alpha,message", [
+    (math.nan, "alpha + 1 must be finite"), (math.inf, "alpha + 1 must be finite"),
+    (-1.0, "alpha + 1 must be positive"), (-2.0, "alpha + 1 must be positive")])
+def test_log_laguerre_l_refuses_a_bad_alpha(n, alpha, message):
+    # alpha > -1 keeps every recurrence term positive for x <= 0.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        log_laguerre_l(n, alpha, 0.0)
+    assert log_laguerre_l(n, -0.5, 0.0) == pytest.approx(
+        math.log(math.comb(2 * n, n) / 4 ** n) if n else 0.0, rel=1e-13)

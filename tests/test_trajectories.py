@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from dephase_lab import _pool
 from dephase_lab.dynamics import build_tfd, master_equation_rk4, purity_tfd
 from dephase_lab.ensembles import RngStream, _gue_matrix
 from dephase_lab.exceptions import StepSizeError
 from dephase_lab.rates import PAULI, LindbladChannel
-from dephase_lab.trajectories import (TrajectoryConfig, average_trajectories,
+from dephase_lab.trajectories import (TrajectoryConfig, _em_states, _start,
+                                      _wiener_block, average_trajectories,
                                       default_dt, sse_trajectory,
                                       tfd_two_noise_config)
 
@@ -93,6 +95,35 @@ class TestSingleTrajectory:
                 psi = psi / math.sqrt(np.einsum("j,j->", r, r))
             ref.append(psi[0])
         assert np.array_equal(states, np.array(ref))
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    @pytest.mark.parametrize("kind", ["no-h0", "diagonal", "dense"])
+    def test_is_row_zero_of_the_engine_batch(self, d, kind):
+        # Diagonal operators act row by row, so the single trajectory is row
+        # 0 of average_trajectories' batch bit for bit; a dense operator acts
+        # on the whole batch in one BLAS product, which rounds differently.
+        gen = RngStream(54, d).generator()
+        if kind == "dense":
+            h0, v = _gue_matrix(d, gen), _gue_matrix(d, gen)
+        else:
+            h0, v = gen.standard_normal(d), gen.standard_normal(d)
+        channels = [LindbladChannel(1.0, v)]
+        cfg = TrajectoryConfig(dt=default_dt(h0, channels), steps=20, n_trajectories=32)
+        h0 = None if kind == "no-h0" else h0
+        psi0 = gen.standard_normal(d) + 1j * gen.standard_normal(d)
+        psi0 /= np.linalg.norm(psi0)
+        rng = RngStream(55)
+        single = sse_trajectory(h0, channels, psi0, cfg, rng)
+
+        h0, vec = _start(h0, channels, psi0, cfg)
+        dw = _pool.gather_samples(_wiener_block, cfg.n_trajectories, rng, 1,
+                                  cfg.steps, len(channels), cfg.dt)
+        batch = np.stack([psi[0] for psi in _em_states(
+            h0, channels, np.tile(vec, (cfg.n_trajectories, 1)), dw, cfg)])
+        if kind == "dense":
+            np.testing.assert_allclose(single, batch, rtol=0.0, atol=1e-15)
+        else:
+            assert np.array_equal(single, batch)
 
     def test_step_size_guard(self):
         cfg = TrajectoryConfig(dt=0.1, steps=10, n_trajectories=1)
