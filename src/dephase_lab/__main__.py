@@ -1,5 +1,5 @@
 import sys
 
-from ._cli import main
+from ._cli import run
 
-sys.exit(main())
+sys.exit(run())

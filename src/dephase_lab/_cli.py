@@ -14,10 +14,11 @@ validate   Cross-route consistency checks; nonzero exit on failure.
 
 Identical command line and seed give byte-identical CSV, independent of
 ``--threads``; floats are printed with 17 significant digits so they
-round-trip exactly.  Environment variables are never consulted.  ``rate-gue``
-calls no BLAS, so its bytes do not depend on the OpenBLAS core type or on
-numpy's SIMD level; sampled ``tfd`` purity still depends on the latter
-through ``np.exp``.
+round-trip exactly.  The CLI reads no environment variable.  It writes one,
+``OPENBLAS_NUM_THREADS=1``, for its own process and its pool workers (see
+:func:`run`), so ``--threads N`` is N CPUs.  ``rate-gue`` calls no BLAS, so
+its bytes do not depend on the OpenBLAS core type or on numpy's SIMD level;
+sampled ``tfd`` purity still depends on the latter through ``np.exp``.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  A
 non-finite value, a float overflow or a division by zero is a numerical
@@ -29,8 +30,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import math
+import os
 import sys
 
 from .exceptions import NumericalError
@@ -304,3 +307,21 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as exc:   # a request too large for memory
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+
+
+def run() -> int:
+    """The process entry of ``python -m dephase_lab`` and of the
+    ``dephase-lab`` script: :func:`main` on ``sys.argv``, between two settings
+    of the process.
+
+    It pins OpenBLAS to one thread before anything imports numpy, so no launch
+    starts an idle BLAS thread and forked pool workers inherit the pin.  It
+    freezes the collector before it returns, so interpreter shutdown skips a
+    full collection over numpy's objects.  :func:`main`, the in-process entry,
+    touches neither the environment nor the collector.
+    """
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        return main()
+    finally:
+        gc.freeze()

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import math
 import os
@@ -596,15 +597,16 @@ class TestValidate:
         assert not val._check_hs_quadrature(100)[0].passed
 
 
-def _run_fresh(code, *argv):
+def _run_fresh(code, *argv, **env_vars):
     # A fresh interpreter, since the test suite itself imports the modules
     # these tests look for.
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def test_sampling_never_imports_scipy(tmp_path):
@@ -660,35 +662,39 @@ def test_sampled_tfd_bytes_do_not_depend_on_the_blas_thread_count():
     # At d = 1024 the pair sum is far past OpenBLAS's threading threshold
     # for a matrix-vector product, and at d = 64 twelve betas stack twelve
     # rows of pairs; neither sum calls BLAS.  Only the two children's
-    # environments are set.
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # environments are set, and they call `main`: the process entry `run`
+    # would pin both to one BLAS thread.
+    threads_seen = set()
     for argv in (["--n-qubits", "10", "--samples", "4"],
                  ["--n-qubits", "6", "--samples", "20",
                   "--beta-list", "0,0.1,0.25,0.5,0.75,1,1.5,2,3,5,8,13"]):
         outputs = []
         for threads in ("1", "2"):
-            proc = subprocess.run([sys.executable, "-m", "dephase_lab", "tfd", *argv],
-                                  env=dict(env, OPENBLAS_NUM_THREADS=threads),
-                                  capture_output=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
+            proc = _run_fresh(_CLI_UNDER_LEVERS, "tfd", *argv,
+                              OPENBLAS_NUM_THREADS=threads)
             outputs.append(proc.stdout)
+            threads_seen.add(proc.stderr.split("\n")[0].split()[2])
         assert outputs[0] == outputs[1], argv
+    if threads_seen != {"1", "2"}:
+        pytest.skip(f"OpenBLAS ran {sorted(threads_seen)} threads, so two "
+                    f"thread counts were not compared")
 
 
-# Runs the CLI on argv[1:] after reporting on stderr the two CPU levers the
-# child runs under: OpenBLAS's core type and whether numpy dispatches AVX-512.
+# Runs the in-process CLI on argv[1:] after reporting on stderr the two CPU
+# levers the child runs under, OpenBLAS's core type and whether numpy
+# dispatches AVX-512, and OpenBLAS's thread count ('?' where numpy's linalg
+# extension does not report it).
 _CLI_UNDER_LEVERS = (
     "import ctypes, sys\n"
     "from numpy._core._multiarray_umath import __cpu_features__\n"
     "from numpy.linalg import _umath_linalg\n"
-    "core = getattr(ctypes.CDLL(_umath_linalg.__file__),\n"
-    "               'scipy_openblas_get_corename64_', None)\n"
+    "lib = ctypes.CDLL(_umath_linalg.__file__)\n"
+    "core = getattr(lib, 'scipy_openblas_get_corename64_', None)\n"
+    "threads = getattr(lib, 'scipy_openblas_get_num_threads64_', None)\n"
     "if core is not None:\n"
     "    core.restype = ctypes.c_char_p\n"
     "print(core().decode() if core else '?', __cpu_features__['X86_V4'],\n"
-    "      file=sys.stderr)\n"
+    "      threads() if threads else '?', file=sys.stderr)\n"
     "from dephase_lab._cli import main\n"
     "sys.exit(main(sys.argv[1:]))\n")
 
@@ -714,7 +720,7 @@ def test_rate_gue_bytes_do_not_depend_on_the_cpu_kernels(variable, values):
         return proc.stdout, proc.stderr.split("\n")[0]
 
     want, lever = run({})
-    core, avx512 = lever.split()
+    core, avx512, _ = lever.split()
     if variable == "OPENBLAS_CORETYPE" and core == "?":
         pytest.skip("this numpy's OpenBLAS does not report its core type")
     if variable == "NPY_DISABLE_CPU_FEATURES" and avx512 != "True":
@@ -725,6 +731,79 @@ def test_rate_gue_bytes_do_not_depend_on_the_cpu_kernels(variable, values):
     assert len(set(levers)) > 1, f"{variable} changed nothing: {levers}"
     for value, (got, _) in zip(values, runs):
         assert got == want, (variable, value)
+
+
+def test_cli_process_runs_one_blas_thread_and_freezes_the_collector(tmp_path):
+    # `run` pins OpenBLAS to one thread, whatever the environment says,
+    # before the sampling command imports numpy, and freezes the collector
+    # before the process exits.
+    proc = _run_fresh(
+        "import ctypes, gc, os, sys\n"
+        "from dephase_lab import _cli\n"
+        "seen, main = [], _cli.main\n"
+        "def spy(argv=None):\n"
+        "    seen.append((os.environ['OPENBLAS_NUM_THREADS'],\n"
+        "                 'numpy' in sys.modules))\n"
+        "    return main(argv)\n"
+        "_cli.main = spy\n"
+        "assert _cli.run() == 0\n"
+        "assert seen == [('1', False)], seen\n"
+        "assert gc.get_freeze_count() > 0\n"
+        "from numpy.linalg import _umath_linalg\n"
+        "get = getattr(ctypes.CDLL(_umath_linalg.__file__),\n"
+        "              'scipy_openblas_get_num_threads64_', None)\n"
+        "print(get() if get else '?')\n",
+        "tfd", "--n-qubits", "3", "--beta-list", "0,1", "--t-points", "3",
+        "--samples", "4", "-o", str(tmp_path / "t.csv"),
+        OPENBLAS_NUM_THREADS="2")
+    if proc.stdout.strip() == "?":
+        pytest.skip("this numpy's OpenBLAS does not report its thread count")
+    assert proc.stdout.strip() == "1"
+
+
+def test_main_leaves_the_environment_and_the_collector_alone(tmp_path):
+    env = dict(os.environ)
+    assert run_cli(["rate-gue", "--dims", "2,4", "--samples", "10",
+                    "-o", str(tmp_path / "r.csv")]) == 0
+    assert gc.get_freeze_count() == 0
+    assert dict(os.environ) == env
+
+
+def test_both_process_entries_go_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(cli.__file__), "..", "..",
+                             "pyproject.toml")
+    if not os.path.exists(pyproject):
+        pytest.skip("the package does not run from its source tree")
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"dephase-lab": "dephase_lab._cli:run"}
+    main_py = os.path.join(os.path.dirname(cli.__file__), "__main__.py")
+    with open(main_py) as fh:
+        assert "sys.exit(run())" in fh.read()
+
+
+def test_serial_validate_uses_one_cpu(tmp_path):
+    # OpenBLAS starts its threads when numpy loads, and an idle one made
+    # a serial `validate --quick` use about 1.5 CPU seconds per wall second
+    # on 2 cores.  The child's environment has no thread variable, so only
+    # the CLI's own pin can keep it to one CPU.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS", "GOTO_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open(tmp_path / "err", "wb") as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "dephase_lab", "validate",
+                                 "--quick", "--threads", "1"], env=env,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, (tmp_path / "err").read_text()
+    cpu = usage.ru_utime + usage.ru_stime
+    assert cpu <= 1.05 * wall, f"{cpu:.3f} CPU-s in {wall:.3f} s"
 
 
 def test_package_import_loads_no_submodule():
