@@ -81,15 +81,19 @@ def _write(path: str | None, data: str) -> None:
             fh.write(data)
 
 
-def _parse_list(text: str, kind=float) -> list:
-    return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+def _parse_list(flag: str, text: str, kind, *bounds) -> list:
+    """The values of a comma-separated list flag, each checked by
+    ``_check_int`` (``kind=int``, ``bounds`` are ``lo[, hi]``) or by
+    ``_check_real`` (``bounds`` is the domain); an empty list is refused."""
+    check = _check_int if kind is int else _check_real
+    values = [check(flag, kind(tok), *bounds) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"{flag} must list at least one value")
+    return values
 
 
 def cmd_rate_gue(args) -> int:
-    dims = _parse_list(args.dims, int)
-    if not dims or any(not 1 <= d <= 2 ** _SAMPLING_LOG2_CAP for d in dims):
-        raise ValueError(f"--dims must list dimensions between 1 and "
-                         f"{2 ** _SAMPLING_LOG2_CAP}")
+    dims = _parse_list("--dims", args.dims, int, 1, 2 ** _SAMPLING_LOG2_CAP)
     _check_real("--gamma", args.gamma, "positive")
     _check_int("--samples", args.samples, 2)
     import numpy as np
@@ -114,16 +118,10 @@ def cmd_rate_gue(args) -> int:
 
 
 def cmd_crossover(args) -> int:
-    k_list = _parse_list(args.k_list, int)
-    if not k_list or any(k < 1 for k in k_list):
-        raise ValueError("--k-list must list localities >= 1")
-    if args.n_max < max(k_list):
-        raise ValueError("--n-max must reach the largest k")
-    if args.n0 < 1:                 # the calibration runs at k = 1
-        raise ValueError("--n0 must be at least 1")
-    for flag, n in (("--n-max", args.n_max), ("--n0", args.n0)):
-        if n > 1023:
-            raise ValueError(f"{flag} is too large: 2**{n} overflows a double")
+    k_list = _parse_list("--k-list", args.k_list, int, 1)
+    # 2**1023 is the largest power of two in a double; calibration is at k = 1.
+    _check_int("--n-max", args.n_max, max(k_list), 1023)
+    _check_int("--n0", args.n0, 1, 1023)
     _check_real("--gamma", args.gamma, "positive")
     # Reference-size calibration at k = 1, where both bound modes coincide.
     eps_sq = calibrate_epsilon(args.n0, 1, args.gamma)
@@ -153,20 +151,19 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_tfd(args) -> int:
-    betas = [_check_real("--beta-list", b) for b in _parse_list(args.beta_list)]
-    if not betas:
-        raise ValueError("--beta-list must list inverse temperatures >= 0")
+    betas = _parse_list("--beta-list", args.beta_list, float)
     _check_real("--gamma", args.gamma, "positive")
     _check_real("--t-max", args.t_max, "positive")
     _check_int("--t-points", args.t_points, 2)
-    log2d = args.log2_dim if args.log2_dim is not None else args.n_qubits
-    _check_real("--log2-dim", log2d, None)
+    flag, log2d = (("--n-qubits", args.n_qubits) if args.log2_dim is None
+                   else ("--log2-dim", args.log2_dim))
+    _check_real(flag, log2d, None)
     if args.log2_dim is not None and not args.formula_only:
         raise ValueError("--log2-dim applies only with --formula-only")
     try:
         dim = 2.0 ** log2d
     except OverflowError:
-        raise ValueError("--log2-dim is too large: 2**log2d overflows a "
+        raise ValueError(f"{flag} is too large: 2**{_fmt(log2d)} overflows a "
                          "double") from None
     header = ["beta", "gamma_t", "purity_mean", "purity_stderr", "purity_inf",
               "rate_exact", "rate_semicircle", "rate_high_t", "rate_low_t"]
@@ -180,9 +177,7 @@ def cmd_tfd(args) -> int:
             rows.append([beta, "", "", "", "",
                          *_rate_columns(beta, exact_d, dim, args.gamma)])
     else:
-        if not 1 <= args.n_qubits <= _SAMPLING_LOG2_CAP:
-            raise ValueError(f"--n-qubits must be between 1 and "
-                             f"{_SAMPLING_LOG2_CAP} when sampling")
+        _check_int("--n-qubits", args.n_qubits, 1, _SAMPLING_LOG2_CAP)
         _check_int("--samples", args.samples, 2)
         import numpy as np
         from . import dynamics, ensembles
@@ -298,8 +293,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_int("--threads", args.threads, 1)
-        if not 0 <= args.seed < 2 ** 64:
-            raise ValueError("--seed must lie in [0, 2**64)")
+        _check_int("--seed", args.seed, 0, 2 ** 64 - 1)
         return args.func(args)
     except (NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

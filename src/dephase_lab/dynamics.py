@@ -45,10 +45,10 @@ import numpy as np
 
 from . import _pool
 from .exceptions import StepSizeError
-from .hermitian import (_energy_dephasing_rate, _gibbs_log_weights, as_matrix,
-                        as_operator, as_state, spectral_norm)
+from .hermitian import (_energy_dephasing_rate, _gibbs_weights, as_matrix,
+                        as_operator, as_state)
 from .ensembles import EnsembleEstimate, RngStream, _gue_spectra
-from .rates import LindbladChannel, _noise_stiffness
+from .rates import LindbladChannel, _stiffness
 from .specfun import _SAMPLING_LOG2_CAP, _check_int, _check_real, rate_tfd_gue_exact
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def build_tfd(energies: np.ndarray, beta: float,
     energies = np.array(as_operator(energies, "energies"), dtype=float)
     if energies.ndim != 1:
         raise ValueError("energies must be a vector")
-    weights = np.exp(0.5 * _gibbs_log_weights(energies, beta)[0])
+    weights = _gibbs_weights(energies, beta)[0]
     return TfdSystem(energies=energies, gamma=gamma, weights=weights)
 
 
@@ -237,7 +237,7 @@ def rate_tfd(sys: TfdSystem) -> float:
     ``4 gamma`` times the second beta-derivative of ``ln Z`` and is computed
     exactly from the eigenvalues rather than by finite differences.
     """
-    return float(_energy_dephasing_rate(sys.weights ** 2, sys.energies, sys.gamma)[0])
+    return float(_energy_dephasing_rate(sys.weights ** 2, sys.energies, sys.gamma))
 
 
 @dataclass(frozen=True)
@@ -256,10 +256,10 @@ def _tfd_purity_block(gen: np.random.Generator, m: int, d: int, betas: Sequence[
     ``(m, n_beta, T + 2)``: row by row what :func:`purity_tfd`,
     :func:`purity_inf_tfd` and :func:`rate_tfd` give for ``build_tfd(e, beta)``."""
     spectra = _gue_spectra(gen, m, d)[:, None, :]
-    weights = np.exp(0.5 * _gibbs_log_weights(spectra, np.asarray(betas)[:, None])[0])
+    weights = _gibbs_weights(spectra, np.asarray(betas)[:, None])[0]
     probs = weights ** 2
     curves = np.stack([_purity_kernel(e[0], p, gamma_t) for e, p in zip(spectra, probs)])
-    rates = _energy_dephasing_rate(probs, spectra, gamma)[0]
+    rates = _energy_dephasing_rate(probs, spectra, gamma)
     return np.dstack([curves, (weights ** 4).sum(axis=-1), rates])
 
 
@@ -327,9 +327,9 @@ def annealing_check(betas: Sequence[float], d: int, n_samples: int,
 def _annealing_at(spectra: np.ndarray, beta: float, gamma: float) -> AnnealingCheck:
     """:class:`AnnealingCheck` at one ``beta`` from ``(n, d)`` spectra."""
     # ln Z and the quenched rate of each draw, from the levels as given.
-    log_p, ln_z = _gibbs_log_weights(spectra, beta)
-    p = np.exp(0.5 * log_p) ** 2
-    quenched = _energy_dephasing_rate(p, spectra, gamma)[0]
+    w, ln_z = _gibbs_weights(spectra, beta)
+    p = w ** 2
+    quenched = _energy_dephasing_rate(p, spectra, gamma)
     ln_z_est = EnsembleEstimate.from_samples(ln_z)
     # <Z> from the same draws, max-shifted.
     shift = ln_z.max()
@@ -345,7 +345,7 @@ def _annealing_at(spectra: np.ndarray, beta: float, gamma: float) -> AnnealingCh
     # z_i c_i^2 s0/(s0 - z_i) off sum z c^2: the leave-one-out jackknife.
     s0 = z.sum()
     low = spectra - spectra.min()
-    m1 = _energy_dephasing_rate(p, low, gamma)[1]
+    m1 = np.einsum("nk,nk->n", p, low)
     c = np.einsum("nk,nk->n", p, low - np.einsum("n,n->", z, m1) / s0)
     total = np.einsum("n,n->", z, quenched) + 4.0 * gamma * np.einsum("n,n->", z, c ** 2)
     loo = (total - z * (quenched + 4.0 * gamma * c ** 2 * s0 / (s0 - z))) / (s0 - z)
@@ -378,7 +378,7 @@ def master_equation_rk4(h0: np.ndarray, channels: list[LindbladChannel],
     _check_int("store_every", store_every, 1)
     rho0 = as_state(rho0)
     h = as_matrix(as_operator(h0, "h0"))
-    stiffness = spectral_norm(h) + _noise_stiffness(channels)
+    stiffness = _stiffness(h, channels)
     if dt * stiffness > 0.05:
         raise StepSizeError(
             f"dt * (||H0|| + sum gamma ||V||^2) = {dt * stiffness:.3g} exceeds "

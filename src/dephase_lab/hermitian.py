@@ -38,16 +38,19 @@ TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
 
 
-def _gibbs_log_weights(energies: np.ndarray, beta: float | np.ndarray,
-                       log_mult: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Gibbs log-probabilities ``log p_k`` and ``ln Z`` of spectra on the last axis.
+def _gibbs_weights(energies: np.ndarray, beta: float | np.ndarray,
+                   log_mult: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Gibbs amplitudes ``w_k = sqrt(p_k)`` and ``ln Z`` of spectra on the last axis.
 
-    ``beta`` broadcasts against ``energies`` (a column of betas against a
-    stack of spectra takes one call); ``log_mult`` adds each level's
-    log-multiplicity.  Each sum is max-shifted, so large ``beta`` gives the
-    ground-state limit instead of underflowing, and ``log p_k`` never goes
-    through ``ln Z``, whose digits the shift would take.
+    The one Gibbs exponent of the package: every thermal weight, ``w`` of a
+    thermofield double or ``p = w ** 2`` of a Gibbs state, is
+    ``exp(log p / 2)`` from here.  ``beta`` broadcasts against ``energies``
+    (a column of betas against a stack of spectra takes one call);
+    ``log_mult`` adds each level's log-multiplicity.  Each sum is
+    max-shifted, so large ``beta`` gives the ground-state limit instead of
+    underflowing, and ``log p_k`` never goes through ``ln Z``, whose digits
+    the shift would take.
     """
     log_w = -beta * energies
     if log_mult is not None:
@@ -56,15 +59,14 @@ def _gibbs_log_weights(energies: np.ndarray, beta: float | np.ndarray,
     log_w = log_w - shift
     sums = np.exp(log_w).sum(axis=-1, keepdims=True)
     log_sum = np.array([math.log(s) for s in sums.flat]).reshape(sums.shape)
-    return log_w - log_sum, (shift + log_sum)[..., 0]
+    return np.exp(0.5 * (log_w - log_sum)), (shift + log_sum)[..., 0]
 
 
 def _energy_dephasing_rate(p: np.ndarray, energies: np.ndarray, gamma: float):
-    """``4 gamma var_p(E)`` and ``<E>`` of populations ``p``, over the last axis.
-    The variance is ``sum p (E - <E>)^2``, so a constant shift cannot cancel it."""
+    """``4 gamma var_p(E)`` of populations ``p``, over the last axis.  The
+    variance is ``sum p (E - <E>)^2``, so a constant shift cannot cancel it."""
     m1 = np.einsum("...k,...k->...", p, energies)
-    var = np.einsum("...k,...k->...", p, (energies - m1[..., None]) ** 2)
-    return 4.0 * gamma * var, m1
+    return 4.0 * gamma * np.einsum("...k,...k->...", p, (energies - m1[..., None]) ** 2)
 
 
 def as_matrix(op: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _pool
 from .exceptions import DimensionMismatchError
-from .hermitian import (_energy_dephasing_rate, _gibbs_log_weights,
+from .hermitian import (_energy_dephasing_rate, _gibbs_weights,
                         _modified_covariance, _purity, as_operator, as_state,
                         spectral_norm)
 from .ensembles import EnsembleEstimate, RngStream, _gue_columns
@@ -67,9 +67,11 @@ class LindbladChannel:
         object.__setattr__(self, "v", as_operator(self.v, "channel operator"))
 
 
-def _noise_stiffness(channels: list[LindbladChannel]) -> float:
-    """``sum gamma ||V||^2``, the noise part of a step-size scale."""
-    return sum(c.gamma * spectral_norm(c.v) ** 2 for c in channels)
+def _stiffness(h0: np.ndarray | None, channels: list[LindbladChannel]) -> float:
+    """``||H0|| + sum gamma ||V||^2``, the scale of every step-size rule;
+    ``h0=None`` counts as 0."""
+    h_norm = 0.0 if h0 is None else spectral_norm(h0)
+    return h_norm + sum(c.gamma * spectral_norm(c.v) ** 2 for c in channels)
 
 
 def decoherence_rate(rho0: np.ndarray, channels: list[LindbladChannel]) -> float:
@@ -204,5 +206,5 @@ def rate_lmg(n: int, epsilon: float, beta: float, gamma: float) -> float:
     _check_real("inverse temperature", beta)
     _check_real("gamma", gamma)
     energies, mult = lmg_sector_spectrum(n, epsilon)
-    w = np.exp(_gibbs_log_weights(energies, beta, np.log(mult))[0])
-    return float(_energy_dephasing_rate(w, energies, gamma)[0])
+    w = _gibbs_weights(energies, beta, np.log(mult))[0]
+    return float(_energy_dephasing_rate(w ** 2, energies, gamma))

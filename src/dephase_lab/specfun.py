@@ -256,6 +256,7 @@ def z_gue_exact(beta: float, d: int) -> float:
     ``beta = 0``.
     """
     _check_int("dimension", d, 1)
+    _check_real("inverse temperature", beta)
     return beta * beta / 4.0 + log_laguerre_l(d - 1, 1, -beta * beta / 2.0)
 
 
@@ -312,7 +313,7 @@ def rate_tfd_gue_semicircle(beta: float, d: float, gamma: float) -> float:
     """
     _check_dim(d)
     _check_real("inverse temperature", beta)
-    _check_real("gamma", gamma)
+    _check_real("gamma", gamma, "positive")
     if beta == 0.0:
         return 2.0 * gamma * d
     x = math.sqrt(2.0 * d) * beta

@@ -31,9 +31,9 @@ import numpy as np
 from . import _pool
 from .dynamics import build_tfd
 from .exceptions import NumericalError, StepSizeError
-from .hermitian import _purity, apply_operator, as_operator, as_state, spectral_norm
+from .hermitian import _purity, apply_operator, as_operator, as_state
 from .ensembles import RngStream
-from .rates import LindbladChannel, _noise_stiffness
+from .rates import LindbladChannel, _stiffness
 from .specfun import _check_int, _check_real
 
 _NORM_FLOOR = 1e-6
@@ -54,10 +54,9 @@ class TrajectoryConfig:
         _check_int("n_trajectories", self.n_trajectories, 1)
 
 
-def default_dt(h0: np.ndarray, channels: list[LindbladChannel]) -> float:
+def default_dt(h0: np.ndarray | None, channels: list[LindbladChannel]) -> float:
     """Step-size default ``1e-3 / (||H0|| + sum gamma ||V||^2)``."""
-    scale = spectral_norm(h0) + _noise_stiffness(channels)
-    return 1e-3 / max(scale, 1e-12)
+    return 1e-3 / max(_stiffness(h0, channels), 1e-12)
 
 
 def _start(h0: np.ndarray | None, channels: list[LindbladChannel],
@@ -67,7 +66,7 @@ def _start(h0: np.ndarray | None, channels: list[LindbladChannel],
     psi0 = as_state(psi0)
     if psi0.ndim != 1:
         raise ValueError("trajectories start from a pure state")
-    stiff = _noise_stiffness(channels)
+    stiff = _stiffness(None, channels)
     if cfg.dt * stiff > 0.01 + 1e-12:
         raise StepSizeError(
             f"dt * sum gamma ||V||^2 = {cfg.dt * stiff:.3g} exceeds 0.01")

@@ -78,8 +78,7 @@ class TestRateGue:
         assert run_cli(["rate-gue", "--dims", dims, "--samples", "2",
                         "-o", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == ("configuration error: --dims must list "
-                                "dimensions between 1 and 1024\n")
+        assert captured.err == "configuration error: --dims must be at most 1024\n"
         assert captured.out == "" and not out.exists()
 
     def test_dimension_cap_is_inclusive(self, tmp_path, monkeypatch):
@@ -258,9 +257,9 @@ class TestCrossover:
     def test_dimension_beyond_a_double_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "c.csv"
         assert run_cli(["crossover", *argv, "-o", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: {argv[0]} is too large")
-        assert "overflows a double" in err and err.count("\n") == 1
+        # 2**1024 overflows a double, so 1023 is the largest qubit number.
+        assert capsys.readouterr().err == \
+            f"configuration error: {argv[0]} must be at most 1023\n"
         assert not out.exists()
 
 
@@ -340,6 +339,16 @@ class TestTfd:
         assert run_cli(["tfd", "--formula-only", "--log2-dim", "1e6",
                         "-o", str(out)]) == 2
         assert "--log2-dim is too large" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_formula_only_overflow_names_the_n_qubits_flag(self, tmp_path, capsys):
+        # Without --log2-dim the dimension is 2**n_qubits, so the message
+        # names the flag that was given.
+        out = tmp_path / "f.csv"
+        assert run_cli(["tfd", "--formula-only", "--n-qubits", "2000",
+                        "-o", str(out)]) == 2
+        assert capsys.readouterr().err == ("configuration error: --n-qubits is "
+                                           "too large: 2**2000 overflows a double\n")
         assert not out.exists()
 
     def test_log2_dim_without_formula_only_exit_2(self, tmp_path, capsys):
@@ -528,7 +537,8 @@ def test_seed_outside_uint64_exits_2(tmp_path, capsys, command, extra, seed):
     out = tmp_path / "x.csv"
     assert run_cli([command, *extra, "--seed", seed, "-o", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "configuration error: --seed must lie in [0, 2**64)\n"
+    bound = "at least 0" if seed == "-1" else f"at most {2 ** 64 - 1}"
+    assert captured.err == f"configuration error: --seed must be {bound}\n"
     assert captured.out == "" and not out.exists()
 
 

@@ -16,7 +16,7 @@ from dephase_lab.dynamics import (_annealing_at, _purity_kernel, _tfd_purity_blo
                                   purity_tfd, purity_tfd_hs, rate_tfd)
 from dephase_lab.ensembles import RngStream, _gue_matrix, _gue_spectra, _gue_spectrum
 from dephase_lab.exceptions import StepSizeError
-from dephase_lab.hermitian import _gibbs_log_weights, purity
+from dephase_lab.hermitian import _gibbs_weights, purity
 from dephase_lab.rates import PAULI, LindbladChannel, decoherence_rate
 from dephase_lab.specfun import rate_tfd_gue_exact, z_gue_exact
 from dephase_lab.trajectories import tfd_two_noise_config
@@ -174,7 +174,7 @@ class TestPurityKernel:
     BETAS = np.array([0.0, 1e-3, 0.5, 3.0, 50.0])
 
     def _probs(self, energies):
-        return np.exp(_gibbs_log_weights(energies, self.BETAS[:, None])[0])
+        return _gibbs_weights(energies, self.BETAS[:, None])[0] ** 2
 
     def _check(self, energies):
         probs = self._probs(energies)
@@ -453,7 +453,7 @@ class TestAnnealing:
         for beta, chk in zip(betas, checks):
             rows = []
             for energies in spectra:
-                ln_z = _gibbs_log_weights(energies, beta)[1]
+                ln_z = _gibbs_weights(energies, beta)[1]
                 p = build_tfd(energies, beta).weights ** 2
                 mean = np.einsum("k,k->", p, energies)
                 rows.append([ln_z, np.einsum("k,k->", p, (energies - mean) ** 2)])

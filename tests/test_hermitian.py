@@ -3,7 +3,7 @@ import pytest
 
 from dephase_lab import (HermiticityError, DimensionMismatchError,
                          modified_covariance, purity, spectral_norm)
-from dephase_lab.hermitian import _energy_dephasing_rate, _gibbs_log_weights, as_state
+from dephase_lab.hermitian import _energy_dephasing_rate, _gibbs_weights, as_state
 from dephase_lab.ensembles import RngStream, _gue_matrix
 from dephase_lab.rates import PAULI, decoherence_rate
 
@@ -187,23 +187,21 @@ class TestGibbsStack:
         betas = np.array([0.0, 0.3, 2.5, 1e3])
         log_mult = np.log(gen.integers(1, 50, 33).astype(float))
         for mult in (None, log_mult):
-            log_p, ln_z = _gibbs_log_weights(spectra, betas[:, None], mult)
-            assert log_p.shape == (4, 4, 33) and ln_z.shape == (4, 4)
-            p = np.exp(log_p)
-            rate, m1 = _energy_dephasing_rate(p, spectra, 0.7)
+            w, ln_z = _gibbs_weights(spectra, betas[:, None], mult)
+            assert w.shape == (4, 4, 33) and ln_z.shape == (4, 4)
+            rate = _energy_dephasing_rate(w ** 2, spectra, 0.7)
             for i in range(4):
                 for j, beta in enumerate(betas):
                     e = spectra[i, 0]
-                    lp, lz = _gibbs_log_weights(e, float(beta), mult)
-                    assert lp.tobytes() == log_p[i, j].tobytes()
+                    wr, lz = _gibbs_weights(e, float(beta), mult)
+                    assert wr.tobytes() == w[i, j].tobytes()
                     assert lz == ln_z[i, j]
-                    q = np.exp(lp)
+                    q = wr ** 2
                     mean = np.einsum("k,k->", q, e)
-                    assert m1[i, j] == mean
                     var = np.einsum("k,k->", q, (e - mean) ** 2)
                     assert rate[i, j] == 4.0 * 0.7 * var
 
     def test_huge_beta_keeps_the_ground_state(self):
-        log_p, ln_z = _gibbs_log_weights(np.array([-1.0, 0.0, 2.0]), 1e6)
-        assert np.exp(log_p).tolist() == [1.0, 0.0, 0.0]
+        w, ln_z = _gibbs_weights(np.array([-1.0, 0.0, 2.0]), 1e6)
+        assert w.tolist() == [1.0, 0.0, 0.0]
         assert ln_z == 1e6

@@ -1,8 +1,10 @@
 """One check per input kind: every count goes through ``specfun._check_int``
 and every channel operator, Hamiltonian or spectrum through
 ``hermitian.as_operator``.  Each table row names an entry point, the name its
-message carries and the bounds of the count."""
+message carries and the bounds of the count; a CLI flag's row runs ``main``."""
 
+import contextlib
+import io
 import math
 import re
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from dephase_lab import _pool
+from dephase_lab._cli import main
 from dephase_lab.dynamics import (annealing_check, build_tfd, ensemble_purity_tfd,
                                   gauss_hermite, master_equation_rk4)
 from dephase_lab.ensembles import (RngStream, gue_level_density, gue_trace_square_mc,
@@ -34,6 +37,27 @@ def _normals(gen, m, d):
 _PSI = np.array([1.0, 0.0])
 _GRID = np.array([0.0, 1.0])
 _CFG = dict(dt=0.01, steps=2, n_trajectories=2)
+# Comma-separated count flags: int() refuses a non-integer token unnamed.
+_LIST_FLAGS = ("--dims", "--k-list")
+
+
+def _cli(*argv):
+    """Entry of a CLI count flag: ``main`` on ``argv`` with the count in place
+    of ``{}``.  It must exit 2 with nothing on stdout; its stderr is raised
+    again as the ``ValueError`` that the table matches."""
+    def call(n):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([a.replace("{}", str(n)) for a in argv])
+            except SystemExit as exc:       # argparse refused the token
+                code = exc.code
+        assert code == 2 and out.getvalue() == ""
+        raise ValueError(err.getvalue())
+    return call
+
+
+_TFD = ("tfd", "--n-qubits", "2", "--t-points", "3", "--samples", "4")
 
 # entry point: (call with the count, name in the message, lowest, highest)
 COUNTS = {
@@ -92,13 +116,37 @@ COUNTS = {
     "rk4-steps": (lambda s: master_equation_rk4(None, [], _PSI, 0.01, s), "steps", 0, None),
     "rk4-store_every": (lambda e: master_equation_rk4(None, [], _PSI, 0.01, 2, e),
                         "store_every", 1, None),
+    "cli-dims": (_cli("rate-gue", "--dims", "2,{}", "--samples", "4"),
+                 "--dims", 1, 1024),
+    "cli-k-list": (_cli("crossover", "--k-list", "{},2"), "--k-list", 1, None),
+    "cli-n-max": (_cli("crossover", "--k-list", "1,3", "--n-max", "{}"),
+                  "--n-max", 3, 1023),
+    "cli-n0": (_cli("crossover", "--n0", "{}"), "--n0", 1, 1023),
+    "cli-n-qubits": (_cli(*_TFD, "--n-qubits", "{}"), "--n-qubits", 1, 10),
+    "cli-tfd-samples": (_cli(*_TFD, "--samples", "{}"), "--samples", 2, None),
+    "cli-t-points": (_cli(*_TFD, "--t-points", "{}"), "--t-points", 2, None),
+    "cli-rate-gue-samples": (_cli("rate-gue", "--dims", "2", "--samples", "{}"),
+                             "--samples", 2, None),
+    "cli-seed": (_cli("crossover", "--n-max", "3", "--seed", "{}"),
+                 "--seed", 0, 2 ** 64 - 1),
+    "cli-threads": (_cli("tfd", "--formula-only", "--threads", "{}"), "--threads", 1, None),
 }
+
+
+def _not_an_integer(name, bad):
+    """A library count refuses a non-integer in ``_check_int``.  A CLI flag
+    refuses it while parsing: argparse names the flag, ``int()`` the token."""
+    if not name.startswith("--"):
+        return f"{name} must be an integer"
+    if name in _LIST_FLAGS:
+        return f"invalid literal for int() with base 10: '{bad}'"
+    return f"argument {name}: invalid int value: '{bad}'"
 
 
 def _count_rows():
     for entry, (_, name, lo, hi) in sorted(COUNTS.items()):
         for bad in (2.5, 4.0, True):
-            yield pytest.param(entry, bad, f"{name} must be an integer",
+            yield pytest.param(entry, bad, _not_an_integer(name, bad),
                                id=f"{entry}-{bad!r}")
         yield pytest.param(entry, lo - 1, f"{name} must be at least {lo}",
                            id=f"{entry}-below")

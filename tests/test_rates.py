@@ -18,7 +18,7 @@ from dephase_lab.specfun import (KBodySpec, bessel_i_ratio_g, beta_crossover,
                                  calibrate_epsilon, crossover_min_n, log_bessel_i1,
                                  rate_gue_haar, rate_gue_wick, rate_kbody_bound,
                                  rate_tfd_gue_exact, rate_tfd_gue_semicircle,
-                                 z_gue_semicircle)
+                                 z_gue_exact, z_gue_semicircle)
 from dephase_lab.trajectories import TrajectoryConfig
 
 
@@ -208,6 +208,7 @@ class TestGueClosedForms:
     lambda x: rate_tfd_gue_semicircle(x, 4, 1.0),
     lambda x: rate_tfd_gue_semicircle(0.5, x, 1.0),
     lambda x: z_gue_semicircle(x, 4),
+    lambda x: z_gue_exact(x, 4),
     lambda x: beta_crossover(x),
     lambda x: calibrate_epsilon(1, 1, x),
     lambda x: bessel_i_ratio_g(x),
@@ -219,7 +220,7 @@ class TestGueClosedForms:
         "rate_semicircle", "crossover_epsilon_sq", "trajectory_dt",
         "haar_gamma", "wick_gamma", "kbody_gamma", "rate_exact_beta",
         "rate_semicircle_beta", "rate_semicircle_dim", "z_semicircle_beta",
-        "beta_crossover_dim", "calibrate_gamma", "bessel_ratio_x",
+        "z_exact_beta", "beta_crossover_dim", "calibrate_gamma", "bessel_ratio_x",
         "log_bessel_i1_x", "lmg_epsilon", "lmg_beta", "lmg_gamma"])
 def test_non_finite_rates_and_steps_rejected(call, x):
     # A NaN fails both x < 0 and x <= 0, so a guard in that form let it
@@ -228,20 +229,25 @@ def test_non_finite_rates_and_steps_rejected(call, x):
         call(x)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: rate_gue_haar(4, -1.0),
-    lambda: rate_gue_wick(4, -1.0),
-    lambda: rate_kbody_bound(KBodySpec(3, 1, 1.0), -1.0),
-    lambda: rate_lmg(5, 1.0, 0.5, -1.0),
-    lambda: rate_lmg(5, 1.0, -0.5, 1.0),
-    lambda: calibrate_epsilon(1, 1, -1.0),
-    lambda: rate_tfd_gue_exact(-1.0, 4, 1.0),
+@pytest.mark.parametrize("call,domain", [
+    (lambda: rate_gue_haar(4, -1.0), "nonnegative"),
+    (lambda: rate_gue_wick(4, -1.0), "nonnegative"),
+    (lambda: rate_kbody_bound(KBodySpec(3, 1, 1.0), -1.0), "nonnegative"),
+    (lambda: rate_lmg(5, 1.0, 0.5, -1.0), "nonnegative"),
+    (lambda: rate_lmg(5, 1.0, -0.5, 1.0), "nonnegative"),
+    (lambda: calibrate_epsilon(1, 1, -1.0), "nonnegative"),
+    (lambda: rate_tfd_gue_exact(-1.0, 4, 1.0), "nonnegative"),
+    (lambda: z_gue_exact(-1.0, 4), "nonnegative"),
+    (lambda: rate_tfd_gue_semicircle(0.5, 4, 0.0), "positive"),
 ], ids=["haar_gamma", "wick_gamma", "kbody_gamma", "lmg_gamma", "lmg_beta",
-        "calibrate_gamma", "rate_exact_beta"])
-def test_negative_rates_and_temperatures_rejected(call):
-    # Each returned a number before: rate_gue_haar(4, -1) read -3.2 and
-    # rate_tfd_gue_exact(-1, 4, 1) read 4.05.
-    with pytest.raises(ValueError, match="must be nonnegative"):
+        "calibrate_gamma", "rate_exact_beta", "z_exact_beta",
+        "rate_semicircle_zero_gamma"])
+def test_negative_rates_and_temperatures_rejected(call, domain):
+    # Each returned a number before: rate_gue_haar(4, -1) read -3.2,
+    # rate_tfd_gue_exact(-1, 4, 1) read 4.05 and z_gue_exact(-1, 4) 2.2677.
+    # Both finite-d and semicircle rates refuse gamma = 0, so one tfd row
+    # cannot read 0.0 in one column and an error in the other.
+    with pytest.raises(ValueError, match=f"must be {domain}$"):
         call()
 
 

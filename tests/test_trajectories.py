@@ -135,6 +135,12 @@ class TestSingleTrajectory:
         dt = default_dt(PAULI["z"], [LindbladChannel(1.0, PAULI["z"])])
         assert dt == pytest.approx(1e-3 / 2.0)
 
+    def test_default_dt_without_h0(self):
+        # h0=None is no Hamiltonian, as everywhere in the trajectory API; it
+        # used to leak numpy's LinAlgError.
+        ch = [LindbladChannel(0.5, PAULI["x"]), LindbladChannel(2.0, np.array([1.0, -3.0]))]
+        assert default_dt(None, ch) == default_dt(np.zeros(2), ch) == 1e-3 / 18.5
+
 
 class TestAverageTrajectories:
     def _two_trajectories(self):
