@@ -84,9 +84,16 @@ def _write(path: str | None, data: str) -> None:
 def _parse_list(flag: str, text: str, kind, *bounds) -> list:
     """The values of a comma-separated list flag, each checked by
     ``_check_int`` (``kind=int``, ``bounds`` are ``lo[, hi]``) or by
-    ``_check_real`` (``bounds`` is the domain); an empty list is refused."""
-    check = _check_int if kind is int else _check_real
-    values = [check(flag, kind(tok), *bounds) for tok in text.split(",") if tok.strip()]
+    ``_check_real`` (``bounds`` is the domain); an empty list is refused,
+    and a token that is not an integer (or a number) is refused by name."""
+    check, noun = (_check_int, "an integer") if kind is int else (_check_real, "a number")
+
+    def value(tok: str):
+        try:
+            return kind(tok)
+        except ValueError:
+            raise ValueError(f"{flag} must be {noun}") from None
+    values = [check(flag, value(tok), *bounds) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError(f"{flag} must list at least one value")
     return values

@@ -14,8 +14,10 @@ equivalent Gaussian-integral form
 
     P_t = (8 pi gamma t)^{-1/2} Integral dy exp(-y^2/(8 gamma t)) |Z(beta-iy)/Z(beta)|^2
 
-evaluated here by Gauss-Hermite quadrature.  The long-time limit is
-``Z(2 beta)/Z(beta)^2``, the purity of the thermal state.
+evaluated here by Gauss-Hermite quadrature, with nodes from the one
+tridiagonal eigensolve (``ensembles._tridiagonal_eigvalsh``) and weights from
+the GUE level density.  The long-time limit is ``Z(2 beta)/Z(beta)^2``, the
+purity of the thermal state.
 
 States live in the d-dimensional doubled-basis coefficient representation
 (memory O(d^2), not O(d^4)); every partition sum is max-shifted before
@@ -47,7 +49,8 @@ from . import _pool
 from .exceptions import StepSizeError
 from .hermitian import (_energy_dephasing_rate, _gibbs_weights, as_matrix,
                         as_operator, as_state)
-from .ensembles import EnsembleEstimate, RngStream, _gue_spectra
+from .ensembles import (EnsembleEstimate, RngStream, _gue_spectra,
+                        _tridiagonal_eigvalsh, gue_level_density)
 from .rates import LindbladChannel, _stiffness
 from .specfun import _SAMPLING_LOG2_CAP, _check_int, _check_real, rate_tfd_gue_exact
 
@@ -68,9 +71,12 @@ def _check_thermal(betas: Sequence[float], gamma: float) -> None:
     _check_real("noise rate", gamma, "positive")
 
 
-def _check_times(t) -> np.ndarray:
-    """``t`` as a float array, refused unless every time is finite and >= 0."""
+def _check_times(t, scalar: bool = False) -> np.ndarray:
+    """``t`` as a float array, refused unless every time is finite and >= 0
+    and, with ``scalar``, unless it is one time."""
     t_arr = np.asarray(t, dtype=float)
+    if scalar and t_arr.ndim:
+        raise ValueError(f"time must be a scalar, got shape {t_arr.shape}")
     if not (np.isfinite(t_arr) & (t_arr >= 0)).all():
         raise ValueError("time must be finite and nonnegative")
     return t_arr
@@ -96,7 +102,7 @@ def build_tfd(energies: np.ndarray, beta: float,
 def evolve_tfd(sys: TfdSystem, t: float) -> np.ndarray:
     """Closed-form doubled-basis coefficients ``c_kl`` at time ``t``, a
     ``(d, d)`` array whose diagonal stays constant."""
-    _check_times(t)
+    _check_times(t, scalar=True)
     e = sys.energies
     gaps = e[:, None] - e[None, :]
     c0 = sys.weights[:, None] * sys.weights[None, :]
@@ -180,26 +186,38 @@ def purity_tfd(sys: TfdSystem, t):
     return float(out[0]) if t_arr.ndim == 0 else out
 
 
+def _plateau(weights: np.ndarray):
+    """``Z(2 beta)/Z(beta)^2 = sum_k w_k^4`` of Schmidt coefficients ``w`` on
+    the last axis: the long-time purity, written once."""
+    return (weights ** 4).sum(axis=-1)
+
+
 def purity_inf_tfd(sys: TfdSystem) -> float:
     """Long-time purity plateau ``Z(2 beta)/Z(beta)^2``."""
-    return float(np.sum(sys.weights ** 4))
+    return float(_plateau(sys.weights))
 
 
 # Bounded, so at most 64 rules (32 KB each at the 2048-node cap) stay alive;
 # typed, so that 4.0 or True never hits the entry of 4 or 1 past the check.
 @functools.lru_cache(maxsize=64, typed=True)
 def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights (weight ``exp(-x^2)``) by Golub-Welsch.
+    """Gauss-Hermite nodes and weights (weight ``exp(-x^2)``), ascending.
 
-    Stable for any practical node count, unlike the power-basis route which
-    overflows near 400 nodes.  The rule is cached per node count (one dense
-    eigensolve each) and shared by every caller, so both arrays are
-    read-only: writing to them raises ``ValueError``.
+    The nodes are the eigenvalues of the Hermite Jacobi matrix (zero
+    diagonal, off-diagonal ``sqrt(k/2)``) from :func:`_tridiagonal_eigvalsh`;
+    each weight is the Christoffel function
+    ``exp(-x^2) / sum_{l<n} phi_l(x)^2``, whose sum is
+    :func:`gue_level_density` (Gautschi, *Orthogonal Polynomials*, 2004).
+    ``O(n^2)`` time and ``O(n)`` memory.  Every weight above ``1e-300`` is
+    within a few ``1e-12`` relative, however small (the nodes' roundoff times
+    the slope of ``exp(-x^2)``), and a weight is 0 where ``exp(-x^2)``
+    underflows (``|x| > 27.3``).  Cached per node count and shared, so both
+    arrays are read-only: writing to them raises ``ValueError``.
     """
-    k = np.arange(1, _check_int("node count n", n, 1))
-    jac = np.diag(np.sqrt(k / 2.0), 1)
-    nodes, vecs = np.linalg.eigh(jac + jac.T)
-    weights = math.sqrt(math.pi) * vecs[0] ** 2
+    n = _check_int("node count n", n, 1)
+    nodes = _tridiagonal_eigvalsh(np.zeros(n), np.sqrt(np.arange(1, n) / 2.0))
+    head = np.exp(-nodes * nodes)
+    weights = np.divide(head, gue_level_density(nodes, n), out=np.zeros(n), where=head > 0)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -215,7 +233,7 @@ def purity_tfd_hs(sys: TfdSystem, t: float,
     to resolve that frequency (capped at 2048).  Degenerate at ``t = 0`` (the
     Gaussian collapses): use :func:`purity_tfd` there.
     """
-    if _check_times(t) == 0:
+    if _check_times(t, scalar=True) == 0:
         raise ValueError("the Gaussian representation requires t > 0; "
                          "use purity_tfd at t = 0")
     if quadrature_nodes is None:
@@ -260,7 +278,7 @@ def _tfd_purity_block(gen: np.random.Generator, m: int, d: int, betas: Sequence[
     probs = weights ** 2
     curves = np.stack([_purity_kernel(e[0], p, gamma_t) for e, p in zip(spectra, probs)])
     rates = _energy_dephasing_rate(probs, spectra, gamma)
-    return np.dstack([curves, (weights ** 4).sum(axis=-1), rates])
+    return np.dstack([curves, _plateau(weights), rates])
 
 
 # Old name of the block function, still wrapped by perfbench/tracer.py.
@@ -360,7 +378,7 @@ def _annealing_at(spectra: np.ndarray, beta: float, gamma: float) -> AnnealingCh
     )
 
 
-def master_equation_rk4(h0: np.ndarray, channels: list[LindbladChannel],
+def master_equation_rk4(h0: np.ndarray | None, channels: list[LindbladChannel],
                         rho0: np.ndarray, dt: float, steps: int,
                         store_every: int = 1) -> np.ndarray:
     """Integrate the dephasing master equation with classical fixed-step RK4.
@@ -369,15 +387,15 @@ def master_equation_rk4(h0: np.ndarray, channels: list[LindbladChannel],
     ``-i [H0, rho] - (1/2) sum gamma [V, [V, rho]]`` (Hermitian Lindblad
     operators).  Refuses to run when
     ``dt (||H0|| + sum gamma ||V||^2) > 0.05``, the stability heuristic for
-    this integrator.  Returns the density matrices at ``t = 0`` and then
-    every ``store_every`` steps, stacked into one
-    ``(steps // store_every + 1, d, d)`` array.
+    this integrator; ``h0=None`` means no Hamiltonian.  Returns the density
+    matrices at ``t = 0`` and then every ``store_every`` steps, stacked into
+    one ``(steps // store_every + 1, d, d)`` array.
     """
     _check_real("dt", dt, "positive")
     _check_int("steps", steps, 0)
     _check_int("store_every", store_every, 1)
     rho0 = as_state(rho0)
-    h = as_matrix(as_operator(h0, "h0"))
+    h = as_matrix(as_operator(np.zeros(len(rho0)) if h0 is None else h0, "h0"))
     stiffness = _stiffness(h, channels)
     if dt * stiffness > 0.05:
         raise StepSizeError(

@@ -12,6 +12,8 @@ the rows and columns ``S`` of ``g`` (``2 |S| d - |S|^2``), and ``tr V`` only the
 Estimators that need only eigenvalues (the thermofield-double ensemble, the
 annealing check) draw them from the tridiagonal beta = 2 model of the same law,
 solved by the LAPACK ``dsterf`` that numpy's ``eigvalsh`` itself calls.
+:func:`_tridiagonal_eigvalsh` is the one tridiagonal route of the package: the
+GUE spectra and the Gauss-Hermite nodes of ``dynamics`` both go through it.
 
 A Haar unitary is the Q factor of a Ginibre matrix whose R factor has a
 positive real diagonal (Mezzadri, Notices AMS 54, 592 (2007)).  Gram-Schmidt
@@ -161,6 +163,23 @@ def _dsterf():
     return sterf
 
 
+def _tridiagonal_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric tridiagonal matrix with
+    diagonal ``diag`` and off-diagonal ``off``, in ``O(n^2)`` time and
+    ``O(n)`` memory: the one tridiagonal eigensolve of the package.
+
+    It is LAPACK ``dsterf`` (:func:`_dsterf`), or ``eigvalsh`` of the dense
+    matrix where that is missing.  ``eigvalsh`` runs ``dsytrd`` and then
+    ``dsterf``, and on a tridiagonal input every Householder reflector of
+    ``dsytrd`` is the identity, so both routes give the same bits with the
+    same LAPACK.
+    """
+    sterf = _dsterf()
+    if sterf is None:
+        return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    return sterf(diag, off)
+
+
 def _gue_spectrum(gen: np.random.Generator, d: int) -> np.ndarray:
     """Ascending eigenvalues of one GUE draw, from its tridiagonal form.
 
@@ -169,20 +188,12 @@ def _gue_spectrum(gen: np.random.Generator, d: int) -> np.ndarray:
     off-diagonal entries ``sqrt(chi^2_{2k}/4)`` for ``k = d-1, ..., 1``
     (Dumitriu & Edelman, J. Math. Phys. 43, 5830 (2002), at beta = 2).  So
     one draw costs ``2d - 1`` variates and one real tridiagonal eigensolve
-    instead of ``d^2`` variates and a complex dense one.
-
-    The eigensolve is LAPACK ``dsterf`` (see :func:`_dsterf`).  ``eigvalsh``
-    of the dense tridiagonal matrix runs ``dsytrd`` and then ``dsterf``, and
-    on a tridiagonal input every Householder reflector of ``dsytrd`` is the
-    identity, so both routes give the same bits with the same LAPACK.
-    Without the routine the spectrum comes from ``eigvalsh``.
+    (:func:`_tridiagonal_eigvalsh`) instead of ``d^2`` variates and a
+    complex dense one.
     """
     diag = np.sqrt(0.5) * gen.standard_normal(d)
     off = np.sqrt(gen.chisquare(2.0 * np.arange(d - 1, 0, -1)) / 4.0)
-    sterf = _dsterf()
-    if sterf is None:
-        return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
-    return sterf(diag, off)
+    return _tridiagonal_eigvalsh(diag, off)
 
 
 def _gue_spectra(gen: np.random.Generator, m: int, d: int) -> np.ndarray:

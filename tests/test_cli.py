@@ -467,6 +467,22 @@ def test_non_finite_flag_values_exit_2(tmp_path, capsys, command, flag, extra,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,extra", _FLOAT_FLAGS)
+def test_non_number_flag_values_exit_2_naming_the_flag(tmp_path, capsys, command,
+                                                       flag, extra):
+    # A token that is not a number names its flag: argparse's message for a
+    # scalar flag, _parse_list's for a --beta-list token.
+    out = tmp_path / "x.csv"
+    try:
+        rc = run_cli([command, *extra, f"{flag}=abc", "-o", str(out)])
+    except SystemExit as exc:
+        rc = exc.code
+    want = ("--beta-list must be a number" if flag == "--beta-list"
+            else f"argument {flag}: invalid float value: 'abc'")
+    assert rc == 2 and want in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_beta_among_finite_ones_exit_2(tmp_path, capsys):
     assert run_cli(["tfd", "--formula-only", "--beta-list", "0.1,nan,1",
                     "-o", str(tmp_path / "x.csv")]) == 2

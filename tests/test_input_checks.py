@@ -14,7 +14,8 @@ import pytest
 from dephase_lab import _pool
 from dephase_lab._cli import main
 from dephase_lab.dynamics import (annealing_check, build_tfd, ensemble_purity_tfd,
-                                  gauss_hermite, master_equation_rk4)
+                                  evolve_tfd, gauss_hermite, master_equation_rk4,
+                                  purity_tfd_hs)
 from dephase_lab.ensembles import (RngStream, gue_level_density, gue_trace_square_mc,
                                    haar_second_moment, hermite_phi, sample_gue,
                                    sample_haar_unitary)
@@ -37,14 +38,14 @@ def _normals(gen, m, d):
 _PSI = np.array([1.0, 0.0])
 _GRID = np.array([0.0, 1.0])
 _CFG = dict(dt=0.01, steps=2, n_trajectories=2)
-# Comma-separated count flags: int() refuses a non-integer token unnamed.
-_LIST_FLAGS = ("--dims", "--k-list")
 
 
 def _cli(*argv):
     """Entry of a CLI count flag: ``main`` on ``argv`` with the count in place
     of ``{}``.  It must exit 2 with nothing on stdout; its stderr is raised
-    again as the ``ValueError`` that the table matches."""
+    again as the ``ValueError`` that the table matches.  A count that is a
+    whole token is argparse's to convert; one inside a comma-separated list
+    is ``_cli._parse_list``'s."""
     def call(n):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -54,6 +55,7 @@ def _cli(*argv):
                 code = exc.code
         assert code == 2 and out.getvalue() == ""
         raise ValueError(err.getvalue())
+    call.by_argparse = "{}" in argv
     return call
 
 
@@ -133,20 +135,18 @@ COUNTS = {
 }
 
 
-def _not_an_integer(name, bad):
-    """A library count refuses a non-integer in ``_check_int``.  A CLI flag
-    refuses it while parsing: argparse names the flag, ``int()`` the token."""
-    if not name.startswith("--"):
-        return f"{name} must be an integer"
-    if name in _LIST_FLAGS:
-        return f"invalid literal for int() with base 10: '{bad}'"
-    return f"argument {name}: invalid int value: '{bad}'"
+def _not_an_integer(call, name, bad):
+    """A library count or a list flag's token refuses a non-integer in
+    ``_check_int``'s words; argparse refuses a whole-token flag in its own."""
+    if getattr(call, "by_argparse", False):
+        return f"argument {name}: invalid int value: '{bad}'"
+    return f"{name} must be an integer"
 
 
 def _count_rows():
-    for entry, (_, name, lo, hi) in sorted(COUNTS.items()):
+    for entry, (call, name, lo, hi) in sorted(COUNTS.items()):
         for bad in (2.5, 4.0, True):
-            yield pytest.param(entry, bad, _not_an_integer(name, bad),
+            yield pytest.param(entry, bad, _not_an_integer(call, name, bad),
                                id=f"{entry}-{bad!r}")
         yield pytest.param(entry, lo - 1, f"{name} must be at least {lo}",
                            id=f"{entry}-below")
@@ -159,6 +159,33 @@ def _count_rows():
 def test_every_count_is_checked_by_one_rule(entry, bad, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         COUNTS[entry][0](bad)
+
+
+# entry point taking one time: call with the time
+ONE_TIME = {
+    "evolve_tfd": lambda t: evolve_tfd(build_tfd(np.arange(3.0), 0.5), t),
+    "purity_tfd_hs": lambda t: purity_tfd_hs(build_tfd(np.arange(3.0), 0.5), t),
+}
+
+
+@pytest.mark.parametrize("t", [[0.5, 1.0], np.array([0.5, 1.0]), [0.5]],
+                         ids=["list", "array", "one-entry"])
+@pytest.mark.parametrize("entry", sorted(ONE_TIME))
+def test_a_single_time_is_a_scalar(entry, t):
+    # Both take one time, so an array is refused by name, not by a numpy error.
+    with pytest.raises(ValueError, match=re.escape("time must be a scalar")):
+        ONE_TIME[entry](t)
+    assert np.isfinite(ONE_TIME[entry](np.float64(0.5))).all()
+
+
+def test_rk4_without_a_hamiltonian_is_a_zero_one():
+    # h0=None is no Hamiltonian, as in the trajectory functions.
+    ch = [LindbladChannel(0.7, PAULI["z"])]
+    psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    for state in (psi, np.outer(psi, psi)):
+        got = master_equation_rk4(None, ch, state, 0.01, 20, 5)
+        want = master_equation_rk4(np.zeros((2, 2)), ch, state, 0.01, 20, 5)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_the_doubled_dimension_is_capped():

@@ -80,6 +80,54 @@ class TestGaussHermite:
         assert np.isfinite(w).all() and np.isfinite(nodes).all()
         assert w.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [8, 64, 238])
+    def test_matches_a_50_digit_rule(self, n):
+        # Each node, Newton-refined at 50 digits, is a root of H_n, and its
+        # weight is 2^(n-1) n! sqrt(pi) / (n^2 H_{n-1}(x)^2).  The Newton
+        # steps from n distinct nodes land on n distinct roots, so every root
+        # is checked, and every weight above 1e-300 within 1e-11 relative.
+        nodes, w = gauss_hermite(n)
+        with mpmath.workdps(50):
+            def h_pair(x):                    # H_n(x), H_{n-1}(x)
+                lo, hi = mpmath.mpf(1), 2 * x
+                for k in range(1, n):
+                    lo, hi = hi, 2 * x * hi - 2 * k * lo
+                return hi, lo
+            scale = 2 ** (n - 1) * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi) / n ** 2
+            roots, exact = [], []
+            for x in nodes:
+                r = mpmath.mpf(float(x))
+                for _ in range(3):
+                    hn, hm = h_pair(r)
+                    r -= hn / (2 * n * hm)       # H_n' = 2 n H_{n-1}
+                roots.append(r)
+                exact.append(scale / h_pair(r)[1] ** 2)
+            assert all(b - a > 1e-6 for a, b in zip(roots, roots[1:]))
+            assert max(abs(float(x - r)) for x, r in zip(nodes, roots)) < 1e-12
+            rel = [abs(float((wi - e) / e)) for wi, e in zip(w, exact) if e > 1e-300]
+        assert len(rel) == n and max(rel) < 1e-11
+        if n == 238:
+            assert w.min() < 1e-100
+
+    def test_the_capped_rule_integrates_even_moments(self):
+        # int x^(2k) exp(-x^2) dx = Gamma(k + 1/2); the weights below the
+        # double range are 0, not NaN.
+        nodes, w = gauss_hermite(2048)
+        assert not np.isnan(w).any() and (w == 0).any()
+        for k in range(6):
+            moment = (w * nodes ** (2 * k)).sum()
+            assert moment == pytest.approx(math.gamma(k + 0.5), rel=1e-13)
+
+    def test_the_eigvalsh_fallback_builds_the_same_rule(self, monkeypatch):
+        from dephase_lab import ensembles
+        for n in (1, 2, 64, 300):
+            fast = gauss_hermite.__wrapped__(n)
+            monkeypatch.setattr(ensembles, "_dsterf", lambda: None)
+            dense = gauss_hermite.__wrapped__(n)
+            monkeypatch.undo()
+            np.testing.assert_allclose(dense[0], fast[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dense[1], fast[1], rtol=1e-12)
+
 
 class TestLaguerre:
     def test_base_cases(self):

@@ -1,6 +1,5 @@
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from dephase_lab import _pool, dynamics, trajectories, validate
@@ -132,18 +131,20 @@ def test_quick_validation_passes(seed):
 
 def test_hs_check_solves_one_quadrature_rule_per_node_count(monkeypatch):
     # The node count depends on t alone, so the 5 x 5 (beta, t) grid needs
-    # five Gauss-Hermite rules: five Golub-Welsch eigensolves, not 25.
+    # five Gauss-Hermite rules, built once each, not 25.
     sizes = []
-    real_eigh = np.linalg.eigh
+    real_solve = dynamics._tridiagonal_eigvalsh
 
-    def eigh(a, *args, **kwargs):
-        sizes.append(a.shape[-1])
-        return real_eigh(a, *args, **kwargs)
+    def solve(diag, off):
+        sizes.append(len(diag))
+        return real_solve(diag, off)
 
     dynamics.gauss_hermite.cache_clear()
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(dynamics, "_tridiagonal_eigvalsh", solve)
     assert validate._check_hs_quadrature(1)[0].passed
     monkeypatch.undo()
+    info = dynamics.gauss_hermite.cache_info()
+    assert info.misses == 5 and info.hits == 20
     assert len(sizes) == 5 and len(set(sizes)) == 5
 
     for n in sizes:
