@@ -340,34 +340,57 @@ def haar_fourth_moment_exact(x1, x2, x3) -> np.ndarray:
     return a * np.trace(m2) * np.eye(d, dtype=complex) + b * m2
 
 
-def _hermite_functions(n: int, x):
-    """Yield ``phi_0(x), ..., phi_{n-1}(x)`` for a float array ``x``; n >= 1."""
-    phi_prev, phi = np.zeros_like(x), np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    yield phi
+def _hermite_sums(n: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """``phi_{n-1}(x)`` and ``sum_{l<n} phi_l(x)^2`` for a float array ``x``;
+    n >= 1.
+
+    One recurrence ``phi_{m+1} = x sqrt(2/(m+1)) phi_m - sqrt(m/(m+1))
+    phi_{m-1}`` keeps the running sum.  Where ``phi_0 = pi^(-1/4)
+    exp(-x^2/2)`` would fall below ``exp(-700)``, it starts there and carries
+    the rest as a log scale, as ``specfun._laguerre_sums`` does.  Every
+    ``every`` steps a pair past ``2^256`` is divided by it: a step grows the
+    pair by at most ``sqrt(2) reach + 1``, so nothing passes ``2^480`` between
+    looks.  Past ``reach = sqrt(2n + 1) + 40`` every ``phi_l`` decays below
+    ``exp(-800)`` (faster than ``exp(-(|x| - sqrt(2n + 1))^2/2)`` beyond its
+    turning point), so there the start stays ``exp(-x^2/2)``, 0.  Below
+    ``|x| = 37.4`` nothing is scaled, and the bits are the plain recurrence's.
+    """
+    half = 0.5 * x * x
+    reach = math.sqrt(2.0 * n + 1.0) + 40.0
+    log_scale = -np.where(np.abs(x) < reach, np.maximum(half - 700.0, 0.0), 0.0)
+    phi_prev, phi = np.zeros_like(x), np.pi ** -0.25 * np.exp(-half - log_scale)
+    total = phi * phi
+    every = max(1, int(224 / math.log2(math.sqrt(2.0) * reach + 1.0)))
     for m in range(n - 1):
-        # phi_{m+1} = x sqrt(2/(m+1)) phi_m - sqrt(m/(m+1)) phi_{m-1}
+        if m % every == 0:
+            big = np.maximum(np.abs(phi), np.abs(phi_prev)) > 2.0 ** 256
+            if big.any():
+                f = np.where(big, 2.0 ** -256, 1.0)
+                phi, phi_prev, total = phi * f, phi_prev * f, total * f * f
+                log_scale = log_scale + big * (256 * math.log(2.0))
         phi_prev, phi = phi, x * math.sqrt(2.0 / (m + 1)) * phi - math.sqrt(
             m / (m + 1)) * phi_prev
-        yield phi
+        total += phi * phi
+    scale = np.exp(log_scale)
+    return phi * scale, total * scale * scale
 
 
 def hermite_phi(l: int, x):
-    """Normalized Hermite function ``exp(-x^2/2) H_l(x) / sqrt(sqrt(pi) 2^l l!)``."""
-    x = np.asarray(x, dtype=float)
-    for phi in _hermite_functions(_check_int("degree", l, 0) + 1, x):
-        pass
+    """Normalized Hermite function ``exp(-x^2/2) H_l(x) / sqrt(sqrt(pi) 2^l l!)``,
+    finite and accurate at every ``x`` (:func:`_hermite_sums`)."""
+    phi = _hermite_sums(_check_int("degree", l, 0) + 1, np.asarray(x, dtype=float))[0]
     return phi if phi.ndim else float(phi)
 
 
 def gue_level_density(v, d: int):
     """GUE-averaged eigenvalue density ``sum_{l<d} phi_l(v)^2``.
 
-    Nonnegative and integrates to ``d`` over the real line.  The normalized
-    Hermite-function recurrence keeps every value O(1), so the evaluation is
-    stable up to dimensions of about two thousand.
+    Nonnegative and integrates to ``d`` over the real line.  The running sum
+    of one scaled Hermite-function recurrence (:func:`_hermite_sums`), so it
+    stays accurate at every dimension and every ``v``, inside the
+    semicircle and far out in its tails.
     """
-    v = np.asarray(v, dtype=float)
-    rho = sum(phi * phi for phi in _hermite_functions(_check_int("dimension", d, 1), v))
+    rho = _hermite_sums(_check_int("dimension", d, 1), np.asarray(v, dtype=float))[1]
     return rho if rho.ndim else float(rho)
 
 

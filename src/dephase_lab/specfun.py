@@ -6,18 +6,20 @@ so the closed-form CLI commands never load numpy.  Contents:
   recurrence: it returns ``log L_n^(alpha)`` and, from two running sums of
   its terms, the ratios of ``L_{n-1}^(alpha+1)`` and ``L_{n-2}^(alpha+2)``
   to ``L_n^(alpha)`` that the finite-d rate reads.
-* The modified-Bessel ratio ``g(x) = I_2(x)/I_1(x)`` by a Gauss continued
-  fraction (modified Lentz) for moderate arguments and by the large-argument
-  asymptotic series beyond, so the ratio is available for arguments up to
-  ``1e30`` where ``I_nu`` itself overflows by thousands of orders.
+* Modified Bessel functions ``I_1`` and ``I_2`` for every semicircle form,
+  from one loop of three positive power series (DLMF 10.25.2) up to
+  ``x = 50`` and from the large-argument Hankel series beyond: the ratio
+  ``g(x) = I_2(x)/I_1(x)`` (for arguments up to ``1e30``, where ``I_nu``
+  itself overflows by thousands of orders) and ``log I_1``.
 * The GUE-averaged partition function in its finite-dimension Laguerre form
   ``<Z(beta)> = exp(beta^2/4) L_{d-1}^(1)(-beta^2/2)`` and in its semicircle
   form ``sqrt(2 d) I_1(sqrt(2 d) beta) / beta``, both log-scaled.
 * Energy-dephasing rates of a thermofield double over GUE Hamiltonians:
   the finite-d Laguerre-ratio formula and the semicircle Bessel-ratio
   formula ``8 gamma d [1 - 3 g(x)/x - g(x)^2]`` with ``x = sqrt(2 d) beta``,
-  valid for dimensions as large as ``2**60``: beyond ``x = 50`` the bracket
-  is one cancellation-free asymptotic series in ``1/x``.
+  valid for dimensions as large as ``2**60``: the bracket is one
+  cancellation-free series on each side of ``x = 50``, a power series below
+  and an asymptotic series in ``1/x`` above.
 * The GUE-channel rates ``Gamma d^2/(d+1)`` and ``Gamma (d - 1/P0)`` (see
   ``rates``), the k-body bounds, their calibration and the crossover scan.
 * :func:`_check_real` and :func:`_check_int`, the domain checks of every
@@ -37,9 +39,8 @@ from collections import namedtuple
 
 from .exceptions import NumericalError
 
-# Continued fraction / asymptotic-series crossover for I_2/I_1.
-_G_CF_CUTOFF = 50.0
-_G_CF_TOL = 1e-14
+# Power-series / Hankel-series crossover of every semicircle form.
+_SERIES_CUTOFF = 50.0
 _LOG_SCALE_CAP = 1e250
 # Largest log2(dimension) that the sampling commands and ensembles draw.
 _SAMPLING_LOG2_CAP = 10
@@ -126,44 +127,46 @@ def _laguerre_ratio_chain(d: int, x: float) -> tuple[float, float]:
     return _laguerre_sums(d - 1, 1.0, x)[1:]
 
 
+def _bessel_sums(x: float) -> tuple[float, float, float]:
+    """``a - 1``, ``b`` and ``c`` of three positive power series in
+    ``q = x^2/4`` (DLMF 10.25.2), for ``0 <= x <= 50``:
+    ``a = sum q^k/(k! (k+1)!)``, so ``I_1(x) = (x/2) a``;
+    ``b = sum q^k/(k! (k+2)!)``, whose terms are ``a``'s over ``k + 2``, so
+    ``I_2(x) = (x/2)^2 b``; and ``c = a^2 - (3/2) a b - q b^2``, the
+    numerator of the rate bracket ``1 - 3 g/x - g^2 = c/a^2``, summed from its
+    own coefficients ``c_0 = 1/4``, ``c_k = c_{k-1} 2 (2k+1)/(k (k+2) (k+3))``
+    (the Cauchy product of the first two), so nothing cancels.  ``a - 1``
+    keeps the digits of ``log a = log1p(a - 1)`` at small ``x``.  The terms
+    of ``c`` shrink last, so the loop stops once they no longer count.
+    """
+    q = 0.25 * x * x
+    ta, tc = 1.0, 0.25
+    a, b, c = 0.0, 0.5, tc
+    k = 0.0
+    while tc > 1e-17 * c:
+        k += 1.0
+        ta *= q / (k * (k + 1.0))
+        tc *= (4.0 * k + 2.0) * q / (k * (k + 2.0) * (k + 3.0))
+        a += ta
+        b += ta / (k + 2.0)
+        c += tc
+    return a, b, c
+
+
 def bessel_i_ratio_g(x: float) -> float:
     """Ratio ``g(x) = I_2(x)/I_1(x)`` of modified Bessel functions.
 
-    Uses the Gauss continued fraction with modified Lentz iteration for
-    ``x <= 50`` and the large-argument asymptotic series beyond; relative
-    accuracy is better than 1e-12 across ``[1e-8, 1e30]``.  The ratio lies in
-    (0, 1), behaves as ``x/4`` for small ``x`` and as ``1 - 3/(2x)`` for
-    large ``x``.
+    ``(x/2) b/a`` from the power series of :func:`_bessel_sums` for
+    ``x <= 50`` and the ratio of the large-argument Hankel series beyond;
+    within 1e-14 relative of 60-digit mpmath across ``[1e-300, 1e30]``.  The
+    ratio lies in (0, 1), behaves as ``x/4`` for small ``x`` and as
+    ``1 - 3/(2x)`` for large ``x``.
     """
     _check_real("argument", x, "positive")
-    if x < 1e-6:
-        # Series ratio; the next omitted term is O(x^5).  Also avoids the
-        # continued fraction's 1/x overflow for subnormal arguments.
-        return 0.25 * x * (1.0 - x * x / 24.0)
-    if x <= _G_CF_CUTOFF:
-        return _ratio_continued_fraction(x)
+    if x <= _SERIES_CUTOFF:
+        a1, b, _ = _bessel_sums(x)
+        return 0.5 * x * b / (1.0 + a1)
     return _optimal_sum(_HANKEL[2], 1 / x, 1.0) / _optimal_sum(_HANKEL[1], 1 / x, 1.0)
-
-
-def _ratio_continued_fraction(x: float) -> float:
-    # I_2/I_1 = 1 / (4/x + 1 / (6/x + ...)), modified Lentz.
-    tiny = 1e-300
-    f = c = tiny
-    d = 0.0
-    for k in range(1, 40000):
-        b = 2.0 * (1 + k) / x
-        d = b + d
-        if d == 0.0:
-            d = tiny
-        c = b + 1.0 / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < _G_CF_TOL:
-            return f
-    raise NumericalError(f"Bessel ratio continued fraction stalled at x={x}")
 
 
 def _hankel_coefficients(nu: int, n_terms: int) -> list[float]:
@@ -194,7 +197,7 @@ def _optimal_sum(coeffs, t: float, power: float) -> float:
     return total
 
 
-# I_nu(x) sqrt(2 pi x) exp(-x) at x >= 30 is _optimal_sum(_HANKEL[nu], 1/x, 1),
+# I_nu(x) sqrt(2 pi x) exp(-x) at x > 50 is _optimal_sum(_HANKEL[nu], 1/x, 1),
 # to full precision in at most 18 terms.
 _HANKEL = {nu: _hankel_coefficients(nu, 30) for nu in (1, 2)}
 
@@ -227,24 +230,18 @@ _RATE_BRACKET = _rate_bracket_coefficients(30)
 
 
 def _rate_bracket_series(x: float) -> float:
-    # Optimally truncated sum of _RATE_BRACKET for x > _G_CF_CUTOFF.
+    # Optimally truncated sum of _RATE_BRACKET for x > _SERIES_CUTOFF.
     t = 1.0 / x
     return _optimal_sum(_RATE_BRACKET[2:], t, t * t)
 
 
 def log_bessel_i1(x: float) -> float:
-    """``log I_1(x)`` via the power series (x < 30) or asymptotics (x >= 30)."""
+    """``log I_1(x)``: ``log x - log 2 + log a`` from the power series of
+    :func:`_bessel_sums` for ``x <= 50`` (finite down to the smallest
+    subnormal ``x``), the Hankel series beyond."""
     _check_real("argument", x, "positive")
-    if x < 30.0:
-        t = 1.0
-        s = 1.0
-        q = 0.25 * x * x
-        for k in range(1, 500):
-            t *= q / (k * (k + 1))
-            s += t
-            if t < 1e-18 * s:
-                break
-        return math.log(0.5 * x) + math.log(s)
+    if x <= _SERIES_CUTOFF:
+        return math.log(x) - math.log(2.0) + math.log1p(_bessel_sums(x)[0])
     return (x - 0.5 * math.log(2.0 * math.pi * x)
             + math.log(_optimal_sum(_HANKEL[1], 1 / x, 1.0)))
 
@@ -260,18 +257,27 @@ def z_gue_exact(beta: float, d: int) -> float:
     return beta * beta / 4.0 + log_laguerre_l(d - 1, 1, -beta * beta / 2.0)
 
 
+def _semicircle_x(beta: float, d: float) -> float:
+    """``x = sqrt(2 d) beta`` of a checked ``beta >= 0`` and ``d >= 1``,
+    written ``2 sqrt(d/2) beta`` (the same bits) so that it stays finite, and
+    0 at ``beta = 0``, for every finite ``d``: ``2 d`` overflows from
+    ``2^1023``."""
+    _check_dim(d)
+    _check_real("inverse temperature", beta)
+    return 2.0 * math.sqrt(0.5 * d) * beta
+
+
 def z_gue_semicircle(beta: float, d: float) -> float:
     """``ln <Z(beta)>`` of the GUE average in its semicircle (large-d) form.
 
-    ``<Z(beta)> = sqrt(2 d) I_1(sqrt(2 d) beta) / beta``; the ``beta -> 0``
-    limit is ``d``.  Accepts huge dimensions (e.g. ``2.0**50``) since only
-    ``log I_1`` is evaluated.
+    ``<Z(beta)> = sqrt(2 d) I_1(x) / beta`` with ``x = sqrt(2 d) beta``, which
+    is ``d a`` in the power series of :func:`_bessel_sums` (``x <= 50``, so
+    ``beta = 0`` gives ``log d``) and comes from ``log I_1`` beyond.  Accepts
+    huge dimensions (e.g. ``2.0**50``) since only logarithms are evaluated.
     """
-    _check_dim(d)
-    _check_real("inverse temperature", beta)
-    if beta == 0.0:
-        return math.log(d)
-    x = math.sqrt(2.0 * d) * beta
+    x = _semicircle_x(beta, d)
+    if x <= _SERIES_CUTOFF:
+        return math.log(d) + math.log1p(_bessel_sums(x)[0])
     return 0.5 * math.log(2.0 * d) + log_bessel_i1(x) - math.log(beta)
 
 
@@ -305,24 +311,23 @@ def rate_tfd_gue_semicircle(beta: float, d: float, gamma: float) -> float:
     """Semicircle energy-dephasing rate ``8 gamma d [1 - 3 g(x)/x - g(x)^2]``.
 
     Here ``x = sqrt(2 d) beta`` and ``g = I_2/I_1``.  ``d`` may be passed as a
-    float as large as ``2.0**60``; ``beta = 0`` is handled by its limit
-    ``2 gamma d``.  For ``x > 50`` the bracket comes from its own asymptotic
-    series, since the direct form cancels to ``3/(2 x^2)``.  The high- and
-    low-temperature limits are ``2 gamma d`` (``beta << beta_c``) and
+    float as large as ``2.0**60``.  The direct form cancels (to ``3/(2 x^2)``
+    at large ``x``), so the bracket never comes from ``g``: for ``x <= 50``
+    it is ``c/a^2`` of :func:`_bessel_sums` and the rate
+    ``2 gamma d (4 c/a^2)``, exactly ``2 gamma d`` at ``beta = 0`` and finite
+    wherever that is; beyond, it is its own asymptotic series in ``1/x``.
+    Within 1e-14 relative of 60-digit mpmath up to ``d = 2^60``.  The high-
+    and low-temperature limits are ``2 gamma d`` (``beta << beta_c``) and
     ``6 gamma / beta^2`` (``beta >> beta_c``), with ``beta_c = sqrt(3/d)``.
     """
-    _check_dim(d)
-    _check_real("inverse temperature", beta)
+    x = _semicircle_x(beta, d)
     _check_real("gamma", gamma, "positive")
-    if beta == 0.0:
-        return 2.0 * gamma * d
-    x = math.sqrt(2.0 * d) * beta
+    if x <= _SERIES_CUTOFF:
+        a1, _, c = _bessel_sums(x)
+        return 2.0 * gamma * d * (4.0 * c / (1.0 + a1) ** 2)
     if x > 1e150:               # the bracket is 3/(2 x^2) to the last bit
         return 6.0 * gamma / beta / beta
-    if x > _G_CF_CUTOFF:
-        return 8.0 * gamma * d * _rate_bracket_series(x)
-    g = bessel_i_ratio_g(x)
-    return 8.0 * gamma * d * (1.0 - 3.0 * g / x - g * g)
+    return 8.0 * gamma * d * _rate_bracket_series(x)
 
 
 def beta_crossover(d: float) -> float:

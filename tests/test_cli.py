@@ -39,7 +39,7 @@ class TestRateGue:
         assert run_cli(["rate-gue", "--dims", "2,4", "--samples", "200",
                         "--seed", "5", "-o", str(out)]) == 0
         comments, header, rows = read_csv(str(out))
-        assert comments[0] == "# dephase-lab schema v11"
+        assert comments[0] == "# dephase-lab schema v12"
         assert header == ["d", "gamma", "rate_haar", "rate_wick", "rate_mc_mean",
                           "rate_mc_stderr", "n_samples", "seed"]
         assert len(rows) == 2
@@ -674,7 +674,7 @@ def test_closed_form_commands_never_import_numpy(tmp_path, argv):
                "assert 'numpy' not in sys.modules\n"
                "assert 'dataclasses' not in sys.modules\n",
                *argv, "-o", str(tmp_path / "c.csv"))
-    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v11")
+    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v12")
 
 
 def test_cli_import_leaves_the_lapack_handle_unloaded():

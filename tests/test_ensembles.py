@@ -458,6 +458,30 @@ class TestLevelDensity:
         v = np.linspace(-30, 30, 401)
         assert (gue_level_density(v, 120) >= 0).all()
 
+    def test_plain_recurrence_bits_where_nothing_is_scaled(self):
+        # Below |x| = 37.4 the start exp(-x^2/2) is a normal double, so the
+        # scaled recurrence must give the plain one's bits (the Gauss-Hermite
+        # weights read them).
+        v = np.linspace(-37.4, 37.4, 1201)
+        for d in (1, 2, 9, 300, 1024):
+            prev, phi = np.zeros_like(v), np.pi ** -0.25 * np.exp(-0.5 * v * v)
+            rho = phi * phi
+            for m in range(d - 1):
+                prev, phi = phi, v * math.sqrt(2.0 / (m + 1)) * phi - math.sqrt(
+                    m / (m + 1)) * prev
+                rho += phi * phi
+            assert np.array_equal(gue_level_density(v, d), rho)
+            assert np.array_equal(hermite_phi(d - 1, v), phi)
+
+    def test_far_tails(self):
+        # Past the edge sqrt(2 d) the density falls to exactly 0 without a
+        # NaN, and a scalar gives a float.
+        v = np.array([50.0, 64.0, 70.0, 100.0, 1e10, 1e200])
+        with np.errstate(over="ignore"):
+            rho = gue_level_density(v, 2048)
+        assert (rho[:3] > 0).all() and (rho[3:] == 0).all()
+        assert isinstance(gue_level_density(40.0, 2048), float)
+
     def test_large_d_semicircle_shape(self):
         d = 256
         v = np.linspace(-0.9, 0.9, 7) * math.sqrt(2 * d)

@@ -6,7 +6,7 @@ import pytest
 import scipy.special
 
 from dephase_lab.dynamics import gauss_hermite
-from dephase_lab.ensembles import RngStream, _gue_matrix, hermite_phi
+from dephase_lab.ensembles import RngStream, _gue_matrix, gue_level_density, hermite_phi
 from dephase_lab.specfun import (_laguerre_ratio_chain, bessel_i_ratio_g,
                                  beta_crossover, log_bessel_i1, log_laguerre_l,
                                  rate_tfd_gue_exact, rate_tfd_gue_semicircle,
@@ -66,6 +66,12 @@ class TestHermite:
         v = np.array([0.0, 10.0, 60.0])
         out = hermite_phi(1500, v)
         assert np.isfinite(out).all()
+
+    def test_values_where_exp_of_minus_half_x_squared_underflows(self):
+        # 40-digit mpmath values past |x| = 38.6, where exp(-x^2/2) is 0 in
+        # doubles but the density and phi_l are O(1).
+        assert gue_level_density(40.0, 2048) == pytest.approx(15.900848590357588, rel=1e-12)
+        assert hermite_phi(1500, 50.0) == pytest.approx(-0.084188537225305521, rel=1e-12)
 
 
 class TestGaussHermite:
@@ -267,8 +273,8 @@ class TestBesselRatio:
             assert bessel_i_ratio_g(x) == pytest.approx(ref, rel=1e-12)
 
     def test_tiny_argument_series_branch(self):
-        # The series branch below 1e-6 joins the continued fraction smoothly
-        # and stays finite down to subnormal arguments.
+        # The power series is smooth across 1e-6 and stays finite down to
+        # subnormal arguments.
         lo = bessel_i_ratio_g(9.99e-7)
         hi = bessel_i_ratio_g(1.001e-6)
         assert lo < hi and (hi - lo) / hi < 2.2e-3
@@ -288,6 +294,25 @@ class TestBesselRatio:
         for x in (0.3, 5.0, 29.0, 31.0, 400.0):
             assert log_bessel_i1(x) == pytest.approx(
                 math.log(scipy.special.iv(1, x)), rel=1e-12)
+
+    def test_subnormal_arguments(self):
+        # log I_1(x) = log(x/2) to the last bit here; x/2 itself would round
+        # to 0 (the smallest subnormal) or lose up to log(4/3) (its odd
+        # multiples).
+        tiny = 5e-324
+        assert log_bessel_i1(tiny) == pytest.approx(-1075 * math.log(2.0), rel=1e-15)
+        assert log_bessel_i1(3 * tiny) == pytest.approx(
+            math.log(3.0) - 1075 * math.log(2.0), rel=1e-15)
+        assert z_gue_semicircle(tiny, 1.0) == 0.0
+
+    def test_ratio_matches_mpmath(self):
+        # 60-digit I_2/I_1 on a log grid over [1e-300, 1e30], both sides of
+        # the x = 50 crossover included.
+        xs = [10.0 ** (e / 4) for e in range(-1200, 121, 7)] + [49.9, 50.0, 50.1]
+        with mpmath.workdps(60):
+            for x in xs:
+                ref = float(mpmath.besseli(2, x) / mpmath.besseli(1, x))
+                assert bessel_i_ratio_g(x) == pytest.approx(ref, rel=1e-14), x
 
 
 class TestPartitionFunctions:
@@ -320,6 +345,19 @@ class TestPartitionFunctions:
         lz_e = z_gue_exact(0.05, 1024)
         lz_s = z_gue_semicircle(0.05, 1024)
         assert abs(math.expm1(lz_s - lz_e)) <= 0.01
+
+    @pytest.mark.parametrize("d", (1.0, 2.0, 64.0, 2.0 ** 20, 2.0 ** 50))
+    def test_semicircle_matches_mpmath(self, d):
+        # ln(sqrt(2 d) I_1(x)/beta) at 60 digits, for x from 1e-6 across the
+        # x = 50 crossover to 400.
+        for x in (1e-6, 1e-3, 0.1, 1.0, 2.0, 7.0, 20.0, 35.0, 49.9, 50.0, 50.1, 80.0, 400.0):
+            beta = x / math.sqrt(2.0 * d)
+            with mpmath.workdps(60):
+                xm = mpmath.sqrt(2 * mpmath.mpf(d)) * mpmath.mpf(beta)
+                ref = mpmath.log(mpmath.sqrt(2 * mpmath.mpf(d)) * mpmath.besseli(1, xm)
+                                 / mpmath.mpf(beta))
+            got = z_gue_semicircle(beta, d)
+            assert got == pytest.approx(float(ref), rel=1e-15), (d, x)
 
     def test_semicircle_large_beta_log_slope(self):
         # ln Z ~ sqrt(2 d) beta - (3/2) ln beta + const at large beta.
@@ -421,10 +459,18 @@ class TestTfdGueRates:
             gaps.append(abs(re_ - rs) / re_)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
+    def test_semicircle_beta_zero_is_2gd(self):
+        # Bit for bit, also where 8 gamma d or 2 d would overflow.
+        for d in (1.0, 3.0, 2.0 ** 50, 2.0 ** 1021, 2.0 ** 1023):
+            for gamma in (0.25, 0.5) if d > 2.0 ** 1022 else (0.7, 1.0, 1.5):
+                rate = rate_tfd_gue_semicircle(0.0, d, gamma)
+                assert math.isfinite(rate) and rate == 2.0 * gamma * d
+        assert z_gue_semicircle(0.0, 2.0 ** 1023) == math.log(2.0 ** 1023)
+
     @pytest.mark.parametrize("log2d", range(1, 61))
     def test_semicircle_matches_mpmath(self, log2d):
-        # Both branches (continued fraction and the cancellation-free
-        # asymptotic series) against 60-digit Bessel functions.
+        # Both cancellation-free series (the power series to x = 50, the
+        # asymptotic series beyond) against 60-digit Bessel functions.
         d = 2.0 ** log2d
         for beta in (1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 1.0, 3.0, 10.0):
             with mpmath.workdps(60):
@@ -432,7 +478,7 @@ class TestTfdGueRates:
                 g = mpmath.besseli(2, x) / mpmath.besseli(1, x)
                 ref = float(8 * mpmath.mpf(d) * (1 - 3 * g / x - g * g))
             got = rate_tfd_gue_semicircle(beta, d, 1.0)
-            assert got == pytest.approx(ref, rel=1e-10), (log2d, beta)
+            assert got == pytest.approx(ref, rel=1e-14), (log2d, beta)
 
     @pytest.mark.parametrize("log2d", (1, 2, 4, 8, 10, 12, 14))
     def test_laguerre_rate_matches_mpmath(self, log2d):
