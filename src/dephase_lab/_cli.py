@@ -42,7 +42,7 @@ from .specfun import (_SAMPLING_LOG2_CAP, KBodySpec, _check_int, _check_real,
                       rate_gue_haar, rate_gue_wick, rate_kbody_bound,
                       rate_tfd_gue_exact, rate_tfd_gue_semicircle)
 
-SCHEMA_COMMENT = "# dephase-lab schema v12"
+SCHEMA_COMMENT = "# dephase-lab schema v13"
 DEFAULT_SEED = 20250117
 # Largest log2(dimension) for which the finite-d Laguerre rate is evaluated.
 EXACT_RATE_LOG2_CAP = 14
@@ -213,10 +213,7 @@ def cmd_tfd(args) -> int:
 def _rate_columns(beta: float, exact_d: int | None, dim: float,
                   gamma: float) -> list:
     """The four rate columns of a ``tfd`` row, blank where the README says."""
-    try:
-        low_t = 6.0 * gamma / beta ** 2 if beta > 0 else ""
-    except OverflowError:           # beta**2 overflows, 6 gamma/beta^2 need not
-        low_t = 6.0 * gamma / beta / beta
+    low_t = 6.0 * gamma / beta / beta if beta > 0 else ""
     return ["" if exact_d is None else rate_tfd_gue_exact(beta, exact_d, gamma),
             rate_tfd_gue_semicircle(beta, dim, gamma), 2.0 * gamma * dim, low_t]
 

@@ -106,12 +106,18 @@ def evolve_tfd(sys: TfdSystem, t: float) -> np.ndarray:
     e = sys.energies
     gaps = e[:, None] - e[None, :]
     c0 = sys.weights[:, None] * sys.weights[None, :]
-    phase = np.exp(-2j * t * gaps - sys.gamma * t * gaps ** 2)
-    return c0 * phase
+    # t multiplies last, so a zero gap's factor stays 1 at any finite t.  A
+    # factor whose modulus underflows is 0 unevaluated, which also skips
+    # the phases that overflow at huge t.
+    with np.errstate(over="ignore"):
+        arg = t * (-sys.gamma * gaps ** 2 - 2j * gaps)
+    return c0 * np.exp(arg, out=np.zeros_like(arg), where=arg.real > _EXP_FLOOR)
 
 
 # ln 2^-80: every pair factor at or below it is dropped.
 _PAIR_FLOOR = -80.0 * math.log(2.0)
+# ln 2^-1075: exp rounds every argument at or below it to 0.
+_EXP_FLOOR = -1075.0 * math.log(2.0)
 
 
 @functools.lru_cache(maxsize=4)
@@ -178,11 +184,13 @@ def purity_tfd(sys: TfdSystem, t):
     ``gamma t`` overflows.
     """
     t_arr = _check_times(t)
+    # gamma t may overflow (refused), and so may the kernel's 2 gamma t gap^2
+    # (a factor of 0) at a finite gamma t.
     with np.errstate(over="ignore"):
         gamma_t = sys.gamma * np.atleast_1d(t_arr)
-    if not np.isfinite(gamma_t).all():
-        raise ValueError("gamma * t must be finite")
-    out = _purity_kernel(sys.energies, (sys.weights ** 2)[None, :], gamma_t)[0]
+        if not np.isfinite(gamma_t).all():
+            raise ValueError("gamma * t must be finite")
+        out = _purity_kernel(sys.energies, (sys.weights ** 2)[None, :], gamma_t)[0]
     return float(out[0]) if t_arr.ndim == 0 else out
 
 

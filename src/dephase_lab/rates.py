@@ -31,7 +31,8 @@ all-to-all Ising (Lipkin-Meshkov-Glick type) thermal rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from itertools import accumulate
+from math import log
 
 import numpy as np
 
@@ -180,23 +181,33 @@ def tbre_rate_and_bound(n: int, rho0: np.ndarray,
     return rate, 162.0 * gamma * (n - 1) ** 2
 
 
+def _lmg_sectors(n: int, epsilon: float) -> tuple[np.ndarray, list[int]]:
+    """Sector energies and exact ``int`` multiplicities ``C(n, j)``, the
+    row from ``C(n, j+1) = C(n, j) (n-j)/(j+1)`` (one ``comb`` per ``j``
+    would cost ``O(n)`` products each)."""
+    j = np.arange(_check_int("spin count n", n, 1) + 1)
+    mult = accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)
+    return epsilon * ((n - 2.0 * j) ** 2 - n) / 2.0, list(mult)
+
+
 def lmg_sector_spectrum(n: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Energies and multiplicities of the all-to-all Ising (LMG-type) model.
 
     ``H = epsilon sum_{l<m} sigma^z_l sigma^z_m`` is a function of the total
     magnetization alone: with j spins down, ``E(j) = epsilon [(n-2j)^2 - n]/2``
-    with multiplicity ``C(n, j)``.
+    with multiplicity ``C(n, j)``.  The multiplicities are floats, so past
+    ``n = 1029`` the largest overflows a double and this raises
+    ``OverflowError``; :func:`rate_lmg` reads their exact logarithms instead.
     """
-    j = np.arange(_check_int("spin count n", n, 1) + 1)
-    energies = epsilon * ((n - 2.0 * j) ** 2 - n) / 2.0
-    mult = np.array([comb(n, int(jj)) for jj in j], dtype=float)
-    return energies, mult
+    energies, mult = _lmg_sectors(n, epsilon)
+    return energies, np.array(mult, dtype=float)
 
 
 def rate_lmg(n: int, epsilon: float, beta: float, gamma: float) -> float:
     """Thermal energy-dephasing rate ``4 gamma var_beta(H)`` of the LMG-type model.
 
-    Computed from the exact magnetization-sector spectrum.  At ``beta = 0``
+    Computed from the exact magnetization-sector spectrum, with the exact
+    logarithms of its multiplicities, so at any ``n``.  At ``beta = 0``
     this equals ``2 gamma epsilon^2 n (n-1)``; it vanishes as
     ``beta -> infinity`` because the extremal sector is degenerate in energy.
     ``epsilon`` may take either sign; ``beta`` and ``gamma`` are nonnegative.
@@ -205,6 +216,6 @@ def rate_lmg(n: int, epsilon: float, beta: float, gamma: float) -> float:
     _check_real("epsilon", epsilon, None)
     _check_real("inverse temperature", beta)
     _check_real("gamma", gamma)
-    energies, mult = lmg_sector_spectrum(n, epsilon)
-    w = _gibbs_weights(energies, beta, np.log(mult))[0]
+    energies, mult = _lmg_sectors(n, epsilon)
+    w = _gibbs_weights(energies, beta, np.array([log(m) for m in mult]))[0]
     return float(_energy_dephasing_rate(w ** 2, energies, gamma))

@@ -17,9 +17,10 @@ so the closed-form CLI commands never load numpy.  Contents:
 * Energy-dephasing rates of a thermofield double over GUE Hamiltonians:
   the finite-d Laguerre-ratio formula and the semicircle Bessel-ratio
   formula ``8 gamma d [1 - 3 g(x)/x - g(x)^2]`` with ``x = sqrt(2 d) beta``,
-  valid for dimensions as large as ``2**60``: the bracket is one
-  cancellation-free series on each side of ``x = 50``, a power series below
-  and an asymptotic series in ``1/x`` above.
+  finite wherever ``2 gamma d`` (``x <= 50``) or ``6 gamma/beta^2``
+  (``x > 50``) is: the bracket is one cancellation-free series on each side
+  of ``x = 50``, a power series below and an asymptotic series in ``1/x``
+  above.
 * The GUE-channel rates ``Gamma d^2/(d+1)`` and ``Gamma (d - 1/P0)`` (see
   ``rates``), the k-body bounds, their calibration and the crossover scan.
 * :func:`_check_real` and :func:`_check_int`, the domain checks of every
@@ -227,22 +228,20 @@ def _rate_bracket_coefficients(n_terms: int) -> tuple[float, ...]:
 
 # Thirty terms cover x > 50 to full precision (at most 17 are used there).
 _RATE_BRACKET = _rate_bracket_coefficients(30)
-
-
-def _rate_bracket_series(x: float) -> float:
-    # Optimally truncated sum of _RATE_BRACKET for x > _SERIES_CUTOFF.
-    t = 1.0 / x
-    return _optimal_sum(_RATE_BRACKET[2:], t, t * t)
+# The bracket over its leading term 3/(2 x^2): a series in 1/x from 1.
+_RATE_SERIES = tuple(c / _RATE_BRACKET[2] for c in _RATE_BRACKET[2:])
 
 
 def log_bessel_i1(x: float) -> float:
     """``log I_1(x)``: ``log x - log 2 + log a`` from the power series of
     :func:`_bessel_sums` for ``x <= 50`` (finite down to the smallest
-    subnormal ``x``), the Hankel series beyond."""
+    subnormal ``x``), the Hankel series beyond, whose prefactor
+    ``1/sqrt(2 pi x)`` is taken as ``log 2 pi + log x`` so that it stays
+    finite up to the largest double."""
     _check_real("argument", x, "positive")
     if x <= _SERIES_CUTOFF:
         return math.log(x) - math.log(2.0) + math.log1p(_bessel_sums(x)[0])
-    return (x - 0.5 * math.log(2.0 * math.pi * x)
+    return (x - 0.5 * (math.log(2.0 * math.pi) + math.log(x))
             + math.log(_optimal_sum(_HANKEL[1], 1 / x, 1.0)))
 
 
@@ -272,13 +271,14 @@ def z_gue_semicircle(beta: float, d: float) -> float:
 
     ``<Z(beta)> = sqrt(2 d) I_1(x) / beta`` with ``x = sqrt(2 d) beta``, which
     is ``d a`` in the power series of :func:`_bessel_sums` (``x <= 50``, so
-    ``beta = 0`` gives ``log d``) and comes from ``log I_1`` beyond.  Accepts
-    huge dimensions (e.g. ``2.0**50``) since only logarithms are evaluated.
+    ``beta = 0`` gives ``log d``) and ``log x - 2 log beta + log I_1(x)``
+    beyond.  Every finite dimension is accepted, up to ``2.0**1023``: only
+    logarithms of finite factors are taken.
     """
     x = _semicircle_x(beta, d)
     if x <= _SERIES_CUTOFF:
         return math.log(d) + math.log1p(_bessel_sums(x)[0])
-    return 0.5 * math.log(2.0 * d) + log_bessel_i1(x) - math.log(beta)
+    return math.log(x) - 2.0 * math.log(beta) + log_bessel_i1(x)
 
 
 def rate_tfd_gue_exact(beta: float, d: int, gamma: float) -> float:
@@ -310,24 +310,25 @@ def rate_tfd_gue_exact(beta: float, d: int, gamma: float) -> float:
 def rate_tfd_gue_semicircle(beta: float, d: float, gamma: float) -> float:
     """Semicircle energy-dephasing rate ``8 gamma d [1 - 3 g(x)/x - g(x)^2]``.
 
-    Here ``x = sqrt(2 d) beta`` and ``g = I_2/I_1``.  ``d`` may be passed as a
-    float as large as ``2.0**60``.  The direct form cancels (to ``3/(2 x^2)``
-    at large ``x``), so the bracket never comes from ``g``: for ``x <= 50``
-    it is ``c/a^2`` of :func:`_bessel_sums` and the rate
-    ``2 gamma d (4 c/a^2)``, exactly ``2 gamma d`` at ``beta = 0`` and finite
-    wherever that is; beyond, it is its own asymptotic series in ``1/x``.
-    Within 1e-14 relative of 60-digit mpmath up to ``d = 2^60``.  The high-
-    and low-temperature limits are ``2 gamma d`` (``beta << beta_c``) and
-    ``6 gamma / beta^2`` (``beta >> beta_c``), with ``beta_c = sqrt(3/d)``.
+    Here ``x = sqrt(2 d) beta`` and ``g = I_2/I_1``; ``d`` may be any finite
+    float.  The direct form cancels (to ``3/(2 x^2)`` at large ``x``), so the
+    bracket never comes from ``g``: for ``x <= 50`` it is ``c/a^2`` of
+    :func:`_bessel_sums` and the rate ``2 gamma d (4 c/a^2)``, exactly
+    ``2 gamma d`` at ``beta = 0`` and finite wherever that is; beyond, it is
+    its own asymptotic series in ``1/x`` over its leading term, so the rate
+    is ``6 gamma/beta^2`` times a series that starts at 1, finite wherever
+    ``6 gamma/beta^2`` is (``8 gamma d`` is never formed).  Within 1e-14
+    relative of 60-digit mpmath from ``d = 2`` to ``2^60`` and at
+    ``2^1022``.  The high- and low-temperature limits are ``2 gamma d``
+    (``beta << beta_c``) and ``6 gamma / beta^2`` (``beta >> beta_c``), with
+    ``beta_c = sqrt(3/d)``.
     """
     x = _semicircle_x(beta, d)
     _check_real("gamma", gamma, "positive")
     if x <= _SERIES_CUTOFF:
         a1, _, c = _bessel_sums(x)
         return 2.0 * gamma * d * (4.0 * c / (1.0 + a1) ** 2)
-    if x > 1e150:               # the bracket is 3/(2 x^2) to the last bit
-        return 6.0 * gamma / beta / beta
-    return 8.0 * gamma * d * _rate_bracket_series(x)
+    return 6.0 * gamma / beta / beta * _optimal_sum(_RATE_SERIES, 1 / x, 1.0)
 
 
 def beta_crossover(d: float) -> float:

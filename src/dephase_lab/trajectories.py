@@ -154,10 +154,12 @@ def average_trajectories(h0: np.ndarray | None, channels: list[LindbladChannel],
     Block ``b`` of the sample engine draws its trajectories from substream
     ``b`` of ``rng``.  The result is an estimator of the dephasing
     master-equation solution; its deviation is bounded by Monte-Carlo noise
-    O(1/sqrt(N)) plus the O(dt) weak discretization error.
+    O(1/sqrt(N)) plus the O(dt) weak discretization error.  The stderr
+    needs at least two trajectories; ``TrajectoryConfig`` allows one, which
+    is all :func:`sse_trajectory` runs.
     """
+    n = _check_int("n_trajectories", cfg.n_trajectories, 2)
     h0, vec = _start(h0, channels, psi0, cfg)
-    n = cfg.n_trajectories
     dw = _pool.gather_samples(_wiener_block, n, rng, 1, cfg.steps,
                               len(channels), cfg.dt)
     d = vec.shape[0]

@@ -39,7 +39,7 @@ class TestRateGue:
         assert run_cli(["rate-gue", "--dims", "2,4", "--samples", "200",
                         "--seed", "5", "-o", str(out)]) == 0
         comments, header, rows = read_csv(str(out))
-        assert comments[0] == "# dephase-lab schema v12"
+        assert comments[0] == "# dephase-lab schema v13"
         assert header == ["d", "gamma", "rate_haar", "rate_wick", "rate_mc_mean",
                           "rate_mc_stderr", "n_samples", "seed"]
         assert len(rows) == 2
@@ -446,6 +446,33 @@ def test_formula_only_domain_sweep(capsys, log2d):
                                     abs_tol=1e-322), (log2d, text)
 
 
+_LIMIT_BETAS = ["1e-320", "1e-150", "1e-9", "1e-3", "1", "1e3", "1e150"]
+
+
+def test_formula_only_is_finite_wherever_both_limits_are(capsys):
+    # The semicircle rate lies between 0 and the larger of 2 gamma d
+    # (x <= 50) and 6 gamma/beta^2 (x > 50), so a row is written wherever
+    # both limits are finite doubles, up to d = 2^1022; elsewhere the run
+    # exits 3 and names the first column that overflows.
+    big = Fraction(sys.float_info.max)
+    for log2d in sorted({*range(1, 1023, 11), 1020, 1021, 1022}):
+        high_t = 2 * Fraction(2) ** log2d
+        for text in _LIMIT_BETAS:
+            low_t = 6 / Fraction(float(text)) ** 2
+            rc = run_cli(["tfd", "--formula-only", "--log2-dim", str(log2d),
+                          "--beta-list", text])
+            captured = capsys.readouterr()
+            over = [name for name, v in (("rate_high_t", high_t), ("rate_low_t", low_t))
+                    if v > big]
+            if over:
+                assert rc == 3 and captured.out == "", (log2d, text)
+                assert f"{over[0]} is inf" in captured.err, (log2d, text)
+                continue
+            assert rc == 0, (log2d, text, captured.err)
+            row = list(csv.reader(io.StringIO(captured.out)))[-1]
+            assert all(math.isfinite(float(v)) for v in row if v), (log2d, text)
+
+
 _FLOAT_FLAGS = [
     ("rate-gue", "--gamma", ["--dims", "2", "--samples", "10"]),
     ("crossover", "--gamma", ["--n-max", "6"]),
@@ -674,7 +701,7 @@ def test_closed_form_commands_never_import_numpy(tmp_path, argv):
                "assert 'numpy' not in sys.modules\n"
                "assert 'dataclasses' not in sys.modules\n",
                *argv, "-o", str(tmp_path / "c.csv"))
-    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v12")
+    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v13")
 
 
 def test_cli_import_leaves_the_lapack_handle_unloaded():

@@ -163,6 +163,19 @@ class TestPurityTfd:
         with pytest.raises(ValueError, match="gamma"):
             purity_tfd(build_tfd(np.array([0.0, 0.0, 1.0]), 0.3, gamma=2.0), 1e308)
 
+    def test_gamma_t_near_the_largest_double(self):
+        # gamma t = 1e308 is finite, but 2 gamma t gap^2 is not: no warning,
+        # the degenerate pair keeps its coherence and the other pairs lose
+        # theirs, in both routes.  evolve_tfd read NaN everywhere before,
+        # the constant diagonal too, from -2j t = inf meeting a zero gap.
+        sys = build_tfd(np.array([0.0, 0.0, 1.0]), 0.3)
+        p = sys.weights ** 2
+        want = (p[0] + p[1]) ** 2 + p[2] ** 2
+        assert purity_tfd(sys, 1e308) == pytest.approx(want, rel=1e-15)
+        c = evolve_tfd(sys, 1e308)
+        assert np.diag(c).tobytes() == np.diag(evolve_tfd(sys, 0.0)).tobytes()
+        assert np.sum(np.abs(c) ** 2) == pytest.approx(want, rel=1e-15)
+
 
 class TestPurityKernel:
     """The one pair sum, offset by offset over a prefix of the offsets,

@@ -27,8 +27,8 @@ from dephase_lab.rates import (PAULI, LindbladChannel, build_kbody_operator,
 from dephase_lab.specfun import (KBodySpec, _check_int, calibrate_epsilon,
                                  crossover_min_n, log_laguerre_l, rate_tfd_gue_exact,
                                  z_gue_exact)
-from dephase_lab.trajectories import (TrajectoryConfig, sse_trajectory,
-                                      tfd_two_noise_config)
+from dephase_lab.trajectories import (TrajectoryConfig, average_trajectories,
+                                      sse_trajectory, tfd_two_noise_config)
 
 
 def _normals(gen, m, d):
@@ -115,6 +115,11 @@ COUNTS = {
     "trajectory-steps": (lambda s: TrajectoryConfig(**dict(_CFG, steps=s)), "steps", 1, None),
     "trajectory-count": (lambda n: TrajectoryConfig(**dict(_CFG, n_trajectories=n)),
                          "n_trajectories", 1, None),
+    "average_trajectories": (
+        lambda n: average_trajectories(None, [LindbladChannel(0.5, PAULI["z"])], _PSI,
+                                       TrajectoryConfig(**dict(_CFG, n_trajectories=n)),
+                                       RngStream(1)),
+        "n_trajectories", 2, None),
     "rk4-steps": (lambda s: master_equation_rk4(None, [], _PSI, 0.01, s), "steps", 0, None),
     "rk4-store_every": (lambda e: master_equation_rk4(None, [], _PSI, 0.01, 2, e),
                         "store_every", 1, None),

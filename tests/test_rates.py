@@ -558,8 +558,11 @@ class TestLmg:
                 2 * gamma * n * (n - 1), rel=1e-12)
 
     def test_general_epsilon(self):
-        # 2 gamma eps^2 n (n-1), via <m^4> = 3n^2 - 2n for iid signs.
-        for n, eps in [(3, 0.5), (7, 2.0), (10, 1.3)]:
+        # 2 gamma eps^2 n (n-1), via <m^4> = 3n^2 - 2n for iid signs.  From
+        # n = 1030 on, C(n, n/2) passes the largest double, so the rate
+        # reads exact log-multiplicities.
+        for n, eps in [(3, 0.5), (7, 2.0), (10, 1.3), (1030, 0.7), (2000, 0.7),
+                       (5000, 0.7)]:
             assert rate_lmg(n, eps, 0.0, 1.0) == pytest.approx(
                 2 * eps ** 2 * n * (n - 1), rel=1e-12)
 

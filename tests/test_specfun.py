@@ -295,6 +295,13 @@ class TestBesselRatio:
             assert log_bessel_i1(x) == pytest.approx(
                 math.log(scipy.special.iv(1, x)), rel=1e-12)
 
+    @pytest.mark.parametrize("x", [1e300, 1e308])
+    def test_log_i1_near_the_largest_double(self, x):
+        # log(2 pi x) overflowed above about 2.9e307, so 1e308 read -inf.
+        with mpmath.workdps(60):
+            ref = float(mpmath.log(mpmath.besseli(1, mpmath.mpf(x))))
+        assert log_bessel_i1(x) == pytest.approx(ref, rel=1e-15)
+
     def test_subnormal_arguments(self):
         # log I_1(x) = log(x/2) to the last bit here; x/2 itself would round
         # to 0 (the smallest subnormal) or lose up to log(4/3) (its odd
@@ -358,6 +365,15 @@ class TestPartitionFunctions:
                                  / mpmath.mpf(beta))
             got = z_gue_semicircle(beta, d)
             assert got == pytest.approx(float(ref), rel=1e-15), (d, x)
+
+    def test_semicircle_at_the_largest_power_of_two(self):
+        # 0.5 log(2 d) overflowed at d = 2^1023; log x - 2 log beta does not.
+        d, beta = 2.0 ** 1023, 1e-150
+        with mpmath.workdps(60):
+            dm, bm = mpmath.mpf(d), mpmath.mpf(beta)
+            xm = mpmath.sqrt(2 * dm) * bm
+            ref = float(mpmath.log(mpmath.sqrt(2 * dm) * mpmath.besseli(1, xm) / bm))
+        assert z_gue_semicircle(beta, d) == pytest.approx(ref, rel=1e-15)
 
     def test_semicircle_large_beta_log_slope(self):
         # ln Z ~ sqrt(2 d) beta - (3/2) ln beta + const at large beta.
@@ -479,6 +495,17 @@ class TestTfdGueRates:
                 ref = float(8 * mpmath.mpf(d) * (1 - 3 * g / x - g * g))
             got = rate_tfd_gue_semicircle(beta, d, 1.0)
             assert got == pytest.approx(ref, rel=1e-14), (log2d, beta)
+
+    def test_semicircle_where_8_gamma_d_overflows(self):
+        # x is about 9.5e3 > 50, so the rate is 6 gamma/beta^2 times a series
+        # from 1; 8 gamma d = 2^1025 would overflow, and the rate read inf.
+        d, beta = 2.0 ** 1022, 1e-150
+        with mpmath.workdps(60):
+            dm = mpmath.mpf(d)
+            x = mpmath.sqrt(2 * dm) * mpmath.mpf(beta)
+            g = mpmath.besseli(2, x) / mpmath.besseli(1, x)
+            ref = float(8 * dm * (1 - 3 * g / x - g * g))
+        assert rate_tfd_gue_semicircle(beta, d, 1.0) == pytest.approx(ref, rel=1e-14)
 
     @pytest.mark.parametrize("log2d", (1, 2, 4, 8, 10, 12, 14))
     def test_laguerre_rate_matches_mpmath(self, log2d):
