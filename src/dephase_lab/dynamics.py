@@ -108,10 +108,13 @@ def evolve_tfd(sys: TfdSystem, t: float) -> np.ndarray:
     c0 = sys.weights[:, None] * sys.weights[None, :]
     # t multiplies last, so a zero gap's factor stays 1 at any finite t.  A
     # factor whose modulus underflows is 0 unevaluated, which also skips
-    # the phases that overflow at huge t.
+    # the phases that overflow at huge t; a live factor's phase must be finite.
     with np.errstate(over="ignore"):
         arg = t * (-sys.gamma * gaps ** 2 - 2j * gaps)
-    return c0 * np.exp(arg, out=np.zeros_like(arg), where=arg.real > _EXP_FLOOR)
+    live = arg.real > _EXP_FLOOR
+    if not np.isfinite(arg.imag[live]).all():
+        raise ValueError(f"the phase 2 t (E_k - E_l) of a live pair overflows at t = {t}")
+    return c0 * np.exp(arg, out=np.zeros_like(arg), where=live)
 
 
 # ln 2^-80: every pair factor at or below it is dropped.
@@ -238,16 +241,19 @@ def purity_tfd_hs(sys: TfdSystem, t: float,
     Gauss-Hermite sum over ``|Z(beta - i y)/Z(beta)|^2``.  The integrand
     oscillates with frequency up to ``sqrt(8 gamma t)`` times the spectral
     range, so when ``quadrature_nodes`` is not given the node count is scaled
-    to resolve that frequency (capped at 2048).  Degenerate at ``t = 0`` (the
+    to resolve that frequency (refused past 2048).  Degenerate at ``t = 0`` (the
     Gaussian collapses): use :func:`purity_tfd` there.
     """
-    if _check_times(t, scalar=True) == 0:
+    t = float(_check_times(t, scalar=True))
+    if t == 0:
         raise ValueError("the Gaussian representation requires t > 0; "
                          "use purity_tfd at t = 0")
     if quadrature_nodes is None:
         spread = float(sys.energies.max() - sys.energies.min())
-        omega_sq = 8.0 * sys.gamma * t * spread ** 2
-        quadrature_nodes = min(64 + int(math.ceil(0.35 * omega_sq)), 2048)
+        extra = 0.35 * (8.0 * sys.gamma * t * spread ** 2)
+        if not extra <= 2048 - 64:      # inf too
+            raise ValueError(f"t = {t} takes over 2048 quadrature nodes; use purity_tfd")
+        quadrature_nodes = 64 + math.ceil(extra)
     nodes, w = gauss_hermite(quadrature_nodes)
     e = sys.energies
     y = np.sqrt(8.0 * sys.gamma * t) * nodes

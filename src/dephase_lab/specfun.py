@@ -8,9 +8,11 @@ so the closed-form CLI commands never load numpy.  Contents:
   to ``L_n^(alpha)`` that the finite-d rate reads.
 * Modified Bessel functions ``I_1`` and ``I_2`` for every semicircle form,
   from one loop of three positive power series (DLMF 10.25.2) up to
-  ``x = 50`` and from the large-argument Hankel series beyond: the ratio
-  ``g(x) = I_2(x)/I_1(x)`` (for arguments up to ``1e30``, where ``I_nu``
-  itself overflows by thousands of orders) and ``log I_1``.
+  ``x = 50`` and, beyond, from one exact integer recurrence for the
+  large-argument series of ``y = I_1'/I_1`` (Bessel's equation as a Riccati
+  equation): the ratio ``g(x) = I_2(x)/I_1(x) = y - 1/x`` (for arguments up
+  to ``1e30``, where ``I_nu`` itself overflows by thousands of orders) and
+  ``log I_1``, whose derivative is ``y``.
 * The GUE-averaged partition function in its finite-dimension Laguerre form
   ``<Z(beta)> = exp(beta^2/4) L_{d-1}^(1)(-beta^2/2)`` and in its semicircle
   form ``sqrt(2 d) I_1(sqrt(2 d) beta) / beta``, both log-scaled.
@@ -40,7 +42,8 @@ from collections import namedtuple
 
 from .exceptions import NumericalError
 
-# Power-series / Hankel-series crossover of every semicircle form.
+# Crossover of every semicircle form from the power series in x^2/4 to the
+# large-x series in 1/x read from the one recurrence of I_1'/I_1.
 _SERIES_CUTOFF = 50.0
 _LOG_SCALE_CAP = 1e250
 # Largest log2(dimension) that the sampling commands and ensembles draw.
@@ -154,35 +157,24 @@ def _bessel_sums(x: float) -> tuple[float, float, float]:
     return a, b, c
 
 
-def bessel_i_ratio_g(x: float) -> float:
-    """Ratio ``g(x) = I_2(x)/I_1(x)`` of modified Bessel functions.
-
-    ``(x/2) b/a`` from the power series of :func:`_bessel_sums` for
-    ``x <= 50`` and the ratio of the large-argument Hankel series beyond;
-    within 1e-14 relative of 60-digit mpmath across ``[1e-300, 1e30]``.  The
-    ratio lies in (0, 1), behaves as ``x/4`` for small ``x`` and as
-    ``1 - 3/(2x)`` for large ``x``.
-    """
-    _check_real("argument", x, "positive")
-    if x <= _SERIES_CUTOFF:
-        a1, b, _ = _bessel_sums(x)
-        return 0.5 * x * b / (1.0 + a1)
-    return _optimal_sum(_HANKEL[2], 1 / x, 1.0) / _optimal_sum(_HANKEL[1], 1 / x, 1.0)
-
-
-def _hankel_coefficients(nu: int, n_terms: int) -> list[float]:
-    """Coefficients ``a_k`` of the large-x series
-    ``I_nu(x) sqrt(2 pi x) exp(-x) ~ sum_k a_k x^-k``."""
-    mu = 4.0 * nu * nu
-    c = [1.0]
-    for k in range(1, n_terms):
-        c.append(c[-1] * -(mu - (2 * k - 1) ** 2) / (8.0 * k))
-    return c
+def _riccati_coefficients(n_terms: int) -> list[int]:
+    """``Y_k = 4^k y_k``, exact integers, of the large-x series
+    ``y = I_1'/I_1 ~ sum_k y_k x^-k``: Bessel's equation (DLMF 10.25.1) makes
+    ``y`` solve ``y' = 1 + 1/x^2 - y/x - y^2``, so ``y_0 = 1``, ``y_1 = -1/2``
+    and ``2 y_k = (k-2) y_{k-1} - sum_{0<i<k} y_i y_{k-i} + [k = 2]`` for
+    ``k >= 2``.  Scaled by ``4^k`` it only halves an even sum, so each float
+    coefficient read from it is one correctly rounded integer quotient."""
+    y = [1, -2]
+    for k in range(2, n_terms):
+        s = sum(y[i] * y[k - i] for i in range(1, k))
+        y.append(2 * (k - 2) * y[-1] - s // 2 + (8 if k == 2 else 0))
+    return y
 
 
 def _optimal_sum(coeffs, t: float, power: float) -> float:
     """``sum_k coeffs[k] power t^k`` of an asymptotic series, stopped before
-    its terms grow (optimal truncation) or once they stop counting."""
+    its terms grow (optimal truncation) or once they stop counting.  The
+    first coefficient must be nonzero: a leading 0 ends the sum at once."""
     total = 0.0
     prev = math.inf
     for c in coeffs:
@@ -198,51 +190,48 @@ def _optimal_sum(coeffs, t: float, power: float) -> float:
     return total
 
 
-# I_nu(x) sqrt(2 pi x) exp(-x) at x > 50 is _optimal_sum(_HANKEL[nu], 1/x, 1),
-# to full precision in at most 18 terms.
-_HANKEL = {nu: _hankel_coefficients(nu, 30) for nu in (1, 2)}
+# Each semicircle form at x > 50 sums one series in 1/x read from the one
+# sequence y_k = _Y[k] / 4^k, to full precision in at most 16 terms.
+_Y = _riccati_coefficients(24)
+# g - 1 = y - 1 - 1/x from x^-1 (DLMF 10.29.2: I_2 = I_1' - I_1/x); the 1 is
+# added last, so g is within a few hundredths of an ulp of correctly rounded.
+_G_SERIES = (-1.5,) + tuple(_Y[k] / 4 ** k for k in range(2, len(_Y)))
+# log(I_1 sqrt(2 pi x) e^-x) = sum_{k>=1} -y_{k+1}/k x^-k from x^-1, the
+# integral of y - 1 + 1/(2x) from infinity.
+_LOG_I1_SERIES = tuple(-_Y[k + 1] / (k * 4 ** (k + 1)) for k in range(1, len(_Y) - 1))
+# The rate bracket 1 - 3g/x - g^2 = y' + 1/x^2
+# = 3/(2x^2) - sum_{k>=2} k y_k x^-(k+1) over its leading term 3/(2x^2):
+# a series in 1/x from 1, in which nothing cancels.
+_RATE_SERIES = (1.0,) + tuple(-2 * k * _Y[k] / (3 * 4 ** k) for k in range(2, len(_Y)))
 
 
-def _rate_bracket_coefficients(n_terms: int) -> tuple[float, ...]:
-    """Coefficients ``c_k`` of ``1 - 3 g/x - g^2 ~ sum_k c_k x^-k`` for large x.
+def bessel_i_ratio_g(x: float) -> float:
+    """Ratio ``g(x) = I_2(x)/I_1(x)`` of modified Bessel functions.
 
-    Built from the coefficients ``a_k`` of ``I_1`` and ``b_k`` of ``I_2``
-    (:func:`_hankel_coefficients`): with ``A = sum a_k x^-k`` and
-    ``B = sum b_k x^-k`` the bracket is ``(A^2 - 3 A B/x - B^2) / A^2``.
-    The ``x^0`` and ``x^-1`` coefficients of the numerator cancel exactly, so
-    the series starts ``3/(2x^2) - 3/(4x^3) - 9/(8x^4)`` and evaluating it
-    loses no digits, unlike the direct form.
+    ``(x/2) b/a`` from the power series of :func:`_bessel_sums` for
+    ``x <= 50`` and ``y - 1/x`` beyond, with ``y = I_1'/I_1`` from
+    :func:`_riccati_coefficients`; within 1e-15 relative of 60-digit mpmath
+    across ``[1e-300, 1e30]`` (4.1e-16 at worst on a log grid).  The
+    ratio lies in (0, 1), behaves as ``x/4`` for small ``x`` and as
+    ``1 - 3/(2x)`` for large ``x``.
     """
-    def product(p, q):
-        return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(n_terms)]
-
-    a, b = _hankel_coefficients(1, n_terms), _hankel_coefficients(2, n_terms)
-    aa, ab, bb = product(a, a), product(a, b), product(b, b)
-    numerator = [aa[k] - bb[k] - (3.0 * ab[k - 1] if k else 0.0)
-                 for k in range(n_terms)]
-    out: list[float] = []
-    for k in range(n_terms):          # series division by aa, with aa[0] = 1
-        out.append(numerator[k] - sum(out[i] * aa[k - i] for i in range(k)))
-    return tuple(out)
-
-
-# Thirty terms cover x > 50 to full precision (at most 17 are used there).
-_RATE_BRACKET = _rate_bracket_coefficients(30)
-# The bracket over its leading term 3/(2 x^2): a series in 1/x from 1.
-_RATE_SERIES = tuple(c / _RATE_BRACKET[2] for c in _RATE_BRACKET[2:])
+    _check_real("argument", x, "positive")
+    if x <= _SERIES_CUTOFF:
+        a1, b, _ = _bessel_sums(x)
+        return 0.5 * x * b / (1.0 + a1)
+    return 1.0 + _optimal_sum(_G_SERIES, 1 / x, 1 / x)
 
 
 def log_bessel_i1(x: float) -> float:
     """``log I_1(x)``: ``log x - log 2 + log a`` from the power series of
     :func:`_bessel_sums` for ``x <= 50`` (finite down to the smallest
-    subnormal ``x``), the Hankel series beyond, whose prefactor
-    ``1/sqrt(2 pi x)`` is taken as ``log 2 pi + log x`` so that it stays
-    finite up to the largest double."""
+    subnormal ``x``), and beyond ``x - (log 2 pi + log x)/2`` (finite up to
+    the largest double) plus the series of ``log(I_1 sqrt(2 pi x) e^-x)``."""
     _check_real("argument", x, "positive")
     if x <= _SERIES_CUTOFF:
         return math.log(x) - math.log(2.0) + math.log1p(_bessel_sums(x)[0])
     return (x - 0.5 * (math.log(2.0 * math.pi) + math.log(x))
-            + math.log(_optimal_sum(_HANKEL[1], 1 / x, 1.0)))
+            + _optimal_sum(_LOG_I1_SERIES, 1 / x, 1 / x))
 
 
 def z_gue_exact(beta: float, d: int) -> float:
@@ -315,7 +304,8 @@ def rate_tfd_gue_semicircle(beta: float, d: float, gamma: float) -> float:
     bracket never comes from ``g``: for ``x <= 50`` it is ``c/a^2`` of
     :func:`_bessel_sums` and the rate ``2 gamma d (4 c/a^2)``, exactly
     ``2 gamma d`` at ``beta = 0`` and finite wherever that is; beyond, it is
-    its own asymptotic series in ``1/x`` over its leading term, so the rate
+    ``y' + 1/x^2`` with ``y = I_1'/I_1`` (:func:`_riccati_coefficients`), an
+    asymptotic series in ``1/x`` taken over its leading term, so the rate
     is ``6 gamma/beta^2`` times a series that starts at 1, finite wherever
     ``6 gamma/beta^2`` is (``8 gamma d`` is never formed).  Within 1e-14
     relative of 60-digit mpmath from ``d = 2`` to ``2^60`` and at

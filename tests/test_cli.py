@@ -692,14 +692,18 @@ def test_serial_run_never_imports_the_pool_module(tmp_path):
 ])
 def test_closed_form_commands_never_import_numpy(tmp_path, argv):
     # As `python -m dephase_lab` runs them: the package __init__, then
-    # __main__.  Their closed forms are scalar math.
+    # __main__.  Their closed forms are scalar math, with coefficient tables
+    # built in Python integers: `import fractions` alone would add about
+    # 4 ms to every launch.
     _run_fresh("import runpy, sys\n"
                "try:\n"
                "    runpy.run_module('dephase_lab', run_name='__main__')\n"
                "except SystemExit as exc:\n"
                "    assert exc.code == 0, exc.code\n"
                "assert 'numpy' not in sys.modules\n"
-               "assert 'dataclasses' not in sys.modules\n",
+               "assert 'dataclasses' not in sys.modules\n"
+               "assert 'fractions' not in sys.modules\n"
+               "assert 'decimal' not in sys.modules\n",
                *argv, "-o", str(tmp_path / "c.csv"))
     assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v13")
 

@@ -176,6 +176,13 @@ class TestPurityTfd:
         assert np.diag(c).tobytes() == np.diag(evolve_tfd(sys, 0.0)).tobytes()
         assert np.sum(np.abs(c) ** 2) == pytest.approx(want, rel=1e-15)
 
+    def test_overflowing_phase_of_a_surviving_pair_rejected(self):
+        # gamma t = 1e-2 keeps the pair's modulus, but 2 t gap = 2e308 is
+        # inf: the coefficient read NaN, with an "invalid value" warning.
+        sys = build_tfd(np.array([0.0, 1.0]), 0.3, gamma=1e-310)
+        with pytest.raises(ValueError, match="phase"):
+            evolve_tfd(sys, 1e308)
+
 
 class TestPurityKernel:
     """The one pair sum, offset by offset over a prefix of the offsets,
@@ -253,6 +260,15 @@ class TestPurityHs:
         sys = build_tfd(np.array([0.0, 1.0]), 0.0)
         with pytest.raises(ValueError, match="time"):
             purity_tfd_hs(sys, t, quadrature_nodes=64)
+
+    @pytest.mark.parametrize("t", [1e5, 1e308])
+    def test_a_rule_past_the_node_cap_is_refused(self, t):
+        # At t = 1e5 the capped 2048-node rule read 0.406 where purity_tfd
+        # reads 0.6055; at 1e308, 8 gamma t spread^2 is inf and the node
+        # count raised a bare OverflowError.
+        sys = build_tfd(np.array([0.0, 0.0, 1.0]), 0.3)
+        with pytest.raises(ValueError, match="over 2048 quadrature nodes; use purity_tfd"):
+            purity_tfd_hs(sys, t)
 
 
 class TestRateTfd:

