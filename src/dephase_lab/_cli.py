@@ -56,10 +56,11 @@ def _fmt(x) -> str:
 
 def _emit(path: str | None, comments: list[str], header: list[str],
           rows: list[list]) -> None:
-    """Write the CSV, or raise ``NumericalError`` before writing anything
-    when a float in a row is not finite."""
+    """Write the CSV: the schema line, the command's ``comments``, the header
+    and the rows.  Raise ``NumericalError`` before writing anything when a
+    float in a row is not finite."""
     buf = io.StringIO()
-    for line in comments:
+    for line in [SCHEMA_COMMENT, *comments]:
         buf.write(line + "\r\n")
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -115,8 +116,7 @@ def cmd_rate_gue(args) -> int:
         rows.append([d, args.gamma, rate_gue_haar(d, args.gamma),
                      rate_gue_wick(d, args.gamma), est.mean, est.stderr,
                      args.samples, args.seed])
-    comments = [SCHEMA_COMMENT,
-                f"# rate-gue: dims={args.dims} gamma={_fmt(args.gamma)} "
+    comments = [f"# rate-gue: dims={args.dims} gamma={_fmt(args.gamma)} "
                 f"samples={args.samples} seed={args.seed}"]
     _emit(args.output, comments,
           ["d", "gamma", "rate_haar", "rate_wick", "rate_mc_mean",
@@ -133,8 +133,7 @@ def cmd_crossover(args) -> int:
     # Reference-size calibration at k = 1, where both bound modes coincide.
     eps_sq = calibrate_epsilon(args.n0, 1, args.gamma)
     eps = math.sqrt(eps_sq)
-    comments = [SCHEMA_COMMENT,
-                f"# crossover: k_list={args.k_list} n_max={args.n_max} "
+    comments = [f"# crossover: k_list={args.k_list} n_max={args.n_max} "
                 f"n0={args.n0} gamma={_fmt(args.gamma)} mode={args.mode} "
                 f"seed={args.seed}",
                 f"# epsilon_sq={_fmt(eps_sq)}"]
@@ -172,17 +171,15 @@ def cmd_tfd(args) -> int:
     except OverflowError:
         raise ValueError(f"{flag} is too large: 2**{_fmt(log2d)} overflows a "
                          "double") from None
+    # The finite-d rate needs an integer dimension: a whole-number log2d at
+    # or below the cap.  The other rate columns use 2**log2d throughout.
+    exact_d = (int(round(dim)) if log2d <= EXACT_RATE_LOG2_CAP
+               and log2d == int(log2d) else None)
     header = ["beta", "gamma_t", "purity_mean", "purity_stderr", "purity_inf",
               "rate_exact", "rate_semicircle", "rate_high_t", "rate_low_t"]
-    rows: list[list] = []
     if args.formula_only:
-        # The finite-d rate needs an integer dimension: a whole-number
-        # log2d at or below the cap.  Other rows use 2**log2d throughout.
-        exact_d = (int(round(dim)) if log2d <= EXACT_RATE_LOG2_CAP
-                   and log2d == int(log2d) else None)
-        for beta in betas:
-            rows.append([beta, "", "", "", "",
-                         *_rate_columns(beta, exact_d, dim, args.gamma)])
+        rows = [[beta, "", "", "", "", *_rate_columns(beta, exact_d, dim, args.gamma)]
+                for beta in betas]
     else:
         _check_int("--n-qubits", args.n_qubits, 1, _SAMPLING_LOG2_CAP)
         _check_int("--samples", args.samples, 2)
@@ -193,14 +190,14 @@ def cmd_tfd(args) -> int:
         curves = dynamics.ensemble_purity_tfd(
             args.n_qubits, betas, args.gamma, grid, args.samples,
             ensembles.RngStream(args.seed, 0), workers=args.threads)
+        rows = []
         for beta, curve in zip(betas, curves):
-            rates = _rate_columns(beta, 2 ** args.n_qubits, dim, args.gamma)
+            rates = _rate_columns(beta, exact_d, dim, args.gamma)
             for i, gt in enumerate(grid):
                 rows.append([beta, float(gt), float(curve.purity.mean[i]),
                              float(curve.purity.stderr[i]),
                              float(curve.purity_inf.mean), *rates])
-    comments = [SCHEMA_COMMENT,
-                f"# tfd: n_qubits={args.n_qubits} beta_list={args.beta_list} "
+    comments = [f"# tfd: n_qubits={args.n_qubits} beta_list={args.beta_list} "
                 f"gamma={_fmt(args.gamma)} t_max={_fmt(args.t_max)} "
                 f"t_points={args.t_points} samples={args.samples} "
                 f"seed={args.seed} formula_only={args.formula_only} "

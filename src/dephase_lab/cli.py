@@ -9,4 +9,4 @@ eager import below loads numpy, so a pin set after it would not act.
 """
 from . import validate  # noqa: F401  (loads numpy, _pool and every module)
 from ._cli import *  # noqa: F401,F403
-from ._cli import _emit, _rate_columns, main  # noqa: F401
+from ._cli import _emit, main  # noqa: F401

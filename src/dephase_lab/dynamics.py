@@ -248,15 +248,19 @@ def purity_tfd_hs(sys: TfdSystem, t: float,
     if t == 0:
         raise ValueError("the Gaussian representation requires t > 0; "
                          "use purity_tfd at t = 0")
+    spread = float(sys.energies.max() - sys.energies.min())
+    # The Gaussian's variance; a zero spread leaves a constant integrand,
+    # which needs no frequency and the 64-node minimum, even where 8 gamma t
+    # overflows.
+    var = 8.0 * sys.gamma * t if spread else 0.0
     if quadrature_nodes is None:
-        spread = float(sys.energies.max() - sys.energies.min())
-        extra = 0.35 * (8.0 * sys.gamma * t * spread ** 2)
+        extra = 0.35 * (var * spread ** 2)
         if not extra <= 2048 - 64:      # inf too
             raise ValueError(f"t = {t} takes over 2048 quadrature nodes; use purity_tfd")
         quadrature_nodes = 64 + math.ceil(extra)
     nodes, w = gauss_hermite(quadrature_nodes)
     e = sys.energies
-    y = np.sqrt(8.0 * sys.gamma * t) * nodes
+    y = np.sqrt(var) * nodes
     boltz = sys.weights ** 2          # exp(-beta E_k)/Z, already normalized
     zr = (boltz[None, :] * np.exp(1j * np.outer(y, e))).sum(axis=1)
     return float((w * np.abs(zr) ** 2).sum() / math.sqrt(math.pi))

@@ -105,7 +105,10 @@ def _gue_columns(gen: np.random.Generator, m: int, d: int,
     ``gen.standard_normal``: first ``g_{j, cols[c]}`` for ``j < d``, ``c < s``
     (the columns, row-major), then ``g_{cols[c], t}`` for ``t`` outside ``cols``
     (the rest of their rows, ascending), so ``cols = range(d)`` reads ``g`` as
-    ``gen.standard_normal((m, d, d))``.  ``Re V_jk = (g_jk + g_kj)/sqrt(8)`` and
+    ``gen.standard_normal((m, d, d))``.  The rows ``g_{cols[c], :}`` take one
+    scatter for every ``cols``: the entries in ``cols`` from the columns, the
+    rest from the tail, which the full support leaves empty.
+    ``Re V_jk = (g_jk + g_kj)/sqrt(8)`` and
     ``Im V_jk = (g_jk - g_kj)/sqrt(8)`` are independent with variance 1/4, and
     for ``j, k`` in ``cols``, ``V_kk = g_kk/sqrt(2)`` is real and
     ``V_kj = conj(V_jk)`` by the same float operations.  Matrix ``i`` reads
@@ -113,12 +116,9 @@ def _gue_columns(gen: np.random.Generator, m: int, d: int,
     s = len(cols)
     x = gen.standard_normal((m, (2 * d - s) * s))
     col = x[:, :d * s].reshape(m, d, s)            # g_{j, cols[c]}
-    if s == d:                                     # every column: row is col
-        row = col
-    else:
-        row = np.empty((m, s, d))                  # g_{cols[c], j}
-        row[:, :, cols] = col[:, cols]
-        row[:, :, np.delete(np.arange(d), cols)] = x[:, d * s:].reshape(m, s, d - s)
+    row = np.empty((m, s, d))                      # g_{cols[c], j}
+    row[:, :, cols] = col[:, cols]
+    row[:, :, np.delete(np.arange(d), cols)] = x[:, d * s:].reshape(m, s, d - s)
     return _OMEGA * col + _OMEGA.conjugate() * row.transpose(0, 2, 1)
 
 

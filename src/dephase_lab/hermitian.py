@@ -13,7 +13,10 @@ largest entry.
 
 Every rate reads one centred variance kernel per kind of state, the modified
 covariance of a state or ``4 gamma var_p(E)`` of Gibbs populations, so no
-constant shift of an operator cancels a rate's digits.
+constant shift of an operator cancels a rate's digits.  The one exception is
+the pure-state path of a sampled GUE-channel rate (``rates._rate_gue_block``),
+which sums ``|V psi - mu psi|^2`` itself, centred the same way, so that
+``rate-gue`` calls no BLAS.
 
 Every reduction to one scalar per row, a dot product or a moment, is an
 ``einsum``, which calls no BLAS kernel chosen per CPU, so its bits do not
@@ -50,16 +53,21 @@ def _gibbs_weights(energies: np.ndarray, beta: float | np.ndarray,
     ``log_mult`` adds each level's log-multiplicity.  Each sum is
     max-shifted, so large ``beta`` gives the ground-state limit instead of
     underflowing, and ``log p_k`` never goes through ``ln Z``, whose digits
-    the shift would take.
+    the shift would take.  A spectrum where ``beta E`` passes a double is
+    measured from its lowest level, ``E_0``, with ``-beta E_0`` put back into
+    ``ln Z`` (where it may overflow); every other one keeps its bits.
     """
-    log_w = -beta * energies
-    if log_mult is not None:
-        log_w = log_w + log_mult
-    shift = log_w.max(axis=-1, keepdims=True)
-    log_w = log_w - shift
-    sums = np.exp(log_w).sum(axis=-1, keepdims=True)
-    log_sum = np.array([math.log(s) for s in sums.flat]).reshape(sums.shape)
-    return np.exp(0.5 * (log_w - log_sum)), (shift + log_sum)[..., 0]
+    with np.errstate(over="ignore"):            # -beta E_0 may overflow ln Z
+        finite = np.isfinite(-beta * energies).all(axis=-1, keepdims=True)
+        ground = np.where(finite, 0.0, energies.min(axis=-1, keepdims=True))
+        log_w = -beta * (energies - ground)         # E - 0.0 is E, bit for bit
+        if log_mult is not None:
+            log_w = log_w + log_mult
+        shift = log_w.max(axis=-1, keepdims=True)
+        log_w = log_w - shift
+        sums = np.exp(log_w).sum(axis=-1, keepdims=True)
+        log_sum = np.array([math.log(s) for s in sums.flat]).reshape(sums.shape)
+        return np.exp(0.5 * (log_w - log_sum)), (shift + log_sum - beta * ground)[..., 0]
 
 
 def _energy_dephasing_rate(p: np.ndarray, energies: np.ndarray, gamma: float):

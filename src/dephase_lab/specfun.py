@@ -77,7 +77,7 @@ def _check_int(name: str, n: int, lo: int, hi: int | None = None) -> int:
 
 def _check_dim(d: float) -> None:
     if _check_real("dimension", d, None) < 1:
-        raise ValueError("dimension must be >= 1")
+        raise ValueError("dimension must be at least 1")
 
 
 def _laguerre_sums(n: int, alpha: float, x: float) -> tuple[float, float, float]:
@@ -375,22 +375,26 @@ def rate_kbody_bound(spec: KBodySpec, gamma: float, mode: str = "approx") -> flo
 
     ``approx`` uses ``2 gamma eps^2 n^(2k)/(k!)^2`` (large-n form of the
     squared-norm bound); ``exact-binomial`` uses ``2 gamma eps^2 C(n,k)^2``.
-    Both assume unit-norm string factors.
+    Both assume unit-norm string factors.  Where a form passes the largest
+    double, its ``n^k/k!`` or ``C(n, k)`` is taken as a product of the ratios
+    ``n/j`` for ``j <= k`` or ``(n - j + 1)/j`` for ``j <= min(k, n - k)``,
+    each at least 1, so no partial product passes the result.
     """
     _check_real("gamma", gamma)
-    if mode == "approx":
-        try:
-            rate = 2.0 * gamma * spec.epsilon ** 2 * float(spec.n) ** (2 * spec.k) \
-                / math.factorial(spec.k) ** 2
-        except OverflowError:   # n^(2k) or (k!)^2 past a double raises, not inf
-            rate = math.inf
-        if math.isinf(rate):    # n^(2k) overflowed: n^k/k! as a product of n/j >= 1
-            ratio = math.prod(spec.n / j for j in range(1, spec.k + 1))
-            rate = _two_gamma_times(gamma, spec.epsilon ** 2, ratio, ratio)
-        return rate
-    if mode == "exact-binomial":
-        return _two_gamma_times(gamma, spec.epsilon ** 2, math.comb(spec.n, spec.k) ** 2)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("approx", "exact-binomial"):
+        raise ValueError(f"unknown mode {mode!r}")
+    n, k, eps_sq = spec.n, spec.k, spec.epsilon ** 2
+    approx = mode == "approx"
+    try:
+        rate = (2.0 * gamma * eps_sq * float(n) ** (2 * k) / math.factorial(k) ** 2
+                if approx else _two_gamma_times(gamma, eps_sq, math.comb(n, k) ** 2))
+    except OverflowError:   # n^(2k), or an integer past a double, raises: not inf
+        rate = math.inf
+    if math.isinf(rate):
+        top = k if approx else min(k, n - k)        # C(n, k) = C(n, n - k)
+        ratio = math.prod((n if approx else n - j + 1) / j for j in range(1, top + 1))
+        rate = _two_gamma_times(gamma, eps_sq, ratio, ratio)
+    return rate
 
 
 def _two_gamma_times(gamma: float, *factors) -> float:

@@ -282,6 +282,15 @@ class TestTfd:
         assert float(first[7]) == pytest.approx(8.0)
         assert first[8] == ""
 
+    def test_beta_past_a_double_times_the_levels_is_the_ground_state(self, capsys):
+        # beta E overflows for every level, so each Gibbs weight used to be
+        # NaN and the run exited 3; the ground state has purity 1, plateau 1
+        # and the finite-d rate 2 gamma.
+        assert run_cli(["tfd", "--n-qubits", "3", "--beta-list", "1e308",
+                        "--samples", "4", "--t-points", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:] == [f"1e+308,{t},1,0,1,2,0,16,0" for t in (0, 5, 10)]
+
     def test_formula_only_fifty_qubits(self, tmp_path):
         out = tmp_path / "f.csv"
         assert run_cli(["tfd", "--formula-only", "--log2-dim", "50",

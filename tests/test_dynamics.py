@@ -270,6 +270,16 @@ class TestPurityHs:
         with pytest.raises(ValueError, match="over 2048 quadrature nodes; use purity_tfd"):
             purity_tfd_hs(sys, t)
 
+    @pytest.mark.parametrize("t", [1.0, 1e308])
+    def test_a_zero_spread_takes_the_minimum_rule(self, t):
+        # One level twice: the integrand is constant, so the 64-node rule
+        # serves every t.  At t = 1e308, 8 gamma t is inf, and inf * 0 gave a
+        # NaN node count that was refused as past the cap.
+        sys = build_tfd(np.array([0.0, 0.0]), 0.3)
+        assert purity_tfd(sys, t) == pytest.approx(1.0, rel=1e-15)
+        assert purity_tfd_hs(sys, t) == purity_tfd_hs(sys, t, quadrature_nodes=64)
+        assert purity_tfd_hs(sys, t) == pytest.approx(purity_tfd(sys, t), rel=1e-14)
+
 
 class TestRateTfd:
     def test_symmetric_two_level(self):

@@ -1,3 +1,4 @@
+import ctypes
 import glob
 import math
 import os
@@ -71,8 +72,8 @@ class TestGueSampling:
 
     @pytest.mark.parametrize("d", [1, 8, 64])
     def test_full_draw_equals_the_support_layout(self, d):
-        # With every column drawn, the rows of g are its columns: the
-        # shortcut gives the bits of the general support bookkeeping.
+        # The draw gives the bits of the support bookkeeping written out, for
+        # the full support (whose rows of g are its columns) as for a part.
         def support_layout(gen, m, cols):
             s = len(cols)
             x = gen.standard_normal((m, (2 * d - s) * s))
@@ -243,6 +244,23 @@ class TestTridiagonalSpectrum:
         dense = _spectra(_gue_spectrum, d, 3, RngStream(9, d))
         assert fast.tobytes() == dense.tobytes()
         assert (np.diff(fast, axis=1) >= 0).all()
+
+    @pytest.mark.parametrize("library", ["unloadable", "without-the-symbol"])
+    def test_a_missing_dsterf_leaves_the_eigvalsh_route(self, library, monkeypatch):
+        # The lookup answers None, and _tridiagonal_eigvalsh then solves the
+        # dense matrix, where the library will not load or lacks the symbol.
+        def cdll(path):
+            if library == "unloadable":
+                raise OSError(path)
+            return object()
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        ensembles._dsterf.cache_clear()
+        try:
+            assert ensembles._dsterf() is None
+            got = ensembles._tridiagonal_eigvalsh(np.array([0.0, 0.0]), np.array([1.0]))
+        finally:
+            ensembles._dsterf.cache_clear()
+        assert got.tolist() == pytest.approx([-1.0, 1.0], abs=1e-15)
 
     @pytest.mark.parametrize("off_len", [0, 2, 4])
     def test_dsterf_refuses_a_mismatched_off_diagonal(self, off_len):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from dephase_lab import (HermiticityError, DimensionMismatchError,
                          modified_covariance, purity, spectral_norm)
 from dephase_lab.hermitian import _energy_dephasing_rate, _gibbs_weights, as_state
 from dephase_lab.ensembles import RngStream, _gue_matrix
+from dephase_lab.dynamics import build_tfd
 from dephase_lab.rates import PAULI, decoherence_rate
 
 
@@ -205,3 +208,16 @@ class TestGibbsStack:
         w, ln_z = _gibbs_weights(np.array([-1.0, 0.0, 2.0]), 1e6)
         assert w.tolist() == [1.0, 0.0, 0.0]
         assert ln_z == 1e6
+
+    def test_beta_past_a_double_times_the_levels(self):
+        # -beta E is +-inf on every level and the max shift made each weight
+        # NaN; a row with an infinite term is measured from its lowest level,
+        # and -beta E_0 goes back into ln Z.  The finite row keeps its bits.
+        spectra = np.array([[-2.0, 0.0, 2.0], [-1.0, 0.5, 3.0]])
+        w, ln_z = _gibbs_weights(spectra, np.array([[1e308], [1.0]]))
+        assert w[0].tolist() == [1.0, 0.0, 0.0] and ln_z[0] == math.inf
+        want_w, want_ln_z = _gibbs_weights(spectra[1], 1.0)
+        assert w[1].tobytes() == want_w.tobytes() and ln_z[1] == want_ln_z
+        w, ln_z = _gibbs_weights(np.array([-1e-300, 0.0, 2.0]), 1e308)
+        assert w.tolist() == [1.0, 0.0, 0.0] and ln_z == 1e8
+        assert build_tfd([-2.0, 0.0, 2.0], 1e308).weights.tolist() == [1.0, 0.0, 0.0]

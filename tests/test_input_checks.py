@@ -1,7 +1,9 @@
 """One check per input kind: every count goes through ``specfun._check_int``
 and every channel operator, Hamiltonian or spectrum through
 ``hermitian.as_operator``.  Each table row names an entry point, the name its
-message carries and the bounds of the count; a CLI flag's row runs ``main``."""
+message carries and the bounds of the count; a CLI flag's row runs ``main``.
+Every other refusal, of a value that is neither a count nor an operator, is
+a row of one more table, with its error and message."""
 
 import contextlib
 import io
@@ -11,22 +13,22 @@ import re
 import numpy as np
 import pytest
 
-from dephase_lab import _pool
+from dephase_lab import _pool, trajectories
 from dephase_lab._cli import main
 from dephase_lab.dynamics import (annealing_check, build_tfd, ensemble_purity_tfd,
                                   evolve_tfd, gauss_hermite, master_equation_rk4,
                                   purity_tfd_hs)
 from dephase_lab.ensembles import (RngStream, gue_level_density, gue_trace_square_mc,
-                                   haar_second_moment, hermite_phi, sample_gue,
-                                   sample_haar_unitary)
-from dephase_lab.exceptions import HermiticityError
+                                   haar_fourth_moment, haar_second_moment, hermite_phi,
+                                   sample_gue, sample_haar_unitary)
+from dephase_lab.exceptions import HermiticityError, NumericalError
 from dephase_lab.hermitian import as_operator
 from dephase_lab.rates import (PAULI, LindbladChannel, build_kbody_operator,
                                build_tbre_operator, lmg_sector_spectrum, rate_gue_mc,
                                rate_lmg, tbre_rate_and_bound)
 from dephase_lab.specfun import (KBodySpec, _check_int, calibrate_epsilon,
-                                 crossover_min_n, log_laguerre_l, rate_tfd_gue_exact,
-                                 z_gue_exact)
+                                 crossover_min_n, log_laguerre_l, rate_gue_wick,
+                                 rate_kbody_bound, rate_tfd_gue_exact, z_gue_exact)
 from dephase_lab.trajectories import (TrajectoryConfig, average_trajectories,
                                       sse_trajectory, tfd_two_noise_config)
 
@@ -164,6 +166,47 @@ def _count_rows():
 def test_every_count_is_checked_by_one_rule(entry, bad, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         COUNTS[entry][0](bad)
+
+
+# entry point: (call with the bad value, the bad value, error, message)
+REFUSALS = {
+    "cli-empty-list": (_cli("rate-gue", "--dims", "{}"), ",", ValueError,
+                       "--dims must list at least one value"),
+    "cli-dimension-below-1": (_cli("tfd", "--formula-only", "--log2-dim", "{}"), -1.5,
+                              ValueError, "dimension must be at least 1"),
+    "haar-mixed-dimension": (
+        lambda x: haar_fourth_moment(PAULI["z"], x, PAULI["z"], 4, RngStream(1)),
+        np.eye(3), ValueError, "operators must share one dimension"),
+    "rate_gue_wick-purity": (lambda p: rate_gue_wick(4, 1.0, p), 1.5, ValueError,
+                             "purity must lie in (0, 1]"),
+    "rate_kbody_bound-mode": (lambda m: rate_kbody_bound(KBodySpec(3, 1), 1.0, m),
+                              "binomial", ValueError, "unknown mode 'binomial'"),
+    "sse_trajectory-mixed-start": (
+        lambda rho: sse_trajectory(None, [], rho, TrajectoryConfig(**_CFG), RngStream(1)),
+        np.eye(2) / 2, ValueError, "trajectories start from a pure state"),
+    "trajectory-norm-collapse": (
+        lambda floor: _with_norm_floor(floor, sse_trajectory, None,
+                                       [LindbladChannel(0.5, PAULI["z"])], _PSI,
+                                       TrajectoryConfig(**_CFG), RngStream(1)),
+        2.0, NumericalError, "trajectory norm collapsed; reduce dt"),
+}
+
+
+def _with_norm_floor(floor, call, *args):
+    """``call(*args)`` with the trajectories' norm floor at ``floor``: above 1,
+    the first step's unit norm counts as a collapse."""
+    saved, trajectories._NORM_FLOOR = trajectories._NORM_FLOOR, floor
+    try:
+        return call(*args)
+    finally:
+        trajectories._NORM_FLOOR = saved
+
+
+@pytest.mark.parametrize("entry", sorted(REFUSALS))
+def test_every_other_refusal_names_its_input(entry):
+    call, bad, error, message = REFUSALS[entry]
+    with pytest.raises(error, match=re.escape(message)):
+        call(bad)
 
 
 # entry point taking one time: call with the time

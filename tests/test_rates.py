@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -452,6 +452,65 @@ class TestKBodyBoundsAndCalibration:
             else:
                 assert rate_kbody_bound(spec, 1.0) == math.inf
 
+    @staticmethod
+    def _direct_bound(spec, gamma, mode):
+        # Each mode's closed form as written before either shared the
+        # product-of-ratios fallback: only approx had it, and exact-binomial
+        # raised OverflowError where C(n, k)^2 passes a double.
+        eps_sq = spec.epsilon ** 2
+        if mode == "exact-binomial":
+            square = math.comb(spec.n, spec.k) ** 2
+            rate = math.prod((2.0, gamma, eps_sq, square))
+            return math.prod((2.0, eps_sq, square, gamma)) if math.isinf(rate) else rate
+        try:
+            rate = 2.0 * gamma * eps_sq * float(spec.n) ** (2 * spec.k) \
+                / math.factorial(spec.k) ** 2
+        except OverflowError:
+            rate = math.inf
+        if math.isinf(rate):
+            ratio = math.prod(spec.n / j for j in range(1, spec.k + 1))
+            rate = math.prod((2.0, gamma, eps_sq, ratio, ratio))
+            if math.isinf(rate):
+                rate = math.prod((2.0, eps_sq, ratio, ratio, gamma))
+        return rate
+
+    def test_both_modes_keep_the_direct_forms_bits(self):
+        # Wherever the direct form evaluates, both modes return its bits; k
+        # runs over small, middle and top classes up to n = 130 and at a few
+        # n up to the CLI's 1023.
+        pairs = set()
+        for n in [*range(1, 131), 200, 300, 511, 600, 1000, 1023]:
+            pairs.update((n, k) for k in (1, 2, 3, 5, 10, 33, n // 3, n // 2, n - 1, n)
+                         if 1 <= k <= n)
+        raised = finite = 0
+        for (n, k), eps, gamma, mode in product(
+                sorted(pairs), (1.0, 0.81, 1e-100, 1e100), (1.0, 0.7, 1e308, 5e-324),
+                ("approx", "exact-binomial")):
+            spec = KBodySpec(n, k, eps)
+            got = rate_kbody_bound(spec, gamma, mode)
+            try:
+                want = self._direct_bound(spec, gamma, mode)
+            except OverflowError:
+                raised += 1
+                finite += math.isfinite(got)
+                continue
+            # Bits, NaN included: 2 gamma eps^2 can underflow to 0 before
+            # an overflowed n^k/k! multiplies it.
+            assert got == want or math.isnan(got) and math.isnan(want), (
+                n, k, eps, gamma, mode)
+        assert raised > 0 and finite > 0, (raised, finite)
+
+    @pytest.mark.parametrize("n,k", [(600, 300), (1100, 989)])
+    def test_exact_binomial_where_the_square_passes_a_double(self, n, k):
+        # C(n, k)^2 passes the largest double, the bound does not.  Past
+        # n = 1030 C(n, n/2) does too, so the product runs to min(k, n - k).
+        spec = KBodySpec(n, k, 1e-100)
+        with pytest.raises(OverflowError):
+            float(math.comb(n, k) ** 2)
+        want = 2 * Fraction(1e-100) ** 2 * math.comb(n, k) ** 2
+        assert rate_kbody_bound(spec, 1.0, "exact-binomial") == pytest.approx(
+            float(want), rel=1e-12)
+
     def test_binomial_bound_below_approx_bound(self):
         for n in range(1, 31):
             for k in range(1, min(n, 5) + 1):
@@ -584,6 +643,11 @@ class TestLmg:
 
     def test_zero_temperature_limit(self):
         assert rate_lmg(6, 1.0, 60.0, 1.0) == pytest.approx(0.0, abs=1e-8)
+
+    def test_beta_past_a_double_times_the_levels(self):
+        # beta E overflows (it was NaN); the degenerate ground sector dephases
+        # nothing.
+        assert rate_lmg(6, 1.0, 1e308, 1.0) == 0.0
 
     def test_sector_multiplicities(self):
         energies, mult = lmg_sector_spectrum(4, 1.0)
