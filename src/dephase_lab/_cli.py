@@ -42,7 +42,7 @@ from .specfun import (_SAMPLING_LOG2_CAP, KBodySpec, _check_int, _check_real,
                       rate_gue_haar, rate_gue_wick, rate_kbody_bound,
                       rate_tfd_gue_exact, rate_tfd_gue_semicircle)
 
-SCHEMA_COMMENT = "# dephase-lab schema v13"
+SCHEMA_COMMENT = "# dephase-lab schema v14"
 DEFAULT_SEED = 20250117
 # Largest log2(dimension) for which the finite-d Laguerre rate is evaluated.
 EXACT_RATE_LOG2_CAP = 14

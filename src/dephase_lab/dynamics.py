@@ -21,7 +21,7 @@ purity of the thermal state.
 
 States live in the d-dimensional doubled-basis coefficient representation
 (memory O(d^2), not O(d^4)); every partition sum is max-shifted before
-exponentiation so inverse temperatures up to ~1e3 stay in range.  At
+exponentiation so every finite inverse temperature stays in range.  At
 every dimension the double sum runs over the level pairs one offset
 diagonal after another, without BLAS, and only over the offsets whose gap
 factors can exceed ``2^-80``; each beta's row is summed in one order,
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pool
-from .exceptions import StepSizeError
+from .exceptions import NumericalError, StepSizeError
 from .hermitian import (_energy_dephasing_rate, _gibbs_weights, as_matrix,
                         as_operator, as_state)
 from .ensembles import (EnsembleEstimate, RngStream, _gue_spectra,
@@ -352,7 +352,8 @@ def annealing_check(betas: Sequence[float], d: int, n_samples: int,
     sample mean of ``4 gamma var_beta(H)`` (quenched), the closed-form
     annealed rate from the averaged partition function, and the same
     annealed rate estimated from the draws.  Every ``beta`` reads the same
-    ``n_samples`` spectra, drawn once.
+    ``n_samples`` spectra, drawn once.  Where a draw's ``ln Z`` overflows,
+    ``NumericalError`` names the ``beta``.
     """
     _check_thermal(betas, gamma)
     spectra = _pool.gather_samples(_gue_spectra, n_samples, rng, 1,
@@ -364,6 +365,8 @@ def _annealing_at(spectra: np.ndarray, beta: float, gamma: float) -> AnnealingCh
     """:class:`AnnealingCheck` at one ``beta`` from ``(n, d)`` spectra."""
     # ln Z and the quenched rate of each draw, from the levels as given.
     w, ln_z = _gibbs_weights(spectra, beta)
+    if not np.isfinite(ln_z).all():
+        raise NumericalError(f"ln Z is not finite at beta = {beta}")
     p = w ** 2
     quenched = _energy_dephasing_rate(p, spectra, gamma)
     ln_z_est = EnsembleEstimate.from_samples(ln_z)

@@ -24,7 +24,7 @@ so the closed-form CLI commands never load numpy.  Contents:
   of ``x = 50``, a power series below and an asymptotic series in ``1/x``
   above.
 * The GUE-channel rates ``Gamma d^2/(d+1)`` and ``Gamma (d - 1/P0)`` (see
-  ``rates``), the k-body bounds, their calibration and the crossover scan.
+  ``rates``); the k-body bounds, calibration and crossover, in integers.
 * :func:`_check_real` and :func:`_check_int`, the domain checks of every
   scalar input and every count in the package, and the ``2^10`` dimension
   cap of the sampling commands.
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from collections import namedtuple
 
 from .exceptions import NumericalError
@@ -346,18 +345,37 @@ class KBodySpec(namedtuple("KBodySpec", "n k epsilon", defaults=(1.0,))):
     @property
     def norm(self) -> float:
         """Spectral norm epsilon * C(n, k) (attained on the all-up state)."""
-        return self.epsilon * math.comb(self.n, self.k)
+        return _rounded(math.comb(self.n, self.k), 1, self.epsilon)
+
+
+def _kbody_square(n: int, k: int, mode: str) -> tuple[int, int]:
+    """Exact ``(num, den)`` of ``n^(2k)/(k!)^2`` or ``C(n, k)^2``, by ``mode``."""
+    if mode == "approx":
+        return n ** (2 * k), math.factorial(k) ** 2
+    if mode == "exact-binomial":
+        return math.comb(n, k) ** 2, 1
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _rounded(num: int, den: int, *factors: float) -> float:
+    """``num/den`` times the exact ratios of ``factors``' doubles, rounded once
+    by Python's ``int / int``; ``inf`` past the largest double."""
+    for p, q in (float(x).as_integer_ratio() for x in factors):
+        num, den = num * p, den * q
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
 
 
 def rate_gue_haar(d: int, total_gamma: float) -> float:
     """Closed form ``Gamma d^2/(d+1)`` for a fixed pure state (vanishing
-    ``<(tr V)^2>`` variant).  Where ``Gamma d^2`` overflows (``d = 2^512`` at
-    ``Gamma = 1``, or ``d = 2`` near the largest double) it is
-    ``Gamma (d / (1 + 1/d))``, finite wherever the rate is."""
+    ``<(tr V)^2>`` variant): ``Gamma p^2/(q (p + q))`` for ``d = p/q``,
+    rounded once (:func:`_rounded`), so finite wherever the rate is."""
     _check_dim(d)
     _check_real("gamma", total_gamma)
-    rate = total_gamma * d * d / (d + 1.0)
-    return total_gamma * (d / (1.0 + 1.0 / d)) if math.isinf(rate) else rate
+    p, q = float(d).as_integer_ratio()
+    return _rounded(p * p, q * (p + q), total_gamma)
 
 
 def rate_gue_wick(d: int, total_gamma: float, purity0: float = 1.0) -> float:
@@ -375,52 +393,30 @@ def rate_kbody_bound(spec: KBodySpec, gamma: float, mode: str = "approx") -> flo
 
     ``approx`` uses ``2 gamma eps^2 n^(2k)/(k!)^2`` (large-n form of the
     squared-norm bound); ``exact-binomial`` uses ``2 gamma eps^2 C(n,k)^2``.
-    Both assume unit-norm string factors.  Where a form passes the largest
-    double, its ``n^k/k!`` or ``C(n, k)`` is taken as a product of the ratios
-    ``n/j`` for ``j <= k`` or ``(n - j + 1)/j`` for ``j <= min(k, n - k)``,
-    each at least 1, so no partial product passes the result.
+    Both assume unit-norm string factors.  Rounded once (:func:`_rounded`),
+    so correct at every ``gamma`` and ``eps``, subnormal ones included.
     """
     _check_real("gamma", gamma)
-    if mode not in ("approx", "exact-binomial"):
-        raise ValueError(f"unknown mode {mode!r}")
-    n, k, eps_sq = spec.n, spec.k, spec.epsilon ** 2
-    approx = mode == "approx"
-    try:
-        rate = (2.0 * gamma * eps_sq * float(n) ** (2 * k) / math.factorial(k) ** 2
-                if approx else _two_gamma_times(gamma, eps_sq, math.comb(n, k) ** 2))
-    except OverflowError:   # n^(2k), or an integer past a double, raises: not inf
-        rate = math.inf
-    if math.isinf(rate):
-        top = k if approx else min(k, n - k)        # C(n, k) = C(n, n - k)
-        ratio = math.prod((n if approx else n - j + 1) / j for j in range(1, top + 1))
-        rate = _two_gamma_times(gamma, eps_sq, ratio, ratio)
-    return rate
-
-
-def _two_gamma_times(gamma: float, *factors) -> float:
-    """``2 gamma`` times ``factors``, left to right.  Where that overflows,
-    ``gamma`` goes last instead: ``2 gamma`` alone passes the largest double
-    for ``gamma`` above about 9e307, where the product need not."""
-    rate = math.prod((2.0, gamma, *factors))
-    return math.prod((2.0, *factors, gamma)) if math.isinf(rate) else rate
+    num, den = _kbody_square(spec.n, spec.k, mode)
+    return _rounded(2 * num, den, gamma, spec.epsilon, spec.epsilon)
 
 
 def calibrate_epsilon(n0: int, k: int, gamma: float, mode: str = "exact-binomial"
                       ) -> float:
     """Squared amplitude matching the GUE rate and the k-body bound at ``n0``.
 
-    Solves ``rate_gue_haar(2^n0) = rate_kbody_bound(n0, k, eps)`` for
-    ``eps^2``; the channel rate cancels.  The reference calibration
-    ``n0 = 1, k = 1`` gives ``eps^2 = 2/3`` in either mode.  Where ``gamma``
-    is not a normal float (zero or subnormal, where both rates round to a
-    few ulps or to zero) or overflows the unit bound, both rates are taken
-    at unit ``gamma``.
+    Solves ``rate_gue_haar(2^n0) = rate_kbody_bound(n0, k, eps)`` in integers,
+    ``eps^2 = 4^n0 den / ((2^n0 + 1) 2 num)`` (:func:`_kbody_square`), so
+    ``gamma`` cancels exactly, and returns the least double at or above it,
+    so the point is never crossed.  ``n0 = k = 1`` gives 2/3 rounded up.
     """
     spec = KBodySpec(_check_int("n0", n0, 1), k)    # then 1 <= k <= n0
     _check_real("gamma", gamma)
-    if gamma < sys.float_info.min or math.isinf(rate_kbody_bound(spec, gamma, mode)):
-        gamma = 1.0
-    return rate_gue_haar(2 ** spec.n, gamma) / rate_kbody_bound(spec, gamma, mode)
+    num, den = _kbody_square(spec.n, spec.k, mode)
+    top, bottom = 4 ** spec.n * den, (2 ** spec.n + 1) * 2 * num
+    eps_sq = _rounded(top, bottom)
+    p, q = eps_sq.as_integer_ratio()
+    return math.nextafter(eps_sq, math.inf) if p * bottom < top * q else eps_sq
 
 
 def crossover_min_n(k: int, epsilon_sq: float, mode: str = "approx",
@@ -429,19 +425,19 @@ def crossover_min_n(k: int, epsilon_sq: float, mode: str = "approx",
 
     The exponential ``Gamma d^2/(d+1)`` with ``d = 2^n`` overtakes the
     polynomial bound permanently; this returns the first n of that final
-    regime.  Exact equality counts as not crossed, so the calibration point
-    itself never qualifies, and an isolated crossing at ``n = k`` (where the
-    binomial bound is trivially small) is ignored.  Returns ``None`` when no
-    permanent crossover exists below ``n_cap``.
+    regime, comparing ``d^2 den q > (d + 1) 2 num p`` in integers for
+    ``epsilon_sq = p/q``.  Equality is not crossed, so the calibration point
+    never qualifies, and an isolated crossing at ``n = k`` (where the binomial
+    bound is trivially small) is ignored.  Returns ``None`` when no permanent
+    crossover exists below ``n_cap``.
     """
     k = _check_int("locality k", k, 1)
     n_cap = _check_int("n_cap", n_cap, 1)
-    _check_real("epsilon_sq", epsilon_sq, "positive")
-    eps = math.sqrt(epsilon_sq)
+    p, q = float(_check_real("epsilon_sq", epsilon_sq, "positive")).as_integer_ratio()
     first, crossed = k, False
     for n in range(k, n_cap + 1):
-        bound = rate_kbody_bound(KBodySpec(n, k, eps), 1.0, mode)
-        crossed = rate_gue_haar(2 ** n, 1.0) > bound
+        num, den = _kbody_square(n, k, mode)
+        crossed = 4 ** n * den * q > (2 ** n + 1) * 2 * num * p
         if not crossed:
             first = n + 1
     return first if crossed else None

@@ -12,7 +12,8 @@ change that moves bytes on purpose rewrites the file with
 
     python tests/cli_bytes.py --write
 
-and the diff of ``cli_bytes.json`` names the commands whose bytes moved.
+which prints, per command, the stdout lines that moved against the file
+it replaces (or that the command is new).
 Sampled ``tfd`` is left out: its purity follows numpy's SIMD level through
 ``np.exp``.
 """
@@ -20,6 +21,7 @@ Sampled ``tfd`` is left out: its purity follows numpy's SIMD level through
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -35,7 +37,12 @@ COMMANDS = (
        for x in ("1", "8", "13.6", "14", "20", "50", "100", "1000", "1022")]
     + ["rate-gue --samples 0",                                  # exit 2
        "tfd --formula-only --log2-dim 14 --beta-list 1e-320",   # exit 3
-       "crossover --n-max 600 --k-list 300"])                   # exit 3
+       "crossover --n-max 600 --k-list 300",                    # exit 3
+       # Subnormal gamma, calibration far from n0 = 1, and every n to 1023
+       # (n = 53, where 2^53 + 1 rounds, and the rows where d^2 overflows).
+       "crossover --gamma 5e-324 --k-list 2 --n-max 3",
+       "crossover --n0 17 --k-list 1 --n-max 20",
+       "crossover --n-max 1023 --k-list 1,2,3,4,5"])
 
 
 def run(command: str) -> tuple[int, str]:
@@ -63,12 +70,27 @@ def versions() -> dict:
     return {"numpy": numpy.__version__, "schema": SCHEMA_COMMENT}
 
 
+def moved_lines(got: list[str], want: list[str]) -> list[int]:
+    """1-based numbers of the lines whose digests differ between ``got`` and
+    ``want``, a line present in only one of them included."""
+    return [i + 1 for i, (g, w) in enumerate(itertools.zip_longest(got, want))
+            if g != w]
+
+
 def write() -> None:
+    old = json.loads(CORPUS.read_text())["commands"] if CORPUS.exists() else {}
     commands = {}
     for command in COMMANDS:
         code, out = run(command)
         commands[command] = {"exit": code, "sha256": sha256(out),
                              "lines": line_digests(out)}
+        if command not in old:
+            print(f"{command}: new")
+            continue
+        moved = moved_lines(commands[command]["lines"], old[command]["lines"])
+        exit_moved = "" if code == old[command]["exit"] else (
+            f", exit {old[command]['exit']} -> {code}")
+        print(f"{command}: lines moved {moved or 'none'}{exit_moved}")
     CORPUS.write_text(json.dumps(dict(versions(), commands=commands), indent=1) + "\n")
 
 

@@ -39,7 +39,7 @@ class TestRateGue:
         assert run_cli(["rate-gue", "--dims", "2,4", "--samples", "200",
                         "--seed", "5", "-o", str(out)]) == 0
         comments, header, rows = read_csv(str(out))
-        assert comments[0] == "# dephase-lab schema v13"
+        assert comments[0] == "# dephase-lab schema v14"
         assert header == ["d", "gamma", "rate_haar", "rate_wick", "rate_mc_mean",
                           "rate_mc_stderr", "n_samples", "seed"]
         assert len(rows) == 2
@@ -141,7 +141,8 @@ class TestCrossover:
             comments[g] = [c for c in read_csv(str(out))[0]
                            if c.startswith(("# epsilon_sq", "# crossover_min_n"))]
         assert comments[gamma] == comments["1"]
-        assert comments["1"][0] == "# epsilon_sq=0.66666666666666663"
+        # The least double at or above 2/3, so n0 is never counted as crossed.
+        assert comments["1"][0] == "# epsilon_sq=0.66666666666666674"
 
     def test_gue_column_closed_form(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -169,16 +170,16 @@ class TestCrossover:
 
     @pytest.mark.parametrize("n_max", [511, 512, 1023])
     def test_rate_is_finite_up_to_the_largest_double(self, tmp_path, n_max):
-        # d^2 overflows from d = 2^512 on; Gamma d^2/(d+1), about Gamma d,
-        # does not.  Rows below that keep the bytes of the direct formula.
+        # d^2 overflows a double from d = 2^512 on; Gamma d^2/(d+1), about
+        # Gamma d, does not.  Every row is the correctly rounded quotient of
+        # the integers 4^n and 2^n + 1 (so 2^53 - 1 at n = 53, not 2^53).
         out = tmp_path / "c.csv"
         assert run_cli(["crossover", "--n-max", str(n_max), "-o", str(out)]) == 0
         _, _, rows = read_csv(str(out))
         assert len(rows) == n_max
         for row in rows:
-            d = 2.0 ** int(row[0])
-            want = d * d / (d + 1.0) if d < 2.0 ** 512 else d
-            assert float(row[1]) == want
+            n = int(row[0])
+            assert float(row[1]) == 4 ** n / (2 ** n + 1)
 
     def test_kbody_bound_overflows_only_past_the_largest_double(self, tmp_path,
                                                                 capsys):
@@ -211,7 +212,7 @@ class TestCrossover:
 
     def test_kbody_bound_finite_where_two_gamma_overflows(self, tmp_path):
         # 2 gamma passes the largest double at gamma = 1e308, but the k = 1
-        # bound 2 gamma eps^2 with eps^2 = 2/3 does not: gamma goes last.
+        # bound 2 gamma eps^2 with eps^2 near 2/3 does not: it is rounded once.
         out = tmp_path / "c.csv"
         assert run_cli(["crossover", "--k-list", "1", "--n-max", "1",
                         "--gamma", "1e308", "-o", str(out)]) == 0
@@ -220,6 +221,20 @@ class TestCrossover:
         gamma = Fraction(1e308)
         assert [float(x) for x in rows[0][1:]] == [
             float(gamma * 4 / 3), float(gamma), float(2 * gamma * Fraction(2, 3))]
+
+    def test_kbody_bound_at_a_subnormal_gamma(self, tmp_path):
+        # 2 gamma eps^2 n^4/4 is about 5.3 subnormal ulps at n = 2; it read 4
+        # when 2 gamma eps^2 was rounded on the subnormal grid first.
+        out = tmp_path / "c.csv"
+        assert run_cli(["crossover", "--gamma", "5e-324", "--k-list", "2",
+                        "--n-max", "3", "-o", str(out)]) == 0
+        _, _, rows = read_csv(str(out))
+        eps = Fraction(math.sqrt(calibrate_epsilon(1, 1, 1.0)))
+        for row in rows[1:]:
+            n = int(row[0])
+            want = 2 * Fraction(5e-324) * eps ** 2 * Fraction(n ** 4, 4)
+            assert float(row[3]) == float(want), n
+        assert float(rows[1][3]) == 2.4703282292062327e-323
 
     def test_kbody_bound_survives_an_overflowing_power(self, tmp_path):
         # 90^180 and the int (90!)^2 both pass the largest double and raise
@@ -714,7 +729,7 @@ def test_closed_form_commands_never_import_numpy(tmp_path, argv):
                "assert 'fractions' not in sys.modules\n"
                "assert 'decimal' not in sys.modules\n",
                *argv, "-o", str(tmp_path / "c.csv"))
-    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v13")
+    assert (tmp_path / "c.csv").read_text().startswith("# dephase-lab schema v14")
 
 
 def test_cli_import_leaves_the_lapack_handle_unloaded():

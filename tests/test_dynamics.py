@@ -15,7 +15,7 @@ from dephase_lab.dynamics import (_annealing_at, _purity_kernel, _tfd_purity_blo
                                   master_equation_rk4, purity_inf_tfd,
                                   purity_tfd, purity_tfd_hs, rate_tfd)
 from dephase_lab.ensembles import RngStream, _gue_matrix, _gue_spectra, _gue_spectrum
-from dephase_lab.exceptions import StepSizeError
+from dephase_lab.exceptions import NumericalError, StepSizeError
 from dephase_lab.hermitian import _gibbs_weights, purity
 from dephase_lab.rates import PAULI, LindbladChannel, decoherence_rate
 from dephase_lab.specfun import rate_tfd_gue_exact, z_gue_exact
@@ -474,6 +474,12 @@ class TestAnnealing:
             gaps.append(abs(chk.rate_quenched.mean - chk.rate_annealed)
                         / chk.rate_annealed)
         assert gaps[2] < gaps[0]
+
+    def test_overflowing_ln_z_refused_by_beta(self):
+        # ln Z = -beta E_0 + ... passes the largest double for some draws; the
+        # max shift of <Z> read inf - inf and ln <Z> was NaN.
+        with pytest.raises(NumericalError, match=r"ln Z is not finite at beta = 1e\+308"):
+            annealing_check([0.5, 1e308], 4, 10, RngStream(1))
 
     @pytest.mark.parametrize("betas,gamma,match", [
         ([0.5, -0.5], 1.0, "inverse temperature"), ([0.5], 0.0, "noise rate")])

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -419,6 +420,13 @@ class TestKBodyOperator:
         with pytest.raises(ValueError, match="locality"):
             KBodySpec(5, 0)
 
+    def test_norm_is_rounded_once_past_an_integer_double(self):
+        # C(1100, 550) passes the largest double; the int-to-float conversion
+        # raised before the small amplitude brought the norm back.
+        spec = KBodySpec(1100, 550, 1e-100)
+        assert spec.norm == float(Fraction(1e-100) * math.comb(1100, 550)) < math.inf
+        assert KBodySpec(1100, 550).norm == math.inf
+
 
 class TestKBodyBoundsAndCalibration:
     def test_plug_in_values(self):
@@ -453,52 +461,50 @@ class TestKBodyBoundsAndCalibration:
                 assert rate_kbody_bound(spec, 1.0) == math.inf
 
     @staticmethod
-    def _direct_bound(spec, gamma, mode):
-        # Each mode's closed form as written before either shared the
-        # product-of-ratios fallback: only approx had it, and exact-binomial
-        # raised OverflowError where C(n, k)^2 passes a double.
-        eps_sq = spec.epsilon ** 2
-        if mode == "exact-binomial":
-            square = math.comb(spec.n, spec.k) ** 2
-            rate = math.prod((2.0, gamma, eps_sq, square))
-            return math.prod((2.0, eps_sq, square, gamma)) if math.isinf(rate) else rate
-        try:
-            rate = 2.0 * gamma * eps_sq * float(spec.n) ** (2 * spec.k) \
-                / math.factorial(spec.k) ** 2
-        except OverflowError:
-            rate = math.inf
-        if math.isinf(rate):
-            ratio = math.prod(spec.n / j for j in range(1, spec.k + 1))
-            rate = math.prod((2.0, gamma, eps_sq, ratio, ratio))
-            if math.isinf(rate):
-                rate = math.prod((2.0, eps_sq, ratio, ratio, gamma))
-        return rate
+    def _exact_bound(spec, gamma, mode):
+        square = (Fraction(spec.n ** (2 * spec.k), math.factorial(spec.k) ** 2)
+                  if mode == "approx" else Fraction(math.comb(spec.n, spec.k) ** 2))
+        return 2 * Fraction(gamma) * Fraction(spec.epsilon) ** 2 * square
 
-    def test_both_modes_keep_the_direct_forms_bits(self):
-        # Wherever the direct form evaluates, both modes return its bits; k
-        # runs over small, middle and top classes up to n = 130 and at a few
-        # n up to the CLI's 1023.
+    def test_both_modes_are_correctly_rounded(self):
+        # Each bound is the double nearest the exact rational, at every gamma
+        # and eps, subnormal and huge ones included, and inf only where that
+        # rational rounds past the largest double.  k runs over small, middle
+        # and top classes up to n = 130 and at a few n up to the CLI's 1023.
         pairs = set()
         for n in [*range(1, 131), 200, 300, 511, 600, 1000, 1023]:
             pairs.update((n, k) for k in (1, 2, 3, 5, 10, 33, n // 3, n // 2, n - 1, n)
                          if 1 <= k <= n)
-        raised = finite = 0
+        top = sys.float_info.max
+        overflow = Fraction(top) + Fraction(top - math.nextafter(top, 0)) / 2
+        seen_inf = seen_subnormal = 0
         for (n, k), eps, gamma, mode in product(
                 sorted(pairs), (1.0, 0.81, 1e-100, 1e100), (1.0, 0.7, 1e308, 5e-324),
                 ("approx", "exact-binomial")):
             spec = KBodySpec(n, k, eps)
             got = rate_kbody_bound(spec, gamma, mode)
-            try:
-                want = self._direct_bound(spec, gamma, mode)
-            except OverflowError:
-                raised += 1
-                finite += math.isfinite(got)
+            want = self._exact_bound(spec, gamma, mode)
+            assert (got == math.inf) == (want >= overflow), (n, k, eps, gamma, mode)
+            if got == math.inf:
+                seen_inf += 1
                 continue
-            # Bits, NaN included: 2 gamma eps^2 can underflow to 0 before
-            # an overflowed n^k/k! multiplies it.
-            assert got == want or math.isnan(got) and math.isnan(want), (
-                n, k, eps, gamma, mode)
-        assert raised > 0 and finite > 0, (raised, finite)
+            seen_subnormal += 0 < got < sys.float_info.min
+            err = abs(Fraction(got) - want)
+            for side in (-math.inf, math.inf):
+                neighbour = math.nextafter(got, side)
+                if math.isfinite(neighbour):
+                    assert err <= abs(Fraction(neighbour) - want), (
+                        n, k, eps, gamma, mode)
+        assert seen_inf > 0 and seen_subnormal > 0, (seen_inf, seen_subnormal)
+
+    def test_kbody_bound_at_a_subnormal_gamma(self):
+        # It read NaN (0 * inf) where 2 gamma eps^2 underflowed before the
+        # overflowed C(n, k)^2 met it.
+        spec = KBodySpec(1000, 500, 1e-100)
+        for mode in ("approx", "exact-binomial"):
+            want = self._exact_bound(spec, 5e-324, mode)
+            assert rate_kbody_bound(spec, 5e-324, mode) == float(want)
+        assert rate_kbody_bound(spec, 5e-324) == pytest.approx(6.6e208, rel=1e-2)
 
     @pytest.mark.parametrize("n,k", [(600, 300), (1100, 989)])
     def test_exact_binomial_where_the_square_passes_a_double(self, n, k):
@@ -532,8 +538,9 @@ class TestKBodyBoundsAndCalibration:
     @pytest.mark.parametrize("mode", ["approx", "exact-binomial"])
     @pytest.mark.parametrize("n0,k", [(1, 1), (3, 2)])
     def test_calibration_where_gamma_overflows_the_bound(self, mode, n0, k):
-        # 2 gamma overflows at gamma = 1e308; the channel rate cancels.  At a
-        # zero or subnormal gamma both rates round to zero or a few ulps.
+        # 2 gamma overflows at gamma = 1e308, and at a zero or subnormal gamma
+        # both rates round to zero or a few ulps; the channel rate cancels
+        # exactly from the integer ratio.
         unit = calibrate_epsilon(n0, k, 1.0, mode)
         assert calibrate_epsilon(n0, k, 1e308, mode) == unit
         assert calibrate_epsilon(n0, k, 1.7e308, mode) == unit
@@ -558,10 +565,46 @@ class TestCrossover:
             assert all(v is not None for v in values)
             assert all(x <= y for x, y in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("mode", ["approx", "exact-binomial"])
+    @pytest.mark.parametrize("gamma", [1.0, 0.7])
+    def test_the_calibration_point_is_never_crossed(self, mode, gamma):
+        # The calibrated eps^2 is the least double at or above the exact
+        # ratio, and the scan compares in integers, so n0 itself is a tie or
+        # below; rounded doubles counted n0 = 17 as crossed, and n0 = 3 as
+        # crossed from n = 1.
+        for n0 in range(1, 65):
+            n_min = crossover_min_n(1, calibrate_epsilon(n0, 1, gamma), mode, 64)
+            assert n_min is None or n_min > n0, (n0, n_min)
+
     def test_absence_reported(self):
         # An enormous amplitude keeps the polynomial bound above the GUE
         # curve for every n below the cap.
         assert crossover_min_n(2, 1e12, "approx", n_cap=20) is None
+
+
+def test_numpy_scalars_give_the_python_scalars_values():
+    # np.int64 has no as_integer_ratio, and an np.float64 product that
+    # overflows on the way to a finite rate warns where a float's does not.
+    i, f = np.int64, np.float64
+    assert rate_gue_haar(i(2), f(1e308)) == rate_gue_haar(2, 1e308) == float(
+        Fraction(1e308) * 4 / 3)
+    assert rate_gue_haar(i(2 ** 40), f(0.7)) == rate_gue_haar(2 ** 40, 0.7)
+    assert rate_gue_haar(f(3.5), i(2)) == rate_gue_haar(3.5, 2)
+    spec, py = KBodySpec(i(30), i(7), f(0.81)), KBodySpec(30, 7, 0.81)
+    assert spec.norm == py.norm
+    # eps^2 alone passes the largest double, the bound does not.
+    huge, huge_py = KBodySpec(3, 1, f(1e200)), KBodySpec(3, 1, 1e200)
+    for mode in ("approx", "exact-binomial"):
+        assert rate_kbody_bound(spec, f(0.7), mode) == rate_kbody_bound(py, 0.7, mode)
+        assert rate_kbody_bound(py, i(3), mode) == rate_kbody_bound(py, 3, mode)
+        assert rate_kbody_bound(huge, f(1e-300), mode) \
+            == rate_kbody_bound(huge_py, 1e-300, mode) \
+            == float(2 * Fraction(1e-300) * Fraction(1e200) ** 2 * 9)
+        assert calibrate_epsilon(i(9), i(2), f(0.7), mode) == calibrate_epsilon(
+            9, 2, 0.7, mode)
+        assert crossover_min_n(i(2), f(2 / 3), mode, i(40)) == crossover_min_n(
+            2, 2 / 3, mode, 40)
+        assert crossover_min_n(2, i(3), mode) == crossover_min_n(2, 3, mode)
 
 
 class TestTbre:
