@@ -382,13 +382,17 @@ def _annealing_at(spectra: np.ndarray, beta: float, gamma: float) -> AnnealingCh
     # at ulp(E), which each leave-one-out term would feel to first order.
     # Dropping draw i moves M by -z_i c_i/(s0 - z_i), which takes
     # z_i c_i^2 s0/(s0 - z_i) off sum z c^2: the leave-one-out jackknife.
+    # Where one draw carries all of s0 (s0 - z_i is 0) or the spread
+    # overflows, the error bar is inf.
     s0 = z.sum()
     low = spectra - spectra.min()
     m1 = np.einsum("nk,nk->n", p, low)
     c = np.einsum("nk,nk->n", p, low - np.einsum("n,n->", z, m1) / s0)
     total = np.einsum("n,n->", z, quenched) + 4.0 * gamma * np.einsum("n,n->", z, c ** 2)
-    loo = (total - z * (quenched + 4.0 * gamma * c ** 2 * s0 / (s0 - z))) / (s0 - z)
-    jackknife = math.sqrt((len(loo) - 1) * loo.var())
+    with np.errstate(all="ignore"):
+        loo = (total - z * (quenched + 4.0 * gamma * c ** 2 * s0 / (s0 - z))) / (s0 - z)
+        spread = (len(loo) - 1) * loo.var()
+    jackknife = math.sqrt(spread) if spread < math.inf else math.inf
     return AnnealingCheck(
         mean_ln_z=ln_z_est.mean,
         ln_mean_z=float(shift + math.log(z.mean())),

@@ -55,22 +55,17 @@ class RngStream:
         _check_int("master_seed", self.master_seed, 0, 2 ** 64 - 1)
         _check_int("stream_index", self.stream_index, 0, 2 ** 64 - 1)
 
-    def bit_generator(self, index: int = 0) -> np.random.Philox:
-        """Philox of this stream's key with its counter at ``[0, 0, index, 0]``.
+    def sample_generator(self, index: int = 0) -> np.random.Generator:
+        """Fresh generator on substream ``index`` (the engine's block ``index``):
+        Philox of this stream's key with its counter at ``[0, 0, index, 0]``.
 
-        That is substream ``index``: the state that ``index`` Philox jumps
-        (of 2^128 draws each) reach from counter zero, built directly at a
-        quarter of the cost of jumping.
+        That is the state that ``index`` Philox jumps (of 2^128 draws each)
+        reach from counter zero, built directly at a quarter of the cost of
+        jumping.
         """
         key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
         counter = np.array([0, 0, index, 0], dtype=np.uint64)
-        return np.random.Philox(counter=counter, key=key)
-
-    def sample_generator(self, index: int = 0) -> np.random.Generator:
-        """Fresh generator on substream ``index`` (the engine's block ``index``)."""
-        return np.random.Generator(self.bit_generator(index))
-
-    generator = sample_generator        # substream 0
+        return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 @dataclass(frozen=True)
@@ -85,10 +80,12 @@ class EnsembleEstimate:
         """Mean and standard error ``std(ddof=1)/sqrt(n)`` over axis 0.
 
         Scalar columns give floats.  For complex entries the standard error
-        is ``sqrt((var Re + var Im) / n)``.
+        is ``sqrt((var Re + var Im) / n)``; a spread whose square overflows
+        gives ``inf``.
         """
         mean = samples.mean(axis=0)
-        stderr = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
+        with np.errstate(over="ignore"):
+            stderr = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
         if mean.ndim == 0:
             return cls(float(mean), float(stderr))
         return cls(mean, stderr)
@@ -203,7 +200,7 @@ def _gue_spectra(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
 
 def sample_gue(d: int, rng: RngStream) -> np.ndarray:
     """Draw one ``d x d`` GUE matrix under the exp(-tr X^2) convention."""
-    return _gue_matrix(_check_int("dimension", d, 1), rng.generator())
+    return _gue_matrix(_check_int("dimension", d, 1), rng.sample_generator())
 
 
 # Largest d whose Haar draws take the Gram-Schmidt route.  The einsum calls
@@ -264,7 +261,7 @@ def _haar_unitary(d: int, gen: np.random.Generator) -> np.ndarray:
 
 def sample_haar_unitary(d: int, rng: RngStream) -> np.ndarray:
     """Draw a Haar-distributed unitary matrix."""
-    return _haar_unitary(_check_int("dimension", d, 1), rng.generator())
+    return _haar_unitary(_check_int("dimension", d, 1), rng.sample_generator())
 
 
 def _conjugated(u: np.ndarray, x: np.ndarray) -> np.ndarray:

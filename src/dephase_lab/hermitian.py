@@ -11,12 +11,11 @@ Hamiltonian or a spectrum.  The tolerances below are fixed; the
 Hermiticity check, written once in :func:`as_operator`, scales with the
 largest entry.
 
-Every rate reads one centred variance kernel per kind of state, the modified
-covariance of a state or ``4 gamma var_p(E)`` of Gibbs populations, so no
-constant shift of an operator cancels a rate's digits.  The one exception is
-the pure-state path of a sampled GUE-channel rate (``rates._rate_gue_block``),
-which sums ``|V psi - mu psi|^2`` itself, centred the same way, so that
-``rate-gue`` calls no BLAS.
+Every rate reads one centred variance kernel per kind of state, so no
+constant shift of an operator cancels a rate's digits: ``|V psi - mu psi|^2``
+of a pure state (:func:`_pure_variance`, which the sampled GUE-channel rate
+calls on its own ``V psi`` rows), the modified covariance of a mixed one, or
+``4 gamma var_p(E)`` of Gibbs populations.
 
 Every reduction to one scalar per row, a dot product or a moment, is an
 ``einsum``, which calls no BLAS kernel chosen per CPU, so its bits do not
@@ -122,7 +121,8 @@ def as_operator(op, name: str = "operator") -> np.ndarray:
 def as_state(state: np.ndarray) -> np.ndarray:
     """Checked complex array of a state: a vector is pure, a matrix is mixed.
 
-    Every entry must be finite.  A pure state must have unit norm.  A
+    Every entry must be finite.  A pure state must have unit norm; it is
+    returned contiguous, so its real view (:func:`_pure_variance`) exists.  A
     density matrix must be square, Hermitian (:func:`as_operator`), of
     unit trace and positive semidefinite.  Any other shape raises
     ``ValueError``.
@@ -134,7 +134,7 @@ def as_state(state: np.ndarray) -> np.ndarray:
         nrm = float(np.linalg.norm(a))
         if abs(nrm - 1.0) > TRACE_ATOL:
             raise ValueError(f"pure state norm {nrm} is not 1")
-        return a
+        return np.ascontiguousarray(a)
     as_operator(a, "a state")
     tr = complex(np.trace(a)).real
     if abs(tr - 1.0) > TRACE_ATOL:
@@ -154,33 +154,40 @@ def purity(rho: np.ndarray) -> float:
     return float(_purity(as_state(rho)))
 
 
-def modified_covariance(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> complex:
-    """Covariance-like functional  tr(rho^2 X Y) - tr(rho X rho Y).
+def modified_covariance(rho: np.ndarray, x: np.ndarray) -> float:
+    """The bracket ``tr(rho^2 X^2) - tr(rho X rho X)`` of a Hermitian ``X``.
 
-    Real and nonnegative for X = Y Hermitian; on a pure state it reduces to
-    the ordinary covariance <XY> - <X><Y>, so ``modified_covariance(psi, x, x)``
-    is the variance of ``x``.  It is unchanged by ``X -> X + c 1``.  Two
-    diagonal vectors take an ``O(d)`` (pure) or ``O(d^2)`` (mixed) path.
+    Real and nonnegative; on a pure state it is the variance
+    ``<X^2> - <X>^2``.  It is unchanged by ``X -> X + c 1``.  A diagonal
+    vector takes an ``O(d)`` (pure) or ``O(d^2)`` (mixed) path.
     """
-    return complex(_modified_covariance(as_state(rho), np.asarray(x), np.asarray(y)))
+    return float(_modified_covariance(as_state(rho), np.asarray(x)))
 
 
-def _modified_covariance(r: np.ndarray, x: np.ndarray, y: np.ndarray):
+def _pure_variance(psi: np.ndarray, vpsi: np.ndarray):
+    """``|V psi - mu psi|^2``, ``mu = Re <psi|V psi>``, of a unit vector ``psi``
+    and ``V psi``, rows stacked on the leading axes: both sums run over the
+    real view, ``Re a Re b + Im a Im b``."""
+    mu = np.einsum("...j,...j->...", psi.view(float), vpsi.view(float))
+    r = (vpsi - mu[..., None] * psi).view(float)
+    return np.einsum("...j,...j->...", r, r)
+
+
+def _modified_covariance(r: np.ndarray, x: np.ndarray):
     """:func:`modified_covariance`, centred, of a state checked by :func:`as_state`;
-    on a mixed state, dense operators may carry a leading stack axis."""
-    if not (r.shape[0] == x.shape[-1] == y.shape[-1]):
+    on a mixed state, a dense operator may carry a leading stack axis."""
+    if r.shape[0] != x.shape[-1]:
         raise DimensionMismatchError("state and operator dimensions differ")
-    if r.ndim == 1:             # <(X - <X>) psi, (Y - <Y>) psi>
-        xv, yv = apply_operator(x, r), apply_operator(y, r)
-        u = xv - np.einsum("i,i->", r.conj(), xv) * r
-        return np.einsum("i,i->", u.conj(), yv - np.einsum("i,i->", r.conj(), yv) * r)
-    if x.ndim == y.ndim == 1:   # 1/2 sum_ij |rho_ij|^2 (x_i - x_j)(y_i - y_j)
-        return 0.5 * (np.abs(r) ** 2 * (x[:, None] - x) * (y[:, None] - y)).sum()
-    # tr(rho^2 X Y) - tr(rho X rho Y) of X - tr(rho X) 1 and Y - tr(rho Y) 1
-    xc, yc = (a - np.einsum("ij,...ji->...", r, a)[..., None, None] * np.eye(len(r))
-              for a in (as_matrix(x), as_matrix(y)))
+    if r.ndim == 1:
+        return _pure_variance(r, apply_operator(x, r))
+    if x.ndim == 1:             # 1/2 sum_ij |rho_ij|^2 (x_i - x_j)^2
+        dx = x[:, None] - x
+        return 0.5 * (np.abs(r) ** 2 * dx * dx).sum()
+    # tr(rho^2 X^2) - tr(rho X rho X) of X - tr(rho X) 1
+    a = as_matrix(x)
+    xc = a - np.einsum("ij,...ji->...", r, a)[..., None, None] * np.eye(len(r))
     rx = r @ xc
-    return np.einsum("...ij,...ji->...", r @ rx - rx @ r, yc)
+    return np.einsum("...ij,...ji->...", r @ rx - rx @ r, xc).real
 
 
 def spectral_norm(x: np.ndarray) -> float:

@@ -7,7 +7,9 @@ under Hermitian Lindblad channels ``(gamma_mu, V_mu)``:
 
 which depends only on the initial state and the channels, not on a constant
 shift of any ``V_mu``.  For a pure state it is ``2 sum_mu gamma_mu var(V_mu)``;
-every rate here takes the bracket centred, from ``hermitian``.
+every rate here takes the bracket centred, from ``hermitian``: the pure-state
+variance ``_pure_variance``, which the GUE estimator below also reads, or the
+modified covariance of a mixed state.
 
 For channels drawn from GUE two closed-form candidates exist for the
 fixed-pure-state average.  They differ only through the value assigned to
@@ -39,8 +41,8 @@ import numpy as np
 from . import _pool
 from .exceptions import DimensionMismatchError
 from .hermitian import (_energy_dephasing_rate, _gibbs_weights,
-                        _modified_covariance, _purity, as_operator, as_state,
-                        spectral_norm)
+                        _modified_covariance, _pure_variance, _purity,
+                        as_operator, as_state, spectral_norm)
 from .ensembles import EnsembleEstimate, RngStream, _gue_columns
 from .specfun import KBodySpec, _check_int, _check_real
 
@@ -82,31 +84,25 @@ def decoherence_rate(rho0: np.ndarray, channels: list[LindbladChannel]) -> float
     A channel of another dimension raises ``DimensionMismatchError``.
     """
     rho0 = as_state(rho0)
-    return float(2.0 * sum(c.gamma * _modified_covariance(rho0, c.v, c.v).real
+    return float(2.0 * sum(c.gamma * _modified_covariance(rho0, c.v)
                            for c in channels) / _purity(rho0))
 
 
 def _rate_gue_block(gen: np.random.Generator, m: int, d: int, gamma: float,
                     state: np.ndarray) -> np.ndarray:
     """Rates of ``m`` GUE channels, drawn in row slices.  A pure state's is
-    ``|V psi - mu psi|^2``, ``mu = <psi|V|psi>``, where ``V psi`` reads only the
-    columns of ``V`` on the support of ``psi``, and only those are drawn.  Its
-    three sums are ``einsum`` contractions, which call no BLAS kernel chosen
-    per CPU; a row's sum is the same in any slice while it fits ``einsum``'s
-    8192-element buffer: 2d real terms, so any ``d`` up to the ``2^10`` cap."""
+    :func:`~dephase_lab.hermitian._pure_variance` of its rows ``V psi``, which
+    read only the columns of ``V`` on the support of ``psi``, and only those
+    are drawn (a mixed state reads every column).  Its sums are ``einsum``
+    contractions, which call no BLAS kernel chosen per CPU; a row's sum is
+    the same in any slice while it fits ``einsum``'s 8192-element buffer:
+    2d real terms, so any ``d`` up to the ``2^10`` cap."""
+    cols = np.flatnonzero(state) if state.ndim == 1 else np.arange(d)
     out = np.empty(m)
-    if state.ndim == 1:
-        cols = np.flatnonzero(state)
-        s, psi = len(cols), state[cols]
-        for lo, hi in _pool.row_slices(m, (2 * d - s) * s):
-            w = np.einsum("kjs,s->kj", _gue_columns(gen, hi - lo, d, cols), psi)
-            mu = np.einsum("ks,s->k", w[:, cols], psi.conj()).real
-            r = (w - mu[:, None] * state).view(float)
-            out[lo:hi] = np.einsum("kj,kj->k", r, r)
-        return 2.0 * gamma * out
-    for lo, hi in _pool.row_slices(m, d * d):
-        v = _gue_columns(gen, hi - lo, d, np.arange(d))
-        out[lo:hi] = _modified_covariance(state, v, v).real
+    for lo, hi in _pool.row_slices(m, (2 * d - len(cols)) * len(cols)):
+        v = _gue_columns(gen, hi - lo, d, cols)
+        out[lo:hi] = (_pure_variance(state, np.einsum("kjs,s->kj", v, state[cols]))
+                      if state.ndim == 1 else _modified_covariance(state, v))
     return 2.0 * gamma * out / _purity(state)
 
 
@@ -181,26 +177,19 @@ def tbre_rate_and_bound(n: int, rho0: np.ndarray,
     return rate, 162.0 * gamma * (n - 1) ** 2
 
 
-def _lmg_sectors(n: int, epsilon: float) -> tuple[np.ndarray, list[int]]:
-    """Sector energies and exact ``int`` multiplicities ``C(n, j)``, the
-    row from ``C(n, j+1) = C(n, j) (n-j)/(j+1)`` (one ``comb`` per ``j``
-    would cost ``O(n)`` products each)."""
-    j = np.arange(_check_int("spin count n", n, 1) + 1)
-    mult = accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)
-    return epsilon * ((n - 2.0 * j) ** 2 - n) / 2.0, list(mult)
-
-
-def lmg_sector_spectrum(n: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Energies and multiplicities of the all-to-all Ising (LMG-type) model.
+def lmg_sector_spectrum(n: int, epsilon: float) -> tuple[np.ndarray, list[int]]:
+    """Energies and exact ``int`` multiplicities of the all-to-all Ising
+    (LMG-type) model, at any ``n``.
 
     ``H = epsilon sum_{l<m} sigma^z_l sigma^z_m`` is a function of the total
     magnetization alone: with j spins down, ``E(j) = epsilon [(n-2j)^2 - n]/2``
-    with multiplicity ``C(n, j)``.  The multiplicities are floats, so past
-    ``n = 1029`` the largest overflows a double and this raises
-    ``OverflowError``; :func:`rate_lmg` reads their exact logarithms instead.
+    with multiplicity ``C(n, j)``, the row from
+    ``C(n, j+1) = C(n, j) (n-j)/(j+1)`` (one ``comb`` per ``j`` would cost
+    ``O(n)`` products each).
     """
-    energies, mult = _lmg_sectors(n, epsilon)
-    return energies, np.array(mult, dtype=float)
+    j = np.arange(_check_int("spin count n", n, 1) + 1)
+    mult = accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)
+    return epsilon * ((n - 2.0 * j) ** 2 - n) / 2.0, list(mult)
 
 
 def rate_lmg(n: int, epsilon: float, beta: float, gamma: float) -> float:
@@ -216,6 +205,6 @@ def rate_lmg(n: int, epsilon: float, beta: float, gamma: float) -> float:
     _check_real("epsilon", epsilon, None)
     _check_real("inverse temperature", beta)
     _check_real("gamma", gamma)
-    energies, mult = _lmg_sectors(n, epsilon)
+    energies, mult = lmg_sector_spectrum(n, epsilon)
     w = _gibbs_weights(energies, beta, np.array([log(m) for m in mult]))[0]
     return float(_energy_dephasing_rate(w ** 2, energies, gamma))

@@ -434,6 +434,7 @@ def crossover_min_n(k: int, epsilon_sq: float, mode: str = "approx",
     k = _check_int("locality k", k, 1)
     n_cap = _check_int("n_cap", n_cap, 1)
     p, q = float(_check_real("epsilon_sq", epsilon_sq, "positive")).as_integer_ratio()
+    _kbody_square(k, k, mode)           # checks the mode, even if n_cap < k
     first, crossed = k, False
     for n in range(k, n_cap + 1):
         num, den = _kbody_square(n, k, mode)

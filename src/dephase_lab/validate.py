@@ -42,7 +42,7 @@ class CheckResult:
 
 def _check_haar_moments(seed: int, n_samples: int) -> list[CheckResult]:
     d = 3
-    gen = RngStream(seed, _STREAMS["haar-operators"]).generator()
+    gen = RngStream(seed, _STREAMS["haar-operators"]).sample_generator()
     xs = []
     for _ in range(3):
         a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
@@ -99,7 +99,7 @@ def _check_trajectory_vs_master(seed: int, n_traj: int) -> list[CheckResult]:
 
 
 def _check_hs_quadrature(seed: int) -> list[CheckResult]:
-    energies = _gue_spectrum(RngStream(seed, _STREAMS["hs"]).generator(), 8)
+    energies = _gue_spectrum(RngStream(seed, _STREAMS["hs"]).sample_generator(), 8)
     worst = 0.0
     for beta in (0.0, 0.3, 0.7, 1.5, 3.0):
         sys = build_tfd(energies, beta)

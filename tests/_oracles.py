@@ -77,7 +77,7 @@ def build_tbre_hamiltonian(n: int, rng, *, coupling_scale: float = 1.0,
                            field_scale: float = 1.0) -> np.ndarray:
     """Illustrative TBRE Hamiltonian draw (random couplings A and fields B) of an
     ``n``-spin open chain, from ``rng``'s generator."""
-    gen = rng.generator()
+    gen = rng.sample_generator()
     dim = 1 << n
     h = np.zeros((dim, dim), dtype=complex)
     for l in range(n - 1):

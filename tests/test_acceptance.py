@@ -86,7 +86,7 @@ def test_02_state_independence():
 
 
 def test_03_maximally_mixed_fixed_point():
-    gen = RngStream(SEED, 20).generator()
+    gen = RngStream(SEED, 20).sample_generator()
     worst = 0.0
     for _ in range(100):
         d = int(gen.integers(2, 17))
@@ -134,7 +134,7 @@ def test_05_kbody_exact_rate():
 
 def test_06_tfd_exact_solution_equivalence():
     d, beta, gamma = 4, 0.5, 1.0
-    energies = np.linalg.eigvalsh(_gue_matrix(d, RngStream(SEED, 30).generator()))
+    energies = np.linalg.eigvalsh(_gue_matrix(d, RngStream(SEED, 30).sample_generator()))
     h0, channels, psi0 = tfd_two_noise_config(energies, beta, gamma)
     sys = build_tfd(energies, beta, gamma)
     dt, steps, every = 2.5e-4, 8000, 1000
@@ -148,7 +148,7 @@ def test_06_tfd_exact_solution_equivalence():
 
 
 def test_07_purity_identities():
-    energies = np.linalg.eigvalsh(_gue_matrix(8, RngStream(15, 50).generator()))
+    energies = np.linalg.eigvalsh(_gue_matrix(8, RngStream(15, 50).sample_generator()))
     ok = True
     details = []
     for beta in (0.0, 0.7):
@@ -242,7 +242,7 @@ def test_11_annealing_jensen():
     ok = all(r.passed for r in results)
     details = [f"{r.name}: {r.detail}" for r in results]
     # Jensen direction across random dimensions and temperatures.
-    gen = RngStream(SEED, 59).generator()
+    gen = RngStream(SEED, 59).sample_generator()
     for trial in range(100):
         d_r = int(gen.integers(2, 12))
         beta_r = float(gen.random() * 2.0)
@@ -278,7 +278,7 @@ def test_13_trajectory_master_equivalence():
     dev_dephasing = float(np.abs(np.abs(avg.mean[:, 0, 1]) - target).max())
     ok_a = dev_dephasing <= 3.0 / math.sqrt(n_traj)
 
-    energies = np.linalg.eigvalsh(_gue_matrix(4, RngStream(SEED, 80).generator()))
+    energies = np.linalg.eigvalsh(_gue_matrix(4, RngStream(SEED, 80).sample_generator()))
     h0, channels, psi0 = tfd_two_noise_config(energies, 0.0, gamma)
     stiff = sum(c.gamma * spectral_norm(c.v) ** 2 for c in channels)
     n2 = 1500
@@ -298,7 +298,7 @@ def test_13_trajectory_master_equivalence():
 
 
 def test_14_short_time_slope():
-    gen = RngStream(SEED, 90).generator()
+    gen = RngStream(SEED, 90).sample_generator()
     worst = 0.0
     for _ in range(20):
         d = int(gen.integers(2, 9))
@@ -339,7 +339,7 @@ def test_15_lmg_and_tbre():
         e = (mag ** 2 - n) / 2.0
         var = float((e ** 2).mean() - e.mean() ** 2)
         ok = ok and abs(val - 4.0 * gamma * var) <= 1e-10 * max(1.0, val)
-    gen = RngStream(SEED, 91).generator()
+    gen = RngStream(SEED, 91).sample_generator()
     worst_margin = -np.inf
     for _ in range(100):
         n = int(gen.integers(2, 7))

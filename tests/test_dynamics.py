@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ class TestBuildTfd:
                                    [1 / z, math.exp(-1.0) / z], rtol=1e-13)
 
     def test_weights_normalized(self):
-        energies = np.linalg.eigvalsh(_gue_matrix(16, RngStream(40, 0).generator()))
+        energies = np.linalg.eigvalsh(_gue_matrix(16, RngStream(40, 0).sample_generator()))
         for beta in (0.0, 1.0, 900.0):
             sys = build_tfd(energies, beta)
             assert abs((sys.weights ** 2).sum() - 1.0) <= 1e-12
@@ -90,8 +91,8 @@ class TestEvolveTfd:
         assert abs(c[0, 1]) == pytest.approx(math.exp(-1.0) / 2, rel=1e-12)
 
     def test_magnitudes_never_grow(self):
-        sys = build_tfd(np.linalg.eigvalsh(_gue_matrix(6, RngStream(41, 0).generator())),
-                        0.4)
+        gen = RngStream(41, 0).sample_generator()
+        sys = build_tfd(np.linalg.eigvalsh(_gue_matrix(6, gen)), 0.4)
         c0 = np.abs(evolve_tfd(sys, 0.0))
         for t in (0.05, 0.3, 4.0):
             assert (np.abs(evolve_tfd(sys, t)) <= c0 + 1e-14).all()
@@ -111,15 +112,15 @@ class TestPurityTfd:
         assert purity_tfd(sys, 0.0) == 1.0
 
     def test_matches_coefficient_sum(self):
-        sys = build_tfd(np.linalg.eigvalsh(_gue_matrix(8, RngStream(42, 0).generator())),
-                        0.6, gamma=0.5)
+        gen = RngStream(42, 0).sample_generator()
+        sys = build_tfd(np.linalg.eigvalsh(_gue_matrix(8, gen)), 0.6, gamma=0.5)
         for t in (0.02, 0.4, 3.0):
             assert purity_tfd(sys, t) == pytest.approx(
                 np.sum(np.abs(evolve_tfd(sys, t)) ** 2), rel=1e-12)
 
     def test_monotone_nonincreasing(self):
-        sys = build_tfd(np.linalg.eigvalsh(_gue_matrix(8, RngStream(42, 1).generator())),
-                        0.3)
+        gen = RngStream(42, 1).sample_generator()
+        sys = build_tfd(np.linalg.eigvalsh(_gue_matrix(8, gen)), 0.3)
         grid = np.linspace(0.0, 5.0, 101)
         p = purity_tfd(sys, grid)
         assert (np.diff(p) <= 1e-12).all()
@@ -130,7 +131,7 @@ class TestPurityTfd:
         # full double sum, over six decades of gamma t and from infinite to
         # very low temperature.
         from _oracles import purity_double_sum
-        energies = _gue_spectrum(RngStream(48, d).generator(), d)
+        energies = _gue_spectrum(RngStream(48, d).sample_generator(), d)
         grid = np.array([0.0, 1e-6, 0.1, 1.0, 10.0, 1000.0])
         for beta in (0.0, 1e-3, 0.5, 3.0, 50.0):
             sys = build_tfd(energies, beta, gamma=0.8)
@@ -141,7 +142,7 @@ class TestPurityTfd:
             assert (np.diff(p) <= 1e-15).all()
 
     def test_infinite_time_plateau(self):
-        energies = np.linalg.eigvalsh(_gue_matrix(8, RngStream(15, 50).generator()))
+        energies = np.linalg.eigvalsh(_gue_matrix(8, RngStream(15, 50).sample_generator()))
         for beta in (0.0, 0.7):
             sys = build_tfd(energies, beta)
             z = np.exp(-beta * energies).sum()
@@ -204,18 +205,18 @@ class TestPurityKernel:
 
     @pytest.mark.parametrize("d", [8, 64, 65, 256, 1024])
     def test_matches_the_compensated_double_sum(self, d):
-        self._check(_gue_spectrum(RngStream(49, d).generator(), d))
+        self._check(_gue_spectrum(RngStream(49, d).sample_generator(), d))
 
     def test_band_takes_the_levels_in_any_order(self):
         # Shuffled levels: the smallest gap no longer grows with the offset.
         for d in (8, 200):
-            energies = _gue_spectrum(RngStream(49, 7).generator(), d)
-            self._check(RngStream(49, 8).generator().permutation(energies))
+            energies = _gue_spectrum(RngStream(49, 7).sample_generator(), d)
+            self._check(RngStream(49, 8).sample_generator().permutation(energies))
 
     @pytest.mark.parametrize("d", [1, 2, 8, 64, 65, 256])
     def test_each_row_equals_its_one_beta_call(self, d):
         # A beta's curve is summed in one order whatever the other rows.
-        energies = _gue_spectrum(RngStream(49, 9).generator(), d)
+        energies = _gue_spectrum(RngStream(49, 9).sample_generator(), d)
         probs = self._probs(energies)
         gamma_t = np.concatenate([[0.0], np.logspace(-4, 3, 40)])
         stacked = _purity_kernel(energies, probs, gamma_t)
@@ -244,8 +245,8 @@ class TestPurityHs:
         assert purity_tfd_hs(sys, 40.0) == pytest.approx(0.25, abs=1e-6)
 
     def test_node_doubling_converged(self):
-        sys = build_tfd(np.linalg.eigvalsh(_gue_matrix(6, RngStream(43, 0).generator())),
-                        0.5)
+        gen = RngStream(43, 0).sample_generator()
+        sys = build_tfd(np.linalg.eigvalsh(_gue_matrix(6, gen)), 0.5)
         a = purity_tfd_hs(sys, 0.8, quadrature_nodes=256)
         b = purity_tfd_hs(sys, 0.8, quadrature_nodes=512)
         assert abs(a - b) < 1e-9
@@ -292,7 +293,7 @@ class TestRateTfd:
 
     def test_matches_numerical_second_derivative(self):
         # 4 gamma d^2/dbeta^2 ln Z by central differences, h = 1e-4.
-        energies = np.linalg.eigvalsh(_gue_matrix(10, RngStream(44, 0).generator()))
+        energies = np.linalg.eigvalsh(_gue_matrix(10, RngStream(44, 0).sample_generator()))
         gamma, beta, h = 0.7, 0.9, 1e-4
 
         def ln_z(b):
@@ -400,6 +401,18 @@ class TestEnsemblePurity:
                 assert row[-1] == rate_tfd(sys)
                 assert row[:-2].tobytes() == purity_tfd(sys, gamma_t / 0.5).tobytes()
 
+    def test_unbounded_error_bars_are_inf(self):
+        # At beta = 100 one draw carries all of sum z, so s0 - z_i is 0 in its
+        # leave-one-out term; at 1e200 every ln Z is finite but the square of
+        # their spread passes a double.  Both error bars were NaN, or warned.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low, high = annealing_check([100.0, 1e200], 4, 10, RngStream(1))
+        assert low.rate_annealed_mc.stderr == math.inf
+        assert math.isfinite(low.rate_annealed_mc.mean) and math.isfinite(low.ln_z_stderr)
+        assert high.ln_z_stderr == math.inf and high.rate_annealed_mc.stderr == math.inf
+        assert high.rate_annealed_mc.mean == 0.0
+
     @pytest.mark.parametrize("betas,gamma,match", [
         ([0.5, -0.5], 1.0, "inverse temperature"), ([0.5], 0.0, "noise rate")])
     def test_bad_beta_or_gamma_rejected(self, betas, gamma, match):
@@ -446,7 +459,7 @@ class TestAnnealing:
         assert abs(chk.mean_ln_z) <= 3 * chk.ln_z_stderr
 
     def test_jensen_direction_random_draws(self):
-        gen = RngStream(46, 1).generator()
+        gen = RngStream(46, 1).sample_generator()
         for trial in range(100):
             d = int(gen.integers(2, 11))
             beta = float(gen.random() * 2.0)
@@ -534,7 +547,7 @@ def _dephasing_setup(gamma=1.0):
 
 class TestMasterEquationRk4:
     def test_unitary_preserves_purity(self):
-        gen = RngStream(47, 0).generator()
+        gen = RngStream(47, 0).sample_generator()
         a = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
         h = (a + a.conj().T) / 2
         psi = gen.standard_normal(4) + 1j * gen.standard_normal(4)
@@ -555,7 +568,7 @@ class TestMasterEquationRk4:
                 0.5 * math.exp(-2 * gamma * t), rel=1e-6)
 
     def test_state_invariants_along_trajectory(self):
-        gen = RngStream(47, 1).generator()
+        gen = RngStream(47, 1).sample_generator()
         d = 6
         a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
         h = (a + a.conj().T) / 2
@@ -589,7 +602,7 @@ class TestMasterEquationRk4:
             master_equation_rk4(zero_h(2), channels, rho0, dt=0.5, steps=10)
 
     def test_matches_exact_tfd_solution_small(self):
-        energies = np.linalg.eigvalsh(_gue_matrix(2, RngStream(47, 2).generator()))
+        energies = np.linalg.eigvalsh(_gue_matrix(2, RngStream(47, 2).sample_generator()))
         gamma = 0.8
         h0, channels, psi0 = tfd_two_noise_config(energies, 0.5, gamma)
         sys = build_tfd(energies, 0.5, gamma)
@@ -601,7 +614,7 @@ class TestMasterEquationRk4:
             assert np.abs(snap - exact).max() <= 1e-7
 
     def test_short_time_slope_matches_rate(self):
-        gen = RngStream(47, 3).generator()
+        gen = RngStream(47, 3).sample_generator()
         for _ in range(5):
             d = int(gen.integers(2, 9))
             a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
@@ -638,7 +651,7 @@ core = getattr(ctypes.CDLL(_umath_linalg.__file__),
 if core is not None:
     core.restype = ctypes.c_char_p
 print(core().decode() if core else '?', file=sys.stderr)
-gen = RngStream(7, 0).generator()
+gen = RngStream(7, 0).sample_generator()
 z = gen.standard_normal(256) + 1j * gen.standard_normal(256)
 r = z.view(float)
 psi = z / np.sqrt(np.einsum("j,j->", r, r))

@@ -50,8 +50,8 @@ class TestGueSampling:
         # Columns on every index: V_jk = w g_jk + conj(w) g_kj with
         # w = e^{i pi/4}/2, entry by entry from the d^2 normals of each
         # matrix, in draw order.
-        g = RngStream(3, 1).generator().standard_normal((40, d, d))
-        v = _dense_block(RngStream(3, 1).generator(), 40, d)
+        g = RngStream(3, 1).sample_generator().standard_normal((40, d, d))
+        v = _dense_block(RngStream(3, 1).sample_generator(), 40, d)
         w = complex(math.sqrt(0.125), math.sqrt(0.125))
         want = np.zeros((40, d, d), dtype=complex)
         for i in range(40):
@@ -65,9 +65,9 @@ class TestGueSampling:
     def test_full_support_columns_are_the_block(self, d):
         # Columns on every index are the whole block w g + conj(w) g^T of
         # gen.standard_normal((m, d, d)), bit for bit.
-        g = RngStream(3, 2).generator().standard_normal((30, d, d))
+        g = RngStream(3, 2).sample_generator().standard_normal((30, d, d))
         v = _OMEGA * g + _OMEGA.conjugate() * g.transpose(0, 2, 1)
-        cols = _gue_columns(RngStream(3, 2).generator(), 30, d, np.arange(d))
+        cols = _gue_columns(RngStream(3, 2).sample_generator(), 30, d, np.arange(d))
         assert cols.tobytes() == v.tobytes()
 
     @pytest.mark.parametrize("d", [1, 8, 64])
@@ -84,8 +84,8 @@ class TestGueSampling:
             return _OMEGA * col + _OMEGA.conjugate() * row.transpose(0, 2, 1)
         part = np.arange(0, d, 3)
         for cols in (np.arange(d), part):
-            got = _gue_columns(RngStream(3, 4).generator(), 6, d, cols)
-            want = support_layout(RngStream(3, 4).generator(), 6, cols)
+            got = _gue_columns(RngStream(3, 4).sample_generator(), 6, d, cols)
+            want = support_layout(RngStream(3, 4).sample_generator(), 6, cols)
             assert got.tobytes() == want.tobytes()
 
     def test_support_columns_follow_the_law(self):
@@ -104,7 +104,7 @@ class TestGueSampling:
 
     def test_scalar_variance(self):
         # d = 1: weight exp(-x^2) means variance 1/2.
-        vals = _dense_block(RngStream(2, 0).generator(), 4000, 1)[:, 0, 0].real
+        vals = _dense_block(RngStream(2, 0).sample_generator(), 4000, 1)[:, 0, 0].real
         second = vals ** 2
         se = second.std(ddof=1) / math.sqrt(len(vals))
         assert abs(second.mean() - 0.5) <= 3 * se
@@ -174,7 +174,7 @@ def _columns_law_ok(columns) -> bool:
     imaginary parts of every off-diagonal entry have variance 1/4 (the
     diagonal: 1/2 and 0) within 5 standard errors, entry by entry."""
     d, n, cols = 7, 20_000, np.array([1, 4, 5])
-    v = columns(RngStream(3, 4).generator(), n, d, cols)
+    v = columns(RngStream(3, 4).sample_generator(), n, d, cols)
     on_support = v[:, cols]
     if not ((np.diagonal(on_support, axis1=1, axis2=2).imag == 0).all()
             and (on_support == on_support.conj().transpose(0, 2, 1)).all()):
@@ -192,7 +192,7 @@ def _columns_law_ok(columns) -> bool:
 def _trace_square_ok(block) -> bool:
     """<tr X^2>/d^2 within 3 stderr of 1/2 at d = 8 over 1e4 draws."""
     d = 8
-    v = block(RngStream(3, 0).generator(), 10_000, d)
+    v = block(RngStream(3, 0).sample_generator(), 10_000, d)
     vals = (np.abs(v) ** 2).sum(axis=(1, 2)) / d ** 2
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     return bool(abs(vals.mean() - 0.5) <= 3 * se)
@@ -202,7 +202,7 @@ def _circular_ok(block) -> bool:
     """<V_jk^2> = 0 off the diagonal: the mean over 1e4 draws at d = 8 of
     each draw's average V_jk^2 over j < k, within 4 standard errors."""
     d = 8
-    v = block(RngStream(3, 3).generator(), 10_000, d)
+    v = block(RngStream(3, 3).sample_generator(), 10_000, d)
     j, k = np.triu_indices(d, 1)
     vals = (v[:, j, k] ** 2).mean(axis=1)
     se = math.sqrt((vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / vals.size)
@@ -213,7 +213,7 @@ def _level_density_l1(block) -> float:
     """L1 distance of about 1e5 pooled eigenvalues at d = 64 from the exact
     finite-d density, in rescaled spectral units with bin width 0.1."""
     d = 64
-    gen = RngStream(5, 0).generator()
+    gen = RngStream(5, 0).sample_generator()
     evs = []
     for _ in range(10 ** 5 // d // 64):
         evs.append(np.linalg.eigvalsh(block(gen, 64, d)).ravel())
@@ -351,7 +351,7 @@ class TestHaarSampling:
         assert (dev <= 3 * np.maximum(se, 1e-12)).all()
 
     def test_second_moment_arbitrary_x_within_4se(self):
-        gen = RngStream(7, 3).generator()
+        gen = RngStream(7, 3).sample_generator()
         a = gen.standard_normal((5, 5)) + 1j * gen.standard_normal((5, 5))
         x = (a + a.conj().T) / 2
         mean, se = haar_second_moment(x, 20_000, RngStream(7, 4))
@@ -392,7 +392,7 @@ class TestGramSchmidtRoute:
         # The Gram-Schmidt route calls no QR, and its einsum products are
         # sample-last in memory; the LAPACK route's `@` products are C-ordered.
         assert ensembles._GS_MAX_DIM == 4
-        gen = RngStream(3, 0).generator()
+        gen = RngStream(3, 0).sample_generator()
         for d, sample_last in ((4, True), (5, False)):
             x = np.eye(d, dtype=complex)
             for rows in (ensembles._haar_moment_block(gen, 2, x),
@@ -410,7 +410,7 @@ class TestGramSchmidtRoute:
         # Draw 0 has two columns parallel to 1e-10 (condition number about
         # 1e10): one pass leaves them far from orthogonal, the second pass
         # must restore them.
-        g = RngStream(3, 1).generator().standard_normal((100_000, 2, 3, 3))
+        g = RngStream(3, 1).sample_generator().standard_normal((100_000, 2, 3, 3))
         g[0, :, :, 1] = g[0, :, :, 0] + 1e-10 * g[0, :, :, 1]
         one_pass = _one_pass_gram_schmidt(g[0, 0] + 1j * g[0, 1])
         assert _unitarity_error(one_pass[None]) > 1e-8
@@ -432,7 +432,7 @@ class TestHaarFourthMoment:
         np.testing.assert_allclose(mean, x2, atol=1e-12)
 
     def test_middle_identity_reduces_to_second_moment(self):
-        gen = RngStream(9, 1).generator()
+        gen = RngStream(9, 1).sample_generator()
         a = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
         x1 = (a + a.conj().T) / 2
         b = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
@@ -443,7 +443,7 @@ class TestHaarFourthMoment:
             haar_second_moment_exact(x1 @ x3), atol=1e-12)
 
     def test_random_triple_against_closed_form(self):
-        gen = RngStream(9, 2).generator()
+        gen = RngStream(9, 2).sample_generator()
         xs = []
         for _ in range(3):
             a = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))

@@ -29,7 +29,7 @@ def rand_pure(d, gen):
 
 class TestPurity:
     def test_pure_is_one(self):
-        psi = rand_pure(5, RngStream(15, 0).generator())
+        psi = rand_pure(5, RngStream(15, 0).sample_generator())
         assert purity(psi) == 1.0
 
     def test_maximally_mixed(self):
@@ -54,8 +54,8 @@ class TestPurity:
 
 class TestAsState:
     def test_vector_is_pure_and_matrix_is_mixed(self):
-        psi = rand_pure(3, RngStream(14, 0).generator())
-        rho = rand_mixed(3, RngStream(14, 1).generator())
+        psi = rand_pure(3, RngStream(14, 0).sample_generator())
+        rho = rand_mixed(3, RngStream(14, 1).sample_generator())
         for state in (psi, rho, np.eye(3) / 3):
             got = as_state(state)
             assert got.dtype == complex and got.ndim == np.ndim(state)
@@ -90,65 +90,74 @@ class TestAsState:
         with pytest.raises(ValueError):
             purity(np.diag([0.7, 0.7]))
         with pytest.raises(ValueError):
-            modified_covariance(np.array([1.0, 1.0]), PAULI["z"], PAULI["z"])
+            modified_covariance(np.array([1.0, 1.0]), PAULI["z"])
 
 
 class TestModifiedCovariance:
     def test_pure_reduces_to_variance(self):
-        gen = RngStream(16, 0).generator()
+        gen = RngStream(16, 0).sample_generator()
         psi = rand_pure(6, gen)
         x = rand_herm(6, gen)
-        got = modified_covariance(psi, x, x)
+        got = modified_covariance(psi, x)
         xp = x @ psi
         var = np.vdot(xp, xp).real - np.vdot(psi, xp).real ** 2
-        assert got.imag == pytest.approx(0.0, abs=1e-12)
-        assert got.real == pytest.approx(var, rel=1e-12)
+        assert type(got) is float
+        assert got == pytest.approx(var, rel=1e-12)
+
+    def test_a_shift_cancels_no_digit(self):
+        # X -> X + 1e8 leaves the centred bracket unchanged on the pure and
+        # the mixed path, dense or diagonal; an uncentred <X^2> - <X>^2 would
+        # lose every digit (1e16 against a variance of order 1).
+        gen = RngStream(16, 1).sample_generator()
+        d = 6
+        diag = gen.standard_normal(d)
+        for state in (rand_pure(d, gen), rand_mixed(d, gen)):
+            for x in (rand_herm(d, gen), diag, np.diag(diag)):
+                base = modified_covariance(state, x)
+                shifted = x + 1e8 if x.ndim == 1 else x + 1e8 * np.eye(d)
+                assert modified_covariance(state, shifted) == pytest.approx(
+                    base, rel=1e-7)
 
     def test_maximally_mixed_fixed_point(self):
-        assert abs(modified_covariance(np.eye(2) / 2, PAULI["z"], PAULI["z"])) <= 1e-14
+        assert abs(modified_covariance(np.eye(2) / 2, PAULI["z"])) <= 1e-14
 
     def test_brute_force_oracle(self):
         # Elementwise index sums, independent of the matmul evaluation path.
-        gen = RngStream(17, 0).generator()
+        gen = RngStream(17, 0).sample_generator()
         d = 4
         rho = rand_mixed(d, gen)
-        x, y = rand_herm(d, gen), rand_herm(d, gen)
-        t1 = sum(rho[i, j] * rho[j, k] * x[k, l] * y[l, i]
+        x = rand_herm(d, gen)
+        t1 = sum(rho[i, j] * rho[j, k] * x[k, l] * x[l, i]
                  for i in range(d) for j in range(d)
                  for k in range(d) for l in range(d))
-        t2 = sum(rho[i, j] * x[j, k] * rho[k, l] * y[l, i]
+        t2 = sum(rho[i, j] * x[j, k] * rho[k, l] * x[l, i]
                  for i in range(d) for j in range(d)
                  for k in range(d) for l in range(d))
-        got = modified_covariance(rho, x, y)
-        assert got == pytest.approx(t1 - t2, rel=1e-10, abs=1e-12)
+        assert abs((t1 - t2).imag) <= 1e-12
+        got = modified_covariance(rho, x)
+        assert got == pytest.approx((t1 - t2).real, rel=1e-10, abs=1e-12)
 
     def test_diagonal_paths_match_dense(self):
-        gen = RngStream(18, 0).generator()
+        gen = RngStream(18, 0).sample_generator()
         d = 8
         diag_x = gen.standard_normal(d)
-        diag_y = gen.standard_normal(d)
-        rho = rand_mixed(d, gen)
-        dense = modified_covariance(rho, np.diag(diag_x), np.diag(diag_y))
-        fast = modified_covariance(rho, diag_x, diag_y)
-        assert fast == pytest.approx(dense, rel=1e-10, abs=1e-12)
-        psi = rand_pure(d, gen)
-        assert modified_covariance(psi, diag_x, diag_y) == pytest.approx(
-            modified_covariance(psi, np.diag(diag_x), np.diag(diag_y)),
-            rel=1e-10, abs=1e-12)
+        for state in (rand_mixed(d, gen), rand_pure(d, gen)):
+            dense = modified_covariance(state, np.diag(diag_x))
+            fast = modified_covariance(state, diag_x)
+            assert fast == pytest.approx(dense, rel=1e-12, abs=1e-14)
 
     def test_nonnegative_on_hermitian_pairs(self):
-        gen = RngStream(19, 0).generator()
+        gen = RngStream(19, 0).sample_generator()
         for _ in range(50):
             d = int(gen.integers(2, 9))
             x = rand_herm(d, gen)
             state = (rand_pure(d, gen) if gen.random() < 0.5
                      else rand_mixed(d, gen))
-            assert modified_covariance(state, x, x).real >= -1e-10
+            assert modified_covariance(state, x) >= -1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            modified_covariance(np.eye(2) / 2,
-                                np.eye(3, dtype=complex), np.eye(3, dtype=complex))
+            modified_covariance(np.eye(2) / 2, np.eye(3, dtype=complex))
 
 
 class TestSpectralNorm:
@@ -169,7 +178,7 @@ class TestSpectralNorm:
         assert spectral_norm(np.diag(op)) == pytest.approx(3.0)
 
     def test_variance_bounded_by_norm_squared(self):
-        gen = RngStream(20, 0).generator()
+        gen = RngStream(20, 0).sample_generator()
         for _ in range(60):
             d = int(gen.integers(2, 10))
             x = rand_herm(d, gen)
@@ -185,7 +194,7 @@ class TestGibbsStack:
     # calls give row by row, so the stacked callers cannot drift from the
     # single-system functions.
     def test_stack_equals_row_by_row(self):
-        gen = RngStream(12, 0).generator()
+        gen = RngStream(12, 0).sample_generator()
         spectra = np.sort(3.0 * gen.standard_normal((4, 1, 33)), axis=-1)
         betas = np.array([0.0, 0.3, 2.5, 1e3])
         log_mult = np.log(gen.integers(1, 50, 33).astype(float))

@@ -181,6 +181,9 @@ REFUSALS = {
                              "purity must lie in (0, 1]"),
     "rate_kbody_bound-mode": (lambda m: rate_kbody_bound(KBodySpec(3, 1), 1.0, m),
                               "binomial", ValueError, "unknown mode 'binomial'"),
+    # n_cap < k leaves the scan empty; the mode is checked before it.
+    "crossover_min_n-mode": (lambda m: crossover_min_n(5, 0.5, m, n_cap=3), "bogus",
+                             ValueError, "unknown mode 'bogus'"),
     "sse_trajectory-mixed-start": (
         lambda rho: sse_trajectory(None, [], rho, TrajectoryConfig(**_CFG), RngStream(1)),
         np.eye(2) / 2, ValueError, "trajectories start from a pure state"),
@@ -255,10 +258,10 @@ def test_a_count_is_returned_as_a_python_int():
 def test_no_two_seeds_alias_one_stream():
     # A numpy integer key is the same key; a float key is refused, where it
     # used to replay the stream of its integer part.
-    want = RngStream(1, 2).generator().standard_normal(4)
-    got = RngStream(np.uint64(1), np.int64(2)).generator().standard_normal(4)
+    want = RngStream(1, 2).sample_generator().standard_normal(4)
+    got = RngStream(np.uint64(1), np.int64(2)).sample_generator().standard_normal(4)
     assert got.tobytes() == want.tobytes()
-    top = RngStream(2 ** 64 - 1, 2 ** 64 - 1).generator().standard_normal(2)
+    top = RngStream(2 ** 64 - 1, 2 ** 64 - 1).sample_generator().standard_normal(2)
     assert np.isfinite(top).all()
     for seed, index in ((1.5, 0), (1, 2.7), (-1, 0)):
         with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ from _oracles import build_tbre_hamiltonian, gue_rates_triangles, tbre_pair_sum
 from dephase_lab import _pool, rates
 from dephase_lab.ensembles import RngStream, _gue_columns, _gue_matrix
 from dephase_lab.dynamics import build_tfd, master_equation_rk4, rate_tfd
-from dephase_lab.hermitian import modified_covariance, spectral_norm
+from dephase_lab.hermitian import (_energy_dephasing_rate, _gibbs_weights,
+                                   modified_covariance, spectral_norm)
 from dephase_lab.rates import (LindbladChannel, PAULI,
                                build_kbody_operator, build_tbre_operator,
                                decoherence_rate, lmg_sector_spectrum, rate_gue_mc,
@@ -62,7 +63,7 @@ class FixedNormals:
 class TestDecoherenceRate:
     def test_pointer_state_is_dephasing_free(self):
         # An eigenstate of every channel operator does not decohere.
-        gen = RngStream(30, 0).generator()
+        gen = RngStream(30, 0).sample_generator()
         h = rand_herm(5, gen)
         vals, vecs = np.linalg.eigh(h)
         psi = vecs[:, 2]
@@ -70,7 +71,7 @@ class TestDecoherenceRate:
         assert abs(decoherence_rate(psi, channels)) <= 1e-10
 
     def test_maximally_mixed_fixed_point(self):
-        gen = RngStream(30, 1).generator()
+        gen = RngStream(30, 1).sample_generator()
         for d in (2, 5, 16):
             channels = [LindbladChannel(float(gen.random() + 0.1), rand_herm(d, gen))
                         for _ in range(3)]
@@ -87,7 +88,7 @@ class TestDecoherenceRate:
         assert decoherence_rate(np.eye(2) / 2, []) == 0.0
 
     def test_linearity_and_quadratic_scaling(self):
-        gen = RngStream(30, 2).generator()
+        gen = RngStream(30, 2).sample_generator()
         psi = rand_pure(6, gen)
         v = rand_herm(6, gen)
         base = decoherence_rate(psi, [LindbladChannel(1.0, v)])
@@ -118,7 +119,7 @@ class TestDecoherenceRate:
 
     def test_diagonal_vector_channel_matches_dense(self):
         # A 1-D channel is the diagonal of an operator, on pure and mixed states.
-        gen = RngStream(30, 4).generator()
+        gen = RngStream(30, 4).sample_generator()
         for d in (2, 5, 16):
             diag = gen.standard_normal(d)
             for state in (rand_pure(d, gen), _random_mixed(d, gen)):
@@ -127,7 +128,7 @@ class TestDecoherenceRate:
                 assert fast == pytest.approx(dense, rel=1e-12, abs=1e-14)
 
     def test_nonnegative_random_instances(self):
-        gen = RngStream(30, 3).generator()
+        gen = RngStream(30, 3).sample_generator()
         for _ in range(1000):
             d = int(gen.integers(2, 17))
             state = (rand_pure(d, gen) if gen.random() < 0.5 else
@@ -148,8 +149,8 @@ class TestDecoherenceRate:
             out = [decoherence_rate(s, [LindbladChannel(1.0, op)])
                    for s in (psi, rho) for op in (v, np.diag(v))]
             shift = c * np.eye(2)
-            cov = modified_covariance(rho, x + shift, y + shift)
-            return out + [cov.real, cov.imag, rate_tfd(build_tfd(v, 0.0))]
+            covs = [modified_covariance(rho, op + shift) for op in (x, y)]
+            return out + covs + [rate_tfd(build_tfd(v, 0.0))]
 
         base = values(0.0)
         assert base[0] == pytest.approx(0.5) and base[2] == pytest.approx(4.0 / 33.0)
@@ -324,7 +325,7 @@ class TestRateGueMc:
         # Other states see other entries of the same normals: the two
         # constructions agree only in law.
         d, n = 4, 4000
-        psi = rand_pure(d, RngStream(31, 7).generator())
+        psi = rand_pure(d, RngStream(31, 7).sample_generator())
         rng = RngStream(31, 8)
         a = _pool.gather_samples(rates._rate_gue_block, n, rng, 1, d, 1.0, psi)
         b = _pool.gather_samples(gue_rates_triangles, n, rng, 1, d, 1.0, psi)
@@ -385,17 +386,18 @@ class TestKBodyOperator:
     def test_rates_keep_the_diagonal_arithmetic(self):
         # The vector route evaluates the centred O(d) / O(d^2) diagonal
         # formulas, bit for bit, and agrees with the dense np.diag route to
-        # rounding.
-        gen = RngStream(30, 5).generator()
+        # rounding.  The pure one is the real-view sums of
+        # hermitian._pure_variance: mu = Re <psi|X psi>, then |(X - mu) psi|^2.
+        gen = RngStream(30, 5).sample_generator()
         gamma = 0.6
         for n in range(1, 6):
             for k in range(1, n + 1):
                 x = build_kbody_operator(KBodySpec(n, k, 0.9))
                 ch = [LindbladChannel(gamma, x)]
                 psi = rand_pure(1 << n, gen)
-                mean = np.einsum("i,i->", psi.conj(), psi * x)
-                u = psi * x - mean * psi                      # (X - <X>) psi
-                var = np.einsum("i,i->", u.conj(), u).real
+                mean = np.einsum("i,i->", psi.view(float), (psi * x).view(float))
+                u = (psi * x - mean * psi).view(float)        # (X - <X>) psi
+                var = np.einsum("i,i->", u, u)
                 assert decoherence_rate(psi, ch) == 2.0 * (gamma * var)
                 mixed = _random_mixed(1 << n, gen)
                 w = np.abs(mixed) ** 2
@@ -621,7 +623,7 @@ class TestTbre:
 
     def test_rate_below_bound_any_pure_state(self):
         gamma = 0.6
-        gen = RngStream(32, 0).generator()
+        gen = RngStream(32, 0).sample_generator()
         for n in (2, 3):
             for _ in range(5):
                 rate, bound = tbre_rate_and_bound(n, rand_pure(1 << n, gen), gamma)
@@ -638,7 +640,7 @@ class TestTbre:
         v = build_tbre_operator(3)
         cap = 2 * gamma * spectral_norm(v) ** 2
         assert cap <= 648 * gamma + 1e-9
-        gen = RngStream(32, 1).generator()
+        gen = RngStream(32, 1).sample_generator()
         for _ in range(5):
             rate, _ = tbre_rate_and_bound(3, rand_pure(8, gen), gamma)
             assert rate <= cap + 1e-9
@@ -694,5 +696,24 @@ class TestLmg:
 
     def test_sector_multiplicities(self):
         energies, mult = lmg_sector_spectrum(4, 1.0)
-        assert mult.sum() == 16
+        assert mult == [1, 4, 6, 4, 1]
         assert energies[0] == pytest.approx((16 - 4) / 2.0)
+
+    def test_multiplicities_are_exact_past_a_double(self):
+        # C(1100, 550) passes the largest double; float multiplicities raised
+        # OverflowError from n = 1030 on.
+        energies, mult = lmg_sector_spectrum(1100, 1.0)
+        assert len(energies) == len(mult) == 1101
+        assert all(type(m) is int for m in mult) and sum(mult) == 2 ** 1100
+        assert mult[550] == math.comb(1100, 550)
+
+    @pytest.mark.parametrize("n", [2, 64, 1029])
+    def test_rate_keeps_the_float_multiplicity_bits(self, n):
+        # Up to n = 1029 every multiplicity is a double, and the rate from
+        # their logarithms is the rate from the exact integers, bit for bit.
+        energies, mult = lmg_sector_spectrum(n, 0.7)
+        log_mult = np.array([math.log(float(m)) for m in mult])
+        for beta in (0.0, 0.01, 1.0):
+            w = _gibbs_weights(energies, beta, log_mult)[0]
+            want = float(_energy_dephasing_rate(w ** 2, energies, 0.3))
+            assert rate_lmg(n, 0.7, beta, 0.3) == want

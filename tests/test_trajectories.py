@@ -20,7 +20,7 @@ class TestSingleTrajectory:
     def test_free_evolution_matches_propagator(self):
         # gamma = 0 reduces to the Schrodinger equation; compare against the
         # exact propagator from the eigendecomposition at t = 1.
-        gen = RngStream(50, 0).generator()
+        gen = RngStream(50, 0).sample_generator()
         a = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
         h = (a + a.conj().T) / 2
         psi0 = gen.standard_normal(4) + 1j * gen.standard_normal(4)
@@ -65,7 +65,7 @@ class TestSingleTrajectory:
         # one Generator on substream 0, the terms added in this order and
         # each state divided by its norm, one einsum over its real view.  The
         # batched stepper must reproduce it bit for bit.
-        gen = RngStream(52, 0).generator()
+        gen = RngStream(52, 0).sample_generator()
         a = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
         h = (a + a.conj().T) / 2
         psi0 = gen.standard_normal(4) + 1j * gen.standard_normal(4)
@@ -77,7 +77,7 @@ class TestSingleTrajectory:
         stream = RngStream(53, 4)
         states = sse_trajectory(h, channels, psi0, cfg, stream)
 
-        dw = np.random.Generator(stream.bit_generator()).normal(
+        dw = stream.sample_generator().normal(
             0.0, math.sqrt(cfg.dt), size=(cfg.steps, len(channels)))
         apply = lambda op, x: x * op if op.ndim == 1 else x @ op.T
         psi = psi0[None, :].copy()
@@ -102,7 +102,7 @@ class TestSingleTrajectory:
         # Diagonal operators act row by row, so the single trajectory is row
         # 0 of average_trajectories' batch bit for bit; a dense operator acts
         # on the whole batch in one BLAS product, which rounds differently.
-        gen = RngStream(54, d).generator()
+        gen = RngStream(54, d).sample_generator()
         if kind == "dense":
             h0, v = _gue_matrix(d, gen), _gue_matrix(d, gen)
         else:
@@ -260,7 +260,7 @@ class TestTfdTwoNoise:
     def test_ensemble_purity_matches_exact(self):
         # Two qubits per copy; noise-averaged trajectory purity against the
         # closed-form dephasing purity, with the U-statistic debiasing.
-        energies = np.linalg.eigvalsh(_gue_matrix(4, RngStream(51, 0).generator()))
+        energies = np.linalg.eigvalsh(_gue_matrix(4, RngStream(51, 0).sample_generator()))
         gamma, beta = 1.0, 0.0
         h0, channels, psi0 = tfd_two_noise_config(energies, beta, gamma)
         dt = 0.01 / sum(c.gamma * np.abs(np.diag(c.v)).max() ** 2 for c in channels)

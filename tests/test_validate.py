@@ -15,12 +15,13 @@ def _checks_of(seeds, check):
 
 def test_streams_drawn_by_one_run_are_disjoint(monkeypatch):
     # Every draw is recorded as (check, kind, substreams): engine calls with
-    # the substream of every block they draw, direct generators with their
-    # one substream.
+    # the substream of every block they draw, each generator with its one
+    # substream.  ``sample_generator`` is the one accessor of a substream, so
+    # patching it sees the direct draws as well as the engine's blocks.
     draws = []
     current = []
     real_gather = _pool.gather_samples
-    real_bit_generator = RngStream.bit_generator
+    real_sample_generator = RngStream.sample_generator
 
     def gather(block_fn, n, rng, *args):
         blocks = range(-(-n // _pool._BLOCK))
@@ -28,10 +29,10 @@ def test_streams_drawn_by_one_run_are_disjoint(monkeypatch):
                       {(rng.master_seed, rng.stream_index, b) for b in blocks}))
         return real_gather(block_fn, n, rng, *args)
 
-    def bit_generator(self, index=0):
+    def sample_generator(self, index=0):
         draws.append((current[-1], "direct",
                       {(self.master_seed, self.stream_index, index)}))
-        return real_bit_generator(self, index)
+        return real_sample_generator(self, index)
 
     def named(name, check):
         def run(*args, **kwargs):
@@ -43,7 +44,7 @@ def test_streams_drawn_by_one_run_are_disjoint(monkeypatch):
         return run
 
     monkeypatch.setattr(_pool, "gather_samples", gather)
-    monkeypatch.setattr(RngStream, "bit_generator", bit_generator)
+    monkeypatch.setattr(RngStream, "sample_generator", sample_generator)
     for name in ("_check_haar_moments", "_check_annealing",
                  "_check_trajectory_vs_master", "_check_hs_quadrature"):
         monkeypatch.setattr(validate, name, named(name, getattr(validate, name)))
@@ -65,6 +66,10 @@ def test_streams_drawn_by_one_run_are_disjoint(monkeypatch):
     annealing = [s for name, kind, s in draws
                  if name == "_check_annealing" and kind == "engine"]
     assert annealing == [{(8, validate._STREAMS["annealing"], b) for b in (0, 1)}]
+    # The Haar check's operators and the HS check's spectrum are drawn
+    # directly, each from substream 0 of its own stream.
+    direct = {s for _, kind, streams in draws if kind == "direct" for s in streams}
+    assert {(8, validate._STREAMS[key], 0) for key in ("haar-operators", "hs")} <= direct
 
 
 def test_annealing_check_passes_on_correct_code_and_fails_a_planted_bias(
